@@ -1,4 +1,4 @@
-"""Campaign orchestration: cold-vs-warm cache and profile-memo reuse.
+"""Campaign orchestration: cold-vs-warm cache and loop-cache reuse.
 
 Times one small campaign twice against the same result store.  The cold
 pass pays the full pipeline cost per job; the warm pass answers every
@@ -10,7 +10,7 @@ prints the per-configuration suite means the campaign aggregates.
 import tempfile
 
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
-from repro.pipeline import clear_profile_cache
+from repro.pipeline.cache import clear_loop_cache
 from repro.reporting import campaign_means_table, campaign_summary
 
 from common import corpus_scale, publish
@@ -30,7 +30,7 @@ def run_once(store: ResultStore):
 def bench_campaign(benchmark):
     with tempfile.TemporaryDirectory() as root:
         store = ResultStore(root)
-        clear_profile_cache()
+        clear_loop_cache()
         cold = run_once(store)
 
         # The timed pass hits the cache for every job.

@@ -17,7 +17,7 @@ The package implements, from scratch:
 * synthetic SPECfp2000 loop corpora calibrated to the paper's Table 2
   (:mod:`repro.workloads`),
 * the end-to-end experiment pipeline behind every figure, redesigned as
-  composable, individually cached stages with pluggable
+  composable stages with a per-loop artifact cache and pluggable
   machines/selectors/schedulers (:mod:`repro.pipeline` — see
   :class:`Experiment`), plus campaign orchestration
   (:mod:`repro.campaign`), declarative TOML/JSON scenario packs for
@@ -141,7 +141,6 @@ from repro.pipeline import (
     register_machine,
     register_scheduler,
     register_selector,
-    stage_cache_info,
 )
 from repro.pipeline.registry import register_workload
 from repro.scenarios import (
@@ -251,7 +250,6 @@ __all__ = [
     "register_scheduler",
     "register_selector",
     "register_workload",
-    "stage_cache_info",
     # scenarios
     "ScenarioPack",
     "find_pack",

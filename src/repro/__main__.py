@@ -7,7 +7,7 @@ Commands:
   ``--machine``, ``--output json``),
 * ``suite`` — run every benchmark and print the Figure 6 chart,
 * ``campaign`` — expand a (benchmarks x option grids) sweep into jobs,
-  run them in parallel with on-disk whole-job *and* stage-granular
+  run them in parallel with on-disk whole-job *and* loop-granular
   caching, and print the aggregate tables (``--jobs``, ``--buses``,
   ``--machine``, ``--ablate``, ``--cache-dir``),
 * ``table2`` — print the measured constraint-class time shares,
@@ -389,9 +389,9 @@ def _parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--cache-dir",
         default=None,
-        help="local stage-cache directory; point it at the server's "
-        "cache dir on a shared filesystem to reuse warm profiling/"
-        "calibration artifacts (results always flow back over HTTP)",
+        help="local loop-cache directory; point it at the server's "
+        "cache dir on a shared filesystem to reuse warm per-loop "
+        "profiles and schedules (results always flow back over HTTP)",
     )
     worker.add_argument(
         "--ttl",

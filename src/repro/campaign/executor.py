@@ -52,16 +52,12 @@ class JobResult:
     cached: bool
     evaluation: Optional[BenchmarkEvaluation] = None
     error: Optional[str] = None
-    #: Stage-cache counter deltas of this job's execution: ``hits``
-    #: (memory LRU), ``misses`` and ``disk_hits`` — the two hit kinds
-    #: stay distinct so the disk layer's contribution is visible.  None
-    #: for whole-job cache answers and payloads written before
-    #: stage-granular caching existed.
-    stage_cache: Optional[Dict[str, int]] = None
-    #: Per-loop cache counter deltas (same shape as ``stage_cache``):
-    #: hits/misses/disk_hits of the loop-granular profile/schedule
-    #: artifacts this job touched.  None for whole-job cache answers and
-    #: payloads written before per-loop caching existed.
+    #: Per-loop cache counter deltas of this job's execution: ``hits``
+    #: (memory LRU), ``misses``, ``disk_hits`` and ``corrupt`` of the
+    #: profile/schedule artifacts it touched — the two hit kinds stay
+    #: distinct so the disk layer's contribution is visible.  None for
+    #: whole-job cache answers and payloads written before per-loop
+    #: caching existed.
     loop_cache: Optional[Dict[str, int]] = None
     #: Serialized span tree of the job's execution (see
     #: :mod:`repro.telemetry.trace`); None unless tracing was enabled
@@ -72,16 +68,6 @@ class JobResult:
     def ok(self) -> bool:
         """True when the job produced an evaluation."""
         return self.status == STATUS_OK and self.evaluation is not None
-
-    @property
-    def stage_cache_memory_hits(self) -> int:
-        """Stage-cache hits answered from the in-memory LRU."""
-        return (self.stage_cache or {}).get("hits", 0)
-
-    @property
-    def stage_cache_disk_hits(self) -> int:
-        """Stage-cache hits answered from the on-disk layer."""
-        return (self.stage_cache or {}).get("disk_hits", 0)
 
     @property
     def loop_cache_memory_hits(self) -> int:
@@ -130,21 +116,6 @@ class CampaignResult:
     def total_elapsed_s(self) -> float:
         """Sum of per-job wall times (compute actually spent this run)."""
         return sum(r.elapsed_s for r in self.results if not r.cached)
-
-    @property
-    def stage_cache_hits(self) -> int:
-        """Stage-level cache hits (memory + disk) across executed jobs."""
-        return self.stage_cache_memory_hits + self.stage_cache_disk_hits
-
-    @property
-    def stage_cache_memory_hits(self) -> int:
-        """Stage-level memory-LRU hits across executed jobs."""
-        return sum(r.stage_cache_memory_hits for r in self.results)
-
-    @property
-    def stage_cache_disk_hits(self) -> int:
-        """Stage-level disk-layer hits across executed jobs."""
-        return sum(r.stage_cache_disk_hits for r in self.results)
 
     @property
     def loop_cache_hits(self) -> int:
@@ -200,14 +171,13 @@ def _corpus_for(benchmark: str, scale: float):
 
 
 def _worker_init(
-    stage_dir: Optional[str],
+    loop_dir: Optional[str],
     workload_packs: Sequence[str] = (),
     telemetry: bool = False,
-    loop_dir: Optional[str] = None,
 ) -> None:
     """One-time setup of a pool worker.
 
-    Attaches the campaign's on-disk stage cache once per process (instead
+    Attaches the campaign's on-disk loop cache once per process (instead
     of per job), registers the campaign's workload packs (pack-declared
     benchmarks must resolve in *this* process — registration does not
     survive the spawn/forkserver boundary), mirrors the driver's tracing
@@ -221,10 +191,6 @@ def _worker_init(
         from repro.telemetry import enable_tracing
 
         enable_tracing()
-    if stage_dir is not None:
-        from repro.pipeline.cache import STAGE_CACHE
-
-        STAGE_CACHE.attach_store(stage_dir)
     if loop_dir is not None:
         from repro.pipeline.cache import LOOP_CACHE
 
@@ -242,7 +208,7 @@ def _worker_init(
 def _attach_for_job(cache, directory: Optional[str]):
     """Attach ``directory`` for one job; returns the restore thunk.
 
-    The process-global caches must not keep pointing at a campaign store
+    The process-global cache must not keep pointing at a campaign store
     afterwards (the directory may be temporary, and store=None runs are
     promised to touch no disk).  No-op when the worker initializer
     already attached this very directory.
@@ -267,7 +233,6 @@ def _attach_for_job(cache, directory: Optional[str]):
 
 def execute_job_payload(
     job_data: Dict[str, Any],
-    stage_dir: Optional[str] = None,
     loop_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one job from its dict form; never raises.
@@ -275,35 +240,30 @@ def execute_job_payload(
     Module-level so :class:`ProcessPoolExecutor` can pickle it by
     reference; also the inline path for ``jobs=1``.
 
-    ``stage_dir`` attaches the pipeline's stage cache to an on-disk
-    directory (the result store's ``stages/`` subdir), so profiling and
-    calibration artifacts persist across jobs, workers *and* campaign
-    runs; ``loop_dir`` does the same for the per-loop cache (the
-    ``loops/`` subdir).  The payload records both caches' counter
-    deltas.  Workers initialized by :func:`_worker_init` already point
-    at the store, so the attach/restore dance only runs inline.
+    ``loop_dir`` attaches the pipeline's loop cache to an on-disk
+    directory (the result store's ``loops/`` subdir), so per-loop
+    profile and schedule artifacts persist across jobs, workers *and*
+    campaign runs.  The payload records the loop cache's counter deltas.
+    Workers initialized by :func:`_worker_init` already point at the
+    store, so the attach/restore dance only runs inline.
     """
     started = time.perf_counter()
     try:
         job = ExperimentJob.from_dict(job_data)
-        from repro.pipeline.cache import LOOP_CACHE, STAGE_CACHE
+        from repro.pipeline.cache import LOOP_CACHE
         from repro.pipeline.experiment import evaluate_corpus
 
-        restore_stages = _attach_for_job(STAGE_CACHE, stage_dir)
-        restore_loops = _attach_for_job(LOOP_CACHE, loop_dir)
+        restore = _attach_for_job(LOOP_CACHE, loop_dir)
         try:
-            stats_before = STAGE_CACHE.stats()
             loops_before = LOOP_CACHE.stats()
             with span(
                 "job", benchmark=job.benchmark, config=job.config_label()
             ) as job_span:
                 corpus = _corpus_for(job.benchmark, job.scale)
                 evaluation = evaluate_corpus(corpus, job.options)
-            stats_after = STAGE_CACHE.stats()
             loops_after = LOOP_CACHE.stats()
         finally:
-            restore_loops()
-            restore_stages()
+            restore()
         return {
             "schema": 1,
             "job": job_data,
@@ -311,10 +271,6 @@ def execute_job_payload(
             "elapsed_s": time.perf_counter() - started,
             "evaluation": evaluation.to_dict(),
             "error": None,
-            "stage_cache": {
-                name: stats_after[name] - stats_before[name]
-                for name in stats_after
-            },
             "loop_cache": {
                 name: loops_after[name] - loops_before[name]
                 for name in loops_after
@@ -335,15 +291,10 @@ def execute_job_payload(
 
 
 def _execute_chunk(
-    chunk: List[Dict[str, Any]],
-    stage_dir: Optional[str],
-    loop_dir: Optional[str] = None,
+    chunk: List[Dict[str, Any]], loop_dir: Optional[str]
 ) -> List[Dict[str, Any]]:
     """Run several jobs in one worker round-trip (less IPC per job)."""
-    return [
-        execute_job_payload(job_data, stage_dir, loop_dir)
-        for job_data in chunk
-    ]
+    return [execute_job_payload(job_data, loop_dir) for job_data in chunk]
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +316,6 @@ def _result_from_payload(
             else None
         ),
         error=payload.get("error"),
-        stage_cache=None if cached else payload.get("stage_cache"),
         loop_cache=None if cached else payload.get("loop_cache"),
         trace=None if cached else payload.get("trace"),
     )
@@ -398,16 +348,14 @@ def run_campaign(
     complete; ``progress`` stays the human-facing, deserialized view.
 
     Caching is two-granular: whole jobs are answered from ``store``
-    without executing, and executed jobs reuse stage-level artifacts
-    (profiling, calibration) persisted under ``store.stage_dir`` — so a
-    resume whose job entries were invalidated still skips the expensive
-    profiling passes.
+    without executing, and executed jobs reuse the per-loop profile and
+    schedule artifacts persisted under ``store.loop_dir`` — so a resume
+    whose job entries were invalidated re-schedules zero loops.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     from repro.fleet.queue import LeaseQueue, error_payload
 
-    stage_dir = None if store is None else str(store.stage_dir)
     loop_dir = None if store is None else str(store.loop_dir)
     keyed = [(job, job.key()) for job in jobs]
     results: Dict[str, JobResult] = {}
@@ -468,7 +416,7 @@ def run_campaign(
             fleet.complete(
                 "driver-inline",
                 grant.token,
-                execute_job_payload(grant.job, stage_dir, loop_dir),
+                execute_job_payload(grant.job, loop_dir),
             )
     elif n_pending:
         workers = min(n_jobs, n_pending)
@@ -477,18 +425,13 @@ def run_campaign(
         # flight (~4 per worker) for load balancing.  The cap bounds the
         # blast radius of a dying worker (a chunk's unreturned results
         # complete as failures); re-runs are cheap because the workers
-        # persist stage artifacts to the store's disk layer as they go,
+        # persist loop artifacts to the store's disk layer as they go,
         # so only the final assembly of lost jobs repeats.
         chunk_size = max(1, min(4, n_pending // (workers * 4)))
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(
-                stage_dir,
-                tuple(workload_packs),
-                tracing_enabled(),
-                loop_dir,
-            ),
+            initargs=(loop_dir, tuple(workload_packs), tracing_enabled()),
         ) as pool:
             futures = {}
             while True:
@@ -498,7 +441,6 @@ def run_campaign(
                 future = pool.submit(
                     _execute_chunk,
                     [grant.job for grant in grants],
-                    stage_dir,
                     loop_dir,
                 )
                 futures[future] = grants

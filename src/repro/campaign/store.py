@@ -22,12 +22,8 @@ from repro.errors import ReproError
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Subdirectory of a result store holding stage-granular artifacts
-#: (profiles, calibrations) written by the pipeline's stage cache.
-STAGE_SUBDIR = "stages"
-
 #: Subdirectory holding *per-loop* artifacts (loop profiles, schedules)
-#: written by the pipeline's loop cache — one level below ``stages/``.
+#: written by the pipeline's loop cache.
 LOOP_SUBDIR = "loops"
 
 
@@ -48,33 +44,15 @@ class ResultStore:
         return self._root
 
     @property
-    def stage_dir(self) -> Path:
-        """Directory for stage-granular artifacts (created on demand).
-
-        The campaign executor attaches the pipeline's stage cache here,
-        so a resumed campaign reuses cached profiling/calibration
-        artifacts even when the whole-job entry is gone — deleting the
-        ``*.json`` job results invalidates *measurements* only.
-        """
-        path = self._root / STAGE_SUBDIR
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def stage_keys(self) -> Iterator[str]:
-        """All persisted stage-artifact keys, sorted."""
-        stage_dir = self._root / STAGE_SUBDIR
-        for path in sorted(stage_dir.glob("*.json")):
-            yield path.stem
-
-    @property
     def loop_dir(self) -> Path:
         """Directory for per-loop artifacts (created on demand).
 
-        The executor attaches the pipeline's loop cache here, one level
-        below :attr:`stage_dir`: a sweep resumed in a fresh process — or
-        picked up by a different fleet worker — reuses every per-loop
-        profile/schedule whose (loop x machine facets x point) key still
-        matches, even across campaigns that share no whole job or stage.
+        The executor attaches the pipeline's loop cache here: a sweep
+        resumed in a fresh process — or picked up by a different fleet
+        worker — reuses every per-loop profile/schedule whose (loop x
+        machine facets x point) key still matches, even across campaigns
+        that share no whole job.  Deleting the ``*.json`` job results
+        invalidates *measurements* only.
         """
         path = self._root / LOOP_SUBDIR
         path.mkdir(parents=True, exist_ok=True)
@@ -93,7 +71,7 @@ class ResultStore:
     def _entry_names(self) -> List[str]:
         """Entry file names (one scandir pass, no JSON parsing).
 
-        Excludes the ``stages/`` subdirectory and the hidden ``.*.tmp``
+        Excludes subdirectories (``loops/``) and the hidden ``.*.tmp``
         files a concurrent :meth:`save` may have in flight, so listings
         only ever name complete entries.
         """

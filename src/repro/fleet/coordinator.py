@@ -425,14 +425,12 @@ class LocalWorkerPump:
         coordinator: FleetCoordinator,
         executor_factory: Callable[[], Executor],
         run_payload: Callable[..., Dict[str, Any]],
-        stage_dir: Optional[str],
+        loop_dir: Optional[str],
         slots: int,
-        loop_dir: Optional[str] = None,
     ) -> None:
         self._coordinator = coordinator
         self._executor_factory = executor_factory
         self._run_payload = run_payload
-        self._stage_dir = stage_dir
         self._loop_dir = loop_dir
         self._slots = max(1, slots)
         self._active: Set[asyncio.Task] = set()
@@ -491,7 +489,6 @@ class LocalWorkerPump:
                 self._executor_factory(),
                 self._run_payload,
                 grant.job,
-                self._stage_dir,
                 self._loop_dir,
             )
         except asyncio.CancelledError:

@@ -5,7 +5,7 @@ One :class:`FleetWorker` is the client half of the worker-pull protocol
 service for leases, executes each job locally through the same
 :func:`~repro.campaign.executor.execute_job_payload` path campaign pool
 workers use (with :func:`_worker_init`'s warm registries and, when a
-cache dir is given, the shared on-disk stage cache), renews the lease
+cache dir is given, the shared on-disk loop cache), renews the lease
 while computing, and posts the payload back.
 
 Results are *only* written server-side: the coordinator saves accepted
@@ -109,19 +109,16 @@ class FleetWorker:
         self.exit_on_drain = exit_on_drain
         self.max_jobs = max_jobs  # None = run until drain/stop
         self.stats = WorkerStats()
-        self._stage_dir: Optional[str] = None
         self._loop_dir: Optional[str] = None
         if cache_dir is not None:
             from repro.campaign.store import ResultStore
 
-            store = ResultStore(cache_dir)
-            self._stage_dir = str(store.stage_dir)
-            self._loop_dir = str(store.loop_dir)
+            self._loop_dir = str(ResultStore(cache_dir).loop_dir)
         if execute is None:
             from repro.campaign.executor import execute_job_payload
 
             execute = lambda job: execute_job_payload(  # noqa: E731
-                job, self._stage_dir, self._loop_dir
+                job, self._loop_dir
             )
         self._execute = execute
         self._crash = crash if crash is not None else self._hard_exit
@@ -148,12 +145,10 @@ class FleetWorker:
 
     # ------------------------------------------------------------------
     def _warm(self) -> None:
-        """Campaign-worker startup: stage + loop caches, registries, once."""
+        """Campaign-worker startup: loop cache, registries, once."""
         from repro.campaign.executor import _worker_init
 
-        _worker_init(
-            self._stage_dir, self.workload_packs, loop_dir=self._loop_dir
-        )
+        _worker_init(self._loop_dir, self.workload_packs)
 
     def run(self) -> WorkerStats:
         """The worker loop; returns once stopped, drained or cut off."""

@@ -503,9 +503,7 @@ def synthetic_runner(
     """
 
     def run(
-        job_data: Dict[str, Any],
-        stage_dir: Optional[str] = None,
-        loop_dir: Optional[str] = None,
+        job_data: Dict[str, Any], loop_dir: Optional[str] = None
     ) -> Dict[str, Any]:
         time.sleep(compute_s)
         return {

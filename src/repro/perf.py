@@ -1,7 +1,7 @@
 """The perf-regression harness behind ``python -m repro bench``.
 
 Times every stage of the paper pipeline (profile / calibrate / baseline /
-select / schedule / measure) per benchmark, from a cold stage cache, and
+select / schedule / measure) per benchmark, from a cold loop cache, and
 writes a machine-readable ``BENCH_pipeline.json`` — the repo's perf
 trajectory.  A checked-in baseline plus :func:`check_regression` lets CI
 fail when the pipeline regresses by more than a tolerance.
@@ -50,15 +50,16 @@ def time_benchmark(
 ) -> Dict[str, object]:
     """Per-stage wall times of one benchmark's full pipeline run.
 
-    The stage cache is cleared first, so the numbers reflect a single
-    *uncached* experiment (the quantity this harness guards); repeated
-    stages (the two profile/calibrate calibration passes) accumulate into
-    one bucket per stage name.
+    The in-memory loop cache is cleared first, so the numbers reflect a
+    single *uncached* experiment (the quantity this harness guards);
+    repeated stages (the two profile/calibrate calibration passes)
+    accumulate into one bucket per stage name.
     """
-    from repro.pipeline import Experiment, clear_profile_cache
+    from repro.pipeline import Experiment
+    from repro.pipeline.cache import clear_loop_cache
     from repro.workloads import build_corpus, spec_profile
 
-    clear_profile_cache()
+    clear_loop_cache()
     started = time.perf_counter()
     corpus = build_corpus(spec_profile(name), scale=scale)
     corpus_s = time.perf_counter() - started
@@ -162,20 +163,14 @@ def run_warm_sweep_bench(
     """Cold-vs-warm palette sweep: the loop cache's headline number.
 
     Runs the same frequency-palette sweep twice.  The cold pass starts
-    with every cache empty; the warm pass drops the corpus-level stage
-    cache but keeps the per-loop cache, so profile/schedule reassemble
-    from loop artifacts without re-running the scheduler.  Records the
-    speedup, the loop-cache counters proving zero loops were
-    re-scheduled warm, and whether the warm results are byte-identical
-    to the cold ones (they must be).
+    with an empty loop cache; the warm pass keeps it, so profile/schedule
+    reassemble from loop artifacts without re-running the scheduler.
+    Records the speedup, the loop-cache counters proving zero loops
+    were re-scheduled warm, and whether the warm results are
+    byte-identical to the cold ones (they must be).
     """
     from repro.pipeline import evaluate_suite
-    from repro.pipeline.cache import (
-        LOOP_CACHE,
-        STAGE_CACHE,
-        clear_loop_cache,
-        clear_stage_cache,
-    )
+    from repro.pipeline.cache import LOOP_CACHE, clear_loop_cache
     from repro.pipeline.serialization import canonical_json
     from repro.workloads import (
         SPEC2000_PROFILES,
@@ -197,16 +192,12 @@ def run_warm_sweep_bench(
         ]
 
     # Memory-only: an attached disk store would leak earlier state in.
-    STAGE_CACHE.detach_store()
     LOOP_CACHE.detach_store()
-    clear_stage_cache(reset_stats=True)
     clear_loop_cache(reset_stats=True)
     started = time.perf_counter()
     cold_docs = sweep()
     cold_s = time.perf_counter() - started
 
-    # Warm: only the corpus-level memo is dropped; the loop cache stays.
-    clear_stage_cache(reset_stats=True)
     before = LOOP_CACHE.stats()
     started = time.perf_counter()
     warm_docs = sweep()

@@ -9,8 +9,8 @@ Two entry points:
 * the staged API — :class:`Experiment` composes first-class
   :class:`Stage` objects over a typed :class:`ExperimentContext`, with
   pluggable machines/selectors/schedulers (:func:`register_machine` and
-  friends) and stage-granular caching (:data:`STAGE_CACHE`,
-  :func:`stage_cache_info`);
+  friends) and loop-granular caching
+  (:data:`~repro.pipeline.cache.LOOP_CACHE`);
 * the function-shaped compatibility layer — :func:`evaluate_corpus` /
   :func:`evaluate_suite`, thin wrappers over ``Experiment.paper()``
   producing bit-identical results.
@@ -21,18 +21,10 @@ from repro.pipeline.experiment import (
     BenchmarkEvaluation,
     ExperimentOptions,
     SuiteResult,
-    clear_profile_cache,
     evaluate_corpus,
     evaluate_suite,
-    profile_cache_info,
 )
-from repro.pipeline.cache import (
-    STAGE_CACHE,
-    StageCache,
-    clear_stage_cache,
-    stage_cache_info,
-    stage_key,
-)
+from repro.pipeline.cache import StageCache, stage_key
 from repro.pipeline.context import ARTIFACTS, ExperimentContext
 from repro.pipeline.registry import (
     machine_factory,
@@ -64,15 +56,10 @@ __all__ = [
     "BenchmarkEvaluation",
     "ExperimentOptions",
     "SuiteResult",
-    "clear_profile_cache",
     "evaluate_corpus",
     "evaluate_suite",
-    "profile_cache_info",
-    # stage cache
-    "STAGE_CACHE",
+    # loop cache
     "StageCache",
-    "clear_stage_cache",
-    "stage_cache_info",
     "stage_key",
     # context
     "ARTIFACTS",

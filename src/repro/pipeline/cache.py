@@ -1,31 +1,24 @@
-"""The stage cache: one caching mechanism for every pipeline stage.
+"""The loop cache: per-loop profile and schedule artifacts.
 
 Stages (:mod:`repro.pipeline.stages`) are pure functions of their
-declared inputs, so their artifacts are memoizable.  This module holds
-the process-wide :class:`StageCache` every experiment consults:
+declared inputs, and the expensive ones — profiling and scheduling —
+work loop by loop.  This module holds the process-wide
+:data:`LOOP_CACHE` they consult, one :class:`StageCache` made of
 
 * an **in-memory LRU** over live artifact objects (hits refresh recency
   via ``OrderedDict.move_to_end``, evictions drop the least recently
   *used* entry — not merely the oldest inserted), and
-* an optional **on-disk layer** for stages whose artifacts have a
-  JSON-safe payload form (profiling, calibration).  The campaign
-  executor attaches the layer to its result store's ``stages/``
-  directory, so a resumed campaign — even a fresh process — reuses the
-  expensive profiling/calibration work of earlier runs instead of only
-  skipping whole jobs that are already cached.
+* an optional **on-disk layer**, one JSON file per artifact.  The
+  campaign executor, fleet workers and the service attach it to their
+  result store's ``loops/`` directory, so a resumed campaign — even in a
+  fresh process — re-schedules no loop whose artifact is on disk.
 
-Keys are content hashes of everything a stage's output depends on
-(corpus fingerprint, machine/technology/scheduler configuration,
-weights, ...), prefixed by the stage name so the counters — and the
-on-disk files — stay attributable per stage.
-
-One level below the stage cache sits :data:`LOOP_CACHE`: the same
-mechanism, but holding *per-loop* profile and schedule artifacts keyed
-on (loop fingerprint x machine facet fingerprints x operating point x
-scheduler options x weights) — see :mod:`repro.machine.fingerprint`.
-A sweep that changes a knob only some loops can observe re-schedules
-only those loops; everything else is a hit.  Its disk layer lives in
-``<cache-dir>/loops/`` next to the stage layer's ``stages/``.
+Keys are content hashes of (loop fingerprint x machine facet
+fingerprints x operating point x scheduler options x weights) — see
+:mod:`repro.machine.fingerprint` — prefixed by the stage name
+(``profile_loop``, ``schedule_loop``) so the counters and the on-disk
+files stay attributable.  A sweep that changes a knob only some loops
+can observe re-schedules only those loops; everything else is a hit.
 
 On-disk artifacts are wrapped in a versioned envelope
 (:data:`PAYLOAD_SCHEMA`); truncated, garbage or wrong-version files are
@@ -33,9 +26,8 @@ treated as *corrupt* — evicted, counted under
 ``repro_stage_cache_events_total{event="corrupt"}``, and recomputed —
 never a crash.
 
-Observability: :func:`stage_cache_info` reports entry counts and
-hit/miss/eviction counters, overall and per stage.  It supersedes the
-former ``profile_cache_info``.
+Observability: :func:`loop_cache_info` reports entry counts and
+hit/miss/eviction counters, overall and per stage.
 """
 
 from __future__ import annotations
@@ -55,13 +47,8 @@ from repro.telemetry import counter, record_event
 #: evicted and recomputed) or ``evictions``.
 _CACHE_EVENTS = counter(
     "repro_stage_cache_events_total",
-    "Stage-cache lookups and evictions, by stage and event",
+    "Loop-cache lookups and evictions, by stage and event",
 )
-
-#: Entries kept in memory before the least recently used one is dropped.
-#: A full ten-benchmark sweep needs 20 profile entries (two calibration
-#: passes per benchmark) plus the matching calibration artifacts.
-DEFAULT_CAPACITY = 128
 
 #: The loop cache holds one profile + one schedule artifact per
 #: (loop x machine facets x point); a ten-benchmark sweep at full scale
@@ -93,7 +80,7 @@ def stage_key(stage: str, *parts: Any) -> str:
 class StageCache:
     """LRU artifact memo with an optional JSON-per-artifact disk layer."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(self, capacity: int = LOOP_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
@@ -311,32 +298,9 @@ class StageCache:
         self._by_stage.clear()
 
 
-#: The process-wide cache every experiment run consults.
-STAGE_CACHE = StageCache()
-
-#: The process-wide *per-loop* artifact cache, one level below the stage
-#: cache: Profile and Schedule consult it per loop, keyed on
-#: (loop fingerprint x ISA fingerprint x cluster-shape fingerprint x
-#: point/options/weights).  A separate instance so loop-sized entries
-#: never evict corpus-sized stage artifacts; its disk layer attaches to
-#: ``<cache-dir>/loops/`` next to the stage layer's ``stages/``.
+#: The process-wide per-loop artifact cache: Profile and Schedule
+#: consult it per loop.  Its disk layer attaches to ``<cache-dir>/loops/``.
 LOOP_CACHE = StageCache(capacity=LOOP_CACHE_CAPACITY)
-
-
-def stage_cache_info() -> Dict[str, Any]:
-    """Counters of the process-wide stage cache.
-
-    Successor of ``profile_cache_info``: reports entries plus
-    hit/miss/disk-hit/eviction counters, overall and per stage.
-    """
-    return STAGE_CACHE.info()
-
-
-def clear_stage_cache(reset_stats: bool = False) -> None:
-    """Drop the in-memory stage memo (tests, long-lived processes)."""
-    STAGE_CACHE.clear()
-    if reset_stats:
-        STAGE_CACHE.reset_stats()
 
 
 def loop_cache_info() -> Dict[str, Any]:

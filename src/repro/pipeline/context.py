@@ -80,8 +80,8 @@ class ExperimentContext:
     #: Reference schedules by loop name.  Values are live
     #: :class:`~repro.scheduler.schedule.Schedule` objects when profiled
     #: in-process, or :class:`~repro.pipeline.stages.ScheduleSummary`
-    #: stand-ins when restored from the on-disk stage cache — both
-    #: satisfy the timing/event-count protocol the measurement uses.
+    #: stand-ins when restored from the loop cache — both satisfy the
+    #: timing/event-count protocol the measurement uses.
     reference_schedules: Optional[Dict[str, Any]] = None
     units: Optional[CalibratedUnits] = None
     weights: Optional[PartitionEnergyWeights] = None
@@ -94,9 +94,8 @@ class ExperimentContext:
     heterogeneous_measured: Optional[MeasuredExecution] = None
     evaluation: Optional[Any] = None
 
-    #: ``(stage name, "computed" | "cached" | "disk")`` in execution
-    #: order — the run's provenance trail (see ``--explain``).
-    stage_log: List[Tuple[str, str]] = field(default_factory=list)
+    #: Stage names in execution order — the run's provenance trail.
+    stage_log: List[str] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     def has(self, artifact: str) -> bool:
@@ -131,9 +130,9 @@ class ExperimentContext:
                 f"unknown artifact {artifact!r}; expected one of {ARTIFACTS}"
             )
 
-    def record(self, stage: str, outcome: str) -> None:
+    def record(self, stage: str) -> None:
         """Append one entry to the provenance trail."""
-        self.stage_log.append((stage, outcome))
+        self.stage_log.append(stage)
 
 
 # Keep the dataclass definition honest: every declared artifact slot

@@ -13,7 +13,7 @@ This is the code path behind every figure of the evaluation:
    algorithm, execute in the simulator, and meter energy,
 6. report heterogeneous/baseline ratios of ED^2, energy and time.
 
-The flow itself is built from first-class, individually cached stages —
+The flow itself is built from first-class stages —
 see :mod:`repro.pipeline.stages`; :func:`evaluate_corpus` and
 :func:`evaluate_suite` are thin wrappers over
 ``Experiment.paper().run(...)`` kept for compatibility (they produce
@@ -184,27 +184,3 @@ def evaluate_suite(
         evaluations=[evaluate_corpus(corpus, options) for corpus in corpora]
     )
 
-
-# ----------------------------------------------------------------------
-# legacy cache surface (now backed by the stage cache)
-# ----------------------------------------------------------------------
-def clear_profile_cache() -> None:
-    """Drop every memoized stage artifact (tests, long-lived processes).
-
-    Alias of :func:`repro.pipeline.cache.clear_stage_cache`, kept for
-    compatibility with pre-stage-cache callers.
-    """
-    from repro.pipeline.cache import clear_stage_cache
-
-    clear_stage_cache()
-
-
-def profile_cache_info() -> Dict[str, int]:
-    """Size of the stage memo (observability hook for benches).
-
-    Superseded by :func:`repro.pipeline.cache.stage_cache_info`, which
-    also reports hit/miss/eviction counters per stage.
-    """
-    from repro.pipeline.cache import STAGE_CACHE
-
-    return {"entries": len(STAGE_CACHE)}

@@ -136,7 +136,18 @@ def selector_names() -> Tuple[str, ...]:
 def register_scheduler(
     name: str, factory: Callable, overwrite: bool = False
 ) -> None:
-    """Register ``factory`` as the heterogeneous scheduler ``name``."""
+    """Register ``factory`` as the heterogeneous scheduler ``name``.
+
+    The contract is determinism: equal inputs (loop, machine, point,
+    options, weights) must give equal schedules.  The schedule stage
+    memoizes every loop's schedule in the loop cache, keyed on exactly
+    those inputs plus the engine's class, so it may answer
+    ``schedule()`` from an earlier run or from disk; an engine whose
+    schedules depend on anything else must carry it in its options.
+    The engine exposes ``machine`` and ``options``, and its schedules
+    must round-trip through
+    :func:`~repro.pipeline.serialization.schedule_to_dict`.
+    """
     _register(_SCHEDULERS, "scheduler", name, factory, overwrite)
 
 

@@ -5,10 +5,11 @@ machine, calibrate unit energies, find the optimum-homogeneous baseline,
 select a heterogeneous configuration, schedule on it, simulate and meter
 — used to live as one monolithic function.  Here each step is a
 :class:`Stage`: a named unit declaring which context artifacts it
-``requires`` and ``provides``, with an optional content-hashed cache key
-so repeated work (profiling dominates) is answered from the process-wide
-:data:`~repro.pipeline.cache.STAGE_CACHE` — and, when a campaign
-attaches its store, from disk across processes.
+``requires`` and ``provides``.  The two scheduling stages (profile and
+schedule) work loop by loop through the process-wide
+:data:`~repro.pipeline.cache.LOOP_CACHE`, so repeated work is answered
+per loop — and, when a campaign attaches its store, from disk across
+processes.
 
 Compose stages through :class:`Experiment`::
 
@@ -39,24 +40,23 @@ from repro.errors import PipelineError
 from repro.machine.machine import MachineDescription
 from repro.pipeline import registry
 from repro.machine.fingerprint import machine_facets
-from repro.pipeline.cache import LOOP_CACHE, STAGE_CACHE, StageCache, stage_key
+from repro.pipeline.cache import LOOP_CACHE, StageCache, stage_key
 from repro.pipeline.context import ExperimentContext
 from repro.power.calibration import calibrate
 from repro.power.energy import EnergyModel, EventCounts
 from repro.power.profile import ProgramProfile
 from repro.scheduler.context import PartitionEnergyWeights
+from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
 from repro.scheduler.homogeneous import HomogeneousModuloScheduler
 from repro.sim.power_meter import MeasuredExecution, PowerMeter
 from repro.telemetry import histogram, span
 from repro.vfs.homogeneous import optimum_homogeneous
 from repro.workloads.corpus import Corpus
 
-#: Wall time per stage execution; labelled by stage name and outcome
-#: (computed / cached / disk), so a scrape distinguishes "profile is
-#: slow" from "profile always recomputes".
+#: Wall time per stage execution, labelled by stage name.
 _STAGE_SECONDS = histogram(
     "repro_stage_seconds",
-    "Wall time of pipeline stage executions, by stage and cache outcome",
+    "Wall time of pipeline stage executions, by stage",
 )
 
 
@@ -69,7 +69,7 @@ class ScheduleSummary:
 
     Homogeneous measurement only reads four quantities off a schedule;
     this summary carries exactly those, so profiling artifacts restored
-    from the on-disk stage cache re-measure *bit-identically* without
+    from the loop cache re-measure *bit-identically* without
     reconstructing live :class:`~repro.scheduler.schedule.Schedule`
     objects.
     """
@@ -175,83 +175,34 @@ class Stage:
 
     Subclasses declare ``requires``/``provides`` (artifact slots of
     :class:`~repro.pipeline.context.ExperimentContext`) and implement
-    either the cacheable protocol (``cache_key`` + ``compute_value`` +
-    ``apply``, optionally ``encode``/``decode`` for the disk layer) or
-    plain ``compute`` for uncached stages.
+    ``compute``, which installs the provided artifacts.
     """
 
     name: str = "stage"
     requires: Tuple[str, ...] = ()
     provides: Tuple[str, ...] = ()
-    #: Whether this stage participates in the stage cache.
-    cacheable: bool = False
 
-    # -- cacheable protocol -------------------------------------------
-    def cache_key(self, context: ExperimentContext) -> Optional[str]:
-        """Content-hashed key, or None to always compute."""
-        return None
-
-    def compute_value(self, context: ExperimentContext):
-        """Produce the cacheable artifact value."""
-        raise NotImplementedError
-
-    def apply(self, context: ExperimentContext, value) -> None:
-        """Install a (possibly shared) cached value into the context."""
-        raise NotImplementedError
-
-    def encode(self, value) -> Optional[Dict[str, Any]]:
-        """JSON-safe payload for the disk layer (None = memory only)."""
-        return None
-
-    def decode(self, payload: Dict[str, Any]):
-        """Rebuild the artifact value from :meth:`encode` output."""
-        raise NotImplementedError
-
-    # -- uncached protocol --------------------------------------------
     def compute(self, context: ExperimentContext) -> None:
-        """Compute and install artifacts directly (uncached stages)."""
-        value = self.compute_value(context)
-        self.apply(context, value)
+        """Compute and install this stage's artifacts."""
+        raise NotImplementedError
 
-    # -- driver --------------------------------------------------------
     def run(self, context: ExperimentContext) -> ExperimentContext:
-        """Check prerequisites, consult the cache, produce artifacts."""
+        """Check prerequisites, then compute the stage's artifacts."""
         started = time.perf_counter()
-        with span(self.name) as sp:
-            outcome = self._execute(context)
-            if sp is not None:
-                sp.annotate(outcome=outcome)
-        _STAGE_SECONDS.observe(
-            time.perf_counter() - started, stage=self.name, outcome=outcome
-        )
-        context.record(self.name, outcome)
+        with span(self.name):
+            for artifact in self.requires:
+                context.require(artifact)
+            self.compute(context)
+        _STAGE_SECONDS.observe(time.perf_counter() - started, stage=self.name)
+        context.record(self.name)
         return context
 
-    def _execute(self, context: ExperimentContext) -> str:
-        """The cache-or-compute body of :meth:`run`; returns the outcome."""
-        for artifact in self.requires:
-            context.require(artifact)
-        key = self.cache_key(context) if self.cacheable else None
-        if key is None:
-            self.compute(context)
-            return "computed"
-        disk_before = STAGE_CACHE.disk_hits
-        value = STAGE_CACHE.lookup(key, decode=self.decode)
-        if not StageCache.is_miss(value):
-            self.apply(context, value)
-            return "disk" if STAGE_CACHE.disk_hits > disk_before else "cached"
-        value = self.compute_value(context)
-        STAGE_CACHE.store(key, value, payload=self.encode(value))
-        self.apply(context, value)
-        return "computed"
-
     def describe(self) -> Dict[str, Any]:
-        """Introspection row: name, requires, provides, cacheability."""
+        """Introspection row: name, requires, provides."""
         return {
             "name": self.name,
             "requires": self.requires,
             "provides": self.provides,
-            "cacheable": self.cacheable,
         }
 
     def __repr__(self) -> str:
@@ -271,30 +222,8 @@ class ProfileStage(Stage):
 
     name = "profile"
     provides = ("profile", "reference_schedules")
-    cacheable = True
 
-    def cache_key(self, context: ExperimentContext) -> str:
-        scheduler = context.reference_scheduler
-        return stage_key(
-            self.name,
-            context.corpus.fingerprint(),
-            repr(scheduler.machine),
-            repr(scheduler.technology),
-            repr(scheduler.options),
-            _weights_key(context.weights),
-        )
-
-    def compute_value(self, context: ExperimentContext):
-        from repro.pipeline.profiling import profile_corpus
-
-        scheduler = context.reference_scheduler
-        if not getattr(scheduler, "supports_loop_cache", False):
-            return profile_corpus(
-                context.corpus, scheduler, weights=context.weights
-            )
-        return self._compute_per_loop(context, scheduler)
-
-    def _compute_per_loop(self, context: ExperimentContext, scheduler):
+    def compute(self, context: ExperimentContext) -> None:
         """Profile loop by loop through :data:`LOOP_CACHE`.
 
         A hit restores ``(LoopProfile, ScheduleSummary)`` — the summary
@@ -306,6 +235,7 @@ class ProfileStage(Stage):
         from repro.pipeline.profiling import profile_loop
         from repro.pipeline.serialization import loop_profile_to_dict
 
+        scheduler = context.reference_scheduler
         reference = scheduler.reference_point()
         isa_fp, shape_fp = machine_facets(scheduler.machine)
         technology_key = repr(scheduler.technology)
@@ -342,10 +272,10 @@ class ProfileStage(Stage):
             )
             profiles.append(profile)
             schedules[loop.name] = schedule
-        return (
-            ProgramProfile(name=context.corpus.benchmark, loops=profiles),
-            schedules,
+        context.provide(
+            "profile", ProgramProfile(name=context.corpus.benchmark, loops=profiles)
         )
+        context.provide("reference_schedules", schedules)
 
     @staticmethod
     def _decode_loop(payload: Dict[str, Any]):
@@ -356,41 +286,6 @@ class ProfileStage(Stage):
             ScheduleSummary.from_dict(payload["schedule"]),
         )
 
-    def apply(self, context: ExperimentContext, value) -> None:
-        profile, schedules = value
-        # Fresh containers per run: the memoized profile escapes into the
-        # public BenchmarkEvaluation.profile, so container-level mutation
-        # by a caller must not poison the process-wide memo.  The
-        # LoopProfile/Schedule elements are treated as immutable
-        # throughout the package.
-        context.provide(
-            "profile", ProgramProfile(name=profile.name, loops=list(profile.loops))
-        )
-        context.provide("reference_schedules", dict(schedules))
-
-    def encode(self, value) -> Dict[str, Any]:
-        from repro.pipeline.serialization import profile_to_dict
-
-        profile, schedules = value
-        return {
-            "profile": profile_to_dict(profile),
-            "schedules": {
-                name: ScheduleSummary.from_schedule(schedule).to_dict()
-                for name, schedule in schedules.items()
-            },
-        }
-
-    def decode(self, payload: Dict[str, Any]):
-        from repro.pipeline.serialization import profile_from_dict
-
-        return (
-            profile_from_dict(payload["profile"]),
-            {
-                name: ScheduleSummary.from_dict(data)
-                for name, data in payload["schedules"].items()
-            },
-        )
-
 
 class CalibrateStage(Stage):
     """Calibrate unit energies from the prescribed baseline breakdown."""
@@ -398,20 +293,6 @@ class CalibrateStage(Stage):
     name = "calibrate"
     requires = ("profile",)
     provides = ("units", "weights", "meter")
-    cacheable = True
-
-    def cache_key(self, context: ExperimentContext) -> str:
-        options = self._options(context)
-        scheduler = context.reference_scheduler
-        return stage_key(
-            self.name,
-            context.corpus.fingerprint(),
-            repr(scheduler.machine),
-            repr(scheduler.technology),
-            repr(scheduler.options),
-            _weights_key(context.weights),
-            repr(options.breakdown),
-        )
 
     @staticmethod
     def _options(context: ExperimentContext):
@@ -422,16 +303,13 @@ class CalibrateStage(Stage):
             )
         return context.options
 
-    def compute_value(self, context: ExperimentContext):
-        options = self._options(context)
-        return calibrate(
+    def compute(self, context: ExperimentContext) -> None:
+        units = calibrate(
             context.require("profile"),
             context.technology.reference_setting,
-            options.breakdown,
+            self._options(context).breakdown,
             context.machine.n_clusters,
         )
-
-    def apply(self, context: ExperimentContext, units) -> None:
         context.provide("units", units)
         context.provide(
             "weights",
@@ -445,16 +323,6 @@ class CalibrateStage(Stage):
         context.provide(
             "meter", PowerMeter(EnergyModel(units, context.technology))
         )
-
-    def encode(self, units) -> Dict[str, Any]:
-        from repro.pipeline.serialization import units_to_dict
-
-        return units_to_dict(units)
-
-    def decode(self, payload: Dict[str, Any]):
-        from repro.pipeline.serialization import units_from_dict
-
-        return units_from_dict(payload)
 
 
 class BaselineStage(Stage):
@@ -526,6 +394,20 @@ class ScheduleStage(Stage):
     provides = ("heterogeneous_schedules",)
 
     def compute(self, context: ExperimentContext) -> None:
+        """Schedule loop by loop through :data:`LOOP_CACHE`.
+
+        Hits restore *live* :class:`~repro.scheduler.schedule.Schedule`
+        objects (measurement simulates them), reconstructed against this
+        run's DDG/machine; placement/copy insertion order round-trips
+        exactly, so energy sums — float addition is order-sensitive —
+        stay bit-identical to the cold compute.  An engine other than
+        the paper's keys its artifacts apart by its class name.
+        """
+        from repro.pipeline.serialization import (
+            schedule_from_dict,
+            schedule_to_dict,
+        )
+
         options = CalibrateStage._options(context)
         factory = context.scheduler_factory
         if factory is None:
@@ -533,40 +415,12 @@ class ScheduleStage(Stage):
         scheduler = factory(context.machine, options.scheduler)
         selection = context.require("heterogeneous_selection")
         weights = context.require("weights")
-        if not getattr(scheduler, "supports_loop_cache", False):
-            # An engine that has not declared determinism must run live.
-            context.provide(
-                "heterogeneous_schedules",
-                {
-                    loop.name: scheduler.schedule(
-                        loop, selection.point, weights=weights
-                    )
-                    for loop in context.corpus.loops
-                },
-            )
-            return
-        context.provide(
-            "heterogeneous_schedules",
-            self._schedule_per_loop(context, scheduler, selection, weights),
+        engine = type(scheduler)
+        engine_key = (
+            ()
+            if engine is HeterogeneousModuloScheduler
+            else (f"{engine.__module__}.{engine.__qualname__}",)
         )
-
-    @staticmethod
-    def _schedule_per_loop(
-        context: ExperimentContext, scheduler, selection, weights
-    ) -> Dict[str, Any]:
-        """Schedule loop by loop through :data:`LOOP_CACHE`.
-
-        Hits restore *live* :class:`~repro.scheduler.schedule.Schedule`
-        objects (measurement simulates them), reconstructed against this
-        run's DDG/machine; placement/copy insertion order round-trips
-        exactly, so energy sums — float addition is order-sensitive —
-        stay bit-identical to the cold compute.
-        """
-        from repro.pipeline.serialization import (
-            schedule_from_dict,
-            schedule_to_dict,
-        )
-
         isa_fp, shape_fp = machine_facets(scheduler.machine)
         point_key = repr(selection.point)
         options_key = repr(scheduler.options)
@@ -581,6 +435,7 @@ class ScheduleStage(Stage):
                 point_key,
                 options_key,
                 weights_key,
+                *engine_key,
             )
 
             def decode(payload, loop=loop):
@@ -595,7 +450,7 @@ class ScheduleStage(Stage):
             schedule = scheduler.schedule(loop, selection.point, weights=weights)
             LOOP_CACHE.store(key, schedule, payload=schedule_to_dict(schedule))
             schedules[loop.name] = schedule
-        return schedules
+        context.provide("heterogeneous_schedules", schedules)
 
 
 class MeasureStage(Stage):

@@ -89,13 +89,6 @@ def campaign_summary(result: CampaignResult) -> str:
     ]
     if n_failed:
         parts.append(f"{n_failed} FAILED")
-    stage_hits = result.stage_cache_hits
-    if stage_hits:
-        parts.append(
-            f"{stage_hits} stage-cache hit(s) "
-            f"({result.stage_cache_memory_hits} memory + "
-            f"{result.stage_cache_disk_hits} disk)"
-        )
     loop_hits = result.loop_cache_hits
     if loop_hits:
         parts.append(

@@ -8,9 +8,8 @@ from repro.reporting.tables import render_table
 def stage_plan_table(experiment) -> str:
     """ASCII table of an experiment's stage sequence.
 
-    One row per stage, in execution order: the artifacts it consumes,
-    the artifacts it produces, and whether its output is answered from
-    the stage cache when available.
+    One row per stage, in execution order: the artifacts it consumes
+    and the artifacts it produces.
     """
     rows = []
     for index, row in enumerate(experiment.describe_stages(), start=1):
@@ -20,7 +19,6 @@ def stage_plan_table(experiment) -> str:
                 row["name"],
                 ", ".join(row["requires"]) or "-",
                 ", ".join(row["provides"]) or "-",
-                "yes" if row["cacheable"] else "no",
             )
         )
     options = experiment.options
@@ -31,5 +29,5 @@ def stage_plan_table(experiment) -> str:
         f"simulate={'on' if options.simulate else 'off'})"
     )
     return render_table(
-        ["#", "stage", "requires", "provides", "cached"], rows, title=title
+        ["#", "stage", "requires", "provides"], rows, title=title
     )

@@ -120,24 +120,14 @@ def warehouse_pareto_table(
 def warehouse_cache_table(
     rows: Sequence[Sequence], selector: Optional[str] = None
 ) -> str:
-    """Aggregated cache counters over a warehouse selection.
+    """Aggregated loop-cache counters over a warehouse selection.
 
-    Splits the corpus-level stage cache (bare counter names) from the
-    per-loop cache (``loop_``-prefixed counters) so the incremental
-    story reads at a glance: a warm sweep shows loop hits dominating
-    with zero loop misses.
+    The incremental story at a glance: a warm sweep shows loop hits
+    dominating with zero loop misses.
     """
-    body = []
-    for counter, total, jobs in rows:
-        if counter.startswith("loop_"):
-            layer, name = "loop", counter[len("loop_"):]
-        else:
-            layer, name = "stage", counter
-        body.append((layer, name, total, jobs))
-    body.sort(key=lambda row: (row[0] != "stage", row[1]))
     return render_table(
-        ["layer", "counter", "total", "jobs"],
-        body,
+        ["counter", "total", "jobs"],
+        rows,
         title=f"Cache counters ({_population(selector)})",
     )
 

@@ -56,14 +56,6 @@ def _retry_reason(why: str) -> str:
 class HeterogeneousModuloScheduler:
     """Schedules loops on an arbitrary (possibly heterogeneous) point."""
 
-    #: This engine is a pure function of (machine, options, loop, point,
-    #: weights): the per-loop cache (ROADMAP item 2) may answer
-    #: ``schedule()`` from a content-addressed artifact.  Custom engines
-    #: registered through :mod:`repro.pipeline.registry` default to
-    #: ``False`` (via ``getattr``) and opt in by setting this attribute —
-    #: only claim it if equal inputs always produce equal schedules.
-    supports_loop_cache = True
-
     def __init__(
         self,
         machine: MachineDescription,

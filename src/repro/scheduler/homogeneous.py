@@ -22,11 +22,6 @@ from repro.units import Rational, as_fraction
 class HomogeneousModuloScheduler:
     """Schedules loops on a homogeneous machine configuration."""
 
-    #: Delegates to the (deterministic) heterogeneous engine, so the
-    #: per-loop profile cache may answer for it — see
-    #: :attr:`HeterogeneousModuloScheduler.supports_loop_cache`.
-    supports_loop_cache = True
-
     def __init__(
         self,
         machine: MachineDescription,

@@ -456,20 +456,18 @@ class JobManager:
             max_workers=max_workers, thread_name_prefix="repro-inline"
         )
 
+    def _loop_dir(self) -> Optional[str]:
+        """The store's on-disk loop-cache directory, if there is a store."""
+        return None if self._store is None else str(self._store.loop_dir)
+
     def _ensure_executor(self) -> Executor:
         if self._executor is None:
             from repro.campaign.executor import _worker_init
 
-            stage_dir = (
-                None if self._store is None else str(self._store.stage_dir)
-            )
-            loop_dir = (
-                None if self._store is None else str(self._store.loop_dir)
-            )
             self._executor = ProcessPoolExecutor(
                 max_workers=self._max_workers,
                 initializer=_worker_init,
-                initargs=(stage_dir, (), False, loop_dir),
+                initargs=(self._loop_dir(),),
             )
         return self._executor
 
@@ -485,19 +483,12 @@ class JobManager:
         if self._pump is None:
             executor = self._executor
             slots = getattr(executor, "_max_workers", None) or self._max_workers
-            stage_dir = (
-                None if self._store is None else str(self._store.stage_dir)
-            )
-            loop_dir = (
-                None if self._store is None else str(self._store.loop_dir)
-            )
             self._pump = LocalWorkerPump(
                 self.fleet,
                 self._ensure_executor,
                 self._run_payload,
-                stage_dir,
+                self._loop_dir(),
                 slots=slots,
-                loop_dir=loop_dir,
             )
         self._pump.ensure_started()
 

@@ -6,7 +6,7 @@ One :class:`Warehouse` wraps one SQLite database (by convention
 payloads, so the database is a disposable index: deleting it and
 re-ingesting the store rebuilds it exactly.
 
-Schema (version 3):
+Schema (version 4):
 
 * ``jobs`` — one row per content-addressed job key: identity columns
   (benchmark, scale, config label, machine, machine/workload
@@ -16,8 +16,9 @@ Schema (version 3):
   labelled CLI run, or a labelled ingest of a cache directory).
 * ``campaign_jobs`` — the many-to-many link: cached jobs shared by
   several campaigns link to each of them.
-* ``stage_stats`` — per-job stage-cache counters (hits, misses,
-  disk hits) for jobs that recorded them.
+* ``cache_stats`` — per-job loop-cache counters (``loop_hits``,
+  ``loop_misses``, ``loop_disk_hits``, ``loop_corrupt``) for jobs that
+  recorded them.
 * ``span_stats`` — per-job span summaries (count and total seconds per
   span name, flattened from the payload's serialized trace) for jobs
   executed with tracing enabled; answers "where did campaign X spend
@@ -50,7 +51,7 @@ DEFAULT_WAREHOUSE_NAME = "warehouse.sqlite"
 
 #: Bumped on incompatible schema changes; a mismatching database is
 #: rebuilt from scratch (it is only an index over the JSON store).
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS warehouse_meta (
@@ -88,7 +89,7 @@ CREATE TABLE IF NOT EXISTS campaign_jobs (
     job_key     TEXT NOT NULL REFERENCES jobs(key),
     PRIMARY KEY (campaign_id, job_key)
 );
-CREATE TABLE IF NOT EXISTS stage_stats (
+CREATE TABLE IF NOT EXISTS cache_stats (
     job_key TEXT NOT NULL REFERENCES jobs(key),
     counter TEXT NOT NULL,
     value   INTEGER NOT NULL,
@@ -339,10 +340,12 @@ class Warehouse:
             self._conn.commit()
         elif int(row["value"]) != SCHEMA_VERSION:
             # The warehouse is only an index — rebuild instead of migrating.
+            # Schema 3 kept cache counters in ``stage_stats``.
+            self._conn.execute("DROP TABLE IF EXISTS stage_stats")
             for table in (
                 "traces",
                 "span_stats",
-                "stage_stats",
+                "cache_stats",
                 "campaign_jobs",
                 "campaigns",
                 "jobs",
@@ -436,28 +439,17 @@ class Warehouse:
                 time.time(),
             ),
         )
-        # One generic (counter, value) table serves both cache layers:
-        # stage-cache counters keep their bare names, per-loop counters
-        # land with a ``loop_`` prefix (``loop_hits``, ``loop_misses``,
-        # ``loop_disk_hits``, ``loop_corrupt``).
-        cache_rows = []
-        stage_cache = payload.get("stage_cache")
-        if isinstance(stage_cache, dict):
-            cache_rows.extend(
-                (key, counter, int(value))
-                for counter, value in sorted(stage_cache.items())
-            )
+        # Loop-cache counters land with a ``loop_`` prefix (``loop_hits``,
+        # ``loop_misses``, ``loop_disk_hits``, ``loop_corrupt``).
         loop_cache = payload.get("loop_cache")
         if isinstance(loop_cache, dict):
-            cache_rows.extend(
-                (key, f"loop_{counter}", int(value))
-                for counter, value in sorted(loop_cache.items())
-            )
-        if cache_rows:
             self._conn.executemany(
-                "INSERT OR REPLACE INTO stage_stats (job_key, counter, value)"
+                "INSERT OR REPLACE INTO cache_stats (job_key, counter, value)"
                 " VALUES (?, ?, ?)",
-                cache_rows,
+                [
+                    (key, f"loop_{counter}", int(value))
+                    for counter, value in sorted(loop_cache.items())
+                ],
             )
         trace = payload.get("trace")
         if isinstance(trace, dict):
@@ -690,12 +682,12 @@ class Warehouse:
         """Total indexed jobs (any status)."""
         return self._conn.execute("SELECT COUNT(*) FROM jobs").fetchone()[0]
 
-    def stage_stats(self, key: str) -> Dict[str, int]:
-        """Stage-cache counters recorded for a job (may be empty)."""
+    def cache_stats(self, key: str) -> Dict[str, int]:
+        """Loop-cache counters recorded for a job (may be empty)."""
         return {
             row["counter"]: row["value"]
             for row in self._conn.execute(
-                "SELECT counter, value FROM stage_stats WHERE job_key = ?"
+                "SELECT counter, value FROM cache_stats WHERE job_key = ?"
                 " ORDER BY counter",
                 (key,),
             )
@@ -739,15 +731,14 @@ class Warehouse:
     ) -> List[Tuple[str, int, int]]:
         """Aggregated ``(counter, total, jobs)`` cache rows over a selector.
 
-        Covers both the corpus-level stage cache (bare counter names)
-        and the per-loop cache (``loop_``-prefixed counters) — the
-        "how incremental were we" answer for a campaign or machine.
+        Loop-cache counters (``loop_``-prefixed) — the "how incremental
+        were we" answer for a campaign or machine.
         """
         where, params = self._selector_sql(selector)
         sql = (
             "SELECT s.counter AS counter, SUM(s.value) AS total,"
             " COUNT(DISTINCT s.job_key) AS jobs"
-            " FROM stage_stats s JOIN jobs ON jobs.key = s.job_key"
+            " FROM cache_stats s JOIN jobs ON jobs.key = s.job_key"
             " WHERE " + where + " GROUP BY s.counter"
             " ORDER BY counter"
         )

@@ -25,6 +25,8 @@ from repro.campaign import (
 from repro.campaign.executor import JobResult
 from repro.errors import WorkloadError
 from repro.pipeline import ExperimentOptions
+from repro.pipeline.cache import LOOP_CACHE, clear_loop_cache
+from repro.pipeline.serialization import canonical_json
 from repro.scheduler.options import SchedulerOptions
 
 #: Cheap options for the end-to-end tests: analytic counts, tiny corpus.
@@ -242,7 +244,7 @@ class TestRunCampaign:
         calls = []
         real = executor.execute_job_payload
 
-        def counting(job_data, stage_dir=None, loop_dir=None):
+        def counting(job_data, loop_dir=None):
             calls.append(job_data["benchmark"])
             return real(job_data)
 
@@ -266,7 +268,116 @@ class TestRunCampaign:
         assert outcome.results[0].ok
 
 
-def _exit_worker(job_data, stage_dir=None, loop_dir=None):
+class TestCampaignLoopReuse:
+    """Below the whole-job store, executed jobs reuse per-loop artifacts."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_loop_cache(self):
+        LOOP_CACHE.detach_store()
+        clear_loop_cache(reset_stats=True)
+        yield
+        LOOP_CACHE.detach_store()
+        clear_loop_cache(reset_stats=True)
+
+    def test_resume_reschedules_zero_loops(self, tmp_path):
+        from repro.reporting import campaign_summary
+
+        spec = CampaignSpec(benchmarks=("171.swim",), scale=0.02, simulate=False)
+        store = ResultStore(tmp_path / "cache")
+        first = run_campaign(spec.expand(), store=store).results[0]
+        lookups = first.loop_cache["misses"]
+        assert lookups > 0 and first.loop_cache["hits"] == 0
+        assert len(list(store.loop_keys())) == lookups
+
+        # Invalidate the measurements: drop every whole-job entry.
+        for key in list(store.keys()):
+            store.delete(key)
+        # Simulate a fresh process: no in-memory memo, no attached store.
+        clear_loop_cache(reset_stats=True)
+        LOOP_CACHE.detach_store()
+
+        resumed = run_campaign(spec.expand(), store=store)
+        result = resumed.results[0]
+        assert not result.cached  # the job itself had to re-run...
+        assert result.loop_cache["misses"] == 0  # ...but no loop did
+        assert result.loop_cache["disk_hits"] == lookups
+        assert canonical_json(result.evaluation.to_dict()) == canonical_json(
+            first.evaluation.to_dict()
+        )
+        assert f"{lookups} loop-cache hit(s)" in campaign_summary(resumed)
+
+    def test_whole_job_hit_skips_execution_entirely(self, tmp_path):
+        spec = CampaignSpec(benchmarks=("171.swim",), scale=0.02, simulate=False)
+        store = ResultStore(tmp_path / "cache")
+        run_campaign(spec.expand(), store=store)
+        rerun = run_campaign(spec.expand(), store=store)
+        assert rerun.n_cached == 1
+        assert rerun.results[0].loop_cache is None
+        assert rerun.loop_cache_hits == 0
+
+    def test_disk_layer_detached_after_inline_campaign(self, tmp_path):
+        # The campaign must not leak its disk layer into later pipeline
+        # runs in the same process (the store may be a temp directory).
+        from repro.pipeline import evaluate_corpus
+        from repro.workloads import build_corpus, spec_profile
+
+        run_campaign([_job()], store=ResultStore(tmp_path / "cache"))
+        assert LOOP_CACHE.store_dir is None
+        clear_loop_cache(reset_stats=True)
+        evaluate_corpus(build_corpus(spec_profile("swim"), scale=0.02), FAST)
+        assert list((tmp_path / "cache" / "loops").glob("*.json"))  # old
+        assert LOOP_CACHE.stats()["disk_hits"] == 0  # but unused now
+
+    def test_no_store_touches_no_disk(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        outcome = run_campaign([_job()], store=None)
+        assert outcome.results[0].ok
+        assert LOOP_CACHE.store_dir is None
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStoresFromBeforeLoopOnlyCaching:
+    """Cache directories written while a stage cache existed still work."""
+
+    def test_leftover_stage_tier_and_payload_field_are_ignored(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.campaign.executor as executor
+
+        spec = CampaignSpec(
+            benchmarks=("171.swim", "172.mgrid"), scale=0.02, simulate=False
+        )
+        store = ResultStore(tmp_path / "cache")
+        first = run_campaign(spec.expand(), store=store)
+        keys = sorted(result.key for result in first)
+        # What an older build left behind: a stages/ tier of corpus-level
+        # artifacts and whole-job payloads carrying their counters.
+        stages = store.root / "stages"
+        stages.mkdir()
+        (stages / "profile-0123456789abcdef01234567.json").write_text(
+            json.dumps({"schema": 1, "data": {}})
+        )
+        for key in keys:
+            payload = store.load(key)
+            payload["stage_cache"] = {"hits": 0, "misses": 4, "disk_hits": 0}
+            store.save(key, payload)
+
+        calls = []
+        monkeypatch.setattr(
+            executor, "execute_job_payload", lambda *a: calls.append(a)
+        )
+        rerun = run_campaign(spec.expand(), store=store)
+        assert rerun.n_cached == len(rerun) == len(keys)
+        assert calls == []  # nothing recomputed
+        assert [r.evaluation.to_dict() for r in rerun] == [
+            r.evaluation.to_dict() for r in first
+        ]
+        assert sorted(store.keys()) == keys
+        assert len(store) == len(keys)
+        assert sorted(entry["key"] for entry in store.entries()) == keys
+
+
+def _exit_worker(job_data, loop_dir=None):
     """Simulates a worker killed by the OS (picklable module-level fn)."""
     import os
 

@@ -41,7 +41,7 @@ def test_docs_mention_load_bearing_flags():
     readme = (ROOT / "README.md").read_text()
     assert "REPRO_CORPUS_SCALE" in readme
     assert "--machine-file" in readme
-    assert "stages/" in readme
+    assert "loops/" in readme
     cli = (ROOT / "docs" / "cli.md").read_text()
     for verb in ("evaluate", "suite", "campaign", "scenarios", "bench", "table2"):
         assert f"## `{verb}`" in cli, f"docs/cli.md is missing the {verb} verb"

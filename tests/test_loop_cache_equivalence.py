@@ -27,12 +27,7 @@ from hypothesis import strategies as st
 from repro.machine import machine_facets
 from repro.machine.isa import InstructionTable
 from repro.pipeline import evaluate_suite
-from repro.pipeline.cache import (
-    LOOP_CACHE,
-    STAGE_CACHE,
-    clear_loop_cache,
-    clear_stage_cache,
-)
+from repro.pipeline.cache import LOOP_CACHE, clear_loop_cache
 from repro.pipeline.experiment import ExperimentOptions
 from repro.pipeline.serialization import canonical_json
 from repro.scenarios import bundled_pack_paths, load_pack
@@ -51,9 +46,7 @@ def _suite_options(pack_name: str) -> ExperimentOptions:
 
 
 def _fresh_caches() -> None:
-    STAGE_CACHE.detach_store()
     LOOP_CACHE.detach_store()
-    clear_stage_cache(reset_stats=True)
     clear_loop_cache(reset_stats=True)
 
 
@@ -72,8 +65,7 @@ class TestWarmEqualsCold:
         assert cold_stats["misses"] > 0
         assert cold_stats["hits"] == 0
 
-        # Warm: drop the corpus-level memo, keep the per-loop cache.
-        clear_stage_cache(reset_stats=True)
+        # Warm: the per-loop cache stays.
         warm = canonical_json(evaluate_suite(corpora, options).to_dict())
         warm_stats = LOOP_CACHE.stats()
 
@@ -93,7 +85,6 @@ class TestWarmEqualsCold:
         LOOP_CACHE.attach_store(tmp_path / "loops")
         try:
             cold = canonical_json(evaluate_suite(corpora, options).to_dict())
-            clear_stage_cache(reset_stats=True)
             clear_loop_cache(reset_stats=True)
             warm = canonical_json(evaluate_suite(corpora, options).to_dict())
             stats = LOOP_CACHE.stats()

@@ -1,4 +1,5 @@
-"""On-disk loop-cache corruption and killed-writer robustness.
+"""Loop-cache LRU semantics, invalidation, on-disk corruption and
+killed writers.
 
 The per-loop artifact store shares a cache directory between campaign
 workers, fleet hosts and the service — so a truncated file, stray
@@ -17,17 +18,17 @@ import os
 
 import pytest
 
-from repro.pipeline import evaluate_corpus
+from repro.pipeline import Experiment, evaluate_corpus
 from repro.pipeline.cache import (
     LOOP_CACHE,
     PAYLOAD_SCHEMA,
-    STAGE_CACHE,
     StageCache,
     clear_loop_cache,
-    clear_stage_cache,
+    stage_key,
 )
 from repro.pipeline.experiment import ExperimentOptions
 from repro.pipeline.serialization import canonical_json
+from repro.power.breakdown import EnergyBreakdown
 from repro.workloads import build_corpus, spec_profile
 
 SCALE = 0.02
@@ -54,11 +55,141 @@ def _corrupt_file(path, mode: str) -> None:
         path.write_bytes(CORRUPTIONS[mode])
 
 
+# ----------------------------------------------------------------------
+# the LRU itself
+# ----------------------------------------------------------------------
+class TestLRU:
+    def test_hit_refreshes_recency(self):
+        cache = StageCache(capacity=2)
+        cache.store("profile_loop-a", 1)
+        cache.store("profile_loop-b", 2)
+        assert cache.lookup("profile_loop-a") == 1  # refresh a
+        cache.store("profile_loop-c", 3)  # evicts b, the least recently used
+        assert cache.lookup("profile_loop-a") == 1
+        assert StageCache.is_miss(cache.lookup("profile_loop-b"))
+        assert cache.lookup("profile_loop-c") == 3
+        assert cache.evictions == 1
+
+    def test_insertion_order_alone_does_not_decide_eviction(self):
+        # The seed bug: pop(next(iter(...))) dropped by *insertion* order
+        # even when the oldest entry was the hottest.
+        cache = StageCache(capacity=3)
+        for name in ("a", "b", "c"):
+            cache.store(f"profile_loop-{name}", name)
+        cache.lookup("profile_loop-a")  # hottest
+        cache.store("profile_loop-d", "d")
+        assert cache.lookup("profile_loop-a") == "a"
+        assert StageCache.is_miss(cache.lookup("profile_loop-b"))
+
+    def test_counters(self):
+        cache = StageCache(capacity=4)
+        cache.store("schedule_loop-x", 1)
+        cache.lookup("schedule_loop-x")
+        cache.lookup("schedule_loop-y")
+        info = cache.info()
+        assert info["hits"] == 1
+        assert info["misses"] == 1
+        assert info["entries"] == 1
+        assert info["by_stage"]["schedule_loop"] == {
+            "hits": 1,
+            "misses": 1,
+            "disk_hits": 0,
+            "corrupt": 0,
+        }
+
+    def test_capacity_validated(self):
+        with pytest.raises(ValueError):
+            StageCache(capacity=0)
+
+    def test_store_same_key_updates_in_place(self):
+        cache = StageCache(capacity=2)
+        cache.store("schedule_loop-k", 1)
+        cache.store("schedule_loop-k", 2)
+        assert len(cache) == 1
+        assert cache.lookup("schedule_loop-k") == 2
+
+    def test_stage_key_is_deterministic_and_distinct(self):
+        key = stage_key("profile_loop", "a", 1)
+        assert key == stage_key("profile_loop", "a", 1)
+        assert key != stage_key("profile_loop", "a", 2)
+        assert key != stage_key("schedule_loop", "a", 1)
+        assert key.startswith("profile_loop-")
+
+
+# ----------------------------------------------------------------------
+# hit/miss/invalidation through real experiment runs
+# ----------------------------------------------------------------------
+FAST = ExperimentOptions(simulate=False)
+
+
+def _corpus(scale=SCALE):
+    return build_corpus(spec_profile("swim"), scale=scale)
+
+
+@pytest.fixture
+def fresh_loop_cache():
+    """Isolate a test from the process-wide memo, counters and store."""
+    clear_loop_cache(reset_stats=True)
+    LOOP_CACHE.detach_store()
+    yield
+    clear_loop_cache(reset_stats=True)
+    LOOP_CACHE.detach_store()
+
+
+@pytest.mark.usefixtures("fresh_loop_cache")
+class TestExperimentCaching:
+    def test_second_run_hits_every_loop_lookup(self):
+        corpus = _corpus()
+        n_loops = len(corpus.loops)
+        Experiment.paper(FAST).run(corpus)
+        first = LOOP_CACHE.info()
+        # two profile passes (calibration) plus one heterogeneous schedule
+        assert first["by_stage"]["profile_loop"]["misses"] == 2 * n_loops
+        assert first["by_stage"]["schedule_loop"]["misses"] == n_loops
+        assert first["hits"] == 0
+        Experiment.paper(FAST).run(corpus)
+        second = LOOP_CACHE.info()
+        assert second["hits"] == first["misses"]
+        assert second["misses"] == first["misses"]  # unchanged
+        assert second["entries"] == first["entries"]
+
+    def test_breakdown_change_reuses_only_the_first_profile_pass(self):
+        corpus = _corpus()
+        n_loops = len(corpus.loops)
+        Experiment.paper(FAST).run(corpus)
+        before = LOOP_CACHE.info()
+        swept = ExperimentOptions(
+            simulate=False,
+            breakdown=EnergyBreakdown.paper_baseline().with_shares(0.2, 0.25),
+        )
+        Experiment.paper(swept).run(corpus)
+        info = LOOP_CACHE.info()
+        # The first profile pass runs before calibration and is shared;
+        # the new breakdown changes the calibrated weights, so the second
+        # pass and the heterogeneous schedules are recomputed.
+        assert info["by_stage"]["profile_loop"]["hits"] == n_loops
+        assert info["by_stage"]["schedule_loop"]["hits"] == 0
+        assert info["misses"] == before["misses"] + 2 * n_loops
+
+    def test_corpus_change_invalidates_every_loop(self):
+        Experiment.paper(FAST).run(_corpus(scale=SCALE))
+        Experiment.paper(FAST).run(_corpus(scale=0.03))
+        info = LOOP_CACHE.info()
+        assert info["hits"] == 0
+        assert info["misses"] == info["entries"]
+
+    def test_detach_stops_persistence(self, tmp_path):
+        LOOP_CACHE.attach_store(tmp_path)
+        LOOP_CACHE.detach_store()
+        assert LOOP_CACHE.store_dir is None
+        Experiment.paper(FAST).run(_corpus())
+        assert list(tmp_path.glob("*.json")) == []
+        assert LOOP_CACHE.info()["disk_hits"] == 0
+
+
 @pytest.fixture
 def attached_loop_dir(tmp_path):
     """A fresh loop cache persisted under a temp dir; detached after."""
-    STAGE_CACHE.detach_store()
-    clear_stage_cache(reset_stats=True)
     clear_loop_cache(reset_stats=True)
     loop_dir = tmp_path / "loops"
     LOOP_CACHE.attach_store(loop_dir)
@@ -67,7 +198,6 @@ def attached_loop_dir(tmp_path):
     finally:
         LOOP_CACHE.detach_store()
         clear_loop_cache(reset_stats=True)
-        clear_stage_cache(reset_stats=True)
 
 
 def _evaluate():
@@ -88,7 +218,6 @@ class TestCorruptArtifacts:
         _corrupt_file(victim, mode)
 
         # Fresh process equivalent: memory gone, disk consulted.
-        clear_stage_cache(reset_stats=True)
         clear_loop_cache(reset_stats=True)
         assert _evaluate() == reference
         stats = LOOP_CACHE.stats()
@@ -107,7 +236,6 @@ class TestCorruptArtifacts:
         for index, path in enumerate(files):
             mode = sorted(CORRUPTIONS)[index % len(CORRUPTIONS)]
             _corrupt_file(path, mode)
-        clear_stage_cache(reset_stats=True)
         clear_loop_cache(reset_stats=True)
         assert _evaluate() == reference
         stats = LOOP_CACHE.stats()
@@ -125,7 +253,6 @@ class TestCorruptArtifacts:
         stage = victim.stem.rsplit("-", 1)[0]
         before = _CACHE_EVENTS.value(stage=stage, event="corrupt")
         _corrupt_file(victim, "garbage")
-        clear_stage_cache(reset_stats=True)
         clear_loop_cache(reset_stats=True)
         _evaluate()
         after = _CACHE_EVENTS.value(stage=stage, event="corrupt")
@@ -137,7 +264,6 @@ class TestCorruptArtifacts:
         reference = _evaluate()
         victim = sorted(attached_loop_dir.glob("*.json"))[0]
         _corrupt_file(victim, "garbage")
-        clear_stage_cache(reset_stats=True)
         clear_loop_cache(reset_stats=True)
         victim.unlink()  # vanishes between read and discard: clean miss
         assert _evaluate() == reference

@@ -14,7 +14,8 @@ from repro.machine import MachineDescription, paper_machine
 from repro.machine.cluster import ClusterConfig
 from repro.machine.interconnect import InterconnectConfig
 from repro.machine.isa import ClassEntry, InstructionTable
-from repro.pipeline import Experiment, ExperimentOptions, clear_stage_cache
+from repro.pipeline import Experiment, ExperimentOptions
+from repro.pipeline.cache import clear_loop_cache
 from repro.pipeline.registry import register_workload, registered_workload
 from repro.scenarios import (
     bundled_pack_paths,
@@ -479,13 +480,13 @@ class TestMachineFiles:
 
 
 class TestCampaignOverScenarioFiles:
-    def test_resume_recomputes_no_stage_entries(self, tmp_path):
-        """A ≥3-pack campaign resumes with zero recomputed stage entries.
+    def test_resume_reschedules_no_loops(self, tmp_path):
+        """A ≥3-pack campaign resumes with zero re-scheduled loops.
 
         Second run, same spec: every job answers from the whole-job
         cache.  Third run with the job entries deleted and the in-memory
-        stage memo cleared: profiles/calibrations reload from the disk
-        layer — zero stage *misses*, i.e. nothing is recomputed.
+        loop memo cleared: per-loop profiles and schedules reload from
+        the disk layer — zero loop *misses*, i.e. nothing is re-scheduled.
         """
         files = tuple(
             str(bundled_pack_paths()[name])
@@ -502,23 +503,23 @@ class TestCampaignOverScenarioFiles:
         assert len(jobs) == 3
         store = ResultStore(tmp_path / "cache")
 
-        clear_stage_cache()
+        clear_loop_cache()
         first = run_campaign(jobs, store=store)
         assert not first.failed and first.n_cached == 0
 
         second = run_campaign(jobs, store=store)
         assert not second.failed and second.n_cached == len(jobs)
 
-        # Invalidate whole-job entries; keep the stage artifacts.
+        # Invalidate whole-job entries; keep the loop artifacts.
         for job in jobs:
             assert store.delete(job.key())
-        clear_stage_cache()
+        clear_loop_cache()
         third = run_campaign(jobs, store=store)
         assert not third.failed and third.n_cached == 0
         for result in third.results:
-            assert result.stage_cache is not None
-            assert result.stage_cache["misses"] == 0
-            assert result.stage_cache["disk_hits"] > 0
+            assert result.loop_cache is not None
+            assert result.loop_cache["misses"] == 0
+            assert result.loop_cache["disk_hits"] > 0
         assert [r.evaluation.ed2_ratio for r in third.results] == [
             r.evaluation.ed2_ratio for r in first.results
         ]
@@ -687,14 +688,10 @@ class TestLoopCacheInvalidationMatrix:
         }
 
     def test_palette_edit_keeps_every_loop_artifact_warm(self, tmp_path):
-        from repro.pipeline.cache import clear_loop_cache
-
-        clear_stage_cache(reset_stats=True)
         clear_loop_cache(reset_stats=True)
         cold = self._run(MATRIX_BASE, tmp_path, "base")
         assert cold["misses"] > 0 and cold["hits"] == 0
         old, new, _ = MATRIX["frequency_palette"]
-        clear_stage_cache(reset_stats=True)
         warm = self._run(
             MATRIX_BASE.replace(old, new, 1), tmp_path, "palette"
         )
@@ -704,13 +701,9 @@ class TestLoopCacheInvalidationMatrix:
         assert warm["hits"] == cold["misses"]
 
     def test_register_file_edit_invalidates_every_loop_artifact(self, tmp_path):
-        from repro.pipeline.cache import clear_loop_cache
-
-        clear_stage_cache(reset_stats=True)
         clear_loop_cache(reset_stats=True)
         cold = self._run(MATRIX_BASE, tmp_path, "base")
         old, new, _ = MATRIX["register_file"]
-        clear_stage_cache(reset_stats=True)
         churned = self._run(
             MATRIX_BASE.replace(old, new, 1), tmp_path, "registers"
         )

@@ -32,7 +32,7 @@ class CountingRunner:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def __call__(self, job_data, stage_dir=None, loop_dir=None):
+    def __call__(self, job_data, loop_dir=None):
         with self._lock:
             self.calls += 1
         if self.delay:

@@ -112,7 +112,7 @@ class TestStages:
             "heterogeneous_measured",
             "evaluation",
         )
-        assert [name for name, _ in context.stage_log] == [
+        assert context.stage_log == [
             "profile",
             "calibrate",
             "profile",
@@ -146,9 +146,8 @@ class TestStages:
     def test_describe_stages_rows(self):
         rows = Experiment.paper().describe_stages()
         assert rows[0]["name"] == "profile"
-        assert rows[0]["cacheable"] is True
         assert rows[4]["name"] == "baseline"
-        assert rows[4]["cacheable"] is False
+        assert set(rows[4]) == {"name", "requires", "provides"}
         assert "units" in rows[1]["provides"]
 
     def test_explain_renders_plan(self):
@@ -326,6 +325,27 @@ class TestCustomMachineEndToEnd:
             .run(corpus)
         )
         assert calls == [4]
+
+    def test_custom_engine_is_not_served_the_paper_schedules(self):
+        # Every engine's schedules go through the loop cache, so another
+        # engine must key its artifacts apart from the paper's.
+        from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
+
+        scheduled = []
+
+        class CountingScheduler(HeterogeneousModuloScheduler):
+            def schedule(self, loop, point, weights=None):
+                scheduled.append(loop.name)
+                return super().schedule(loop, point, weights=weights)
+
+        corpus = _corpus("swim")
+        options = ExperimentOptions(simulate=False)
+        paper = Experiment.paper(options).run(corpus)
+        custom = Experiment.paper(options).with_scheduler(CountingScheduler)
+        assert custom.run(corpus).to_dict() == paper.to_dict()
+        assert len(scheduled) == len(corpus.loops)
+        custom.run(corpus)  # now answered from its own artifacts
+        assert len(scheduled) == len(corpus.loops)
 
 
 class TestLegacyWrappers:

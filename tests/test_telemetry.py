@@ -313,13 +313,12 @@ class TestLogging:
 class TestPipelineIntegration:
     def test_traced_evaluate_attributes_wall_time_to_stages(self):
         from repro.pipeline import Experiment, ExperimentOptions
-        from repro.pipeline.cache import clear_loop_cache, clear_stage_cache
+        from repro.pipeline.cache import clear_loop_cache
         from repro.workloads import build_corpus, spec_profile
 
-        # The assertions below require a cold pipeline: a warm stage or
-        # loop cache would skip the scheduling work whose spans and
-        # counters this test attributes.
-        clear_stage_cache()
+        # The assertions below require a cold pipeline: a warm loop cache
+        # would skip the scheduling work whose spans and counters this
+        # test attributes.
         clear_loop_cache()
         enable_tracing()
         corpus = build_corpus(spec_profile("171.swim"), scale=0.02)

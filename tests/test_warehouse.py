@@ -23,7 +23,7 @@ def make_payload(
     energy_ratio=0.8,
     time_ratio=1.1,
     elapsed_s=0.5,
-    stage_cache=None,
+    loop_cache=None,
 ):
     """A store payload with exactly the given headline ratios."""
     job = ExperimentJob(
@@ -57,8 +57,8 @@ def make_payload(
         },
         "error": None,
     }
-    if stage_cache is not None:
-        payload["stage_cache"] = stage_cache
+    if loop_cache is not None:
+        payload["loop_cache"] = loop_cache
     return job, payload
 
 
@@ -128,11 +128,16 @@ class TestRecordPayload:
             assert first == second
             assert warehouse.job_count() == 1
 
-    def test_stage_stats_recorded(self):
-        job, payload = make_payload(stage_cache={"hits": 3, "misses": 1})
+    def test_cache_stats_recorded(self):
+        job, payload = make_payload(loop_cache={"hits": 3, "misses": 1})
+        # A payload from a build that still had a stage cache.
+        payload["stage_cache"] = {"hits": 7, "misses": 2}
         with Warehouse() as warehouse:
             warehouse.record_payload(payload)
-            assert warehouse.stage_stats(job.key()) == {"hits": 3, "misses": 1}
+            assert warehouse.cache_stats(job.key()) == {
+                "loop_hits": 3,
+                "loop_misses": 1,
+            }
 
     def test_span_stats_recorded_and_aggregated(self):
         from repro.warehouse import span_breakdown
@@ -190,6 +195,52 @@ class TestRecordPayload:
         with Warehouse() as warehouse:
             warehouse.record_payload(payload)
             assert span_breakdown(warehouse) == []
+
+
+class TestSchemaUpgrade:
+    def test_v3_warehouse_rebuilds_as_v4_without_stage_stats(self, tmp_path):
+        import sqlite3
+
+        from repro.warehouse.db import SCHEMA_VERSION
+
+        job, payload = make_payload(loop_cache={"hits": 2, "misses": 5})
+        payload["stage_cache"] = {"hits": 1, "misses": 3}
+        store = ResultStore(tmp_path / "cache")
+        store.save(job.key(), payload)
+        with Warehouse.for_store(store) as warehouse:
+            warehouse.ingest_store(store)
+        # Turn the database into the schema-3 layout: the cache counters
+        # lived in ``stage_stats``, bare stage names beside ``loop_*``.
+        conn = sqlite3.connect(store.root / "warehouse.sqlite")
+        conn.execute("ALTER TABLE cache_stats RENAME TO stage_stats")
+        conn.executemany(
+            "INSERT INTO stage_stats (job_key, counter, value) VALUES (?, ?, ?)",
+            [(job.key(), "hits", 1), (job.key(), "misses", 3)],
+        )
+        conn.execute(
+            "UPDATE warehouse_meta SET value = '3' WHERE key = 'schema_version'"
+        )
+        conn.commit()
+        conn.close()
+
+        with Warehouse.for_store(store) as warehouse:
+            tables = {
+                row[0]
+                for row in warehouse._conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+            version = warehouse._conn.execute(
+                "SELECT value FROM warehouse_meta WHERE key = 'schema_version'"
+            ).fetchone()[0]
+            assert SCHEMA_VERSION == 4 and version == "4"
+            assert "stage_stats" not in tables and "cache_stats" in tables
+            assert warehouse.job_count() == 0  # rebuilt, not migrated
+            warehouse.ingest_store(store)
+            assert warehouse.cache_rows() == [
+                ("loop_hits", 2, 1),
+                ("loop_misses", 5, 1),
+            ]
 
 
 class TestIngest:

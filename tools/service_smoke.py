@@ -3,7 +3,7 @@
 
 Starts ``python -m repro serve`` as a subprocess, submits a scale-0.05
 evaluate over HTTP, polls it to completion, checks the dedup counters,
-scrapes ``/metrics`` and asserts the dedup/latency/stage-cache series
+scrapes ``/metrics`` and asserts the dedup/latency/loop-cache series
 are live, shuts the server down, and finally asks ``python -m repro
 query`` for the warehouse's view of the freshly computed job —
 exercising exactly the path an operator would: server process, HTTP
@@ -53,12 +53,12 @@ def check_metrics(scrape: str) -> None:
         raise RuntimeError(
             f"/metrics request latency histogram empty: {requests}"
         )
-    # The inline runner computes in-process, so the pipeline's stage
+    # The inline runner computes in-process, so the pipeline's loop
     # cache counters must also surface in the same scrape.
     cache_events = metric_total(scrape, "repro_stage_cache_events_total")
     if cache_events < 1:
         raise RuntimeError(
-            f"/metrics stage-cache series missing: {cache_events}"
+            f"/metrics loop-cache series missing: {cache_events}"
         )
     print(
         f"metrics ok: dedup={dedup:g} requests={requests:g} "
