@@ -53,7 +53,6 @@ def schedule_and_measure(corpus, point, meter, weights, scheduler_options):
                 point,
                 iterations=loop.trip_count,
                 invocations=loop.weight,
-                simulate=False,
             )
         )
     return meter.measure_program(measurements)

@@ -19,7 +19,6 @@ SPEC = CampaignSpec(
     benchmarks=("171.swim", "172.mgrid"),
     scale=corpus_scale(),
     buses_grid=(1, 2),
-    simulate=False,
 )
 
 

@@ -86,7 +86,6 @@ def campaign_spec(n_jobs):
         "benchmarks": ["171.swim"],
         "scale": 0.01,
         "buses_grid": list(range(1, n_jobs + 1)),
-        "simulate": False,
     }
 
 

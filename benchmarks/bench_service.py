@@ -65,7 +65,7 @@ def _bench_sustained() -> dict:
 
 def _bench(client: ServiceClient) -> dict:
     scale = min(corpus_scale(), 0.05)
-    request = dict(benchmark="171.swim", scale=scale, simulate=False)
+    request = dict(benchmark="171.swim", scale=scale)
 
     started = time.perf_counter()
     job = client.submit_evaluate(**request)

@@ -3,8 +3,8 @@
 The library is not hard-wired to the paper's 4-cluster evaluation
 machine.  This example builds a TigerSHARC-flavoured two-cluster VLIW
 (wider clusters, more registers, a slower multiplier), schedules an FIR
-filter tap loop on it, and runs the result through the simulator with
-energy metering calibrated on that same machine.
+filter tap loop on it, and meters the result with an energy model
+calibrated on that same machine.
 
 It then registers the machine under a name and drives the *entire*
 paper pipeline — profile, calibrate, optimum-homogeneous baseline,

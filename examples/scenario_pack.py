@@ -18,7 +18,6 @@ from pathlib import Path
 from repro import (
     ClusterConfig,
     Experiment,
-    ExperimentOptions,
     InstructionTable,
     InterconnectConfig,
     MachineDescription,
@@ -72,7 +71,7 @@ def main() -> None:
         # The file machine drives the full pipeline exactly like the
         # paper machine (CLI: --machine-file asymmetric-duo.toml).
         evaluation = (
-            Experiment.paper(ExperimentOptions(simulate=False))
+            Experiment.paper()
             .with_machine_file(path)
             .run(corpus)
         )
@@ -84,7 +83,7 @@ def main() -> None:
 
     # A bundled pack on the same corpus, for comparison.
     bundled = (
-        Experiment.paper(ExperimentOptions(simulate=False))
+        Experiment.paper()
         .with_machine("paper")
         .run(corpus)
     )

@@ -208,11 +208,6 @@ def _parser() -> argparse.ArgumentParser:
         help="sweep this knob over {on, off} (repeatable)",
     )
     campaign.add_argument(
-        "--no-simulate",
-        action="store_true",
-        help="use analytic schedule counts instead of the event simulator",
-    )
-    campaign.add_argument(
         "--no-cache",
         action="store_true",
         help="run without reading or writing the result store",
@@ -896,7 +891,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         preplace_grid=on_off("preplace"),
         ed2_refinement_grid=on_off("ed2-refinement"),
         sync_penalties_grid=on_off("sync-penalties"),
-        simulate=not args.no_simulate,
     )
     jobs = spec.expand()
     print(

@@ -152,8 +152,6 @@ class ExperimentJob:
             parts.append("no-ed2-refinement")
         if not scheduler.sync_penalties:
             parts.append("no-sync-penalties")
-        if not options.simulate:
-            parts.append("analytic")
         if scheduler.palette.per_domain_size is not None:
             parts.append(f"palette={scheduler.palette.per_domain_size}")
         elif scheduler.palette.frequencies is not None:

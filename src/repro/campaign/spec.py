@@ -2,11 +2,10 @@
 
 A :class:`CampaignSpec` names the benchmarks to run and, for each
 experiment dimension the paper sweeps (bus count, target machine,
-per-class energies, the scheduler ablation switches, simulation
-fidelity), the grid of values to explore.  :meth:`CampaignSpec.expand`
-takes the cross product and emits one
-:class:`~repro.campaign.job.ExperimentJob` per point, in a deterministic
-order.
+per-class energies, the scheduler ablation switches), the grid of
+values to explore.  :meth:`CampaignSpec.expand` takes the cross product
+and emits one :class:`~repro.campaign.job.ExperimentJob` per point, in a
+deterministic order.
 
 **Names vs files.**  The machine axis has two legs that concatenate into
 one grid: ``machine_grid`` holds *registered names* and ``machine_files``
@@ -71,7 +70,6 @@ class CampaignSpec:
     preplace_grid: Tuple[bool, ...] = (True,)
     ed2_refinement_grid: Tuple[bool, ...] = (True,)
     sync_penalties_grid: Tuple[bool, ...] = (True,)
-    simulate: bool = True
     #: Base options the grids are applied on top of (advanced use:
     #: sweeps of breakdown shares or design spaces build their own base).
     base_options: ExperimentOptions = field(default_factory=ExperimentOptions)
@@ -159,7 +157,6 @@ class CampaignSpec:
                 ),
                 per_class_energy=per_class,
                 scheduler=scheduler,
-                simulate=self.simulate,
             )
             jobs.append(
                 ExperimentJob(
@@ -181,7 +178,6 @@ class CampaignSpec:
             "preplace_grid": list(self.preplace_grid),
             "ed2_refinement_grid": list(self.ed2_refinement_grid),
             "sync_penalties_grid": list(self.sync_penalties_grid),
-            "simulate": self.simulate,
             "base_options": self.base_options.to_dict(),
         }
 
@@ -198,6 +194,5 @@ class CampaignSpec:
             preplace_grid=tuple(data["preplace_grid"]),
             ed2_refinement_grid=tuple(data["ed2_refinement_grid"]),
             sync_penalties_grid=tuple(data["sync_penalties_grid"]),
-            simulate=data["simulate"],
             base_options=ExperimentOptions.from_dict(data["base_options"]),
         )

@@ -125,16 +125,10 @@ def _mixed_request(
                 "benchmark": rng.choice(_BENCHMARKS),
                 "scale": scale,
                 "buses": rng.choice((1, 2)),
-                "simulate": False,
             },
         )
     if draw < 0.62:
-        return (
-            "suite",
-            "POST",
-            "/v1/suite",
-            {"scale": scale, "simulate": False},
-        )
+        return "suite", "POST", "/v1/suite", {"scale": scale}
     if draw < 0.70:
         return (
             "campaign",
@@ -144,7 +138,6 @@ def _mixed_request(
                 "benchmarks": list(_BENCHMARKS[:2]),
                 "scale": scale,
                 "buses_grid": [1, 2],
-                "simulate": False,
                 "label": f"loadgen-{seed}-{rng.randrange(3)}",
             },
         )
@@ -163,7 +156,6 @@ def _evaluate_request(
             "benchmark": rng.choice(_BENCHMARKS),
             "scale": scale,
             "buses": rng.choice((1, 2)),
-            "simulate": False,
         },
     )
 

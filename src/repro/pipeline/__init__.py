@@ -2,7 +2,7 @@
 
 profile (reference homogeneous) -> calibrate -> optimum homogeneous
 baseline -> heterogeneous selection -> heterogeneous scheduling ->
-simulation -> ED^2 vs baseline.
+metering -> ED^2 vs baseline.
 
 Two entry points:
 

@@ -157,8 +157,9 @@ class StageCache:
                     value = decode(payload)
                 except Exception:
                     # The envelope was intact but the artifact body does
-                    # not decode (stale schema, missing field): same
-                    # treatment as corruption — evict and recompute.
+                    # not decode (stale schema, missing field, fails its
+                    # validation): same treatment as corruption — evict
+                    # and recompute.
                     value = _MISS
                     self._discard_payload(key)
                 if value is not _MISS:

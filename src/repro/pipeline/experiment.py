@@ -10,7 +10,7 @@ This is the code path behind every figure of the evaluation:
    cycle-identical, so the reference schedules re-time exactly),
 4. select the heterogeneous configuration with the section 3.3 models,
 5. schedule every loop on the selected point with the section 4
-   algorithm, execute in the simulator, and meter energy,
+   algorithm and meter each schedule's energy and time analytically,
 6. report heterogeneous/baseline ratios of ED^2, energy and time.
 
 The flow itself is built from first-class stages —
@@ -47,10 +47,6 @@ class ExperimentOptions:
     technology: TechnologyModel = field(default_factory=TechnologyModel)
     design_space: DesignSpaceSpec = field(default_factory=DesignSpaceSpec.paper)
     scheduler: SchedulerOptions = field(default_factory=SchedulerOptions)
-    #: Run every heterogeneous schedule through the discrete-event
-    #: simulator (slower, fully checked) instead of using the schedule's
-    #: analytic counts.
-    simulate: bool = True
     #: Per-class instruction energies (False collapses Table 1 energies).
     per_class_energy: bool = True
     #: Name of the machine factory to target (see

@@ -435,7 +435,6 @@ def options_to_dict(options) -> Dict[str, Any]:
         "technology": technology_to_dict(options.technology),
         "design_space": design_space_to_dict(options.design_space),
         "scheduler": scheduler_options_to_dict(options.scheduler),
-        "simulate": options.simulate,
         "per_class_energy": options.per_class_energy,
         "machine": options.machine,
     }
@@ -452,7 +451,12 @@ def options_to_dict(options) -> Dict[str, Any]:
 
 
 def options_from_dict(data: Dict[str, Any]):
-    """Rebuild :class:`ExperimentOptions` from its dict form."""
+    """Rebuild :class:`ExperimentOptions` from its dict form.
+
+    Payloads written before metering became analytic-only carry a
+    ``"simulate"`` flag; it selected between two paths that give
+    identical results, so it is ignored.
+    """
     from repro.pipeline.experiment import ExperimentOptions
 
     return ExperimentOptions(
@@ -461,7 +465,6 @@ def options_from_dict(data: Dict[str, Any]):
         technology=technology_from_dict(data["technology"]),
         design_space=design_space_from_dict(data["design_space"]),
         scheduler=scheduler_options_from_dict(data["scheduler"]),
-        simulate=data["simulate"],
         per_class_energy=data["per_class_energy"],
         # Absent in pre-stage-API payloads: those always ran the paper machine.
         machine=data.get("machine", "paper"),

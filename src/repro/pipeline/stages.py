@@ -2,8 +2,8 @@
 
 The paper's evaluation flow — profile on the reference homogeneous
 machine, calibrate unit energies, find the optimum-homogeneous baseline,
-select a heterogeneous configuration, schedule on it, simulate and meter
-— used to live as one monolithic function.  Here each step is a
+select a heterogeneous configuration, schedule on it and meter it — used
+to live as one monolithic function.  Here each step is a
 :class:`Stage`: a named unit declaring which context artifacts it
 ``requires`` and ``provides``.  The two scheduling stages (profile and
 schedule) work loop by loop through the process-wide
@@ -397,11 +397,14 @@ class ScheduleStage(Stage):
         """Schedule loop by loop through :data:`LOOP_CACHE`.
 
         Hits restore *live* :class:`~repro.scheduler.schedule.Schedule`
-        objects (measurement simulates them), reconstructed against this
-        run's DDG/machine; placement/copy insertion order round-trips
-        exactly, so energy sums — float addition is order-sensitive —
-        stay bit-identical to the cold compute.  An engine other than
-        the paper's keys its artifacts apart by its class name.
+        objects, reconstructed against this run's DDG/machine;
+        placement/copy insertion order round-trips exactly, so energy
+        sums — float addition is order-sensitive — stay bit-identical to
+        the cold compute.  A schedule decoded from the disk layer is
+        re-validated before it is used: one that is well-formed but
+        illegal does not decode, so the cache counts it corrupt, evicts
+        it and it is rescheduled.  An engine other than the paper's keys
+        its artifacts apart by its class name.
         """
         from repro.pipeline.serialization import (
             schedule_from_dict,
@@ -439,9 +442,11 @@ class ScheduleStage(Stage):
             )
 
             def decode(payload, loop=loop):
-                return schedule_from_dict(
+                schedule = schedule_from_dict(
                     payload, loop.ddg, scheduler.machine
                 )
+                schedule.validate()
+                return schedule
 
             cached = LOOP_CACHE.lookup(key, decode=decode)
             if not StageCache.is_miss(cached):
@@ -454,7 +459,7 @@ class ScheduleStage(Stage):
 
 
 class MeasureStage(Stage):
-    """Simulate/meter the heterogeneous schedules and assemble the result."""
+    """Meter the heterogeneous schedules and assemble the result."""
 
     name = "measure"
     requires = (
@@ -472,7 +477,6 @@ class MeasureStage(Stage):
     def compute(self, context: ExperimentContext) -> None:
         from repro.pipeline.experiment import BenchmarkEvaluation
 
-        options = CalibrateStage._options(context)
         meter = context.require("meter")
         selection = context.require("heterogeneous_selection")
         schedules = context.require("heterogeneous_schedules")
@@ -482,7 +486,6 @@ class MeasureStage(Stage):
                 selection.point,
                 iterations=loop.trip_count,
                 invocations=loop.weight,
-                simulate=options.simulate,
             )
             for loop in context.corpus.loops
         ]
@@ -539,7 +542,7 @@ class Experiment:
 
         base = Experiment.paper()
         dsp = base.with_machine("my-dsp")
-        fast = dsp.with_options(replace(dsp.options, simulate=False))
+        two_bus = dsp.with_options(replace(dsp.options, n_buses=2))
 
     ``run(corpus)`` executes the stages in order against a fresh
     :class:`~repro.pipeline.context.ExperimentContext` and returns the

@@ -23,11 +23,7 @@ def stage_plan_table(experiment) -> str:
         )
     options = experiment.options
     machine = options.machine if experiment.machine is None else "<custom>"
-    title = (
-        f"Experiment plan (machine={machine!r}, "
-        f"buses={options.n_buses}, "
-        f"simulate={'on' if options.simulate else 'off'})"
-    )
+    title = f"Experiment plan (machine={machine!r}, buses={options.n_buses})"
     return render_table(
         ["#", "stage", "requires", "provides"], rows, title=title
     )

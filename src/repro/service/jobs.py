@@ -316,7 +316,6 @@ def _options_from_request(request: Dict[str, Any]) -> ExperimentOptions:
         n_buses=int(request.get("buses", 1)),
         machine=str(request.get("machine", "paper")),
         machine_file=request.get("machine_file"),
-        simulate=bool(request.get("simulate", True)),
     )
 
 
@@ -354,7 +353,6 @@ def _campaign_spec(request: Dict[str, Any]) -> CampaignSpec:
             preplace_grid=tuple(spec.get("preplace_grid", (True,))),
             ed2_refinement_grid=tuple(spec.get("ed2_refinement_grid", (True,))),
             sync_penalties_grid=tuple(spec.get("sync_penalties_grid", (True,))),
-            simulate=bool(spec.get("simulate", True)),
         )
     except ReproError:
         raise

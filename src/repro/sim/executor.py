@@ -17,6 +17,11 @@ iterations covers the fill, several full steady-state repetitions and the
 drain; counts and times for larger trip counts follow exactly from the
 per-iteration counts and ``(N - 1) * IT + it_length``.  The executor
 asserts that identity on the simulated window instead of assuming it.
+
+The pipeline does not run the executor: ``PowerMeter.measure_loop``
+meters schedules with exactly those analytic counts.  The executor is the
+independent oracle the tests hold the meter to
+(``tests/test_meter_oracle.py`` runs it over every bundled machine pack).
 """
 
 from __future__ import annotations

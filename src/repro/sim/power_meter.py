@@ -1,16 +1,25 @@
-"""Turning simulated executions into measured energy/ED^2."""
+"""Metering modulo schedules into measured energy/ED^2.
+
+:meth:`PowerMeter.measure_loop` meters a schedule with its analytic
+counts: per-iteration energy units, bus copies and memory accesses times
+the trip count, and ``(N - 1) * IT + it_length`` for time.  The schedule
+was legality-checked when it was built (or restored from the loop
+cache's disk layer), so this is the one measurement path.  The
+discrete-event simulator (:class:`~repro.sim.executor.LoopExecutor`)
+derives the same numbers by executing the schedule; the tests use it as
+the oracle for this meter over every bundled machine pack.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import SimulationError
 from repro.machine.operating_point import OperatingPoint
 from repro.power.energy import EnergyEstimate, EnergyModel, EventCounts
 from repro.power.metrics import ed2
 from repro.scheduler.schedule import Schedule
-from repro.sim.executor import LoopExecutor, SimulationResult
 
 
 @dataclass(frozen=True)
@@ -32,7 +41,7 @@ class MeasuredExecution:
 
 
 class PowerMeter:
-    """Applies the calibrated energy model to simulator measurements."""
+    """Applies the calibrated energy model to metered schedules."""
 
     def __init__(self, model: EnergyModel):
         self._model = model
@@ -49,30 +58,20 @@ class PowerMeter:
         point: OperatingPoint,
         iterations: float,
         invocations: float = 1.0,
-        simulate: bool = True,
     ) -> MeasuredExecution:
-        """Execute one scheduled loop and meter it.
+        """Meter one (validated) scheduled loop with its analytic counts.
 
         ``invocations`` scales the result by the number of times the loop
-        is entered (each entry runs ``iterations`` iterations).  With
-        ``simulate=False`` the (already validated) schedule's analytic
-        counts are used without running the event engine — the benches use
-        this for speed after the test suite has established that the two
-        paths agree.
+        is entered (each entry runs ``iterations`` iterations).
         """
-        if simulate:
-            result = LoopExecutor(schedule).run(iterations)
-            counts = result.counts
-            time_per_entry = result.exec_time_ns
-        else:
-            counts = EventCounts(
-                cluster_energy_units=tuple(
-                    u * iterations for u in schedule.cluster_energy_units()
-                ),
-                n_comms=schedule.comms_per_iteration * iterations,
-                n_mem_accesses=schedule.mem_accesses_per_iteration * iterations,
-            )
-            time_per_entry = schedule.execution_time(iterations)
+        counts = EventCounts(
+            cluster_energy_units=tuple(
+                u * iterations for u in schedule.cluster_energy_units()
+            ),
+            n_comms=schedule.comms_per_iteration * iterations,
+            n_mem_accesses=schedule.mem_accesses_per_iteration * iterations,
+        )
+        time_per_entry = schedule.execution_time(iterations)
 
         scaled = EventCounts(
             cluster_energy_units=tuple(

@@ -4,7 +4,6 @@ aggregation, and the CLI verb."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -27,14 +26,12 @@ from repro.errors import WorkloadError
 from repro.pipeline import ExperimentOptions
 from repro.pipeline.cache import LOOP_CACHE, clear_loop_cache
 from repro.pipeline.serialization import canonical_json
+from repro.power.breakdown import EnergyBreakdown
 from repro.scheduler.options import SchedulerOptions
-
-#: Cheap options for the end-to-end tests: analytic counts, tiny corpus.
-FAST = ExperimentOptions(simulate=False)
 
 
 def _job(**kwargs) -> ExperimentJob:
-    defaults = dict(benchmark="171.swim", scale=0.02, options=FAST)
+    defaults = dict(benchmark="171.swim", scale=0.02, options=ExperimentOptions())
     defaults.update(kwargs)
     return ExperimentJob(**defaults)
 
@@ -52,18 +49,18 @@ class TestJobKeys:
         [
             dict(benchmark="172.mgrid"),
             dict(scale=0.03),
-            dict(options=replace(FAST, n_buses=2)),
-            dict(options=replace(FAST, per_class_energy=False)),
-            dict(options=replace(FAST, simulate=True)),
+            dict(options=ExperimentOptions(n_buses=2)),
+            dict(options=ExperimentOptions(per_class_energy=False)),
             dict(
-                options=replace(
-                    FAST,
-                    scheduler=SchedulerOptions(preplace_recurrences=False),
+                options=ExperimentOptions(
+                    scheduler=SchedulerOptions(preplace_recurrences=False)
                 )
             ),
             dict(
-                options=replace(
-                    FAST, breakdown=FAST.breakdown.with_shares(0.2, 0.3)
+                options=ExperimentOptions(
+                    breakdown=EnergyBreakdown.paper_baseline().with_shares(
+                        0.2, 0.3
+                    )
                 )
             ),
         ],
@@ -81,15 +78,11 @@ class TestJobKeys:
             _job(benchmark="183.equake")
 
     def test_config_label_flags_ablations(self):
-        options = replace(
-            FAST,
-            n_buses=2,
-            scheduler=SchedulerOptions(ed2_refinement=False),
+        options = ExperimentOptions(
+            n_buses=2, scheduler=SchedulerOptions(ed2_refinement=False)
         )
         label = _job(options=options).config_label()
-        assert "buses=2" in label
-        assert "no-ed2-refinement" in label
-        assert "analytic" in label
+        assert label == "buses=2,no-ed2-refinement"
 
 
 class TestCampaignSpec:
@@ -113,7 +106,6 @@ class TestCampaignSpec:
             scale=0.03,
             buses_grid=(2,),
             sync_penalties_grid=(True, False),
-            simulate=False,
         )
         rebuilt = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
@@ -170,7 +162,6 @@ def campaign_store(tmp_path_factory):
         benchmarks=("171.swim", "172.mgrid"),
         scale=0.02,
         buses_grid=(1, 2),
-        simulate=False,
     )
     outcome = run_campaign(spec.expand(), store=store, n_jobs=1)
     return store, spec, outcome
@@ -282,7 +273,7 @@ class TestCampaignLoopReuse:
     def test_resume_reschedules_zero_loops(self, tmp_path):
         from repro.reporting import campaign_summary
 
-        spec = CampaignSpec(benchmarks=("171.swim",), scale=0.02, simulate=False)
+        spec = CampaignSpec(benchmarks=("171.swim",), scale=0.02)
         store = ResultStore(tmp_path / "cache")
         first = run_campaign(spec.expand(), store=store).results[0]
         lookups = first.loop_cache["misses"]
@@ -307,7 +298,7 @@ class TestCampaignLoopReuse:
         assert f"{lookups} loop-cache hit(s)" in campaign_summary(resumed)
 
     def test_whole_job_hit_skips_execution_entirely(self, tmp_path):
-        spec = CampaignSpec(benchmarks=("171.swim",), scale=0.02, simulate=False)
+        spec = CampaignSpec(benchmarks=("171.swim",), scale=0.02)
         store = ResultStore(tmp_path / "cache")
         run_campaign(spec.expand(), store=store)
         rerun = run_campaign(spec.expand(), store=store)
@@ -324,7 +315,7 @@ class TestCampaignLoopReuse:
         run_campaign([_job()], store=ResultStore(tmp_path / "cache"))
         assert LOOP_CACHE.store_dir is None
         clear_loop_cache(reset_stats=True)
-        evaluate_corpus(build_corpus(spec_profile("swim"), scale=0.02), FAST)
+        evaluate_corpus(build_corpus(spec_profile("swim"), scale=0.02))
         assert list((tmp_path / "cache" / "loops").glob("*.json"))  # old
         assert LOOP_CACHE.stats()["disk_hits"] == 0  # but unused now
 
@@ -344,9 +335,7 @@ class TestStoresFromBeforeLoopOnlyCaching:
     ):
         import repro.campaign.executor as executor
 
-        spec = CampaignSpec(
-            benchmarks=("171.swim", "172.mgrid"), scale=0.02, simulate=False
-        )
+        spec = CampaignSpec(benchmarks=("171.swim", "172.mgrid"), scale=0.02)
         store = ResultStore(tmp_path / "cache")
         first = run_campaign(spec.expand(), store=store)
         keys = sorted(result.key for result in first)
@@ -377,6 +366,61 @@ class TestStoresFromBeforeLoopOnlyCaching:
         assert sorted(entry["key"] for entry in store.entries()) == keys
 
 
+class TestStoresFromBeforeAnalyticMetering:
+    """Stores whose job options still carry the removed simulate flag."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_loop_cache(self):
+        LOOP_CACHE.detach_store()
+        clear_loop_cache(reset_stats=True)
+        yield
+        LOOP_CACHE.detach_store()
+        clear_loop_cache(reset_stats=True)
+
+    def test_simulate_flag_payloads_load_and_recompute_from_loops(
+        self, tmp_path
+    ):
+        from repro.campaign.job import KEY_LENGTH
+        from repro.pipeline.serialization import content_key
+        from repro.warehouse import Warehouse
+
+        spec = CampaignSpec(benchmarks=("171.swim",), scale=0.02)
+        store = ResultStore(tmp_path / "cache")
+        (first,) = run_campaign(spec.expand(), store=store)
+        reference = canonical_json(first.evaluation.to_dict())
+        # Rewrite the entry the way an older build stored it: the flag
+        # in the job options, and the key hashed over it.
+        payload = store.load(first.key)
+        store.delete(first.key)
+        legacy_keys = []
+        for simulate in (True, False):
+            legacy = json.loads(json.dumps(payload))
+            legacy["job"]["options"]["simulate"] = simulate
+            legacy["key"] = content_key(legacy["job"], length=KEY_LENGTH)
+            store.save(legacy["key"], legacy)
+            legacy_keys.append(legacy["key"])
+        assert first.key not in legacy_keys
+
+        assert sorted(store.keys()) == sorted(legacy_keys)
+        loaded = load_results(store)
+        assert sorted(result.key for result in loaded) == sorted(legacy_keys)
+        for result in loaded:
+            assert canonical_json(result.evaluation.to_dict()) == reference
+        with Warehouse.for_store(store) as warehouse:
+            assert warehouse.ingest_store(store).added == 2
+
+        # A fresh process: no in-memory loop artifacts, the loops/ layer
+        # on disk.  The job misses under its new key but schedules nothing.
+        clear_loop_cache(reset_stats=True)
+        rerun = run_campaign(spec.expand(), store=store)
+        (again,) = rerun
+        assert not again.cached
+        assert again.key == first.key
+        assert rerun.loop_cache_misses == 0
+        assert rerun.loop_cache_disk_hits > 0
+        assert canonical_json(again.evaluation.to_dict()) == reference
+
+
 def _exit_worker(job_data, loop_dir=None):
     """Simulates a worker killed by the OS (picklable module-level fn)."""
     import os
@@ -405,17 +449,17 @@ class TestProfileMemoIsolation:
         from repro.workloads import build_corpus, spec_profile
 
         corpus = build_corpus(spec_profile("swim"), scale=0.02)
-        first = evaluate_corpus(corpus, FAST)
+        first = evaluate_corpus(corpus)
         n_loops = len(first.profile.loops)
         first.profile.loops.pop()  # caller post-processing gone wrong
-        second = evaluate_corpus(corpus, FAST)
+        second = evaluate_corpus(corpus)
         assert len(second.profile.loops) == n_loops
         assert second.ed2_ratio == first.ed2_ratio
 
 
 def _fake_result(benchmark, n_buses, ed2, energy, time_r) -> JobResult:
     job = ExperimentJob(
-        benchmark=benchmark, scale=0.02, options=replace(FAST, n_buses=n_buses)
+        benchmark=benchmark, scale=0.02, options=ExperimentOptions(n_buses=n_buses)
     )
     evaluation = SimpleNamespace(
         ed2_ratio=ed2, energy_ratio=energy, time_ratio=time_r
@@ -437,7 +481,7 @@ class TestAggregation:
             _fake_result("172.mgrid", 1, 0.7, 0.6, 0.9),
         ]
         means = config_means(results)
-        stats = means["buses=1,analytic"]
+        stats = means["buses=1"]
         assert stats["n_benchmarks"] == 2
         assert stats["mean_ed2_ratio"] == pytest.approx(0.8)
         assert stats["mean_energy_ratio"] == pytest.approx(0.7)
@@ -448,7 +492,7 @@ class TestAggregation:
             _fake_result("171.swim", 2, 0.8, 0.9, 1.0),
         ]
         best = best_configurations(results)
-        assert best["171.swim"].config == "buses=2,analytic"
+        assert best["171.swim"].config == "buses=2"
 
     def test_pareto_frontier_drops_dominated(self):
         results = [
@@ -458,10 +502,7 @@ class TestAggregation:
             _fake_result("171.swim", 2, 0.8, 0.9, 1.0),
         ]
         frontier = pareto_frontier(results)
-        assert [config for config, _, _ in frontier] == [
-            "buses=1,analytic",
-            "buses=2,analytic",
-        ]
+        assert [config for config, _, _ in frontier] == ["buses=1", "buses=2"]
         # A strictly worse config disappears.
         results.append(_fake_result("171.swim", 4, 0.95, 0.95, 1.2))
         frontier = pareto_frontier(results)
@@ -486,9 +527,7 @@ class TestAggregation:
         swim = filter_results(list(outcome), benchmark="171.swim")
         assert len(swim) == 2
         assert all(r.job.benchmark == "171.swim" for r in swim)
-        one_bus = filter_results(
-            list(outcome), config="buses=1,analytic"
-        )
+        one_bus = filter_results(list(outcome), config="buses=1")
         assert len(one_bus) == 2
 
 
@@ -502,7 +541,6 @@ class TestCampaignCLI:
             "swim",
             "--scale",
             "0.02",
-            "--no-simulate",
             "--cache-dir",
             str(tmp_path / "cache"),
         ]
@@ -529,7 +567,6 @@ class TestCampaignCLI:
                     "mgrid",
                     "--scale",
                     "0.02",
-                    "--no-simulate",
                     "--cache-dir",
                     cache,
                 ]

@@ -141,9 +141,7 @@ class TestWorkerCrash:
         service, _store, warehouse = fleet_service(tmp_path, lease_ttl=1.0)
         try:
             client = ServiceClient(host=service.host, port=service.port)
-            job = client.submit_evaluate(
-                benchmark="171.swim", scale=0.01, simulate=False
-            )
+            job = client.submit_evaluate(benchmark="171.swim", scale=0.01)
             chaos.install(FaultPlan(worker_crash_p=1.0, seed=0))
             crashes = []
             victim = FleetWorker(

@@ -334,9 +334,7 @@ class TestDistributedTraceEndToEnd:
             status, _headers, document = client._roundtrip(
                 "POST",
                 "/v1/evaluate",
-                body={
-                    "benchmark": "171.swim", "scale": 0.01, "simulate": False,
-                },
+                body={"benchmark": "171.swim", "scale": 0.01},
                 headers={"X-Repro-Trace": "cafe0123deadbeef"},
             )
             assert status == 202
@@ -436,7 +434,7 @@ class TestDistributedTraceEndToEnd:
         try:
             client = ServiceClient(host=service.host, port=service.port)
             job = client.submit_evaluate(
-                benchmark="171.swim", scale=0.01, simulate=False,
+                benchmark="171.swim", scale=0.01,
                 trace="aaaa1111bbbb2222",
             )
             worker = FleetWorker(

@@ -34,7 +34,7 @@ def job_dict(benchmark="171.swim", scale=0.01, buses=1):
     job = ExperimentJob(
         benchmark=benchmark,
         scale=scale,
-        options=ExperimentOptions(n_buses=buses, simulate=False),
+        options=ExperimentOptions(n_buses=buses),
     )
     return job.key(), job.to_dict()
 
@@ -333,9 +333,7 @@ class TestFleetHttpProtocol:
         service, store, warehouse = fleet_service(tmp_path)
         try:
             client = ServiceClient(host=service.host, port=service.port)
-            job = client.submit_evaluate(
-                benchmark="171.swim", scale=0.01, simulate=False
-            )
+            job = client.submit_evaluate(benchmark="171.swim", scale=0.01)
             # Pull the job exactly as `repro worker` would.
             deadline = time.monotonic() + 10
             leases = []
@@ -403,7 +401,7 @@ class TestFleetHttpProtocol:
         job, payload = make_payload(
             benchmark="171.swim",
             scale=0.01,
-            options=ExperimentOptions(simulate=False),
+            options=ExperimentOptions(),
         )
         store.save(job.key(), payload)
         warehouse = Warehouse.for_store(store)
@@ -413,7 +411,7 @@ class TestFleetHttpProtocol:
         try:
             client = ServiceClient(host=service.host, port=service.port)
             submitted = client.submit_evaluate(
-                benchmark="171.swim", scale=0.01, simulate=False
+                benchmark="171.swim", scale=0.01
             )
             finished = client.wait(submitted["id"], timeout=10)
             assert finished["status"] == "done"
@@ -439,7 +437,6 @@ class TestFleetWorker:
                     benchmark="171.swim",
                     scale=0.01,
                     buses=buses,
-                    simulate=False,
                 )
             )
         return jobs
@@ -574,7 +571,6 @@ class TestFleetEquivalence:
             benchmarks=("171.swim", "172.mgrid"),
             scale=0.02,
             buses_grid=(1, 2),
-            simulate=False,
         )
         jobs = list(spec.expand())
         random.Random(7).shuffle(jobs)
@@ -608,7 +604,6 @@ class TestFleetEquivalence:
                     "benchmarks": list(spec.benchmarks),
                     "scale": spec.scale,
                     "buses_grid": list(spec.buses_grid),
-                    "simulate": False,
                 }
             )
             finished = client.wait(submitted["id"], timeout=300)

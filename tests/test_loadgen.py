@@ -177,7 +177,7 @@ class TestMiniHttpClient:
                 port,
                 "POST",
                 "/v1/evaluate",
-                {"benchmark": "171.swim", "scale": 0.01, "simulate": False},
+                {"benchmark": "171.swim", "scale": 0.01},
             )
             assert status in (200, 202)
             assert "job" in document

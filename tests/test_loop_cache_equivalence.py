@@ -42,7 +42,7 @@ PACKS = ("paper-1bus", "paper-2bus", "low-power")
 
 def _suite_options(pack_name: str) -> ExperimentOptions:
     path = bundled_pack_paths()[pack_name]
-    return ExperimentOptions(machine_file=str(path), simulate=False)
+    return ExperimentOptions(machine_file=str(path))
 
 
 def _fresh_caches() -> None:

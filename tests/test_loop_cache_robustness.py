@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.pipeline import Experiment, evaluate_corpus
 from repro.pipeline.cache import (
     LOOP_CACHE,
@@ -27,7 +28,11 @@ from repro.pipeline.cache import (
     stage_key,
 )
 from repro.pipeline.experiment import ExperimentOptions
-from repro.pipeline.serialization import canonical_json
+from repro.pipeline.serialization import (
+    canonical_json,
+    schedule_from_dict,
+    schedule_to_dict,
+)
 from repro.power.breakdown import EnergyBreakdown
 from repro.workloads import build_corpus, spec_profile
 
@@ -119,9 +124,6 @@ class TestLRU:
 # ----------------------------------------------------------------------
 # hit/miss/invalidation through real experiment runs
 # ----------------------------------------------------------------------
-FAST = ExperimentOptions(simulate=False)
-
-
 def _corpus(scale=SCALE):
     return build_corpus(spec_profile("swim"), scale=scale)
 
@@ -141,13 +143,13 @@ class TestExperimentCaching:
     def test_second_run_hits_every_loop_lookup(self):
         corpus = _corpus()
         n_loops = len(corpus.loops)
-        Experiment.paper(FAST).run(corpus)
+        Experiment.paper().run(corpus)
         first = LOOP_CACHE.info()
         # two profile passes (calibration) plus one heterogeneous schedule
         assert first["by_stage"]["profile_loop"]["misses"] == 2 * n_loops
         assert first["by_stage"]["schedule_loop"]["misses"] == n_loops
         assert first["hits"] == 0
-        Experiment.paper(FAST).run(corpus)
+        Experiment.paper().run(corpus)
         second = LOOP_CACHE.info()
         assert second["hits"] == first["misses"]
         assert second["misses"] == first["misses"]  # unchanged
@@ -156,10 +158,9 @@ class TestExperimentCaching:
     def test_breakdown_change_reuses_only_the_first_profile_pass(self):
         corpus = _corpus()
         n_loops = len(corpus.loops)
-        Experiment.paper(FAST).run(corpus)
+        Experiment.paper().run(corpus)
         before = LOOP_CACHE.info()
         swept = ExperimentOptions(
-            simulate=False,
             breakdown=EnergyBreakdown.paper_baseline().with_shares(0.2, 0.25),
         )
         Experiment.paper(swept).run(corpus)
@@ -172,8 +173,8 @@ class TestExperimentCaching:
         assert info["misses"] == before["misses"] + 2 * n_loops
 
     def test_corpus_change_invalidates_every_loop(self):
-        Experiment.paper(FAST).run(_corpus(scale=SCALE))
-        Experiment.paper(FAST).run(_corpus(scale=0.03))
+        Experiment.paper().run(_corpus(scale=SCALE))
+        Experiment.paper().run(_corpus(scale=0.03))
         info = LOOP_CACHE.info()
         assert info["hits"] == 0
         assert info["misses"] == info["entries"]
@@ -182,7 +183,7 @@ class TestExperimentCaching:
         LOOP_CACHE.attach_store(tmp_path)
         LOOP_CACHE.detach_store()
         assert LOOP_CACHE.store_dir is None
-        Experiment.paper(FAST).run(_corpus())
+        Experiment.paper().run(_corpus())
         assert list(tmp_path.glob("*.json")) == []
         assert LOOP_CACHE.info()["disk_hits"] == 0
 
@@ -202,7 +203,7 @@ def attached_loop_dir(tmp_path):
 
 def _evaluate():
     corpus = build_corpus(spec_profile("swim"), scale=SCALE)
-    options = ExperimentOptions(simulate=False)
+    options = ExperimentOptions()
     return canonical_json(evaluate_corpus(corpus, options).to_dict())
 
 
@@ -267,6 +268,71 @@ class TestCorruptArtifacts:
         clear_loop_cache(reset_stats=True)
         victim.unlink()  # vanishes between read and discard: clean miss
         assert _evaluate() == reference
+
+
+def _delay_one_producer(schedule):
+    """Placement rows of ``schedule`` with one producer issuing after its
+    consumer, or None when no loop edge allows it.
+
+    The producer moves later by whole IIs, keeping its modulo
+    reservation row: the rows stay well-formed and resource-legal, and
+    only the dependence is broken.
+    """
+    index = {op: i for i, op in enumerate(schedule.ddg.operations)}
+    for dep in schedule.ddg.dependences:
+        producer = schedule.placements[dep.src]
+        consumer = schedule.placements[dep.dst]
+        if (
+            dep.distance == 0
+            and dep.carries_value
+            and producer.cluster == consumer.cluster
+        ):
+            ii = schedule.cluster_assignment(producer.cluster).ii
+            gap = consumer.cycle - producer.cycle
+            delayed = producer.cycle + ii * (1 + gap // ii)
+            rows = schedule_to_dict(schedule)["placements"]
+            return [
+                [op, cluster, delayed if op == index[dep.src] else cycle]
+                for op, cluster, cycle in rows
+            ]
+    return None
+
+
+class TestIllegalScheduleArtifacts:
+    """A well-formed but illegal schedule on disk is discarded, not metered."""
+
+    def test_tampered_schedule_is_recomputed(self, attached_loop_dir):
+        corpus = build_corpus(spec_profile("swim"), scale=SCALE)
+        context = Experiment.paper().run_context(corpus)
+        reference = canonical_json(context.require("evaluation").to_dict())
+        artifacts = {}
+        for path in attached_loop_dir.glob("schedule_loop-*.json"):
+            envelope = json.loads(path.read_bytes())
+            artifacts[canonical_json(envelope["data"])] = (path, envelope)
+
+        for loop in corpus.loops:
+            schedule = context.require("heterogeneous_schedules")[loop.name]
+            placements = _delay_one_producer(schedule)
+            if placements is not None:
+                break
+        assert placements is not None, "no loop has a same-cluster value edge"
+        victim, envelope = artifacts[canonical_json(schedule_to_dict(schedule))]
+        envelope["data"]["placements"] = placements
+        victim.write_text(json.dumps(envelope, sort_keys=True))
+        # Well-formed: it decodes.  Illegal: only validation notices.
+        restored = schedule_from_dict(
+            envelope["data"], loop.ddg, schedule.machine
+        )
+        with pytest.raises(SimulationError, match="violated"):
+            restored.validate()
+
+        clear_loop_cache(reset_stats=True)  # memory gone, disk kept
+        assert _evaluate() == reference
+        stats = LOOP_CACHE.stats()
+        assert stats["corrupt"] == 1
+        assert stats["misses"] == 1
+        rewritten = json.loads(victim.read_bytes())["data"]
+        assert rewritten == schedule_to_dict(schedule)
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,6 @@ def evaluate_request(index, **extra):
         {
             "benchmark": benchmarks[index % len(benchmarks)],
             "scale": 0.01 + (index // len(benchmarks)) / 1000.0,
-            "simulate": False,
         },
         **extra,
     )
@@ -309,7 +308,6 @@ class TestWeightedFairness:
                     benchmarks=["172.mgrid", "173.applu"],
                     scale=0.02 + index / 1000.0,
                     buses_grid=[1, 2],
-                    simulate=False,
                     label=f"flood-{index}",
                 )
             job = client.submit_evaluate(**evaluate_request(0))

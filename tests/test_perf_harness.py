@@ -16,7 +16,7 @@ def _loop_delta(run):
 
 class TestTimeBenchmark:
     def test_every_call_times_an_uncached_run(self):
-        options = ExperimentOptions(simulate=False)
+        options = ExperimentOptions()
         for _ in range(2):
             result, delta = _loop_delta(
                 lambda: time_benchmark("171.swim", 0.02, options)

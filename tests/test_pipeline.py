@@ -52,12 +52,6 @@ class TestOptions:
         ev = evaluate_corpus(corpus, ExperimentOptions(n_buses=2))
         assert ev.ed2_ratio < 1.0
 
-    def test_simulate_flag_equivalent(self):
-        corpus = build_corpus(spec_profile("swim"), scale=SCALE)
-        with_sim = evaluate_corpus(corpus, ExperimentOptions(simulate=True))
-        without = evaluate_corpus(corpus, ExperimentOptions(simulate=False))
-        assert with_sim.ed2_ratio == pytest.approx(without.ed2_ratio, rel=1e-9)
-
     def test_breakdown_sweep_runs(self):
         corpus = build_corpus(spec_profile("swim"), scale=SCALE)
         breakdown = EnergyBreakdown.paper_baseline().with_shares(0.2, 0.25)

@@ -11,6 +11,7 @@ from repro.power.calibration import calibrate
 from repro.power.energy import EnergyModel
 from repro.power.technology import TechnologyModel
 from repro.scheduler import HeterogeneousModuloScheduler, HomogeneousModuloScheduler
+from repro.sim.executor import LoopExecutor
 from repro.sim.power_meter import MeasuredExecution, PowerMeter
 from repro.pipeline.profiling import profile_corpus
 from repro.workloads.corpus import Corpus
@@ -34,10 +35,12 @@ class TestMeasureLoop:
     def test_simulated_equals_analytic(self, machine, het_point, meter):
         loop = build_recurrence_loop()
         schedule = HeterogeneousModuloScheduler(machine).schedule(loop, het_point)
-        simulated = meter.measure_loop(schedule, het_point, 100, simulate=True)
-        analytic = meter.measure_loop(schedule, het_point, 100, simulate=False)
-        assert simulated.exec_time_ns == pytest.approx(analytic.exec_time_ns)
-        assert simulated.energy.total == pytest.approx(analytic.energy.total)
+        simulated = LoopExecutor(schedule).run(100)
+        metered = meter.measure_loop(schedule, het_point, 100)
+        assert simulated.exec_time_ns == metered.exec_time_ns
+        assert metered.energy == meter.model.estimate(
+            het_point, simulated.counts, simulated.exec_time_ns
+        )
 
     def test_invocations_scale(self, machine, het_point, meter):
         loop = build_recurrence_loop()

@@ -308,9 +308,6 @@ class TestRegistration:
 # ----------------------------------------------------------------------
 # machine files through the experiment/campaign machinery
 # ----------------------------------------------------------------------
-FAST = ExperimentOptions(simulate=False)
-
-
 class TestMachineFiles:
     def test_experiment_with_machine_file(self):
         path = bundled_pack_paths()["paper-1bus"]
@@ -327,14 +324,14 @@ class TestMachineFiles:
 
     def test_options_serialization_embeds_content_fingerprint(self):
         path = bundled_pack_paths()["embedded"]
-        options = replace(FAST, machine_file=str(path))
+        options = ExperimentOptions(machine_file=str(path))
         data = options.to_dict()
         assert data["machine_file"]["scenario"] == "embedded"
         assert data["machine_file"]["fingerprint"] == find_pack("embedded").fingerprint
         rebuilt = ExperimentOptions.from_dict(data)
         assert rebuilt.machine_file == str(path)
         # Absent when unset: pre-scenario payloads stay byte-identical.
-        assert "machine_file" not in FAST.to_dict()
+        assert "machine_file" not in ExperimentOptions().to_dict()
 
     def test_job_keys_follow_pack_content_not_formatting(self, tmp_path):
         from repro.campaign.job import ExperimentJob
@@ -344,7 +341,7 @@ class TestMachineFiles:
         job = ExperimentJob(
             benchmark="171.swim",
             scale=0.02,
-            options=replace(FAST, machine_file=str(path)),
+            options=ExperimentOptions(machine_file=str(path)),
         )
         key = job.key()
 
@@ -359,7 +356,7 @@ class TestMachineFiles:
         moved_job = ExperimentJob(
             benchmark="171.swim",
             scale=0.02,
-            options=replace(FAST, machine_file=str(moved)),
+            options=ExperimentOptions(machine_file=str(moved)),
         )
         assert moved_job.key() == key
 
@@ -384,7 +381,7 @@ class TestMachineFiles:
             job = ExperimentJob(
                 benchmark="171.swim",
                 scale=0.02,
-                options=replace(FAST, machine_file=str(path)),
+                options=ExperimentOptions(machine_file=str(path)),
             )
             labels.add(job.config_label())
         assert len(labels) == 2
@@ -401,7 +398,7 @@ class TestMachineFiles:
         assert name == "ghost-machine"
         assert "ghost-machine" not in machine_names()
         # Serialization and labels go through the same read-only path.
-        replace(FAST, machine_file=str(path)).to_dict()
+        ExperimentOptions(machine_file=str(path)).to_dict()
         assert "ghost-machine" not in machine_names()
 
     def test_with_machine_name_clears_machine_file(self):
@@ -422,7 +419,7 @@ class TestMachineFiles:
         )
         register_workload(base, overwrite=True)
         job = ExperimentJob(
-            benchmark="scratch.addressed", scale=0.02, options=FAST
+            benchmark="scratch.addressed", scale=0.02, options=ExperimentOptions()
         )
         key = job.key()
         assert "workload" in job.to_dict()
@@ -442,7 +439,6 @@ class TestMachineFiles:
             benchmarks=("stress.deep", "stress.wide"),  # 2 jobs: pool path
             scale=0.01,
             machine_grid=("paper",),
-            simulate=False,
         )
         outcome = run_campaign(
             spec.expand(),
@@ -462,7 +458,6 @@ class TestMachineFiles:
             benchmarks=("171.swim",),
             machine_grid=("paper",),
             machine_files=tuple(files),
-            simulate=False,
         )
         jobs = spec.expand()
         assert spec.n_configurations == 3
@@ -497,7 +492,6 @@ class TestCampaignOverScenarioFiles:
             scale=0.02,
             machine_grid=(),
             machine_files=files,
-            simulate=False,
         )
         jobs = spec.expand()
         assert len(jobs) == 3
@@ -678,7 +672,7 @@ class TestLoopCacheInvalidationMatrix:
         path = tmp_path / f"{name}.toml"
         path.write_text(pack_text)
         corpus = build_corpus(spec_profile("swim"), scale=0.02)
-        options = ExperimentOptions(machine_file=str(path), simulate=False)
+        options = ExperimentOptions(machine_file=str(path))
         before = LOOP_CACHE.stats()
         Experiment.paper(options).run(corpus)
         after = LOOP_CACHE.stats()

@@ -43,7 +43,6 @@ def _variant_options() -> ExperimentOptions:
             ed2_refinement=False,
             budget_ratio=7,
         ),
-        simulate=False,
         per_class_energy=False,
     )
 
@@ -87,7 +86,7 @@ class TestOptionsRoundTrip:
 @pytest.fixture(scope="module")
 def evaluation() -> BenchmarkEvaluation:
     corpus = build_corpus(spec_profile("swim"), scale=0.02)
-    return evaluate_corpus(corpus, ExperimentOptions(simulate=False))
+    return evaluate_corpus(corpus)
 
 
 class TestEvaluationRoundTrip:

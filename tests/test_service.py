@@ -79,7 +79,7 @@ class TestJobManagerDedup:
             manager = make_manager(runner)
             jobs = [
                 manager.submit_evaluate(
-                    {"benchmark": "171.swim", "scale": 0.01, "simulate": False}
+                    {"benchmark": "171.swim", "scale": 0.01}
                 )
                 for _ in range(64)
             ]
@@ -103,9 +103,9 @@ class TestJobManagerDedup:
         async def body():
             manager = make_manager(runner)
             single = manager.submit_evaluate(
-                {"benchmark": "171.swim", "scale": 0.01, "simulate": False}
+                {"benchmark": "171.swim", "scale": 0.01}
             )
-            suite = manager.submit_suite({"scale": 0.01, "simulate": False})
+            suite = manager.submit_suite({"scale": 0.01})
             await manager.wait(single.id, timeout=30)
             finished = await manager.wait(suite.id, timeout=60)
             assert finished.status == "done"
@@ -212,7 +212,6 @@ class TestJobManagerEvents:
                     "benchmarks": ["171.swim", "172.mgrid"],
                     "scale": 0.01,
                     "buses_grid": [1, 2],
-                    "simulate": False,
                 }
             )
             finished = await manager.wait(job.id, timeout=60)
@@ -240,7 +239,6 @@ class TestJobManagerEvents:
             request = {
                 "benchmarks": ["171.swim"],
                 "scale": 0.01,
-                "simulate": False,
             }
             first = manager.submit_campaign(dict(request, label="a"))
             await manager.wait(first.id, timeout=30)
@@ -266,7 +264,6 @@ class TestJobManagerEvents:
                 {
                     "benchmarks": ["171.swim"],
                     "scale": 0.01,
-                    "simulate": False,
                     "label": "my-campaign",
                 }
             )
@@ -331,7 +328,7 @@ class TestHttpService:
     def test_evaluate_over_http_dedupes_64_concurrent(self, service):
         client, state = service
         before = state["runner"].calls
-        request = {"benchmark": "172.mgrid", "scale": 0.013, "simulate": False}
+        request = {"benchmark": "172.mgrid", "scale": 0.013}
         with ThreadPoolExecutor(max_workers=64) as pool:
             ids = list(
                 pool.map(
@@ -351,26 +348,20 @@ class TestHttpService:
 
     def test_event_stream_over_http(self, service):
         client, _ = service
-        job = client.submit_evaluate(
-            benchmark="173.applu", scale=0.017, simulate=False
-        )
+        job = client.submit_evaluate(benchmark="173.applu", scale=0.017)
         events = [record["event"] for record in client.events(job["id"])]
         assert events[0] == "submitted"
         assert events[-1] == "completed"
 
     def test_jobs_listing(self, service):
         client, _ = service
-        job = client.submit_evaluate(
-            benchmark="171.swim", scale=0.019, simulate=False
-        )
+        job = client.submit_evaluate(benchmark="171.swim", scale=0.019)
         client.wait(job["id"], timeout=30)
         assert job["id"] in {j["id"] for j in client.jobs()}
 
     def test_query_endpoints(self, service):
         client, _ = service
-        job = client.submit_evaluate(
-            benchmark="171.swim", scale=0.023, simulate=False
-        )
+        job = client.submit_evaluate(benchmark="171.swim", scale=0.023)
         client.wait(job["id"], timeout=30)
         best = client.query_best()
         assert any(row["benchmark"] == "171.swim" for row in best)
@@ -379,9 +370,7 @@ class TestHttpService:
 
     def test_metrics_scrape(self, service):
         client, _ = service
-        request = {
-            "benchmark": "178.galgel", "scale": 0.029, "simulate": False
-        }
+        request = {"benchmark": "178.galgel", "scale": 0.029}
         job = client.submit_evaluate(**request)
         client.wait(job["id"], timeout=30)
         duplicate = client.submit_evaluate(**request)
@@ -501,9 +490,7 @@ class TestRealPipelineOverHttp:
             client = ServiceClient(
                 host=handle.host, port=handle.port, timeout=60
             )
-            job = client.submit_evaluate(
-                benchmark="171.swim", scale=0.01, simulate=False
-            )
+            job = client.submit_evaluate(benchmark="171.swim", scale=0.01)
             finished = client.wait(job["id"], timeout=300)
             assert finished["status"] == "done"
             summary = client.result(job["id"])["result"]["summary"]

@@ -41,22 +41,13 @@ def _corpus(name="sixtrack", scale=SCALE):
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("name", sorted(SPEC2000_PROFILES))
     def test_every_benchmark_identical(self, name):
-        # Analytic counts keep the full-suite sweep fast; the simulator
-        # path is covered below on one benchmark.
-        options = ExperimentOptions(simulate=False)
         corpus = _corpus(name)
-        legacy = evaluate_corpus(corpus, options)
-        staged = Experiment.paper(options).run(corpus)
-        assert staged.to_dict() == legacy.to_dict()
-
-    def test_simulated_run_identical(self):
-        corpus = _corpus("swim")
         legacy = evaluate_corpus(corpus)
         staged = Experiment.paper().run(corpus)
         assert staged.to_dict() == legacy.to_dict()
 
     def test_two_bus_machine_identical(self):
-        options = ExperimentOptions(n_buses=2, simulate=False)
+        options = ExperimentOptions(n_buses=2)
         corpus = _corpus("swim")
         assert (
             Experiment.paper(options).run(corpus).to_dict()
@@ -83,9 +74,7 @@ class TestStages:
 
     def test_single_calibration_pass_composes(self):
         corpus = _corpus("swim")
-        experiment = Experiment.paper(
-            ExperimentOptions(simulate=False), calibration_passes=1
-        )
+        experiment = Experiment.paper(calibration_passes=1)
         assert len(experiment.stages) == 6
         evaluation = experiment.run(corpus)
         assert 0.3 < evaluation.ed2_ratio < 1.2
@@ -95,9 +84,7 @@ class TestStages:
             paper_stages(calibration_passes=0)
 
     def test_run_context_exposes_artifacts(self):
-        context = Experiment.paper(ExperimentOptions(simulate=False)).run_context(
-            _corpus("swim")
-        )
+        context = Experiment.paper().run_context(_corpus("swim"))
         assert context.provided() == (
             "profile",
             "reference_schedules",
@@ -227,7 +214,7 @@ class TestRegistries:
 
     def test_named_selector_and_scheduler_equivalent(self):
         corpus = _corpus("swim")
-        options = ExperimentOptions(simulate=False)
+        options = ExperimentOptions()
         base = Experiment.paper(options).run(corpus)
         named = (
             Experiment.paper(options)
@@ -251,7 +238,7 @@ class TestCustomMachineEndToEnd:
 
         corpus = Corpus("fir", [custom_machine.build_fir_tap()])
         evaluation = (
-            Experiment.paper(ExperimentOptions(simulate=False))
+            Experiment.paper()
             .with_machine(_examples_machine())
             .run(corpus)
         )
@@ -272,7 +259,7 @@ class TestCustomMachineEndToEnd:
             sys.path.insert(0, examples)
         import custom_machine
 
-        options = ExperimentOptions(simulate=False, machine="test-dsp")
+        options = ExperimentOptions(machine="test-dsp")
         experiment = Experiment.paper(options)
         # the name flows into the serializable options (campaign-able)
         assert experiment.options.machine == "test-dsp"
@@ -302,7 +289,7 @@ class TestCustomMachineEndToEnd:
 
         corpus = _corpus("swim")
         evaluation = (
-            Experiment.paper(ExperimentOptions(simulate=False))
+            Experiment.paper()
             .with_selector(selector_factory_fn)
             .run(corpus)
         )
@@ -320,7 +307,7 @@ class TestCustomMachineEndToEnd:
 
         corpus = _corpus("swim")
         (
-            Experiment.paper(ExperimentOptions(simulate=False))
+            Experiment.paper()
             .with_scheduler(scheduler_factory_fn)
             .run(corpus)
         )
@@ -339,7 +326,7 @@ class TestCustomMachineEndToEnd:
                 return super().schedule(loop, point, weights=weights)
 
         corpus = _corpus("swim")
-        options = ExperimentOptions(simulate=False)
+        options = ExperimentOptions()
         paper = Experiment.paper(options).run(corpus)
         custom = Experiment.paper(options).with_scheduler(CountingScheduler)
         assert custom.run(corpus).to_dict() == paper.to_dict()
@@ -379,9 +366,7 @@ class TestLegacyWrappers:
     def test_suite_to_dict(self):
         from repro.pipeline import evaluate_suite
 
-        suite = evaluate_suite(
-            [_corpus("swim")], ExperimentOptions(simulate=False)
-        )
+        suite = evaluate_suite([_corpus("swim")])
         data = suite.to_dict()
         assert data["mean_ed2_ratio"] == pytest.approx(suite.mean_ed2_ratio)
         assert len(data["evaluations"]) == 1

@@ -323,7 +323,7 @@ class TestPipelineIntegration:
         enable_tracing()
         corpus = build_corpus(spec_profile("171.swim"), scale=0.02)
         with span("evaluate") as root:
-            Experiment.paper(ExperimentOptions(simulate=False)).run(corpus)
+            Experiment.paper().run(corpus)
         names = {child.name for child in root.children}
         assert {"profile", "calibrate", "baseline", "select", "schedule"} \
             <= names
@@ -345,7 +345,7 @@ class TestPipelineIntegration:
             ExperimentJob(
                 benchmark=name,
                 scale=0.02,
-                options=ExperimentOptions(simulate=False),
+                options=ExperimentOptions(),
             )
             for name in ("171.swim", "172.mgrid")
         ]
@@ -370,7 +370,7 @@ class TestPipelineIntegration:
                 ExperimentJob(
                     benchmark="171.swim",
                     scale=0.02,
-                    options=ExperimentOptions(simulate=False),
+                    options=ExperimentOptions(),
                 )
             ],
             store=ResultStore(tmp_path / "cache"),

@@ -29,7 +29,7 @@ def make_payload(
     job = ExperimentJob(
         benchmark=benchmark,
         scale=scale,
-        options=options or ExperimentOptions(simulate=False),
+        options=options or ExperimentOptions(),
     )
     energy = {
         "cluster_dynamic": 0.0,
@@ -92,13 +92,11 @@ class TestRecordPayload:
         from repro.workloads import build_corpus, spec_profile
 
         corpus = build_corpus(spec_profile("171.swim"), scale=0.01)
-        evaluation = evaluate_corpus(
-            corpus, ExperimentOptions(simulate=False)
-        )
+        evaluation = evaluate_corpus(corpus)
         job = ExperimentJob(
             benchmark="171.swim",
             scale=0.01,
-            options=ExperimentOptions(simulate=False),
+            options=ExperimentOptions(),
         )
         payload = {
             "job": job.to_dict(),
@@ -324,15 +322,13 @@ class TestQueries:
             # Two configs: buses=1 dominates buses=2 on both axes.
             for buses, energy, time in ((1, 0.8, 1.0), (2, 0.9, 1.1)):
                 _job, payload = make_payload(
-                    options=ExperimentOptions(n_buses=buses, simulate=False),
+                    options=ExperimentOptions(n_buses=buses),
                     energy_ratio=energy,
                     time_ratio=time,
                 )
                 warehouse.record_payload(payload)
             frontier = pareto_frontier(warehouse)
-            assert [point.config for point in frontier] == [
-                "buses=1,analytic"
-            ]
+            assert [point.config for point in frontier] == ["buses=1"]
 
     def test_config_means_average_over_benchmarks(self, tmp_path):
         with Warehouse() as warehouse:
@@ -387,7 +383,7 @@ class TestQueries:
                     "172.mgrid",
                     {
                         "energy_ratio": 0.9,
-                        "options": ExperimentOptions(simulate=False),
+                        "options": ExperimentOptions(),
                     },
                 ),
             ],
@@ -399,18 +395,14 @@ class TestQueries:
                     "171.swim",
                     {
                         "energy_ratio": 0.9,
-                        "options": ExperimentOptions(
-                            simulate=False, machine="alt"
-                        ),
+                        "options": ExperimentOptions(machine="alt"),
                     },
                 ),
                 (
                     "172.mgrid",
                     {
                         "energy_ratio": 0.7,
-                        "options": ExperimentOptions(
-                            simulate=False, machine="alt"
-                        ),
+                        "options": ExperimentOptions(machine="alt"),
                     },
                 ),
             ],
@@ -561,9 +553,7 @@ class TestCLI:
                     "171.swim",
                     {
                         "energy_ratio": 0.9,
-                        "options": ExperimentOptions(
-                            simulate=False, machine="alt"
-                        ),
+                        "options": ExperimentOptions(machine="alt"),
                     },
                 )
             ],

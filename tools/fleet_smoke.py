@@ -222,7 +222,6 @@ def main() -> int:
                     "scale": 0.05,
                     "buses_grid": [1, 2],
                     "ed2_refinement_grid": [True, False],
-                    "simulate": False,
                 },
                 label="fleet-smoke",
             )

@@ -107,9 +107,7 @@ def main() -> int:
             else:
                 raise RuntimeError("server never became healthy")
 
-            job = client.submit_evaluate(
-                benchmark="171.swim", scale=0.05, simulate=False
-            )
+            job = client.submit_evaluate(benchmark="171.swim", scale=0.05)
             print(f"submitted job {job['id']} ({job['status']})")
             finished = client.wait(job["id"], timeout=600)
             if finished["status"] != "done":
@@ -118,7 +116,7 @@ def main() -> int:
             print(f"completed: {json.dumps(summary, sort_keys=True)}")
 
             duplicate = client.submit_evaluate(
-                benchmark="171.swim", scale=0.05, simulate=False
+                benchmark="171.swim", scale=0.05
             )
             if duplicate["id"] != job["id"]:
                 raise RuntimeError("identical request mapped to a new job")
