@@ -107,6 +107,10 @@ class LoopAnalysis:
         )
 
         self.topo_indices: List[int] = [self.op_index[op] for op in order]
+        #: Inverse of ``topo_indices``: each op position's topological rank.
+        self.topo_rank: List[int] = [0] * self.n_ops
+        for rank, position in enumerate(self.topo_indices):
+            self.topo_rank[position] = rank
         #: Per-op intra-iteration in-edges as (src index, delay, carries).
         self.pred_edges: List[List[Tuple[int, int, bool]]] = []
         for op in ops:
@@ -300,6 +304,19 @@ class SchedulingContext:
             machine.cluster(index).fu_counts_by_code
             for index in range(machine.n_clusters)
         )
+        #: Flat layout of the pseudo-scheduler's modulo FU rows: cluster
+        #: c's II_c rows for FU code k start at ``fu_row_base[c][k]``
+        #: (``None`` for a gated cluster); ``n_fu_rows`` rows in all.
+        self.fu_row_base: List[Optional[Tuple[int, ...]]] = []
+        self.n_fu_rows = 0
+        for ii, counts in zip(self.cluster_iis, self.cluster_fu_counts):
+            if ii < 1:
+                self.fu_row_base.append(None)
+                continue
+            self.fu_row_base.append(
+                tuple(self.n_fu_rows + code * ii for code in range(len(counts)))
+            )
+            self.n_fu_rows += ii * len(counts)
 
         # Energy scaling factors for the refinement metric.
         reference = point.clusters[0]
@@ -314,6 +331,11 @@ class SchedulingContext:
         )
         self.icn_delta: float = dynamic_scale(point.icn, fastest)
         self.icn_sigma: float = static_scale(point.icn, fastest)
+
+        #: ED^2 refinement's scored partitions, keyed by assignment
+        #: vector.  Spans every level of one ``refine()`` and dies with
+        #: this context; nothing returned from the attempt references it.
+        self.cost_memo: Dict[Tuple[int, ...], Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     @property

@@ -179,7 +179,7 @@ class TestBalanceRefinement:
         # All ops on cluster 0 is balanced at II 9 (capacity 9 per FU),
         # so overload starts at 0; force a tight IT instead.
         from repro.scheduler.partition.coarsen import Macro
-        from repro.scheduler.partition.refine import _total_overload
+        from repro.scheduler.pseudo import capacity_overload
 
         everything_on_zero = Partition(
             loop.ddg, 4, {op: 0 for op in loop.ddg.operations}
@@ -188,9 +188,9 @@ class TestBalanceRefinement:
         macros = [
             Macro(i, (op,)) for i, op in enumerate(loop.ddg.operations)
         ]
-        before = _total_overload(ctx_tight, everything_on_zero)
+        before = capacity_overload(ctx_tight, everything_on_zero.demand_matrix())
         refined = balance(ctx_tight, everything_on_zero, macros)
-        after = _total_overload(ctx_tight, refined)
+        after = capacity_overload(ctx_tight, refined.demand_matrix())
         assert before > 0
         assert after < before
 
@@ -251,3 +251,23 @@ class TestDriver:
         partition = build_partition(ctx)
         for op in loop.ddg.operations:
             assert ctx.cluster_iis[partition.cluster_of(op)] >= 1
+
+
+class TestPackageLayout:
+    def test_phase_submodules_are_not_shadowed(self):
+        # A package-level re-export of the ``refine``/``coarsen`` functions
+        # would make these dotted names resolve to functions, breaking
+        # ``import ... as`` and string-path monkeypatching.
+        import importlib
+        import types
+
+        import repro.scheduler.partition.coarsen as coarsen_module
+        import repro.scheduler.partition.refine as refine_module
+
+        package = importlib.import_module("repro.scheduler.partition")
+        for name, module in (("refine", refine_module), ("coarsen", coarsen_module)):
+            assert isinstance(module, types.ModuleType)
+            assert getattr(package, name) is module
+            dotted = f"repro.scheduler.partition.{name}"
+            assert module is importlib.import_module(dotted)
+            assert name not in package.__all__

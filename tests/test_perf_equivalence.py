@@ -12,14 +12,25 @@ Two families:
   reference model (the seed implementation, verbatim semantics) is
   driven with the same random probe/reserve/release/evict traffic and
   every observable (including raised errors) is compared.
+* **ED^2 refinement** — the incremental move scoring (cost memo,
+  capacity prune, shared-prefix pseudo-schedules, demand deltas) must
+  pick exactly the moves of the full-rescoring refinement it replaced,
+  kept below verbatim as the oracle; each incremental score must ``==``
+  the full :func:`partition_cost` of the moved partition.
 """
 
+import gc
+import math
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import SchedulingError
+from repro.errors import InfeasibleITError, PartitionError, SchedulingError
 from repro.ir.analysis import (
     find_recurrences,
     rec_mii,
@@ -27,10 +38,34 @@ from repro.ir.analysis import (
 )
 from repro.ir.builder import DDGBuilder
 from repro.ir.opcodes import COMPUTE_CLASSES, OpClass
+from repro.machine import DomainSetting, OperatingPoint
+from repro.machine.clocking import ICN_DOMAIN, FrequencyPalette, cluster_domain
 from repro.machine.isa import ClassEntry, InstructionTable
 from repro.machine.machine import paper_machine
+from repro.scheduler.context import PartitionEnergyWeights, SchedulingContext
+from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
+from repro.scheduler.ii_selection import iter_it_candidates, select_assignments
+from repro.scheduler.mii import minimum_initiation_time
 from repro.scheduler.mrt import ModuloReservationTable
+from repro.scheduler.options import SchedulerOptions
+from repro.scheduler.partition import Partition, build_partition
+from repro.scheduler.partition.coarsen import (
+    coarsen,
+    initial_partition,
+    preplace_recurrences,
+)
+from repro.scheduler.partition.refine import _ED2_CANDIDATES, _MoveScorer, refine
+from repro.scheduler.pseudo import (
+    PseudoSchedule,
+    capacity_overload,
+    partition_cost,
+    pseudo_schedule,
+)
+from repro.scheduler.schedule import DomainAssignment
+from repro.telemetry import disable_tracing, enable_tracing, span, tracing_enabled
+from repro.power import TechnologyModel
 from repro.units import ceil_div, floor_div
+from repro.workloads import SPEC2000_PROFILES, build_corpus, spec_profile
 
 ISA = paper_machine().isa
 
@@ -346,3 +381,508 @@ class TestIntegerDivFastPath:
             floor_div(3, -2)
         with pytest.raises(ValueError):
             ceil_div(Fraction(1), Fraction(-1, 3))
+
+
+# ----------------------------------------------------------------------
+# reference ED^2 refinement: the full-rescoring loop it replaced, verbatim
+# (pseudo_schedule, partition_cost, balance, ed2_refine, refine)
+# ----------------------------------------------------------------------
+def reference_pseudo_schedule(ctx, partition):
+    """One list-scheduling pass over the partitioned loop."""
+    analysis = ctx.analysis
+    machine = ctx.machine
+    it = ctx.it_float
+    window = ctx.options.pseudo_window
+    sync_penalties = ctx.options.sync_penalties
+
+    assign = partition.vector()
+    cluster_ct = ctx.cluster_ct_floats
+    icn_ct = ctx.icn_ct_float
+    bus_latency = machine.interconnect.latency
+    n_buses = machine.interconnect.n_buses
+    icn_ii = ctx.icn_ii
+    cluster_iis = ctx.cluster_iis
+    fu_counts = ctx.cluster_fu_counts
+    op_fu_code = analysis.op_fu_code
+    op_latency = analysis.op_latency
+    op_energy = analysis.op_energy
+    pred_edges = analysis.pred_edges
+
+    # Modulo occupancy counters: per cluster, one row array per FU code.
+    fu_rows = []
+    for index in range(machine.n_clusters):
+        ii = cluster_iis[index]
+        fu_rows.append(
+            [[0] * ii for _ in fu_counts[index]] if ii >= 1 else None
+        )
+    bus_rows = [0] * icn_ii if icn_ii >= 1 else None
+
+    n = analysis.n_ops
+    issue = [0.0] * n
+    finish = [0.0] * n
+    overflow = 0
+    comms = 0
+    ceil = math.ceil
+
+    for position in analysis.topo_indices:
+        cluster = assign[position]
+        ct = cluster_ct[cluster]
+        if ct is None:
+            # Op assigned to a gated cluster: unschedulable here.
+            overflow += 1
+            issue[position] = 0.0
+            finish[position] = 0.0
+            continue
+        ready = 0.0
+        for src, delay, carries in pred_edges[position]:
+            src_cluster = assign[src]
+            src_ct = cluster_ct[src_cluster]
+            if src_ct is None:
+                continue
+            value_at = issue[src] + delay * src_ct
+            if carries and src_cluster != cluster:
+                comms += 1
+                if icn_ct is None:
+                    overflow += 1
+                    if value_at > ready:
+                        ready = value_at
+                    continue
+                bus_ready = value_at
+                if sync_penalties and src_ct != icn_ct:
+                    bus_ready = value_at + icn_ct
+                bus_cycle = ceil(bus_ready / icn_ct - 1e-9)
+                placed_bus = False
+                if bus_rows is not None:
+                    limit = bus_cycle + icn_ii * window
+                    while bus_cycle <= limit:
+                        row = bus_cycle % icn_ii
+                        if bus_rows[row] < n_buses:
+                            bus_rows[row] += 1
+                            placed_bus = True
+                            break
+                        bus_cycle += 1
+                if not placed_bus:
+                    overflow += 1
+                value_at = (bus_cycle + bus_latency) * icn_ct
+                if sync_penalties and icn_ct != ct:
+                    value_at += ct
+            if value_at > ready:
+                ready = value_at
+
+        ii = cluster_iis[cluster]
+        cycle = ceil(ready / ct - 1e-9)
+        code = op_fu_code[position]
+        if code >= 0:
+            rows = fu_rows[cluster][code]
+            capacity = fu_counts[cluster][code]
+            limit = cycle + ii * window
+            placed = False
+            while cycle <= limit:
+                if rows[cycle % ii] < capacity:
+                    rows[cycle % ii] += 1
+                    placed = True
+                    break
+                cycle += 1
+            if not placed:
+                overflow += 1
+        issue[position] = cycle * ct
+        finish[position] = (cycle + op_latency[position]) * ct
+
+    it_length = max(finish, default=0.0)
+
+    # Loop-carried feasibility: each recurrence circuit must close within
+    # distance * IT once per-cluster latencies and copies are counted.
+    violation = 0.0
+    for total_distance, hops in analysis.recurrence_hops:
+        total = 0.0
+        for src, dst, best_delay, carries in hops:
+            src_cluster = assign[src]
+            dst_cluster = assign[dst]
+            src_ct = cluster_ct[src_cluster]
+            if src_ct is None:
+                src_ct = float(
+                    max(t for t in cluster_ct if t is not None)
+                )
+            total += best_delay * src_ct
+            if carries and src_cluster != dst_cluster and icn_ct is not None:
+                dst_ct = cluster_ct[dst_cluster]
+                sync_in = (
+                    icn_ct if sync_penalties and src_ct != icn_ct else 0.0
+                )
+                out_ct = dst_ct if dst_ct is not None else icn_ct
+                sync_out = (
+                    out_ct if sync_penalties and icn_ct != out_ct else 0.0
+                )
+                total += sync_in + bus_latency * icn_ct + sync_out
+        budget = total_distance * it
+        if total > budget + 1e-9:
+            violation += total - budget
+
+    units = [0.0] * machine.n_clusters
+    for position in range(n):
+        units[assign[position]] += op_energy[position]
+
+    return PseudoSchedule(
+        it_length=it_length,
+        overflow=overflow,
+        comms=comms,
+        recurrence_violation=violation,
+        cluster_units=tuple(units),
+    )
+
+
+def reference_partition_cost(ctx, partition):
+    """Lexicographic cost of a partition: (infeasibility, estimated ED^2).
+
+    The first component must be zero for a schedulable partition: it sums
+    capacity overload, pseudo-schedule overflow and recurrence violations.
+    The second applies the section 3.1 energy model (with the context's
+    weights and delta/sigma factors) to the pseudo-schedule and multiplies
+    by the estimated squared execution time.
+    """
+    infeasibility = 0.0
+    demand = partition.demand_matrix()
+    fu_counts = ctx.cluster_fu_counts
+    cluster_iis = ctx.cluster_iis
+    for cluster in range(ctx.n_clusters):
+        ii = cluster_iis[cluster]
+        row = demand[cluster]
+        counts = fu_counts[cluster]
+        for code, needed in enumerate(row):
+            capacity = ii * counts[code]
+            if needed > capacity:
+                infeasibility += needed - capacity
+
+    ps = reference_pseudo_schedule(ctx, partition)
+    infeasibility += ps.overflow
+    infeasibility += ps.recurrence_violation / max(ctx.it_float, 1e-12)
+
+    weights = ctx.weights
+    time_estimate = (ctx.trip_count - 1) * ctx.it_float + ps.it_length
+    dynamic = weights.e_ins_unit * sum(
+        delta * units for delta, units in zip(ctx.cluster_deltas, ps.cluster_units)
+    )
+    dynamic += ctx.icn_delta * weights.e_comm * ps.comms
+    static = time_estimate * (
+        weights.static_rate_per_cluster * sum(ctx.cluster_sigmas)
+        + weights.static_rate_icn * ctx.icn_sigma
+    )
+    energy = dynamic + static
+    return (infeasibility, energy * time_estimate * time_estimate)
+
+
+def reference_total_overload(ctx, partition):
+    total = 0
+    demand = partition.demand_matrix()
+    for cluster in range(ctx.n_clusters):
+        ii = ctx.cluster_iis[cluster]
+        counts = ctx.cluster_fu_counts[cluster]
+        for code, needed in enumerate(demand[cluster]):
+            excess = needed - ii * counts[code]
+            if excess > 0:
+                total += excess
+    return total
+
+
+def reference_macro_cluster(partition, macro):
+    """Cluster currently hosting the macro (its first op's cluster)."""
+    return partition.cluster_of(macro.ops[0])
+
+
+def reference_balance(ctx, partition, macros):
+    """Greedy overload reduction by whole-macro moves."""
+    usable = ctx.usable_clusters()
+    current = partition
+    overload = reference_total_overload(ctx, current)
+    while overload > 0:
+        best = None  # (overload, macro, dst)
+        for macro in macros:
+            source = reference_macro_cluster(current, macro)
+            for target in usable:
+                if target == source:
+                    continue
+                candidate = current.moved(macro.ops, target)
+                candidate_overload = reference_total_overload(ctx, candidate)
+                if candidate_overload < overload and (
+                    best is None or candidate_overload < best[0]
+                ):
+                    best = (candidate_overload, macro, target)
+        if best is None:
+            break
+        overload = best[0]
+        current = current.moved(best[1].ops, best[2])
+    return current
+
+
+def reference_ed2_refine(ctx, partition, macros):
+    """Best-improvement ED^2 moves until a pass changes nothing."""
+    usable = ctx.usable_clusters()
+    current = partition
+    current_cost = reference_partition_cost(ctx, current)
+    for _ in range(ctx.options.refinement_passes):
+        moved = False
+        for macro in macros:
+            source = reference_macro_cluster(current, macro)
+            best_candidate = None
+            best_cost = current_cost
+            for target in usable:
+                if target == source:
+                    continue
+                candidate = current.moved(macro.ops, target)
+                cost = reference_partition_cost(ctx, candidate)
+                if cost < best_cost:
+                    best_cost = cost
+                    best_candidate = candidate
+            if best_candidate is not None:
+                current = best_candidate
+                current_cost = best_cost
+                moved = True
+        if not moved:
+            break
+    return current
+
+
+def reference_refine(ctx, partition, coarsening):
+    """Walk the hierarchy coarsest -> finest applying both heuristics."""
+    current = partition
+    for level in reversed(coarsening.levels):
+        current = reference_balance(ctx, current, level)
+        if ctx.options.ed2_refinement:
+            current = reference_ed2_refine(ctx, current, level)
+    return current
+
+
+# ----------------------------------------------------------------------
+# contexts: the paper machine, optionally with a gated cluster, a gated
+# interconnect or without synchronisation penalties
+# ----------------------------------------------------------------------
+#: Non-zero leakage rates, so the static term of the ED^2 estimate counts.
+WEIGHTS = PartitionEnergyWeights(
+    e_ins_unit=1.0, e_comm=0.8, static_rate_per_cluster=0.05, static_rate_icn=0.02
+)
+VARIANTS = ("plain", "gated_cluster", "gated_icn", "no_sync")
+
+
+def _gated(domain):
+    return DomainAssignment(domain, Fraction(0), 0)
+
+
+def variant_context(ddg, point, variant, skip=0):
+    """A context at the ``skip``-th synchronisable IT from the MIT."""
+    machine = paper_machine(n_buses=1 + skip % 2)
+    palette = FrequencyPalette.any_frequency()
+    mit = minimum_initiation_time(ddg, machine, point.speeds)
+    assignments = None
+    for it in iter_it_candidates(point, palette, start=mit):
+        assignments = select_assignments(it, point, palette)
+        if assignments is not None:
+            if skip == 0:
+                break
+            skip -= 1
+    assignments = dict(assignments)
+    if variant == "gated_cluster":
+        assignments[cluster_domain(3)] = _gated(cluster_domain(3))
+    elif variant == "gated_icn":
+        assignments[ICN_DOMAIN] = _gated(ICN_DOMAIN)
+    options = SchedulerOptions(sync_penalties=variant != "no_sync")
+    return SchedulingContext(
+        ddg, machine, point, assignments, it, options, 100.0, WEIGHTS
+    )
+
+
+def refine_inputs(ctx):
+    """(initial partition, coarsening) as ``build_partition`` makes them."""
+    pins = preplace_recurrences(ctx)
+    coarsening = coarsen(ctx, pins)
+    return initial_partition(ctx, coarsening), coarsening
+
+
+_REFERENCE = TechnologyModel().reference_setting
+REFERENCE_POINT = OperatingPoint.homogeneous(
+    4, _REFERENCE.cycle_time, _REFERENCE.vdd, _REFERENCE.vth
+)
+#: One fast cluster (0.9 ns) and three slow ones (1.35 ns).
+HET_POINT = OperatingPoint(
+    clusters=(
+        DomainSetting(Fraction(9, 10), 1.1, 0.28),
+        *[DomainSetting(Fraction(27, 20), 0.8, 0.30)] * 3,
+    ),
+    icn=DomainSetting(Fraction(9, 10), 1.0, 0.30),
+    cache=DomainSetting(Fraction(9, 10), 1.2, 0.35),
+)
+POINTS = {"reference": REFERENCE_POINT, "heterogeneous": HET_POINT}
+
+
+class TestED2RefinementOracle:
+    """``refine()`` picks exactly the full-rescoring refinement's moves."""
+
+    @pytest.mark.parametrize("point_name", sorted(POINTS))
+    @pytest.mark.parametrize("buses", (1, 2))
+    @pytest.mark.parametrize("profile_name", SPEC2000_PROFILES)
+    def test_spec_corpora(self, profile_name, buses, point_name, monkeypatch):
+        point = POINTS[point_name]
+        checked = []
+
+        def checked_refine(ctx, partition, coarsening):
+            refined = refine(ctx, partition, coarsening)
+            expected = reference_refine(ctx, partition, coarsening)
+            assert refined.as_dict() == expected.as_dict()
+            checked.append(ctx.it)
+            return refined
+
+        monkeypatch.setattr(
+            "repro.scheduler.partition.driver.refine", checked_refine
+        )
+        scheduler = HeterogeneousModuloScheduler(paper_machine(n_buses=buses))
+        corpus = build_corpus(spec_profile(profile_name), scale=0.02)
+        for loop in corpus:
+            try:
+                scheduler.schedule(loop, point, WEIGHTS)
+            except InfeasibleITError:
+                pass
+        assert checked
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(VARIANTS),
+        skip=st.integers(0, 2),
+        het=st.booleans(),
+    )
+    def test_random_loops(self, seed, variant, skip, het):
+        ddg = random_ddg(random.Random(seed), max_ops=16)
+        point = HET_POINT if het else REFERENCE_POINT
+        ctx = variant_context(ddg, point, variant, skip)
+        try:
+            partition, coarsening = refine_inputs(ctx)
+        except PartitionError:
+            return
+        refined = refine(ctx, partition, coarsening)
+        expected = reference_refine(ctx, partition, coarsening)
+        assert refined.as_dict() == expected.as_dict()
+
+
+class TestIncrementalScore:
+    """Every incremental score ``==`` the full cost of the moved partition."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(VARIANTS),
+        skip=st.integers(0, 2),
+        het=st.booleans(),
+    )
+    def test_matches_partition_cost(self, seed, variant, skip, het):
+        rng = random.Random(seed)
+        ddg = random_ddg(rng, max_ops=16)
+        ctx = variant_context(ddg, HET_POINT if het else REFERENCE_POINT, variant, skip)
+        ops = ddg.operations
+        partition = Partition(ddg, 4, {op: rng.randrange(4) for op in ops})
+        scorer = _MoveScorer(ctx, partition)
+        index = ctx.analysis.op_index
+        rank = ctx.analysis.topo_rank
+        for _ in range(12):
+            moving = rng.sample(ops, k=rng.randint(1, min(4, len(ops))))
+            target = rng.randrange(4)
+            positions = [index[op] for op in moving]
+            first = min(rank[position] for position in positions)
+            moved = partition.moved(moving, target)
+
+            overload = scorer.overload_if_moved(scorer.outflow(positions), target)
+            assert overload == capacity_overload(ctx, moved.demand_matrix())
+            # Some moves are accepted unscored, as a memo hit would be:
+            # the running prefix must still notice it went stale.
+            unscored = rng.random() < 0.2
+            if not unscored:
+                assert pseudo_schedule(ctx, moved) == reference_pseudo_schedule(
+                    ctx, moved
+                )
+                expected = partition_cost(ctx, moved)
+                assert expected == reference_partition_cost(ctx, moved)
+                cost = scorer.cost_if_moved(positions, first, target, overload)
+                assert cost == expected
+
+            if unscored or rng.random() < 0.3:
+                scorer.move(positions, target, first)
+                partition = moved
+                assert scorer.assign == partition.vector()
+                assert scorer.overload == capacity_overload(
+                    ctx, partition.demand_matrix()
+                )
+
+
+class TestRefinementCounters:
+    def test_outcomes_sum_to_candidates_considered(self, monkeypatch):
+        considered = []
+        module = sys.modules[__name__]
+        full_cost = module.reference_partition_cost
+
+        def counted_cost(ctx, partition):
+            considered.append(1)
+            return full_cost(ctx, partition)
+
+        def reference_counted(ctx, partition, macros):
+            before = len(considered)
+            refined = reference_ed2_refine(ctx, partition, macros)
+            del considered[before]  # the starting partition's own cost
+            return refined
+
+        def both(ctx, partition, coarsening):
+            refined = refine(ctx, partition, coarsening)
+            current = partition
+            for level in reversed(coarsening.levels):
+                current = reference_balance(ctx, current, level)
+                current = reference_counted(ctx, current, level)
+            assert current.as_dict() == refined.as_dict()
+            return refined
+
+        monkeypatch.setattr(module, "reference_partition_cost", counted_cost)
+        monkeypatch.setattr("repro.scheduler.partition.driver.refine", both)
+        outcomes = ("scored", "memo_hit", "capacity_pruned")
+        before = {o: _ED2_CANDIDATES.value(outcome=o) for o in outcomes}
+        was_tracing = tracing_enabled()
+        enable_tracing()
+        try:
+            scheduler = HeterogeneousModuloScheduler(paper_machine())
+            with span("evaluate") as root:
+                for loop in build_corpus(spec_profile("178.galgel"), scale=0.02):
+                    scheduler.schedule(loop, HET_POINT, WEIGHTS)
+        finally:
+            if not was_tracing:
+                disable_tracing()
+        counted = {o: _ED2_CANDIDATES.value(outcome=o) - before[o] for o in outcomes}
+        assert all(counted[o] > 0 for o in outcomes), counted
+        assert sum(counted.values()) == len(considered)
+
+        loops = [s for s in root.walk() if s.name == "schedule_loop"]
+        spans = {
+            o: sum(s.counters.get(f"ed2_{o}", 0) for s in loops) for o in outcomes
+        }
+        assert spans == counted
+
+
+class TestCostMemoLifetime:
+    def test_memo_dies_with_its_context(self):
+        ddg = random_ddg(random.Random(21), max_ops=14)
+        ctx = variant_context(ddg, HET_POINT, "plain")
+        partition = build_partition(ctx)
+        assert ctx.cost_memo
+        witness = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert witness() is None
+        assert len(partition.as_dict()) == len(ddg)
+
+    def test_no_context_outlives_a_schedule(self):
+        loop = next(iter(build_corpus(spec_profile("171.swim"), scale=0.02)))
+
+        def live_contexts():
+            gc.collect()
+            return sum(isinstance(o, SchedulingContext) for o in gc.get_objects())
+
+        before = live_contexts()
+        schedule = HeterogeneousModuloScheduler(paper_machine()).schedule(
+            loop, HET_POINT, WEIGHTS
+        )
+        assert live_contexts() == before
+        assert schedule.it > 0
