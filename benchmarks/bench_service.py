@@ -121,8 +121,8 @@ def main() -> None:
             return JobManager(
                 store=store,
                 warehouse=Warehouse.for_store(store),
-                executor=JobManager.inline_executor(max_workers=2),
                 run_payload=execute_job_payload,
+                max_workers=2,
             )
 
         with start_in_thread(factory) as handle:

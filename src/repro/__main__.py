@@ -285,7 +285,7 @@ def _parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=2,
-        help="worker processes for the in-process evaluation pool "
+        help="local worker slots, each with its own child process "
         "(default 2; 0 disables local execution so only fleet workers "
         "connected via `repro worker` run jobs)",
     )
@@ -314,8 +314,9 @@ def _parser() -> argparse.ArgumentParser:
         "--runner",
         choices=("process", "inline"),
         default="process",
-        help="'process' uses a ProcessPoolExecutor (default); 'inline' "
-        "runs jobs on threads in the server process (tests, smoke runs)",
+        help="'process' runs each slot's jobs in a child process that is "
+        "respawned if it dies (default); 'inline' runs jobs on threads "
+        "in the server process (tests, smoke runs)",
     )
     serve.add_argument(
         "--no-ingest",
@@ -952,6 +953,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.campaign import DEFAULT_CACHE_DIR, ResultStore
+    from repro.campaign.executor import execute_job_payload
     from repro.service import AdmissionPolicy, JobManager, ServiceServer
     from repro.warehouse import Warehouse
 
@@ -970,26 +972,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(report.describe(), file=sys.stderr)
 
     async def _serve() -> None:
-        if args.runner == "inline" and args.jobs > 0:
-            manager = JobManager(
-                store=store,
-                warehouse=warehouse,
-                executor=JobManager.inline_executor(max_workers=args.jobs),
-                lease_ttl=args.lease_ttl,
-                fleet_retries=args.fleet_retries,
-                admission=admission,
-                default_deadline=args.default_deadline,
-            )
-        else:
-            manager = JobManager(
-                store=store,
-                warehouse=warehouse,
-                max_workers=args.jobs,
-                lease_ttl=args.lease_ttl,
-                fleet_retries=args.fleet_retries,
-                admission=admission,
-                default_deadline=args.default_deadline,
-            )
+        manager = JobManager(
+            store=store,
+            warehouse=warehouse,
+            run_payload=(
+                execute_job_payload if args.runner == "inline" else None
+            ),
+            max_workers=args.jobs,
+            lease_ttl=args.lease_ttl,
+            fleet_retries=args.fleet_retries,
+            admission=admission,
+            default_deadline=args.default_deadline,
+        )
         server = ServiceServer(manager, host=args.host, port=args.port)
         host, port = await server.start()
         pool = (

@@ -1,20 +1,17 @@
 """Parallel, cached, resumable execution of campaign jobs.
 
-The executor shards jobs across a :class:`ProcessPoolExecutor` (the
-pipeline is pure CPU-bound Python, so processes — not threads — buy real
-parallelism), consults the :class:`~repro.campaign.store.ResultStore`
-before scheduling anything, times every job, and captures failures as
-data instead of letting one bad configuration kill a whole sweep.
-
-Dispatch runs through the fleet's :class:`~repro.fleet.queue.LeaseQueue`
-— the driver leases chunks to its own pool exactly the way remote
-``repro worker`` processes lease jobs from the service — so the
-pending/leased/done bookkeeping, duplicate suppression and
-failure-capture semantics live in one place.  Here the queue runs in
-single-attempt mode: pool workers can't silently vanish without the
-future surfacing it, so a died worker's jobs complete as captured
-failures rather than retrying (retries are the *service* fleet's
-policy, where hosts genuinely disappear).
+A campaign is a scan of cached results followed by a private
+:class:`~repro.fleet.coordinator.FleetCoordinator` drained by
+:class:`~repro.fleet.local.LocalWorkers` — the same local worker the
+service runs, leasing from the same kind of queue remote ``python -m
+repro worker`` processes pull from.  Whole jobs already in the
+:class:`~repro.campaign.store.ResultStore` are answered without
+executing; the rest are leased one at a time to ``n_jobs`` slots (child
+processes, since the pipeline is CPU-bound Python, or one in-process
+slot), and the coordinator writes each OK payload through to the store
+as it completes.  Failures are captured as data instead of killing the
+sweep: a job whose child dies fails alone with a "worker died" error,
+and the other slots carry on.
 
 Workers receive the job in its canonical dict form and return a
 JSON-safe payload, so exactly what crosses the process boundary is what
@@ -25,14 +22,13 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.job import ExperimentJob
 from repro.campaign.store import ResultStore
 from repro.pipeline.experiment import BenchmarkEvaluation
-from repro.telemetry import get_logger, span, tracing_enabled
+from repro.telemetry import get_logger, span
 
 #: ``status`` values of a job payload.
 STATUS_OK = "ok"
@@ -175,12 +171,12 @@ def _worker_init(
     workload_packs: Sequence[str] = (),
     telemetry: bool = False,
 ) -> None:
-    """One-time setup of a pool worker.
+    """One-time setup of a worker process (local slot child or remote).
 
-    Attaches the campaign's on-disk loop cache once per process (instead
-    of per job), registers the campaign's workload packs (pack-declared
+    Attaches the store's on-disk loop cache once per process (instead
+    of per job), registers the caller's workload packs (pack-declared
     benchmarks must resolve in *this* process — registration does not
-    survive the spawn/forkserver boundary), mirrors the driver's tracing
+    survive the spawn/forkserver boundary), mirrors the parent's tracing
     switch (span state is process-local, so enablement must be carried
     across the spawn boundary explicitly), and warms the heavyweight
     imports — machine registry, workload profiles, pipeline stages — so
@@ -237,15 +233,16 @@ def execute_job_payload(
 ) -> Dict[str, Any]:
     """Run one job from its dict form; never raises.
 
-    Module-level so :class:`ProcessPoolExecutor` can pickle it by
-    reference; also the inline path for ``jobs=1``.
+    What every worker runs: local slots (in a child process or, for
+    one-slot campaigns and the inline runner, in-process) and remote
+    ``repro worker`` processes alike.
 
     ``loop_dir`` attaches the pipeline's loop cache to an on-disk
     directory (the result store's ``loops/`` subdir), so per-loop
     profile and schedule artifacts persist across jobs, workers *and*
     campaign runs.  The payload records the loop cache's counter deltas.
-    Workers initialized by :func:`_worker_init` already point at the
-    store, so the attach/restore dance only runs inline.
+    Children initialized by :func:`_worker_init` already point at the
+    store, so the attach/restore dance only runs in-process.
     """
     started = time.perf_counter()
     try:
@@ -290,13 +287,6 @@ def execute_job_payload(
         }
 
 
-def _execute_chunk(
-    chunk: List[Dict[str, Any]], loop_dir: Optional[str]
-) -> List[Dict[str, Any]]:
-    """Run several jobs in one worker round-trip (less IPC per job)."""
-    return [execute_job_payload(job_data, loop_dir) for job_data in chunk]
-
-
 # ----------------------------------------------------------------------
 # driver side
 # ----------------------------------------------------------------------
@@ -332,8 +322,8 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute ``jobs``, reusing cached results and sharding the rest.
 
-    ``n_jobs`` bounds worker processes (1 runs inline); ``progress`` is
-    invoked once per finished job, in completion order; ``recompute``
+    ``n_jobs`` bounds worker processes (1 runs in-process); ``progress``
+    is invoked once per finished job, in completion order; ``recompute``
     forces fresh runs even for cached keys.  ``workload_packs`` names
     scenario packs (bundled names or paths) whose workloads every worker
     registers at startup — required when jobs reference pack-declared
@@ -351,42 +341,21 @@ def run_campaign(
     without executing, and executed jobs reuse the per-loop profile and
     schedule artifacts persisted under ``store.loop_dir`` — so a resume
     whose job entries were invalidated re-schedules zero loops.
+
+    Runs its own event loop: call it from synchronous code.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    from repro.fleet.queue import LeaseQueue, error_payload
+    import asyncio
 
-    loop_dir = None if store is None else str(store.loop_dir)
+    from repro.fleet import FleetCoordinator, LocalWorkers
+
     keyed = [(job, job.key()) for job in jobs]
     results: Dict[str, JobResult] = {}
-    by_key: Dict[str, ExperimentJob] = {}
-
-    def _finish(entry) -> None:
-        key = entry.key
-        job = by_key[key]
-        payload = entry.result_payload()
-        if store is not None and payload.get("status") == STATUS_OK:
-            store.save(key, dict(payload, key=key))
-        if sink is not None:
-            sink(key, dict(payload, key=key), False)
-        results[key] = _result_from_payload(job, key, payload, cached=False)
-        if results[key].status == STATUS_ERROR:
-            _log.warning(
-                "job failed", extra={"key": key, "benchmark": job.benchmark}
-            )
-        if progress is not None:
-            progress(results[key])
-
-    # Single-attempt queue: the pool below cannot lose a job silently
-    # (a dying worker surfaces as the chunk future's exception and the
-    # driver completes those jobs as failures), so expiry/retry stays
-    # off and the queue contributes dedup + dispatch + settlement.
-    fleet = LeaseQueue(ttl=1e9, max_attempts=1)
-    seen = set()
+    pending: Dict[str, ExperimentJob] = {}
     for job, key in keyed:
-        if key in seen:  # duplicate job in the sequence
+        if key in results or key in pending:  # duplicate job in the sequence
             continue
-        seen.add(key)
         payload = None if (store is None or recompute) else store.get(key)
         cached_result = None
         if payload is not None and payload.get("status") == STATUS_OK:
@@ -396,76 +365,57 @@ def run_campaign(
                 # Stale or schema-incompatible entry (e.g. written by an
                 # older code version): treat as a miss and recompute.
                 cached_result = None
-        if cached_result is not None:
-            results[key] = cached_result
-            if sink is not None:
-                sink(key, dict(payload, key=key), True)
-            if progress is not None:
-                progress(cached_result)
+        if cached_result is None:
+            pending[key] = job
             continue
-        by_key[key] = job
-        fleet.submit(key, job.to_dict(), on_done=_finish)
-    n_pending = len(by_key)
+        results[key] = cached_result
+        if sink is not None:
+            sink(key, dict(payload, key=key), True)
+        if progress is not None:
+            progress(cached_result)
 
-    if n_jobs == 1 or n_pending <= 1:
-        while True:
-            grants = fleet.lease("driver-inline", max_jobs=1)
-            if not grants:
-                break
-            grant = grants[0]
-            fleet.complete(
-                "driver-inline",
-                grant.token,
-                execute_job_payload(grant.job, loop_dir),
-            )
-    elif n_pending:
-        workers = min(n_jobs, n_pending)
-        # Chunked leases: several jobs per worker round-trip cuts the
-        # per-job pickle/IPC overhead while keeping enough chunks in
-        # flight (~4 per worker) for load balancing.  The cap bounds the
-        # blast radius of a dying worker (a chunk's unreturned results
-        # complete as failures); re-runs are cheap because the workers
-        # persist loop artifacts to the store's disk layer as they go,
-        # so only the final assembly of lost jobs repeats.
-        chunk_size = max(1, min(4, n_pending // (workers * 4)))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(loop_dir, tuple(workload_packs), tracing_enabled()),
-        ) as pool:
-            futures = {}
-            while True:
-                grants = fleet.lease("driver-pool", max_jobs=chunk_size)
-                if not grants:
-                    break
-                future = pool.submit(
-                    _execute_chunk,
-                    [grant.job for grant in grants],
-                    loop_dir,
+    async def compute() -> None:
+        # The coordinator writes each OK payload through to the store
+        # before its future resolves, so this loop only reports.
+        coordinator = FleetCoordinator(store=store)
+        slots = min(n_jobs, len(pending))
+        workers = LocalWorkers(
+            coordinator,
+            slots,
+            loop_dir=None if store is None else str(store.loop_dir),
+            workload_packs=workload_packs,
+            # One slot runs in-process: there is nothing to parallelise.
+            execute=execute_job_payload if slots == 1 else None,
+        )
+        futures = {
+            coordinator.submit(key, job.to_dict()): key
+            for key, job in pending.items()
+        }
+        workers.ensure_started()
+        try:
+            waiting = set(futures)
+            while waiting:
+                done, waiting = await asyncio.wait(
+                    waiting, return_when=asyncio.FIRST_COMPLETED
                 )
-                futures[future] = grants
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in done:
-                    grants = futures[future]
-                    try:
-                        payloads = future.result()
-                    except Exception as error:
-                        # The worker died without returning (OOM kill,
-                        # segfault, broken pool): complete the chunk's
-                        # jobs as failed instead of aborting the sweep.
-                        _log.error(
-                            "worker died",
-                            extra={"jobs": len(grants), "cause": repr(error)},
+                    key, payload = futures[future], future.result()
+                    if sink is not None:
+                        sink(key, dict(payload, key=key), False)
+                    result = _result_from_payload(
+                        pending[key], key, payload, cached=False
+                    )
+                    results[key] = result
+                    if result.status == STATUS_ERROR:
+                        _log.warning(
+                            "job failed",
+                            extra={"key": key, "benchmark": result.job.benchmark},
                         )
-                        payloads = [
-                            error_payload(
-                                grant.job, f"worker died: {error!r}"
-                            )
-                            for grant in grants
-                        ]
-                    for grant, payload in zip(grants, payloads):
-                        fleet.complete("driver-pool", grant.token, payload)
+                    if progress is not None:
+                        progress(result)
+        finally:
+            await workers.close()
 
+    if pending:
+        asyncio.run(compute())
     return CampaignResult(results=[results[key] for _, key in keyed])

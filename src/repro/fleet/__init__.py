@@ -3,19 +3,20 @@
 The fleet layer scales job execution past one host.  Its core is the
 transport-agnostic :class:`~repro.fleet.queue.LeaseQueue` (pending →
 leased → done/failed with TTL expiry, work stealing and bounded retry);
-:class:`~repro.fleet.coordinator.FleetCoordinator` runs one inside the
-HTTP service (worker registry, metrics, store write-through), and
-:class:`~repro.fleet.worker.FleetWorker` is the pull-execute-complete
-loop behind ``python -m repro worker``.  See ``docs/fleet.md``.
+:class:`~repro.fleet.coordinator.FleetCoordinator` wraps one for the
+HTTP service and for each campaign (worker registry, metrics, store
+write-through), :class:`~repro.fleet.local.LocalWorkers` drains it with
+this host's slots, and :class:`~repro.fleet.worker.FleetWorker` is the
+pull-execute-complete loop behind ``python -m repro worker``.  See
+``docs/fleet.md``.
 """
 
 from repro.fleet.coordinator import (
-    LOCAL_WORKER,
     FleetCoordinator,
-    LocalWorkerPump,
     WorkerInfo,
     default_worker_id,
 )
+from repro.fleet.local import LOCAL_WORKER, LocalWorkers
 from repro.fleet.queue import (
     DONE,
     FAILED,
@@ -39,7 +40,7 @@ __all__ = [
     "FleetWorker",
     "LeaseGrant",
     "LeaseQueue",
-    "LocalWorkerPump",
+    "LocalWorkers",
     "WorkerInfo",
     "WorkerStats",
     "default_worker_id",

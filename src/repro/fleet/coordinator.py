@@ -1,17 +1,17 @@
-"""The service-side fleet brain: queue + workers + metrics + local pump.
+"""The fleet brain: queue + worker registry + metrics + write-through.
 
 A :class:`FleetCoordinator` wraps one :class:`~repro.fleet.queue.LeaseQueue`
-with everything the HTTP service needs around it: an asyncio-friendly
+with everything its callers need around it: an asyncio-friendly
 ``submit`` returning a future, the idempotent :class:`ResultStore`
 write-through on accepted OK completions, a worker registry (who leased
 what, when last seen) surfaced in ``/stats``, fleet metrics surfaced at
 ``/metrics``, and a background sweeper task that expires dead leases so
 work gets stolen even while no worker is polling.
 
-:class:`LocalWorkerPump` is the migration bridge: it makes the server's
-own executor behave as just another fleet worker (id ``local``), leasing
-from the same queue remote ``python -m repro worker`` processes pull
-from.  One dispatch path, N transports.
+The service owns one for its lifetime; each campaign builds a private
+one.  Both feed it from :class:`~repro.fleet.local.LocalWorkers` (worker
+id ``local``), and the service also from remote ``python -m repro
+worker`` processes over HTTP.  One dispatch path, two transports.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ import asyncio
 import socket
 import threading
 import time
-import traceback
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
-from repro.fleet.queue import BATCH, LeaseGrant, LeaseQueue, error_payload
+from repro.fleet.queue import BATCH, LeaseGrant, LeaseQueue
 from repro.telemetry import (
     counter,
     gauge,
@@ -86,13 +84,6 @@ _LEASE_EVENTS = frozenset(
 #: cap stays ``expired``).
 _ATTEMPT_OUTCOMES = frozenset({"completed", "failed", "expired", "released"})
 
-#: The in-process pump's worker id and its lease TTL.  The pump cannot
-#: silently die while the server lives, so its leases are effectively
-#: unexpirable — the TTL exists only so a crashed *server* restart
-#: would requeue cleanly if queue state ever became durable.
-LOCAL_WORKER = "local"
-LOCAL_LEASE_TTL = 3600.0
-
 _STATUS_OK = "ok"
 
 
@@ -128,7 +119,7 @@ class WorkerInfo:
 
 
 class FleetCoordinator:
-    """Owns the service's lease queue, worker registry and fleet metrics.
+    """Owns one lease queue, its worker registry and fleet metrics.
 
     Construct off-loop freely; ``submit`` and :meth:`ensure_sweeper`
     must run on the event loop.  The worker-protocol methods
@@ -407,118 +398,3 @@ class FleetCoordinator:
                 )
             ],
         }
-
-
-# ----------------------------------------------------------------------
-class LocalWorkerPump:
-    """The server's own executor, dressed as a fleet worker.
-
-    Leases up to ``slots`` jobs from the coordinator under the id
-    ``local`` and runs each payload on the given executor, completing
-    back through the same protocol remote workers use.  Wakes on
-    submission (via a queue observer), on a slot freeing up, and on a
-    one-second safety tick.
-    """
-
-    def __init__(
-        self,
-        coordinator: FleetCoordinator,
-        executor_factory: Callable[[], Executor],
-        run_payload: Callable[..., Dict[str, Any]],
-        loop_dir: Optional[str],
-        slots: int,
-    ) -> None:
-        self._coordinator = coordinator
-        self._executor_factory = executor_factory
-        self._run_payload = run_payload
-        self._loop_dir = loop_dir
-        self._slots = max(1, slots)
-        self._active: Set[asyncio.Task] = set()
-        self._wake: Optional[asyncio.Event] = None
-        self._task: Optional[asyncio.Task] = None
-        self._closing = False
-
-    def ensure_started(self) -> None:
-        """Start the pump loop (idempotent, loop side)."""
-        if self._task is None or self._task.done():
-            loop = asyncio.get_running_loop()
-            self._closing = False
-            self._wake = asyncio.Event()
-            self._coordinator.queue.add_observer(self._on_queue_event(loop))
-            self._task = loop.create_task(self._run())
-
-    def _on_queue_event(self, loop: asyncio.AbstractEventLoop):
-        def observer(event: str, key: str, info: Dict[str, Any]) -> None:
-            if event in ("submitted", "requeued") and self._wake is not None:
-                loop.call_soon_threadsafe(self._wake.set)
-
-        return observer
-
-    async def _run(self) -> None:
-        assert self._wake is not None
-        # The loop re-checks _closing every pass: on Python 3.11 a
-        # task.cancel() that lands in the same loop step as a _wake.set()
-        # is swallowed by asyncio.wait_for (the pre-3.12 cancellation
-        # race), so close() cannot rely on cancellation alone.
-        while not self._closing:
-            free = self._slots - len(self._active)
-            if free > 0:
-                grants = self._coordinator.lease(
-                    LOCAL_WORKER, max_jobs=free, ttl=LOCAL_LEASE_TTL
-                )
-                for grant in grants:
-                    task = asyncio.get_running_loop().create_task(
-                        self._execute(grant)
-                    )
-                    self._active.add(task)
-                    task.add_done_callback(self._job_finished)
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=1.0)
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
-
-    def _job_finished(self, task: asyncio.Task) -> None:
-        self._active.discard(task)
-        if self._wake is not None:
-            self._wake.set()
-
-    async def _execute(self, grant: LeaseGrant) -> None:
-        try:
-            payload = await asyncio.get_running_loop().run_in_executor(
-                self._executor_factory(),
-                self._run_payload,
-                grant.job,
-                self._loop_dir,
-            )
-        except asyncio.CancelledError:
-            self._coordinator.release(LOCAL_WORKER, grant.token)
-            raise
-        except Exception:
-            # A broken pool (worker process killed) surfaces here; turn
-            # it into a captured per-job failure like the campaign does.
-            payload = error_payload(
-                grant.job, f"local worker died:\n{traceback.format_exc()}"
-            )
-        if grant.trace is not None and isinstance(payload, dict):
-            # Stamp traced payloads only: untraced fleet results stay
-            # byte-identical to direct execution.
-            payload = dict(payload)
-            payload["trace_id"] = grant.trace.get("trace_id")
-            payload["worker"] = LOCAL_WORKER
-            payload["attempt"] = grant.attempt
-        self._coordinator.complete(LOCAL_WORKER, grant.token, payload)
-
-    async def close(self) -> None:
-        """Cancel the pump loop and any in-flight local jobs."""
-        self._closing = True
-        if self._wake is not None:
-            self._wake.set()  # unblock _run even if its cancel is lost
-        tasks = [self._task] if self._task is not None else []
-        tasks.extend(self._active)
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        self._task = None
-        self._active.clear()

@@ -17,10 +17,11 @@ traffic.  Jobs may also carry a *request deadline*: a pending job whose
 deadline passes is settled ``failed`` without ever being leased —
 expired work is cancelled, not computed.
 
-The queue is deliberately transport- and execution-agnostic: the
-campaign executor drives it with an in-process pool, the service's
-:class:`~repro.fleet.coordinator.FleetCoordinator` exposes it over
-HTTP to ``python -m repro worker`` processes, and tests drive it
+The queue is deliberately transport- and execution-agnostic: a
+:class:`~repro.fleet.coordinator.FleetCoordinator` wraps it for
+campaigns and the service alike, feeding its own
+:class:`~repro.fleet.local.LocalWorkers` slots in-process and
+``python -m repro worker`` processes over HTTP, and tests drive it
 directly.  Jobs are plain dicts (the canonical
 :meth:`~repro.campaign.job.ExperimentJob.to_dict` form) keyed by
 :meth:`~repro.campaign.job.ExperimentJob.key`, so completion is
@@ -78,6 +79,23 @@ def error_payload(job_data: Dict[str, Any], error: str) -> Dict[str, Any]:
         "evaluation": None,
         "error": error,
     }
+
+
+def stamp_traced(
+    payload: Dict[str, Any],
+    trace: Optional[Dict[str, Any]],
+    worker: str,
+    attempt: Optional[int],
+) -> Dict[str, Any]:
+    """Tag a traced grant's payload with ``trace_id``/``worker``/``attempt``.
+
+    Payloads of untraced grants come back untouched, so fleet results
+    stay byte-identical to direct execution.
+    """
+    trace_id = trace.get("trace_id") if isinstance(trace, dict) else None
+    if trace_id is None or not isinstance(payload, dict):
+        return payload
+    return dict(payload, trace_id=trace_id, worker=worker, attempt=attempt)
 
 
 @dataclass(frozen=True)

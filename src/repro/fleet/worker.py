@@ -3,10 +3,10 @@
 One :class:`FleetWorker` is the client half of the worker-pull protocol
 — what ``python -m repro worker --connect <url>`` runs.  It polls the
 service for leases, executes each job locally through the same
-:func:`~repro.campaign.executor.execute_job_payload` path campaign pool
-workers use (with :func:`_worker_init`'s warm registries and, when a
-cache dir is given, the shared on-disk loop cache), renews the lease
-while computing, and posts the payload back.
+:func:`~repro.campaign.executor.execute_job_payload` path local slots
+use (with :func:`_worker_init`'s warm registries and, when a cache dir
+is given, the shared on-disk loop cache), renews the lease while
+computing, and posts the payload back, stamped like a local slot's.
 
 Results are *only* written server-side: the coordinator saves accepted
 OK payloads into its result store, so workers need no shared
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.fleet.coordinator import default_worker_id
-from repro.fleet.queue import error_payload
+from repro.fleet.queue import error_payload, stamp_traced
 from repro.telemetry import enable_tracing, get_logger, record_event
 
 _log = get_logger("fleet")
@@ -277,14 +277,9 @@ class FleetWorker:
         if lease_lost:
             self.stats.lost += 1
             return
-        payload = outcome["payload"]
-        if trace_id is not None and isinstance(payload, dict):
-            # Stamp traced payloads only: untraced fleet results stay
-            # byte-identical to direct execution.
-            payload = dict(payload)
-            payload["trace_id"] = trace_id
-            payload["worker"] = self.worker_id
-            payload["attempt"] = grant.get("attempt")
+        payload = stamp_traced(
+            outcome["payload"], trace_ctx, self.worker_id, grant.get("attempt")
+        )
         if injector is not None:
             delay = injector.completion_delay()
             if delay > 0:

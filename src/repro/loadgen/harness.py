@@ -529,8 +529,8 @@ def self_hosted_service(
         def factory():
             return JobManager(
                 store=ResultStore(root),
-                executor=JobManager.inline_executor(max_workers=workers),
                 run_payload=synthetic_runner(compute_s),
+                max_workers=workers,
                 admission=AdmissionPolicy(
                     max_interactive=max_interactive, max_batch=max_batch
                 ),

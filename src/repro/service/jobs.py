@@ -18,14 +18,14 @@ at two levels, both content-addressed:
 
 Heavy work never runs on the loop: every experiment is submitted to the
 manager's :class:`~repro.fleet.coordinator.FleetCoordinator`, whose
-lease queue is drained by whichever workers exist — the in-process
-:class:`~repro.fleet.coordinator.LocalWorkerPump` (the server's own
-executor, by default the same ``ProcessPoolExecutor`` +
-``execute_job_payload`` machinery campaigns use) and/or remote
-``python -m repro worker`` processes pulling over HTTP.  With
-``max_workers=0`` the pump is disabled and the service relies entirely
-on remote workers.  Tests and benches inject a counting/inline runner
-instead.
+lease queue is drained by whichever workers exist — the server's own
+:class:`~repro.fleet.local.LocalWorkers` (``max_workers`` slots, each
+with a child process running ``execute_job_payload``, exactly as a
+campaign runs) and/or remote ``python -m repro worker`` processes
+pulling over HTTP.  With ``max_workers=0`` there are no local slots and
+the service relies entirely on remote workers.  Tests and benches pass
+a ``run_payload`` (a counting stub, or the real pipeline in-process)
+that the slots run on threads instead.
 """
 
 from __future__ import annotations
@@ -34,16 +34,16 @@ import asyncio
 import time
 import traceback
 import uuid
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.campaign.executor import STATUS_OK, execute_job_payload
+from repro.campaign.executor import STATUS_OK
 from repro.campaign.job import ExperimentJob
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.errors import ReproError
-from repro.fleet.coordinator import FleetCoordinator, LocalWorkerPump
+from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.local import LocalWorkers
 from repro.fleet.queue import BATCH, INTERACTIVE
 from repro.pipeline.experiment import ExperimentOptions
 from repro.pipeline.serialization import content_key, evaluation_ratios
@@ -374,14 +374,13 @@ def _evaluation_summary(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 # ----------------------------------------------------------------------
 class JobManager:
-    """Owns the service's jobs, dedup tables and executor bridge.
+    """Owns the service's jobs, dedup tables and local workers.
 
-    ``executor``/``run_payload`` define how experiment payloads execute:
-    the defaults build a lazily started :class:`ProcessPoolExecutor`
-    (``max_workers`` processes, campaign worker initialization) running
-    :func:`~repro.campaign.executor.execute_job_payload`.  Pass a
-    :class:`ThreadPoolExecutor` (``inline_executor``) and/or a counting
-    stub to embed the manager in tests.
+    ``max_workers`` local slots (started on first compute) lease from
+    the manager's fleet coordinator.  By default each slot owns a child
+    process running :func:`~repro.campaign.executor.execute_job_payload`;
+    a ``run_payload(job_data, loop_dir)`` callable runs on threads of
+    this process instead (the inline runner, counting stubs in tests).
 
     All public methods must be called from the manager's event loop.
     """
@@ -390,8 +389,7 @@ class JobManager:
         self,
         store: Optional[ResultStore] = None,
         warehouse: Optional[Warehouse] = None,
-        executor: Optional[Executor] = None,
-        run_payload: Callable[..., Dict[str, Any]] = execute_job_payload,
+        run_payload: Optional[Callable[..., Dict[str, Any]]] = None,
         max_workers: int = 2,
         lease_ttl: float = 60.0,
         fleet_retries: int = 3,
@@ -400,21 +398,26 @@ class JobManager:
     ) -> None:
         self._store = store
         self._warehouse = warehouse
-        self._executor = executor
-        self._own_executor = executor is None
-        self._run_payload = run_payload
-        self._max_workers = max_workers
         self.admission = admission if admission is not None else AdmissionPolicy()
         self.default_deadline = default_deadline
         #: Admitted (non-terminal) jobs per admission class.
         self._active: Dict[str, int] = {INTERACTIVE: 0, BATCH: 0}
         #: All experiment execution dispatches through the fleet: the
-        #: coordinator's queue feeds the local pump and remote workers
+        #: coordinator's queue feeds local slots and remote workers
         #: alike, and owns the store write-through on completion.
         self.fleet = FleetCoordinator(
             store=store, ttl=lease_ttl, max_attempts=fleet_retries
         )
-        self._pump: Optional[LocalWorkerPump] = None
+        self._local: Optional[LocalWorkers] = (
+            LocalWorkers(
+                self.fleet,
+                max_workers,
+                loop_dir=None if store is None else str(store.loop_dir),
+                execute=run_payload,
+            )
+            if max_workers > 0
+            else None
+        )
         self._jobs: Dict[str, ServiceJob] = {}
         self._order: List[str] = []  # submission order for listings
         self._inflight: Dict[str, asyncio.Task] = {}
@@ -447,55 +450,12 @@ class JobManager:
         """The warehouse kept in sync (may be None)."""
         return self._warehouse
 
-    @classmethod
-    def inline_executor(cls, max_workers: int = 4) -> ThreadPoolExecutor:
-        """A thread executor for in-process embedding (tests, benches)."""
-        return ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-inline"
-        )
-
-    def _loop_dir(self) -> Optional[str]:
-        """The store's on-disk loop-cache directory, if there is a store."""
-        return None if self._store is None else str(self._store.loop_dir)
-
-    def _ensure_executor(self) -> Executor:
-        if self._executor is None:
-            from repro.campaign.executor import _worker_init
-
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                initializer=_worker_init,
-                initargs=(self._loop_dir(),),
-            )
-        return self._executor
-
-    def _ensure_pump(self) -> None:
-        """Start the in-process fleet worker (loop side, idempotent).
-
-        Slots mirror the executor's parallelism so the pump keeps it as
-        busy as direct submission used to.  With ``max_workers=0`` the
-        service runs pump-less: only remote workers drain the queue.
-        """
-        if self._max_workers <= 0:
-            return
-        if self._pump is None:
-            executor = self._executor
-            slots = getattr(executor, "_max_workers", None) or self._max_workers
-            self._pump = LocalWorkerPump(
-                self.fleet,
-                self._ensure_executor,
-                self._run_payload,
-                self._loop_dir(),
-                slots=slots,
-            )
-        self._pump.ensure_started()
-
     def drain(self) -> None:
         """Stop granting fleet leases (graceful shutdown's first step)."""
         self.fleet.drain()
 
     async def close(self) -> None:
-        """Cancel in-flight work and release the executor."""
+        """Cancel in-flight work and stop the local workers."""
         for task in list(self._inflight.values()):
             task.cancel()
         if self._inflight:
@@ -503,13 +463,9 @@ class JobManager:
                 *self._inflight.values(), return_exceptions=True
             )
         self._inflight.clear()
-        if self._pump is not None:
-            await self._pump.close()
-            self._pump = None
+        if self._local is not None:
+            await self._local.close()
         await self.fleet.close()
-        if self._own_executor and self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
 
     # ------------------------------------------------------------------
     # submission
@@ -886,7 +842,8 @@ class JobManager:
     ) -> Dict[str, Any]:
         self.stats["computed"] += 1
         self.fleet.ensure_sweeper()
-        self._ensure_pump()
+        if self._local is not None:
+            self._local.ensure_started()
         # The coordinator saves accepted OK payloads to the store before
         # resolving this future, so downstream _record sees a fresh file.
         return await self.fleet.submit(

@@ -318,8 +318,10 @@ class Warehouse:
         return self._path
 
     def close(self) -> None:
-        """Close the underlying connection."""
-        self._conn.close()
+        """Close the underlying connection after any in-flight write
+        (closing under a running statement crashes the process)."""
+        with self._write_lock:
+            self._conn.close()
 
     def __enter__(self) -> "Warehouse":
         return self

@@ -428,6 +428,16 @@ def _exit_worker(job_data, loop_dir=None):
     os._exit(1)
 
 
+def _exit_on_mgrid_two_buses(job_data, loop_dir=None):
+    """Kills its worker on exactly one job of a grid; runs the rest."""
+    import os
+
+    job = ExperimentJob.from_dict(job_data)
+    if job.benchmark == "172.mgrid" and job.options.n_buses == 2:
+        os._exit(1)
+    return execute_job_payload(job_data, loop_dir)
+
+
 class TestWorkerDeath:
     def test_dead_worker_recorded_as_failure_not_crash(
         self, tmp_path, monkeypatch
@@ -441,6 +451,31 @@ class TestWorkerDeath:
         assert len(outcome.failed) == 2
         assert all("worker died" in r.error for r in outcome.failed)
         assert len(store) == 0
+
+    def test_one_dead_worker_fails_only_its_own_job(
+        self, tmp_path, monkeypatch
+    ):
+        # A broken shared pool used to fail every job of the campaign;
+        # a dead child must cost only the job it was running.
+        import repro.campaign.executor as executor
+
+        monkeypatch.setattr(
+            executor, "execute_job_payload", _exit_on_mgrid_two_buses
+        )
+        jobs = CampaignSpec(
+            benchmarks=("171.swim", "172.mgrid", "173.applu"),
+            scale=0.02,
+            buses_grid=(1, 2),
+        ).expand()
+        assert len(jobs) == 6
+        store = ResultStore(tmp_path)
+        outcome = run_campaign(jobs, store=store, n_jobs=2)
+        [failed] = outcome.failed
+        assert failed.job.benchmark == "172.mgrid"
+        assert failed.job.options.n_buses == 2
+        assert "worker died" in failed.error
+        assert len(outcome.succeeded) == 5
+        assert sorted(store.keys()) == sorted(r.key for r in outcome.succeeded)
 
 
 class TestProfileMemoIsolation:

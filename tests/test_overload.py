@@ -43,8 +43,8 @@ def clean_chaos():
 
 def make_manager(runner, admission=None, default_deadline=None, threads=8):
     return JobManager(
-        executor=JobManager.inline_executor(max_workers=threads),
         run_payload=runner,
+        max_workers=threads,
         admission=admission,
         default_deadline=default_deadline,
     )

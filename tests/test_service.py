@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.campaign import ExperimentJob, ResultStore
+from repro.campaign import ExperimentJob, ResultStore, execute_job_payload
 from repro.service import (
     JobManager,
     ServiceClient,
@@ -59,8 +59,8 @@ def make_manager(runner, store=None, warehouse=None, threads=8):
     return JobManager(
         store=store,
         warehouse=warehouse,
-        executor=JobManager.inline_executor(max_workers=threads),
         run_payload=runner,
+        max_workers=threads,
     )
 
 
@@ -475,15 +475,13 @@ class TestRealPipelineOverHttp:
     def test_real_evaluate_and_warehouse_sync(self, tmp_path):
         # One genuinely computed experiment through the whole stack:
         # HTTP -> manager -> executor -> store -> warehouse -> query.
-        from repro.campaign.executor import execute_job_payload
-
         def factory():
             store = ResultStore(tmp_path / "cache")
             return JobManager(
                 store=store,
                 warehouse=Warehouse.for_store(store),
-                executor=JobManager.inline_executor(max_workers=2),
                 run_payload=execute_job_payload,
+                max_workers=2,
             )
 
         with start_in_thread(factory) as handle:
@@ -502,6 +500,73 @@ class TestRealPipelineOverHttp:
         assert job["id"] in store
         with Warehouse(tmp_path / "cache" / "warehouse.sqlite") as warehouse:
             assert warehouse.job_count() == 1
+
+
+def _exit_on_mgrid(job_data, loop_dir=None):
+    """Kills the child process on 172.mgrid; runs every other job."""
+    import os
+
+    if job_data["benchmark"] == "172.mgrid":
+        os._exit(1)
+    return execute_job_payload(job_data, loop_dir)
+
+
+class TestLocalProcessWorkers:
+    """The default runner: every local slot owns a child process."""
+
+    def test_next_evaluate_completes_after_a_child_dies(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.campaign.executor as executor
+
+        monkeypatch.setattr(executor, "execute_job_payload", _exit_on_mgrid)
+
+        async def body():
+            manager = JobManager(store=ResultStore(tmp_path), max_workers=1)
+            try:
+                killer = manager.submit_evaluate(
+                    {"benchmark": "172.mgrid", "scale": 0.01}
+                )
+                killer = await manager.wait(killer.id, timeout=120)
+                assert killer.status == "failed"
+                assert "worker died" in killer.error
+                # The slot respawned its child: later jobs compute.
+                for benchmark in ("171.swim", "173.applu"):
+                    job = manager.submit_evaluate(
+                        {"benchmark": benchmark, "scale": 0.01}
+                    )
+                    job = await manager.wait(job.id, timeout=300)
+                    assert job.status == "done", job.error
+            finally:
+                await manager.close()
+
+        run_async(body)
+
+    def test_traced_job_carries_the_worker_span_tree(self, tmp_path):
+        from repro.telemetry import Span
+
+        def factory():
+            return JobManager(store=ResultStore(tmp_path), max_workers=1)
+
+        with start_in_thread(factory) as handle:
+            client = ServiceClient(
+                host=handle.host, port=handle.port, timeout=60
+            )
+            job = client.submit_evaluate(benchmark="171.swim", scale=0.01)
+            assert client.wait(job["id"], timeout=300)["status"] == "done"
+            tree = client.timeline(job["id"])["tree"]
+        [experiment] = [
+            child for child in tree["children"] if child["name"] == "experiment"
+        ]
+        [lease] = [
+            child for child in experiment["children"] if child["name"] == "lease"
+        ]
+        assert lease["attributes"]["worker"] == "local"
+        assert lease["attributes"]["outcome"] == "completed"
+        [worker_tree] = lease.get("children", [])
+        assert worker_tree["name"] == "job"
+        names = {span.name for span in Span.from_dict(worker_tree).walk()}
+        assert {"profile", "schedule"} <= names
 
 
 class TestServeCLI:

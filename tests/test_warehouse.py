@@ -491,6 +491,37 @@ class TestConcurrentAccess:
             (campaign,) = warehouse.campaigns()
             assert campaign["n_jobs"] == n_payloads
 
+    def test_close_waits_for_an_in_flight_write(self, tmp_path):
+        # The service records traces on executor threads while tests
+        # (and shutdown) close the warehouse; closing under a running
+        # statement crashed the process.  close() must wait instead.
+        import threading
+        import time
+
+        warehouse = Warehouse(tmp_path / "wh.sqlite")
+        started = threading.Event()
+        outcome = {}
+
+        def slow_write():
+            started.set()
+            time.sleep(0.2)
+            warehouse._conn.execute("SELECT 1")
+            outcome["written"] = True
+
+        def writer():
+            try:
+                warehouse._with_retry(slow_write)
+            except Exception as error:  # pragma: no cover - fail below
+                outcome["error"] = error
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        assert started.wait(5)
+        warehouse.close()
+        thread.join(5)
+        assert not thread.is_alive()
+        assert outcome == {"written": True}
+
 
 class TestReporting:
     def test_tables_render(self, tmp_path):

@@ -17,6 +17,16 @@ expired attempt of the killed worker), worker-side pipeline spans
 re-parented under the completing attempts — and that the flight
 recorder correlates the lease story by trace id.
 
+Then it kills the coordinator: a second campaign (the first one's 8
+points plus 8 new ones) starts on the surviving worker, ``serve`` is
+SIGKILLed once at least one new point has settled, and a fresh ``serve
+--jobs 2`` on the same cache directory takes the resubmitted campaign on
+its own local worker slots.  Every point must come back exactly once
+with no failures; every point settled before the kill must be answered
+from the result store (``repro_service_dedup_hits_total{level="store"}``)
+and none recomputed — the crash-only guarantee of content-addressed
+keys plus store write-through.
+
 Exits non-zero (with the server log and the flight recorder's event
 ring on stderr) on any failure.
 """
@@ -144,6 +154,132 @@ def dump_flight_recorder(client):
     print(f"--- recorder stats: {debug['stats']}", file=sys.stderr)
 
 
+def start_server(env, port, cache_dir, jobs):
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "serve",
+            "--port",
+            str(port),
+            "--cache-dir",
+            cache_dir,
+            "--jobs",
+            str(jobs),
+            "--lease-ttl",
+            str(LEASE_TTL),
+        ],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+
+
+def wait_healthy(client, server):
+    for _attempt in range(50):
+        if server.poll() is not None:
+            raise RuntimeError("server exited before accepting")
+        try:
+            client.health()
+            return
+        except OSError:
+            time.sleep(0.2)
+    raise RuntimeError("server never became healthy")
+
+
+def check_points(client, job, total):
+    """The settled campaign has ``total`` distinct points, all ok."""
+    finished = client.wait(job["id"], timeout=600)
+    if finished["status"] != "done":
+        raise RuntimeError(f"campaign failed: {finished.get('error')}")
+    points = client.result(job["id"])["result"]["points"]
+    if len(points) != total:
+        raise RuntimeError(f"expected {total} points, got {len(points)}")
+    keys = [point["key"] for point in points]
+    if len(set(keys)) != total:
+        raise RuntimeError(f"duplicate result keys: {sorted(keys)}")
+    failed = [p for p in points if p.get("status") != "ok"]
+    if failed:
+        raise RuntimeError(f"failed points: {failed}")
+    return set(keys)
+
+
+def check_coordinator_kill(env, cache_dir, port, server, survivor, processes):
+    """SIGKILL ``serve`` mid-campaign, restart it, resubmit: nothing lost,
+    duplicated or recomputed.  ``processes`` collects the restarted
+    server for the caller's cleanup."""
+    from repro.campaign import ResultStore
+    from repro.service import ServiceClient
+
+    store = ResultStore(cache_dir)
+    before = len(store)
+    # The first campaign's 8 points plus 8 new ones.
+    spec = {
+        "benchmarks": ["171.swim", "172.mgrid", "173.applu", "168.wupwise"],
+        "scale": 0.05,
+        "buses_grid": [1, 2],
+        "ed2_refinement_grid": [True, False],
+    }
+    total = 16
+    client = ServiceClient(port=port, timeout=30)
+    client.submit_campaign(spec=spec, label="fleet-smoke-resume")
+    deadline = time.monotonic() + 300
+    while len(store) <= before:
+        if time.monotonic() > deadline:
+            raise RuntimeError("no new point settled before the kill")
+        time.sleep(0.05)
+    server.send_signal(signal.SIGKILL)
+    server.wait(timeout=30)
+    survivor.kill()  # resumed points must run on the new local slots
+    survivor.wait(timeout=30)
+    settled = set(store.keys())
+    if not before < len(settled) < total:
+        raise RuntimeError(
+            f"kill was not mid-campaign: {len(settled)}/{total} settled"
+        )
+    print(f"killed serve mid-campaign: {len(settled)}/{total} points settled")
+
+    port = free_port()
+    restarted = start_server(env, port, cache_dir, jobs=2)
+    processes["serve (restarted)"] = restarted
+    client = ServiceClient(port=port, timeout=30)
+    wait_healthy(client, restarted)
+    job = client.submit_campaign(spec=spec, label="fleet-smoke-resume")
+    keys = check_points(client, job, total)
+    if set(store.keys()) != keys:
+        raise RuntimeError("store and campaign disagree on the point set")
+    store_hits = metric_total(
+        client.metrics(), 'repro_service_dedup_hits_total{level="store"}'
+    )
+    computed = client.stats()["jobs"]["computed"]
+    if store_hits != len(settled) or computed != total - len(settled):
+        raise RuntimeError(
+            f"settled points recomputed: {store_hits:g} store hits and "
+            f"{computed} computed, expected {len(settled)} and "
+            f"{total - len(settled)}"
+        )
+    # The resumed points ran on the restarted server's local slots, and
+    # their traced payloads carried the worker span trees back.
+    local_trees = 0
+    for experiment in client.timeline(job["id"])["tree"]["children"]:
+        for lease in experiment.get("children", ()):
+            attributes = lease.get("attributes", {})
+            if lease["name"] == "lease" and attributes.get("worker") == "local":
+                local_trees += bool(lease.get("children"))
+    if local_trees != total - len(settled):
+        raise RuntimeError(
+            f"{local_trees} local worker span trees for "
+            f"{total - len(settled)} resumed points"
+        )
+    print(
+        f"coordinator kill ok: {total} points once each, "
+        f"{len(settled)} answered from the store, "
+        f"{computed} computed on local slots"
+    )
+
+
 def start_worker(env, port, worker_id):
     return subprocess.Popen(
         [
@@ -173,46 +309,21 @@ def main() -> int:
     env["PYTHONPATH"] = f"{ROOT / 'src'}{os.pathsep}" + env.get("PYTHONPATH", "")
     port = free_port()
     with tempfile.TemporaryDirectory() as cache_dir:
-        server = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                "--port",
-                str(port),
-                "--cache-dir",
-                cache_dir,
-                "--jobs",
-                "0",
-                "--lease-ttl",
-                str(LEASE_TTL),
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        server = start_server(env, port, cache_dir, jobs=0)
+        processes = {"serve": server}
         workers = {}
+        victim = None
         client = None
         try:
             sys.path.insert(0, str(ROOT / "src"))
             from repro.service import ServiceClient
 
             client = ServiceClient(port=port, timeout=30)
-            for _attempt in range(50):
-                if server.poll() is not None:
-                    raise RuntimeError("server exited before accepting")
-                try:
-                    client.health()
-                    break
-                except OSError:
-                    time.sleep(0.2)
-            else:
-                raise RuntimeError("server never became healthy")
+            wait_healthy(client, server)
 
-            workers["w1"] = start_worker(env, port, "w1")
-            workers["w2"] = start_worker(env, port, "w2")
+            for worker_id in ("w1", "w2"):
+                workers[worker_id] = start_worker(env, port, worker_id)
+            processes.update(workers)
 
             # 2 benchmarks x 2 bus counts x 2 ED2 switches = 8 points.
             total = 8
@@ -229,7 +340,6 @@ def main() -> int:
 
             # Wait for a worker to actually hold a lease, then SIGKILL
             # it -- the job it held must be stolen and recomputed.
-            victim = None
             deadline = time.monotonic() + 120
             while victim is None and time.monotonic() < deadline:
                 for info in client.stats()["fleet"]["workers"]:
@@ -243,20 +353,7 @@ def main() -> int:
             workers[victim].wait(timeout=30)
             print(f"killed {victim} while it held a lease")
 
-            finished = client.wait(job["id"], timeout=600)
-            if finished["status"] != "done":
-                raise RuntimeError(f"campaign failed: {finished.get('error')}")
-            points = client.result(job["id"])["result"]["points"]
-            if len(points) != total:
-                raise RuntimeError(
-                    f"expected {total} points, got {len(points)}"
-                )
-            keys = [point["key"] for point in points]
-            if len(set(keys)) != total:
-                raise RuntimeError(f"duplicate result keys: {sorted(keys)}")
-            failed = [p for p in points if p.get("status") != "ok"]
-            if failed:
-                raise RuntimeError(f"failed points: {failed}")
+            check_points(client, job, total)
             print(f"campaign done: {total} points, all ok, no duplicates")
 
             check_distributed_trace(client, job, total)
@@ -306,30 +403,25 @@ def main() -> int:
             ids = [w["id"] for w in client.stats()["fleet"]["workers"]]
             if survivor not in ids:
                 raise RuntimeError(f"{survivor} missing from registry: {ids}")
+
+            check_coordinator_kill(
+                env, cache_dir, port, server, workers[survivor], processes
+            )
         except Exception:
             dump_flight_recorder(client)
-            server.terminate()
-            output, _ = server.communicate(timeout=30)
-            print("--- server log ---\n" + (output or ""), file=sys.stderr)
-            for worker_id, process in workers.items():
+            for name, process in processes.items():
                 if process.poll() is None:
                     process.kill()
                 output, _ = process.communicate(timeout=30)
-                print(
-                    f"--- {worker_id} log ---\n" + (output or ""),
-                    file=sys.stderr,
-                )
+                print(f"--- {name} log ---\n" + (output or ""), file=sys.stderr)
             raise
         else:
-            for process in workers.values():
+            for name, process in processes.items():
                 if process.poll() is None:
                     process.terminate()
-            for worker_id, process in workers.items():
                 output, _ = process.communicate(timeout=30)
-                if worker_id != victim and output:
-                    print(f"{worker_id}: {output.strip().splitlines()[-1]}")
-            server.terminate()
-            server.communicate(timeout=30)
+                if name in workers and name != victim and output:
+                    print(f"{name}: {output.strip().splitlines()[-1]}")
     print("fleet smoke test passed")
     return 0
 
