@@ -133,7 +133,7 @@ def main() -> None:
         f"({measured_het.ed2 / measured_ref.ed2:.3f}x)"
     )
 
-    # --- the same machine through the staged experiment API ----------
+    # --- the same machine through the experiment API -----------------
     # Registering the factory by name makes the machine first-class:
     # campaign jobs can sweep it (options.machine = "tigersharc"), and
     # Experiment.paper() runs the full evaluation flow on it.

@@ -16,15 +16,15 @@ The package implements, from scratch:
 * a discrete-event multi-clock-domain simulator (:mod:`repro.sim`),
 * synthetic SPECfp2000 loop corpora calibrated to the paper's Table 2
   (:mod:`repro.workloads`),
-* the end-to-end experiment pipeline behind every figure, redesigned as
-  composable stages with a per-loop artifact cache and pluggable
-  machines/selectors/schedulers (:mod:`repro.pipeline` — see
+* the end-to-end experiment pipeline behind every figure: the paper's
+  fixed stage sequence with a per-loop artifact cache, on any registered
+  or file-declared machine (:mod:`repro.pipeline` — see
   :class:`Experiment`), plus campaign orchestration
   (:mod:`repro.campaign`), declarative TOML/JSON scenario packs for
   file-based machines and workloads (:mod:`repro.scenarios`) and
   plain-text reporting (:mod:`repro.reporting`).
 
-Staged experiments::
+Experiments::
 
     from repro import Experiment
 
@@ -139,8 +139,6 @@ from repro.pipeline import (
     evaluate_suite,
     paper_stages,
     register_machine,
-    register_scheduler,
-    register_selector,
 )
 from repro.pipeline.registry import register_workload
 from repro.scenarios import (
@@ -235,7 +233,7 @@ __all__ = [
     "SuiteResult",
     "evaluate_corpus",
     "evaluate_suite",
-    # staged experiment API
+    # experiment API
     "Experiment",
     "ExperimentContext",
     "Stage",
@@ -247,8 +245,6 @@ __all__ = [
     "MeasureStage",
     "paper_stages",
     "register_machine",
-    "register_scheduler",
-    "register_selector",
     "register_workload",
     # scenarios
     "ScenarioPack",

@@ -37,11 +37,10 @@ format.
 distribution metadata when available, the source tree's fallback
 otherwise).
 
-``evaluate``/``suite``/``campaign`` also take ``--stages`` (print the
-experiment's stage plan and exit), ``--explain`` (print the plan to
-stderr, then run), ``--machine`` (a registered machine name) and
-``--machine-file`` (a scenario pack file; see ``docs/cli.md`` for the
-full reference).
+``evaluate``/``suite``/``campaign`` also take ``--machine`` (a
+registered machine name), ``--machine-file`` (a scenario pack file) and
+``--workloads`` (a pack whose workloads to register); see
+``docs/cli.md`` for the full reference.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_stage_flags(
+    def add_machine_flags(
         subparser,
         machine_help: Optional[str] = None,
         campaign_files: bool = False,
@@ -138,16 +137,6 @@ def _parser() -> argparse.ArgumentParser:
             help="scenario pack (bundled name or file) whose workloads to "
             "register before resolving benchmark names (repeatable)",
         )
-        subparser.add_argument(
-            "--stages",
-            action="store_true",
-            help="print the experiment's stage plan and exit without running",
-        )
-        subparser.add_argument(
-            "--explain",
-            action="store_true",
-            help="print the stage plan to stderr, then run",
-        )
 
     evaluate = commands.add_parser(
         "evaluate", help="run the pipeline for one benchmark"
@@ -161,7 +150,7 @@ def _parser() -> argparse.ArgumentParser:
         default="table",
         help="result format: human table (default) or canonical JSON",
     )
-    add_stage_flags(evaluate)
+    add_machine_flags(evaluate)
 
     suite = commands.add_parser("suite", help="run all ten benchmarks")
     suite.add_argument("--buses", type=int, default=1, choices=(1, 2))
@@ -172,7 +161,7 @@ def _parser() -> argparse.ArgumentParser:
         default="table",
         help="result format: Figure 6 chart (default) or canonical JSON",
     )
-    add_stage_flags(suite)
+    add_machine_flags(suite)
 
     campaign = commands.add_parser(
         "campaign",
@@ -229,7 +218,7 @@ def _parser() -> argparse.ArgumentParser:
         "warehouse (enables `repro query diff <label> ...` later); "
         "without it, jobs are indexed but not grouped",
     )
-    add_stage_flags(
+    add_machine_flags(
         campaign,
         machine_help="comma-separated registered machine names to sweep, "
         "e.g. 'paper,my-dsp' (default 'paper' unless --machine-file is "
@@ -684,7 +673,7 @@ def _parser() -> argparse.ArgumentParser:
         default="tree",
         help="rendered span tree (default) or the raw tree as JSON",
     )
-    add_stage_flags(trace)
+    add_machine_flags(trace)
 
     commands.add_parser("list", help="list the available benchmarks")
     return parser
@@ -715,7 +704,7 @@ def _load_workload_packs(args: argparse.Namespace) -> None:
 
 
 def _experiment(args: argparse.Namespace) -> Experiment:
-    """The staged experiment the CLI flags describe."""
+    """The experiment the CLI flags describe."""
     machine = getattr(args, "machine", None) or "paper"
     machine_file = _machine_file_path(getattr(args, "machine_file", None))
     return Experiment.paper(
@@ -723,16 +712,6 @@ def _experiment(args: argparse.Namespace) -> Experiment:
             n_buses=args.buses, machine=machine, machine_file=machine_file
         )
     )
-
-
-def _stage_plan(args: argparse.Namespace, experiment: Experiment) -> bool:
-    """Handle ``--stages``/``--explain``; True when the command is done."""
-    if args.stages:
-        print(experiment.explain())
-        return True
-    if args.explain:
-        print(experiment.explain(), file=sys.stderr)
-    return False
 
 
 def _campaign_machines(args: argparse.Namespace) -> tuple:
@@ -748,22 +727,6 @@ def _campaign_machines(args: argparse.Namespace) -> tuple:
     return machines, files
 
 
-def _campaign_plan_args(args: argparse.Namespace) -> argparse.Namespace:
-    """First grid point of a campaign, as evaluate-style args.
-
-    The stage plan is identical for every job of a campaign, so
-    ``--stages``/``--explain`` render it for the first point of the
-    bus/machine grids.
-    """
-    buses = [int(b.strip()) for b in str(args.buses).split(",") if b.strip()]
-    machines, files = _campaign_machines(args)
-    return argparse.Namespace(
-        buses=buses[0] if buses else 1,
-        machine=machines[0] if machines else None,
-        machine_file=None if machines else files[0],
-    )
-
-
 def _evaluate(name: str, experiment: Experiment, scale: float):
     corpus = build_corpus(spec_profile(name), scale=scale)
     return experiment.run(corpus)
@@ -772,8 +735,6 @@ def _evaluate(name: str, experiment: Experiment, scale: float):
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     _load_workload_packs(args)
     experiment = _experiment(args)
-    if _stage_plan(args, experiment):
-        return 0
     evaluation = _evaluate(args.benchmark, experiment, args.scale)
     if args.output == "json":
         print(json.dumps(evaluation.to_dict(), indent=2, sort_keys=True))
@@ -803,8 +764,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     _load_workload_packs(args)
     experiment = _experiment(args)
-    if _stage_plan(args, experiment):
-        return 0
     evaluations = []
     measured = {}
     for name in SPEC2000_PROFILES:
@@ -847,8 +806,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
 
     _load_workload_packs(args)
-    if _stage_plan(args, _experiment(_campaign_plan_args(args))):
-        return 0
 
     store = None
     if not args.no_cache:
@@ -1498,8 +1455,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     _load_workload_packs(args)
     experiment = _experiment(args)
-    if _stage_plan(args, experiment):
-        return 0
     enable_tracing()
     with span(args.cmd, buses=args.buses, scale=args.scale) as root:
         if args.cmd == "evaluate":

@@ -64,8 +64,8 @@ class WorkloadError(ReproError):
 
 
 class PipelineError(ReproError):
-    """A staged experiment is mis-composed (missing artifact, unknown
-    stage, unregistered machine/selector/scheduler)."""
+    """An experiment's machine or workload cannot be resolved or
+    registered (unknown or duplicate name, bad machine override)."""
 
 
 class ScenarioError(ReproError):

@@ -1,19 +1,17 @@
-"""End-to-end experiment pipeline, as composable stages.
+"""End-to-end experiment pipeline: the paper's fixed stage sequence.
 
-profile (reference homogeneous) -> calibrate -> optimum homogeneous
-baseline -> heterogeneous selection -> heterogeneous scheduling ->
-metering -> ED^2 vs baseline.
+profile (reference homogeneous) -> calibrate -> profile -> calibrate ->
+optimum homogeneous baseline -> heterogeneous selection ->
+heterogeneous scheduling -> metering -> ED^2 vs baseline.
 
 Two entry points:
 
-* the staged API — :class:`Experiment` composes first-class
-  :class:`Stage` objects over a typed :class:`ExperimentContext`, with
-  pluggable machines/selectors/schedulers (:func:`register_machine` and
-  friends) and loop-granular caching
+* :class:`Experiment` runs the :class:`Stage` sequence over one
+  :class:`ExperimentContext` on a registered, file-declared or live
+  machine (:func:`register_machine`), with loop-granular caching
   (:data:`~repro.pipeline.cache.LOOP_CACHE`);
-* the function-shaped compatibility layer — :func:`evaluate_corpus` /
-  :func:`evaluate_suite`, thin wrappers over ``Experiment.paper()``
-  producing bit-identical results.
+* :func:`evaluate_corpus` / :func:`evaluate_suite` are function-shaped
+  wrappers over ``Experiment.paper()``.
 """
 
 from repro.pipeline.profiling import profile_corpus, profile_loop
@@ -25,17 +23,11 @@ from repro.pipeline.experiment import (
     evaluate_suite,
 )
 from repro.pipeline.cache import StageCache, stage_key
-from repro.pipeline.context import ARTIFACTS, ExperimentContext
+from repro.pipeline.context import ExperimentContext
 from repro.pipeline.registry import (
     machine_factory,
     machine_names,
     register_machine,
-    register_scheduler,
-    register_selector,
-    scheduler_factory,
-    scheduler_names,
-    selector_factory,
-    selector_names,
 )
 from repro.pipeline.stages import (
     BaselineStage,
@@ -62,18 +54,11 @@ __all__ = [
     "StageCache",
     "stage_key",
     # context
-    "ARTIFACTS",
     "ExperimentContext",
-    # registries
+    # machine registry
     "machine_factory",
     "machine_names",
     "register_machine",
-    "register_scheduler",
-    "register_selector",
-    "scheduler_factory",
-    "scheduler_names",
-    "selector_factory",
-    "selector_names",
     # stages + builder
     "BaselineStage",
     "CalibrateStage",

@@ -5,6 +5,7 @@ This is the code path behind every figure of the evaluation:
 1. schedule every loop on the *reference* homogeneous machine and profile
    it (section 3's profiling pass),
 2. calibrate the unit energies from the prescribed baseline breakdown,
+   then repeat steps 1 and 2 with the calibrated partition weights,
 3. find the *optimum homogeneous* configuration — the paper's baseline
    (section 5.1) — and measure it (homogeneous executions are
    cycle-identical, so the reference schedules re-time exactly),
@@ -13,12 +14,11 @@ This is the code path behind every figure of the evaluation:
    algorithm and meter each schedule's energy and time analytically,
 6. report heterogeneous/baseline ratios of ED^2, energy and time.
 
-The flow itself is built from first-class stages —
-see :mod:`repro.pipeline.stages`; :func:`evaluate_corpus` and
-:func:`evaluate_suite` are thin wrappers over
-``Experiment.paper().run(...)`` kept for compatibility (they produce
-bit-identical results).  This module keeps the experiment *value types*:
-:class:`ExperimentOptions`, :class:`BenchmarkEvaluation`,
+The stages that run this flow, in this fixed order, are in
+:mod:`repro.pipeline.stages`; :func:`evaluate_corpus` and
+:func:`evaluate_suite` are function-shaped wrappers over
+``Experiment.paper().run(...)``.  This module keeps the experiment
+*value types*: :class:`ExperimentOptions`, :class:`BenchmarkEvaluation`,
 :class:`SuiteResult`.
 """
 

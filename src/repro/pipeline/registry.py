@@ -1,12 +1,12 @@
-"""Pluggable machines, selectors, schedulers and workloads.
+"""Pluggable machines and workloads.
 
-Four small name -> value registries back the
+Two small name -> value registries back the
 :class:`~repro.pipeline.stages.Experiment` builder and the workload
 resolvers, so a custom machine (an :mod:`examples.custom_machine`-style
-retarget or a :mod:`repro.scenarios` pack), an alternative configuration
-selector, a different heterogeneous scheduler, or a file-declared
-workload corpus flows through *exactly* the same pipeline as the paper's
-evaluation setup.
+retarget or a :mod:`repro.scenarios` pack) or a file-declared workload
+corpus flows through *exactly* the same pipeline as the paper's
+evaluation setup.  The selector and the scheduler are fixed: every
+experiment uses the paper's section 3.3 models and section 4 algorithm.
 
 **The name-registration contract.**  A registered name is a stable,
 serializable identity:
@@ -24,19 +24,15 @@ serializable identity:
 * names are unique per registry; re-registering raises unless
   ``overwrite=True``.  Scenario packs register with ``overwrite=True``
   so re-loading an edited file replaces the old definition;
-* ``"paper"`` (:data:`PAPER`) is reserved in every registry for the
-  paper's evaluation setup and is registered at import time.
+* the machine ``"paper"`` (:data:`PAPER`) is the paper's evaluation
+  setup and is registered at import time.
 
-Factory signatures:
+What each registry holds:
 
 * machine: ``factory(options: ExperimentOptions) -> MachineDescription``
   (the options carry ``n_buses``/``per_class_energy`` so one factory can
   serve several option points; factories may ignore them — file-loaded
   machines do, because the file fixes every structural parameter),
-* selector: ``factory(machine, technology, design_space)`` returning an
-  object with ``select(profile, units) -> SelectionResult``,
-* scheduler: ``factory(machine, scheduler_options)`` returning an object
-  with ``schedule(loop, point, weights=...) -> Schedule``,
 * workload: no factory — a validated
   :class:`~repro.workloads.spec_profiles.BenchmarkSpec` registered under
   its own name, resolvable through
@@ -50,44 +46,13 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import PipelineError
 from repro.machine.machine import MachineDescription, paper_machine
-from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
-from repro.vfs.selector import ConfigurationSelector
 from repro.workloads.spec_profiles import SPEC2000_PROFILES, BenchmarkSpec
 
-#: The name every registry resolves by default — the paper's evaluation
-#: setup (section 5).
+#: The machine name resolved by default — the paper's evaluation setup
+#: (section 5).
 PAPER = "paper"
 
 _MACHINES: Dict[str, Callable[..., MachineDescription]] = {}
-_SELECTORS: Dict[str, Callable] = {}
-_SCHEDULERS: Dict[str, Callable] = {}
-
-
-def _register(
-    registry: Dict[str, Callable],
-    kind: str,
-    name: str,
-    factory: Callable,
-    overwrite: bool,
-) -> None:
-    if not callable(factory):
-        raise PipelineError(f"{kind} factory for {name!r} is not callable")
-    if name in registry and not overwrite:
-        raise PipelineError(
-            f"{kind} {name!r} is already registered (pass overwrite=True "
-            "to replace it)"
-        )
-    registry[name] = factory
-
-
-def _resolve(registry: Dict[str, Callable], kind: str, name: str) -> Callable:
-    try:
-        return registry[name]
-    except KeyError:
-        known = ", ".join(sorted(registry)) or "<none>"
-        raise PipelineError(
-            f"unknown {kind} {name!r}; registered: {known}"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -97,68 +62,30 @@ def register_machine(
     name: str, factory: Callable, overwrite: bool = False
 ) -> None:
     """Register ``factory`` as the machine named ``name``."""
-    _register(_MACHINES, "machine", name, factory, overwrite)
+    if not callable(factory):
+        raise PipelineError(f"machine factory for {name!r} is not callable")
+    if name in _MACHINES and not overwrite:
+        raise PipelineError(
+            f"machine {name!r} is already registered (pass overwrite=True "
+            "to replace it)"
+        )
+    _MACHINES[name] = factory
 
 
 def machine_factory(name: str) -> Callable:
     """The machine factory registered under ``name``."""
-    return _resolve(_MACHINES, "machine", name)
+    try:
+        return _MACHINES[name]
+    except KeyError:
+        known = ", ".join(sorted(_MACHINES)) or "<none>"
+        raise PipelineError(
+            f"unknown machine {name!r}; registered: {known}"
+        ) from None
 
 
 def machine_names() -> Tuple[str, ...]:
     """Registered machine names, sorted."""
     return tuple(sorted(_MACHINES))
-
-
-# ----------------------------------------------------------------------
-# selectors
-# ----------------------------------------------------------------------
-def register_selector(
-    name: str, factory: Callable, overwrite: bool = False
-) -> None:
-    """Register ``factory`` as the configuration selector ``name``."""
-    _register(_SELECTORS, "selector", name, factory, overwrite)
-
-
-def selector_factory(name: str) -> Callable:
-    """The selector factory registered under ``name``."""
-    return _resolve(_SELECTORS, "selector", name)
-
-
-def selector_names() -> Tuple[str, ...]:
-    """Registered selector names, sorted."""
-    return tuple(sorted(_SELECTORS))
-
-
-# ----------------------------------------------------------------------
-# schedulers
-# ----------------------------------------------------------------------
-def register_scheduler(
-    name: str, factory: Callable, overwrite: bool = False
-) -> None:
-    """Register ``factory`` as the heterogeneous scheduler ``name``.
-
-    The contract is determinism: equal inputs (loop, machine, point,
-    options, weights) must give equal schedules.  The schedule stage
-    memoizes every loop's schedule in the loop cache, keyed on exactly
-    those inputs plus the engine's class, so it may answer
-    ``schedule()`` from an earlier run or from disk; an engine whose
-    schedules depend on anything else must carry it in its options.
-    The engine exposes ``machine`` and ``options``, and its schedules
-    must round-trip through
-    :func:`~repro.pipeline.serialization.schedule_to_dict`.
-    """
-    _register(_SCHEDULERS, "scheduler", name, factory, overwrite)
-
-
-def scheduler_factory(name: str) -> Callable:
-    """The scheduler factory registered under ``name``."""
-    return _resolve(_SCHEDULERS, "scheduler", name)
-
-
-def scheduler_names() -> Tuple[str, ...]:
-    """Registered scheduler names, sorted."""
-    return tuple(sorted(_SCHEDULERS))
 
 
 # ----------------------------------------------------------------------
@@ -223,5 +150,3 @@ def _paper_machine_factory(options) -> MachineDescription:
 
 
 register_machine(PAPER, _paper_machine_factory)
-register_selector(PAPER, ConfigurationSelector)
-register_scheduler(PAPER, HeterogeneousModuloScheduler)

@@ -1,40 +1,33 @@
-"""First-class pipeline stages and the composable ``Experiment`` builder.
+"""The paper's evaluation flow as a fixed sequence of stages.
 
-The paper's evaluation flow — profile on the reference homogeneous
-machine, calibrate unit energies, find the optimum-homogeneous baseline,
-select a heterogeneous configuration, schedule on it and meter it — used
-to live as one monolithic function.  Here each step is a
-:class:`Stage`: a named unit declaring which context artifacts it
-``requires`` and ``provides``.  The two scheduling stages (profile and
-schedule) work loop by loop through the process-wide
+Profile on the reference homogeneous machine and calibrate unit
+energies (twice), find the optimum-homogeneous baseline, select a
+heterogeneous configuration, schedule on it and meter it.  Each step is
+a named :class:`Stage` that reads and sets fields of one
+:class:`~repro.pipeline.context.ExperimentContext`; the name labels the
+step's span and its ``repro_stage_seconds`` samples.  The two scheduling
+stages (profile and schedule) work loop by loop through the process-wide
 :data:`~repro.pipeline.cache.LOOP_CACHE`, so repeated work is answered
 per loop — and, when a campaign attaches its store, from disk across
 processes.
 
-Compose stages through :class:`Experiment`::
+:class:`Experiment` runs the sequence on one machine::
 
     from repro.pipeline import Experiment
 
     evaluation = Experiment.paper().run(corpus)            # == evaluate_corpus
-    evaluation = (
-        Experiment.paper()
-        .with_machine("my-dsp")        # a registered machine factory
-        .with_selector("paper")
-        .with_scheduler("paper")
-        .run(corpus)
-    )
+    evaluation = Experiment.paper().with_machine("my-dsp").run(corpus)
 
-``Experiment.paper()`` reproduces the legacy ``evaluate_corpus`` exactly
-(same stages, same two-pass calibration, bit-identical results); custom
-machines, selectors and schedulers plug in through the registries in
-:mod:`repro.pipeline.registry`.
+Only the machine and the options vary: the machine is a name registered
+in :mod:`repro.pipeline.registry`, a scenario pack file, a live
+:class:`~repro.machine.machine.MachineDescription` or a factory.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, Union
 
 from repro.errors import PipelineError
 from repro.machine.machine import MachineDescription
@@ -51,6 +44,7 @@ from repro.scheduler.homogeneous import HomogeneousModuloScheduler
 from repro.sim.power_meter import MeasuredExecution, PowerMeter
 from repro.telemetry import histogram, span
 from repro.vfs.homogeneous import optimum_homogeneous
+from repro.vfs.selector import ConfigurationSelector
 from repro.workloads.corpus import Corpus
 
 #: Wall time per stage execution, labelled by stage name.
@@ -125,7 +119,7 @@ class ScheduleSummary:
 
 def measure_homogeneous(
     corpus: Corpus,
-    schedules: Dict[str, Any],
+    schedules: Dict[str, ScheduleSummary],
     meter: PowerMeter,
     point,
     reference_ct,
@@ -173,37 +167,23 @@ def _weights_key(weights: Optional[PartitionEnergyWeights]) -> Optional[tuple]:
 class Stage:
     """One named step of an experiment.
 
-    Subclasses declare ``requires``/``provides`` (artifact slots of
-    :class:`~repro.pipeline.context.ExperimentContext`) and implement
-    ``compute``, which installs the provided artifacts.
+    Subclasses implement ``compute``, which reads the context fields
+    earlier stages set and sets this stage's own.
     """
 
     name: str = "stage"
-    requires: Tuple[str, ...] = ()
-    provides: Tuple[str, ...] = ()
 
     def compute(self, context: ExperimentContext) -> None:
-        """Compute and install this stage's artifacts."""
+        """Compute this stage's results into ``context``."""
         raise NotImplementedError
 
     def run(self, context: ExperimentContext) -> ExperimentContext:
-        """Check prerequisites, then compute the stage's artifacts."""
+        """Compute the stage under its span and timing histogram."""
         started = time.perf_counter()
         with span(self.name):
-            for artifact in self.requires:
-                context.require(artifact)
             self.compute(context)
         _STAGE_SECONDS.observe(time.perf_counter() - started, stage=self.name)
-        context.record(self.name)
         return context
-
-    def describe(self) -> Dict[str, Any]:
-        """Introspection row: name, requires, provides."""
-        return {
-            "name": self.name,
-            "requires": self.requires,
-            "provides": self.provides,
-        }
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -221,16 +201,14 @@ class ProfileStage(Stage):
     """
 
     name = "profile"
-    provides = ("profile", "reference_schedules")
 
     def compute(self, context: ExperimentContext) -> None:
         """Profile loop by loop through :data:`LOOP_CACHE`.
 
-        A hit restores ``(LoopProfile, ScheduleSummary)`` — the summary
-        carries exactly what homogeneous measurement reads, so warm runs
-        are bit-identical to cold (the PR 3 protocol).  A miss schedules
-        the loop and keeps the *live* schedule for this run while
-        memoizing the summary.
+        A hit restores ``(LoopProfile, ScheduleSummary)``; a miss
+        schedules the loop and memoizes that pair.  Either way the run
+        keeps the summary, which carries exactly what homogeneous
+        measurement reads, so warm runs are bit-identical to cold.
         """
         from repro.pipeline.profiling import profile_loop
         from repro.pipeline.serialization import loop_profile_to_dict
@@ -242,7 +220,7 @@ class ProfileStage(Stage):
         options_key = repr(scheduler.options)
         weights_key = _weights_key(context.weights)
         profiles = []
-        schedules: Dict[str, Any] = {}
+        schedules: Dict[str, ScheduleSummary] = {}
         for loop in context.corpus.loops:
             key = stage_key(
                 "profile_loop",
@@ -271,11 +249,11 @@ class ProfileStage(Stage):
                 },
             )
             profiles.append(profile)
-            schedules[loop.name] = schedule
-        context.provide(
-            "profile", ProgramProfile(name=context.corpus.benchmark, loops=profiles)
+            schedules[loop.name] = summary
+        context.profile = ProgramProfile(
+            name=context.corpus.benchmark, loops=profiles
         )
-        context.provide("reference_schedules", schedules)
+        context.reference_schedules = schedules
 
     @staticmethod
     def _decode_loop(payload: Dict[str, Any]):
@@ -291,77 +269,49 @@ class CalibrateStage(Stage):
     """Calibrate unit energies from the prescribed baseline breakdown."""
 
     name = "calibrate"
-    requires = ("profile",)
-    provides = ("units", "weights", "meter")
-
-    @staticmethod
-    def _options(context: ExperimentContext):
-        if context.options is None:
-            raise PipelineError(
-                "CalibrateStage needs experiment options (the energy "
-                "breakdown); build the context through Experiment"
-            )
-        return context.options
 
     def compute(self, context: ExperimentContext) -> None:
         units = calibrate(
-            context.require("profile"),
+            context.profile,
             context.technology.reference_setting,
-            self._options(context).breakdown,
+            context.options.breakdown,
             context.machine.n_clusters,
         )
-        context.provide("units", units)
-        context.provide(
-            "weights",
-            PartitionEnergyWeights(
-                e_ins_unit=units.e_ins_unit,
-                e_comm=units.e_comm,
-                static_rate_per_cluster=units.static_rate_per_cluster,
-                static_rate_icn=units.static_rate_icn,
-            ),
+        context.units = units
+        context.weights = PartitionEnergyWeights(
+            e_ins_unit=units.e_ins_unit,
+            e_comm=units.e_comm,
+            static_rate_per_cluster=units.static_rate_per_cluster,
+            static_rate_icn=units.static_rate_icn,
         )
-        context.provide(
-            "meter", PowerMeter(EnergyModel(units, context.technology))
-        )
+        context.meter = PowerMeter(EnergyModel(units, context.technology))
 
 
 class BaselineStage(Stage):
     """Find and measure the optimum homogeneous baseline (section 5.1)."""
 
     name = "baseline"
-    requires = ("profile", "units", "meter", "reference_schedules")
-    provides = ("baseline_selection", "reference_measured", "baseline_measured")
 
     def compute(self, context: ExperimentContext) -> None:
-        options = CalibrateStage._options(context)
-        profile = context.require("profile")
-        units = context.require("units")
-        meter = context.require("meter")
-        schedules = context.require("reference_schedules")
         baseline = optimum_homogeneous(
-            profile,
+            context.profile,
             context.machine,
             context.technology,
-            units,
-            options.design_space,
+            context.units,
+            context.options.design_space,
         )
+        schedules = context.reference_schedules
         reference_ct = context.technology.reference_setting.cycle_time
-        context.provide("baseline_selection", baseline)
-        context.provide(
-            "reference_measured",
-            measure_homogeneous(
-                context.corpus,
-                schedules,
-                meter,
-                context.reference_scheduler.reference_point(),
-                reference_ct,
-            ),
+        context.baseline_selection = baseline
+        context.reference_measured = measure_homogeneous(
+            context.corpus,
+            schedules,
+            context.meter,
+            context.reference_scheduler.reference_point(),
+            reference_ct,
         )
-        context.provide(
-            "baseline_measured",
-            measure_homogeneous(
-                context.corpus, schedules, meter, baseline.point, reference_ct
-            ),
+        context.baseline_measured = measure_homogeneous(
+            context.corpus, schedules, context.meter, baseline.point, reference_ct
         )
 
 
@@ -369,20 +319,13 @@ class SelectStage(Stage):
     """Pick the heterogeneous configuration with the section 3.3 models."""
 
     name = "select"
-    requires = ("profile", "units")
-    provides = ("heterogeneous_selection",)
 
     def compute(self, context: ExperimentContext) -> None:
-        options = CalibrateStage._options(context)
-        factory = context.selector_factory
-        if factory is None:
-            factory = registry.selector_factory(registry.PAPER)
-        selector = factory(
-            context.machine, context.technology, options.design_space
+        selector = ConfigurationSelector(
+            context.machine, context.technology, context.options.design_space
         )
-        context.provide(
-            "heterogeneous_selection",
-            selector.select(context.require("profile"), context.require("units")),
+        context.heterogeneous_selection = selector.select(
+            context.profile, context.units
         )
 
 
@@ -390,8 +333,6 @@ class ScheduleStage(Stage):
     """Schedule every loop on the selected heterogeneous point (section 4)."""
 
     name = "schedule"
-    requires = ("heterogeneous_selection", "weights")
-    provides = ("heterogeneous_schedules",)
 
     def compute(self, context: ExperimentContext) -> None:
         """Schedule loop by loop through :data:`LOOP_CACHE`.
@@ -403,32 +344,23 @@ class ScheduleStage(Stage):
         the cold compute.  A schedule decoded from the disk layer is
         re-validated before it is used: one that is well-formed but
         illegal does not decode, so the cache counts it corrupt, evicts
-        it and it is rescheduled.  An engine other than the paper's keys
-        its artifacts apart by its class name.
+        it and it is rescheduled.
         """
         from repro.pipeline.serialization import (
             schedule_from_dict,
             schedule_to_dict,
         )
 
-        options = CalibrateStage._options(context)
-        factory = context.scheduler_factory
-        if factory is None:
-            factory = registry.scheduler_factory(registry.PAPER)
-        scheduler = factory(context.machine, options.scheduler)
-        selection = context.require("heterogeneous_selection")
-        weights = context.require("weights")
-        engine = type(scheduler)
-        engine_key = (
-            ()
-            if engine is HeterogeneousModuloScheduler
-            else (f"{engine.__module__}.{engine.__qualname__}",)
+        scheduler = HeterogeneousModuloScheduler(
+            context.machine, context.options.scheduler
         )
+        selection = context.heterogeneous_selection
+        weights = context.weights
         isa_fp, shape_fp = machine_facets(scheduler.machine)
         point_key = repr(selection.point)
         options_key = repr(scheduler.options)
         weights_key = _weights_key(weights)
-        schedules: Dict[str, Any] = {}
+        schedules = {}
         for loop in context.corpus.loops:
             key = stage_key(
                 "schedule_loop",
@@ -438,7 +370,6 @@ class ScheduleStage(Stage):
                 point_key,
                 options_key,
                 weights_key,
-                *engine_key,
             )
 
             def decode(payload, loop=loop):
@@ -455,33 +386,21 @@ class ScheduleStage(Stage):
             schedule = scheduler.schedule(loop, selection.point, weights=weights)
             LOOP_CACHE.store(key, schedule, payload=schedule_to_dict(schedule))
             schedules[loop.name] = schedule
-        context.provide("heterogeneous_schedules", schedules)
+        context.heterogeneous_schedules = schedules
 
 
 class MeasureStage(Stage):
     """Meter the heterogeneous schedules and assemble the result."""
 
     name = "measure"
-    requires = (
-        "heterogeneous_schedules",
-        "heterogeneous_selection",
-        "baseline_selection",
-        "reference_measured",
-        "baseline_measured",
-        "profile",
-        "units",
-        "meter",
-    )
-    provides = ("heterogeneous_measured", "evaluation")
 
     def compute(self, context: ExperimentContext) -> None:
         from repro.pipeline.experiment import BenchmarkEvaluation
 
-        meter = context.require("meter")
-        selection = context.require("heterogeneous_selection")
-        schedules = context.require("heterogeneous_schedules")
+        selection = context.heterogeneous_selection
+        schedules = context.heterogeneous_schedules
         measurements = [
-            meter.measure_loop(
+            context.meter.measure_loop(
                 schedules[loop.name],
                 selection.point,
                 iterations=loop.trip_count,
@@ -489,42 +408,39 @@ class MeasureStage(Stage):
             )
             for loop in context.corpus.loops
         ]
-        heterogeneous_measured = meter.measure_program(measurements)
-        context.provide("heterogeneous_measured", heterogeneous_measured)
-        context.provide(
-            "evaluation",
-            BenchmarkEvaluation(
-                benchmark=context.corpus.benchmark,
-                profile=context.require("profile"),
-                units=context.require("units"),
-                baseline_selection=context.require("baseline_selection"),
-                heterogeneous_selection=selection,
-                reference_measured=context.require("reference_measured"),
-                baseline_measured=context.require("baseline_measured"),
-                heterogeneous_measured=heterogeneous_measured,
-            ),
+        context.heterogeneous_measured = context.meter.measure_program(
+            measurements
+        )
+        context.evaluation = BenchmarkEvaluation(
+            benchmark=context.corpus.benchmark,
+            profile=context.profile,
+            units=context.units,
+            baseline_selection=context.baseline_selection,
+            heterogeneous_selection=selection,
+            reference_measured=context.reference_measured,
+            baseline_measured=context.baseline_measured,
+            heterogeneous_measured=context.heterogeneous_measured,
         )
 
 
-def paper_stages(calibration_passes: int = 2) -> Tuple[Stage, ...]:
+def paper_stages() -> Tuple[Stage, ...]:
     """The paper's evaluation flow as a stage sequence.
 
-    Two (profile, calibrate) rounds by default: the first pass schedules
-    with default partition weights and calibrates, the second
-    re-schedules with the *calibrated* weights so the baseline and
-    heterogeneous runs see identical partitioning economics, then
-    re-calibrates.
+    Two (profile, calibrate) rounds: the first pass schedules with
+    default partition weights and calibrates, the second re-schedules
+    with the *calibrated* weights so the baseline and heterogeneous runs
+    see identical partitioning economics, then re-calibrates.
     """
-    if calibration_passes < 1:
-        raise PipelineError("at least one calibration pass is needed")
-    stages: List[Stage] = []
-    for _ in range(calibration_passes):
-        stages.append(ProfileStage())
-        stages.append(CalibrateStage())
-    stages.extend(
-        (BaselineStage(), SelectStage(), ScheduleStage(), MeasureStage())
+    return (
+        ProfileStage(),
+        CalibrateStage(),
+        ProfileStage(),
+        CalibrateStage(),
+        BaselineStage(),
+        SelectStage(),
+        ScheduleStage(),
+        MeasureStage(),
     )
-    return tuple(stages)
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +451,7 @@ MachineLike = Union[str, MachineDescription, Callable]
 
 @dataclass(frozen=True)
 class Experiment:
-    """A composable experiment: stages + pluggable machine/selector/scheduler.
+    """The paper's evaluation flow on one machine and option set.
 
     Immutable builder — every ``with_*`` returns a new experiment, so
     partial configurations can be shared and specialized::
@@ -544,20 +460,17 @@ class Experiment:
         dsp = base.with_machine("my-dsp")
         two_bus = dsp.with_options(replace(dsp.options, n_buses=2))
 
-    ``run(corpus)`` executes the stages in order against a fresh
+    ``run(corpus)`` executes :attr:`stages` in order against a fresh
     :class:`~repro.pipeline.context.ExperimentContext` and returns the
     :class:`~repro.pipeline.experiment.BenchmarkEvaluation`.
     """
 
     options: Any = None
-    stages: Tuple[Stage, ...] = field(default_factory=paper_stages)
     #: Machine override: a live description or factory.  None resolves
     #: ``options.machine`` through the registry (the serializable path).
     machine: Union[None, MachineDescription, Callable] = None
-    #: Selector/scheduler overrides: a factory, or None for the
-    #: registry entry named by the paper default.
-    selector: Union[None, str, Callable] = None
-    scheduler: Union[None, str, Callable] = None
+    #: The fixed stage sequence (see :func:`paper_stages`).
+    stages: ClassVar[Tuple[Stage, ...]] = paper_stages()
 
     def __post_init__(self) -> None:
         if self.options is None:
@@ -567,19 +480,13 @@ class Experiment:
 
     # ------------------------------------------------------------------
     @classmethod
-    def paper(cls, options=None, calibration_passes: int = 2) -> "Experiment":
+    def paper(cls, options=None) -> "Experiment":
         """The paper's full evaluation pipeline (see :func:`paper_stages`)."""
-        return cls(options=options, stages=paper_stages(calibration_passes))
+        return cls(options=options)
 
     def with_options(self, options) -> "Experiment":
         """A copy of this experiment with different options."""
         return replace(self, options=options)
-
-    def with_stages(self, *stages: Stage) -> "Experiment":
-        """A copy with an explicit stage sequence."""
-        if not stages:
-            raise PipelineError("an experiment needs at least one stage")
-        return replace(self, stages=tuple(stages))
 
     def with_machine(self, machine: MachineLike) -> "Experiment":
         """Target ``machine``: a registry name (serializable — campaign
@@ -621,26 +528,6 @@ class Experiment:
             machine=None,
         )
 
-    def with_selector(self, selector: Union[str, Callable]) -> "Experiment":
-        """Use a registered selector name or a selector factory."""
-        if isinstance(selector, str):
-            return replace(self, selector=registry.selector_factory(selector))
-        if callable(selector):
-            return replace(self, selector=selector)
-        raise PipelineError(
-            f"with_selector expects a name or factory, got {selector!r}"
-        )
-
-    def with_scheduler(self, scheduler: Union[str, Callable]) -> "Experiment":
-        """Use a registered scheduler name or a scheduler factory."""
-        if isinstance(scheduler, str):
-            return replace(self, scheduler=registry.scheduler_factory(scheduler))
-        if callable(scheduler):
-            return replace(self, scheduler=scheduler)
-        raise PipelineError(
-            f"with_scheduler expects a name or factory, got {scheduler!r}"
-        )
-
     # ------------------------------------------------------------------
     def resolve_machine(self) -> MachineDescription:
         """The concrete machine this experiment targets.
@@ -672,38 +559,15 @@ class Experiment:
                 machine, technology, self.options.scheduler
             ),
             options=self.options,
-            selector_factory=self.selector,
-            scheduler_factory=self.scheduler,
         )
 
     def run(self, corpus: Corpus):
         """Execute every stage in order; returns the evaluation."""
-        context = self.run_context(corpus)
-        if context.evaluation is None:
-            raise PipelineError(
-                "the stage sequence produced no evaluation (it must end "
-                "with a stage providing 'evaluation', e.g. MeasureStage)"
-            )
-        return context.evaluation
+        return self.run_context(corpus).evaluation
 
     def run_context(self, corpus: Corpus) -> ExperimentContext:
-        """Execute every stage; returns the full artifact context."""
+        """Execute every stage; returns the context holding every result."""
         context = self.build_context(corpus)
         for stage in self.stages:
             stage.run(context)
         return context
-
-    # ------------------------------------------------------------------
-    def describe_stages(self) -> List[Dict[str, Any]]:
-        """Introspection rows, one per stage, in execution order."""
-        return [stage.describe() for stage in self.stages]
-
-    def stage_names(self) -> Tuple[str, ...]:
-        """The stage names in execution order."""
-        return tuple(stage.name for stage in self.stages)
-
-    def explain(self) -> str:
-        """Human-readable stage plan (see ``--stages``/``--explain``)."""
-        from repro.reporting.pipeline import stage_plan_table
-
-        return stage_plan_table(self)

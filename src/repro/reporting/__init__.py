@@ -3,7 +3,6 @@
 from repro.reporting.tables import render_table
 from repro.reporting.figures import bar_chart
 from repro.reporting.schedule_view import render_kernel
-from repro.reporting.pipeline import stage_plan_table
 from repro.reporting.campaign import (
     campaign_best_table,
     campaign_means_table,
@@ -33,7 +32,6 @@ __all__ = [
     "render_table",
     "bar_chart",
     "render_kernel",
-    "stage_plan_table",
     "campaign_best_table",
     "campaign_means_table",
     "campaign_pareto_table",

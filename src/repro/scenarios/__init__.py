@@ -4,7 +4,7 @@ Everything the experiment pipeline targets — the machine and the
 workload corpus — can be declared in a TOML (or JSON) *scenario pack*
 instead of Python, validated against the model invariants, and
 auto-registered into :mod:`repro.pipeline.registry` under the
-file-declared names.  This turns the staged API and the campaign runner
+file-declared names.  This turns the experiment API and the campaign runner
 into a design-space-exploration tool: write a machine file, sweep it.
 
 Three layers:

@@ -48,20 +48,6 @@ class TestEvaluate:
 
         assert BenchmarkEvaluation.from_dict(data).to_dict() == data
 
-    def test_stages_prints_plan_without_running(self, capsys):
-        assert main(["evaluate", "swim", "--stages"]) == 0
-        output = capsys.readouterr().out
-        assert "Experiment plan" in output
-        assert "profile" in output and "measure" in output
-
-    def test_explain_prints_plan_then_runs(self, capsys):
-        assert main(
-            ["evaluate", "swim", "--scale", "0.02", "--explain"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "Experiment plan" in captured.err
-        assert "ED^2 vs optimum homogeneous" in captured.out
-
     def test_unknown_machine_fails_fast(self):
         from repro.errors import PipelineError
 
@@ -69,20 +55,15 @@ class TestEvaluate:
             main(["evaluate", "swim", "--scale", "0.02", "--machine", "warp9"])
 
 
-class TestSuiteFlags:
-    def test_suite_stages_plan(self, capsys):
-        assert main(["suite", "--stages", "--buses", "2"]) == 0
-        output = capsys.readouterr().out
-        assert "Experiment plan" in output
-        assert "buses=2" in output
-
-
-class TestCampaignFlags:
-    def test_campaign_stages_plan(self, capsys):
-        assert main(["campaign", "--stages", "--machine", "paper"]) == 0
-        output = capsys.readouterr().out
-        assert "Experiment plan" in output
-        assert "machine='paper'" in output
+class TestRemovedFlags:
+    @pytest.mark.parametrize("verb", ("evaluate swim", "suite", "campaign"))
+    def test_stage_plan_flags_are_rejected(self, verb, capsys):
+        # The pipeline is fixed, so there is no plan to print.
+        for flag in ("--stages", "--explain"):
+            with pytest.raises(SystemExit) as raised:
+                main(verb.split() + [flag])
+            assert raised.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestTable2:

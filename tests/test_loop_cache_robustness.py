@@ -304,14 +304,14 @@ class TestIllegalScheduleArtifacts:
     def test_tampered_schedule_is_recomputed(self, attached_loop_dir):
         corpus = build_corpus(spec_profile("swim"), scale=SCALE)
         context = Experiment.paper().run_context(corpus)
-        reference = canonical_json(context.require("evaluation").to_dict())
+        reference = canonical_json(context.evaluation.to_dict())
         artifacts = {}
         for path in attached_loop_dir.glob("schedule_loop-*.json"):
             envelope = json.loads(path.read_bytes())
             artifacts[canonical_json(envelope["data"])] = (path, envelope)
 
         for loop in corpus.loops:
-            schedule = context.require("heterogeneous_schedules")[loop.name]
+            schedule = context.heterogeneous_schedules[loop.name]
             placements = _delay_one_producer(schedule)
             if placements is not None:
                 break

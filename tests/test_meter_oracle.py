@@ -65,9 +65,9 @@ def test_simulator_reproduces_metered_counts(pack_name, workload):
     )
     corpus = build_corpus(spec_profile(workload), scale=SCALE)
     context = Experiment.paper(options).run_context(corpus)
-    meter = context.require("meter")
-    point = context.require("heterogeneous_selection").point
-    schedules = context.require("heterogeneous_schedules")
+    meter = context.meter
+    point = context.heterogeneous_selection.point
+    schedules = context.heterogeneous_schedules
     assert len(schedules) == len(corpus.loops)
     for loop in corpus.loops:
         schedule = schedules[loop.name]

@@ -1,8 +1,10 @@
-"""Tests for the staged experiment API: stages, context, builder,
-registries, and golden equivalence with the legacy entry points."""
+"""Tests for the experiment pipeline: the fixed stage sequence, the
+context, the builder and the machine registry.  The pipeline's numbers
+are pinned in test_golden.py."""
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -12,21 +14,13 @@ from repro.errors import PipelineError
 from repro.pipeline import (
     Experiment,
     ExperimentOptions,
-    CalibrateStage,
     ProfileStage,
-    SelectStage,
-    evaluate_corpus,
     paper_stages,
     register_machine,
 )
-from repro.pipeline.registry import (
-    machine_factory,
-    machine_names,
-    scheduler_names,
-    selector_names,
-)
+from repro.pipeline.registry import machine_factory, machine_names
 from repro.pipeline.stages import ScheduleSummary
-from repro.workloads import SPEC2000_PROFILES, build_corpus, spec_profile
+from repro.workloads import build_corpus, spec_profile
 
 SCALE = 0.02
 
@@ -36,31 +30,12 @@ def _corpus(name="sixtrack", scale=SCALE):
 
 
 # ----------------------------------------------------------------------
-# golden equivalence: the staged path reproduces the monolith bit for bit
-# ----------------------------------------------------------------------
-class TestGoldenEquivalence:
-    @pytest.mark.parametrize("name", sorted(SPEC2000_PROFILES))
-    def test_every_benchmark_identical(self, name):
-        corpus = _corpus(name)
-        legacy = evaluate_corpus(corpus)
-        staged = Experiment.paper().run(corpus)
-        assert staged.to_dict() == legacy.to_dict()
-
-    def test_two_bus_machine_identical(self):
-        options = ExperimentOptions(n_buses=2)
-        corpus = _corpus("swim")
-        assert (
-            Experiment.paper(options).run(corpus).to_dict()
-            == evaluate_corpus(corpus, options).to_dict()
-        )
-
-
-# ----------------------------------------------------------------------
 # the stage sequence and context
 # ----------------------------------------------------------------------
 class TestStages:
     def test_paper_stage_plan(self):
         names = [stage.name for stage in paper_stages()]
+        assert [stage.name for stage in Experiment.paper().stages] == names
         assert names == [
             "profile",
             "calibrate",
@@ -72,76 +47,33 @@ class TestStages:
             "measure",
         ]
 
-    def test_single_calibration_pass_composes(self):
-        corpus = _corpus("swim")
-        experiment = Experiment.paper(calibration_passes=1)
-        assert len(experiment.stages) == 6
-        evaluation = experiment.run(corpus)
-        assert 0.3 < evaluation.ed2_ratio < 1.2
+    def test_run_executes_the_paper_stages_in_order(self, monkeypatch):
+        from repro.pipeline.stages import Stage
 
-    def test_zero_calibration_passes_rejected(self):
-        with pytest.raises(PipelineError):
-            paper_stages(calibration_passes=0)
+        ran = []
+        run = Stage.run
+
+        def recording_run(stage, context):
+            ran.append(stage.name)
+            return run(stage, context)
+
+        monkeypatch.setattr(Stage, "run", recording_run)
+        evaluation = Experiment.paper().run(_corpus("swim"))
+        assert ran == [stage.name for stage in paper_stages()]
+        assert evaluation.benchmark == "171.swim"
 
     def test_run_context_exposes_artifacts(self):
         context = Experiment.paper().run_context(_corpus("swim"))
-        assert context.provided() == (
-            "profile",
-            "reference_schedules",
-            "units",
-            "weights",
-            "meter",
-            "baseline_selection",
-            "reference_measured",
-            "baseline_measured",
-            "heterogeneous_selection",
-            "heterogeneous_schedules",
-            "heterogeneous_measured",
-            "evaluation",
-        )
-        assert context.stage_log == [
-            "profile",
-            "calibrate",
-            "profile",
-            "calibrate",
-            "baseline",
-            "select",
-            "schedule",
-            "measure",
+        unset = [
+            field.name
+            for field in dataclasses.fields(context)
+            if getattr(context, field.name) is None
         ]
-
-    def test_missing_prerequisite_is_a_clear_error(self):
-        experiment = Experiment.paper().with_stages(SelectStage())
-        with pytest.raises(PipelineError, match="profile"):
-            experiment.run(_corpus("swim"))
-
-    def test_stage_sequence_without_measure_rejected(self):
-        experiment = Experiment.paper().with_stages(
-            ProfileStage(), CalibrateStage()
+        assert unset == []
+        assert (
+            context.evaluation.heterogeneous_measured
+            is context.heterogeneous_measured
         )
-        with pytest.raises(PipelineError, match="evaluation"):
-            experiment.run(_corpus("swim"))
-
-    def test_unknown_artifact_rejected(self):
-        corpus = _corpus("swim")
-        context = Experiment.paper().build_context(corpus)
-        with pytest.raises(PipelineError, match="unknown artifact"):
-            context.provide("nonsense", 1)
-        with pytest.raises(PipelineError, match="unknown artifact"):
-            context.require("nonsense")
-
-    def test_describe_stages_rows(self):
-        rows = Experiment.paper().describe_stages()
-        assert rows[0]["name"] == "profile"
-        assert rows[4]["name"] == "baseline"
-        assert set(rows[4]) == {"name", "requires", "provides"}
-        assert "units" in rows[1]["provides"]
-
-    def test_explain_renders_plan(self):
-        text = Experiment.paper().explain()
-        for name in ("profile", "calibrate", "baseline", "select", "measure"):
-            assert name in text
-        assert "machine='paper'" in text
 
 
 class TestScheduleSummary:
@@ -165,16 +97,45 @@ class TestScheduleSummary:
         context = Experiment.paper().build_context(corpus)
         ProfileStage().run(context)
         loop = corpus.loops[0]
-        schedule = context.reference_schedules[loop.name]
-        summary = ScheduleSummary.from_schedule(schedule)
+        summary = context.reference_schedules[loop.name]
+        assert isinstance(summary, ScheduleSummary)
+        scheduler = context.reference_scheduler
+        schedule = scheduler.schedule(loop, scheduler.reference_point())
+        assert summary == ScheduleSummary.from_schedule(schedule)
         assert summary.execution_time(loop.trip_count) == pytest.approx(
             schedule.execution_time(loop.trip_count)
         )
         assert summary.cluster_energy_units() == schedule.cluster_energy_units()
 
 
+    def test_warm_profile_restores_the_same_summaries(self):
+        from repro.pipeline.cache import LOOP_CACHE, clear_loop_cache
+
+        corpus = _corpus("swim")
+        experiment = Experiment.paper()
+        LOOP_CACHE.detach_store()
+        clear_loop_cache(reset_stats=True)
+        try:
+            cold = experiment.build_context(corpus)
+            ProfileStage().run(cold)
+            assert LOOP_CACHE.stats()["misses"] == len(corpus.loops)
+            warm = experiment.build_context(corpus)
+            ProfileStage().run(warm)
+            assert LOOP_CACHE.stats()["hits"] == len(corpus.loops)
+        finally:
+            clear_loop_cache(reset_stats=True)
+        # A miss and a hit keep the same type and the same values.
+        for context in (cold, warm):
+            assert all(
+                type(summary) is ScheduleSummary
+                for summary in context.reference_schedules.values()
+            )
+        assert warm.reference_schedules == cold.reference_schedules
+        assert warm.profile == cold.profile
+
+
 # ----------------------------------------------------------------------
-# registries and pluggability
+# the machine registry
 # ----------------------------------------------------------------------
 def _examples_machine():
     examples = str(Path(__file__).parent.parent / "examples")
@@ -188,18 +149,12 @@ def _examples_machine():
 class TestRegistries:
     def test_paper_entries_present(self):
         assert "paper" in machine_names()
-        assert "paper" in selector_names()
-        assert "paper" in scheduler_names()
 
     def test_unknown_names_fail_fast(self):
         with pytest.raises(PipelineError, match="unknown machine"):
             machine_factory("warp9")
         with pytest.raises(PipelineError, match="unknown machine"):
             Experiment.paper().with_machine("warp9")
-        with pytest.raises(PipelineError, match="unknown selector"):
-            Experiment.paper().with_selector("warp9")
-        with pytest.raises(PipelineError, match="unknown scheduler"):
-            Experiment.paper().with_scheduler("warp9")
 
     def test_duplicate_registration_rejected(self):
         register_machine("dup-test", lambda options: None, overwrite=True)
@@ -211,18 +166,6 @@ class TestRegistries:
         factory = machine_factory("paper")
         machine = factory(ExperimentOptions(n_buses=2, per_class_energy=False))
         assert machine.interconnect.n_buses == 2
-
-    def test_named_selector_and_scheduler_equivalent(self):
-        corpus = _corpus("swim")
-        options = ExperimentOptions()
-        base = Experiment.paper(options).run(corpus)
-        named = (
-            Experiment.paper(options)
-            .with_selector("paper")
-            .with_scheduler("paper")
-            .run(corpus)
-        )
-        assert named.to_dict() == base.to_dict()
 
 
 class TestCustomMachineEndToEnd:
@@ -278,61 +221,38 @@ class TestCustomMachineEndToEnd:
         assert experiment.options.machine == "test-dsp2"
         assert experiment.machine is None  # resolved via registry
 
-    def test_custom_selector_factory_is_used(self):
-        calls = []
 
-        def selector_factory_fn(machine, technology, design_space):
-            from repro.vfs.selector import ConfigurationSelector
+    def test_machine_description_matches_registered_name(self):
+        from repro.machine.machine import paper_machine
 
-            calls.append(machine.n_clusters)
-            return ConfigurationSelector(machine, technology, design_space)
-
+        options = ExperimentOptions(n_buses=2)
         corpus = _corpus("swim")
-        evaluation = (
-            Experiment.paper()
-            .with_selector(selector_factory_fn)
+        by_name = Experiment.paper(options).run(corpus)
+        by_description = (
+            Experiment.paper(options)
+            .with_machine(paper_machine(n_buses=2))
             .run(corpus)
         )
-        assert calls == [4]
-        assert evaluation.ed2_ratio > 0
+        assert by_description.to_dict() == by_name.to_dict()
 
-    def test_custom_scheduler_factory_is_used(self):
-        calls = []
+    def test_machine_factory_receives_the_options(self):
+        from repro.machine.machine import paper_machine
 
-        def scheduler_factory_fn(machine, scheduler_options):
-            from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
+        seen = []
 
-            calls.append(machine.n_clusters)
-            return HeterogeneousModuloScheduler(machine, scheduler_options)
+        def factory(options):
+            seen.append(options)
+            return paper_machine(n_buses=options.n_buses)
 
-        corpus = _corpus("swim")
-        (
-            Experiment.paper()
-            .with_scheduler(scheduler_factory_fn)
-            .run(corpus)
+        options = ExperimentOptions(n_buses=2)
+        context = (
+            Experiment.paper(options).with_machine(factory).build_context(
+                _corpus("swim")
+            )
         )
-        assert calls == [4]
-
-    def test_custom_engine_is_not_served_the_paper_schedules(self):
-        # Every engine's schedules go through the loop cache, so another
-        # engine must key its artifacts apart from the paper's.
-        from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
-
-        scheduled = []
-
-        class CountingScheduler(HeterogeneousModuloScheduler):
-            def schedule(self, loop, point, weights=None):
-                scheduled.append(loop.name)
-                return super().schedule(loop, point, weights=weights)
-
-        corpus = _corpus("swim")
-        options = ExperimentOptions()
-        paper = Experiment.paper(options).run(corpus)
-        custom = Experiment.paper(options).with_scheduler(CountingScheduler)
-        assert custom.run(corpus).to_dict() == paper.to_dict()
-        assert len(scheduled) == len(corpus.loops)
-        custom.run(corpus)  # now answered from its own artifacts
-        assert len(scheduled) == len(corpus.loops)
+        assert seen == [options]
+        assert context.machine.interconnect.n_buses == 2
+        assert context.reference_scheduler.machine is context.machine
 
 
 class TestLegacyWrappers:
@@ -342,6 +262,23 @@ class TestLegacyWrappers:
         import repro.pipeline
 
         assert not hasattr(repro.pipeline, "profile_corpus_cached")
+
+    def test_plugin_registries_are_gone(self):
+        # The selector and scheduler are fixed; only machines and
+        # workloads are pluggable.
+        import repro
+        import repro.pipeline
+
+        for name in (
+            "register_selector",
+            "register_scheduler",
+            "selector_names",
+            "scheduler_names",
+        ):
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.pipeline, name)
+        for name in ("with_selector", "with_scheduler", "with_stages", "explain"):
+            assert not hasattr(Experiment, name)
 
     def test_profile_stage_replaces_the_old_helper(self):
         from repro.pipeline.context import ExperimentContext
@@ -357,6 +294,7 @@ class TestLegacyWrappers:
             machine=scheduler.machine,
             technology=scheduler.technology,
             reference_scheduler=scheduler,
+            options=ExperimentOptions(),
         )
         ProfileStage().run(context)
         profile, schedules = context.profile, context.reference_schedules
