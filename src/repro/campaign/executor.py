@@ -388,7 +388,7 @@ def run_campaign(
             execute=execute_job_payload if slots == 1 else None,
         )
         futures = {
-            coordinator.submit(key, job.to_dict()): key
+            coordinator.submit(key, job.to_dict())[0]: key
             for key, job in pending.items()
         }
         workers.ensure_started()

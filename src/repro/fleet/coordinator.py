@@ -21,7 +21,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.fleet.queue import BATCH, LeaseGrant, LeaseQueue
 from repro.telemetry import (
@@ -133,12 +133,9 @@ class FleetCoordinator:
         store=None,
         ttl: float = 60.0,
         max_attempts: int = 3,
-        class_weights: Optional[Dict[str, int]] = None,
     ) -> None:
         self._store = store
-        self.queue = LeaseQueue(
-            ttl=ttl, max_attempts=max_attempts, class_weights=class_weights
-        )
+        self.queue = LeaseQueue(ttl=ttl, max_attempts=max_attempts)
         self.queue.add_observer(self._on_queue_event)
         self._workers: Dict[str, WorkerInfo] = {}
         self._sweeper: Optional[asyncio.Task] = None
@@ -246,12 +243,15 @@ class FleetCoordinator:
         job_class: str = BATCH,
         deadline: Optional[float] = None,
         trace: Optional[Dict[str, Any]] = None,
-    ) -> "asyncio.Future":
+    ) -> Tuple["asyncio.Future", bool]:
         """Enqueue one job; the future resolves with its payload.
 
-        Terminal entries are evicted as their future resolves, so a
-        later resubmission of the same key runs fresh — the store, not
-        the queue, is the cache.  ``deadline`` (absolute,
+        Returns ``(future, added)``; ``added`` is False when the key
+        already had a live entry, which this caller now shares (the
+        queue keeps the first submitter's trace and the most patient
+        deadline).  Terminal entries are evicted as their future
+        resolves, so a later resubmission of the same key runs fresh —
+        the store, not the queue, is the cache.  ``deadline`` (absolute,
         ``time.monotonic``) cancels the job if it is still pending
         when it passes.  ``trace`` is the distributed-trace context
         carried into every lease grant for this job.  Must run on the
@@ -270,7 +270,7 @@ class FleetCoordinator:
 
             loop.call_soon_threadsafe(resolve)
 
-        self.queue.submit(
+        added = self.queue.submit(
             key,
             job_data,
             on_done=on_done,
@@ -278,7 +278,7 @@ class FleetCoordinator:
             deadline=deadline,
             trace=trace,
         )
-        return future
+        return future, added
 
     # ------------------------------------------------------------------
     # the worker protocol (transport-agnostic)

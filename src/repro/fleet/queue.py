@@ -60,9 +60,9 @@ _STATUS_OK = "ok"
 INTERACTIVE = "interactive"
 BATCH = "batch"
 
-#: Default weighted-fair shares: four interactive grants for every
-#: batch grant while both queues are non-empty.
-DEFAULT_CLASS_WEIGHTS = {INTERACTIVE: 4, BATCH: 1}
+#: Weighted-fair shares: four interactive grants for every batch grant
+#: while both queues are non-empty.
+CLASS_WEIGHTS = {INTERACTIVE: 4, BATCH: 1}
 
 
 class FleetError(ReproError):
@@ -189,14 +189,13 @@ class LeaseQueue:
     ``ttl`` is the default lease lifetime; ``max_attempts`` caps how
     many times a job may be leased before an expiry marks it failed
     (the bounded-retry guarantee: a job whose workers keep dying does
-    not circulate forever).  ``retry_errors`` additionally requeues
-    jobs whose workers *returned* an error payload, up to the same
-    attempt cap — off by default, because pipeline failures are
-    deterministic and retrying them only wastes fleet time.
+    not circulate forever).  A job whose worker *returned* an error
+    payload is never retried: pipeline failures are deterministic, so
+    a retry would only waste fleet time.
 
-    ``class_weights`` maps job classes to their weighted-fair share of
-    lease grants (smooth weighted round-robin; classes not listed get
-    weight 1).  ``observer`` (or :meth:`add_observer`) receives
+    Lease grants are weighted-fair across job classes by
+    :data:`CLASS_WEIGHTS` (smooth weighted round-robin; classes not
+    listed get weight 1).  ``observer`` (or :meth:`add_observer`) receives
     ``(event, key, info)`` tuples for telemetry: events are
     ``submitted``, ``granted``, ``renewed``, ``released``,
     ``completed``, ``rejected``, ``expired``, ``requeued``, ``failed``,
@@ -212,9 +211,7 @@ class LeaseQueue:
         self,
         ttl: float = 60.0,
         max_attempts: int = 3,
-        retry_errors: bool = False,
         clock: Callable[[], float] = time.monotonic,
-        class_weights: Optional[Dict[str, int]] = None,
     ) -> None:
         if ttl <= 0:
             raise FleetError(f"lease ttl must be positive, got {ttl}")
@@ -222,14 +219,10 @@ class LeaseQueue:
             raise FleetError(f"max_attempts must be >= 1, got {max_attempts}")
         self.ttl = float(ttl)
         self.max_attempts = int(max_attempts)
-        self.retry_errors = bool(retry_errors)
         self._clock = clock
         self._lock = threading.Lock()
         self._entries: Dict[str, _Entry] = {}
         self._pending: Dict[str, Deque[str]] = {}
-        self._weights = dict(
-            DEFAULT_CLASS_WEIGHTS if class_weights is None else class_weights
-        )
         self._credits: Dict[str, int] = {}
         self._by_token: Dict[str, str] = {}
         self._token_counter = itertools.count(1)
@@ -347,7 +340,7 @@ class LeaseQueue:
                 queue_.popleft()
             if not queue_:
                 continue
-            weight = max(1, self._weights.get(job_class, 1))
+            weight = max(1, CLASS_WEIGHTS.get(job_class, 1))
             self._credits[job_class] = self._credits.get(job_class, 0) + weight
             total += weight
             if best is None or self._credits[job_class] > self._credits[best]:
@@ -483,8 +476,7 @@ class LeaseQueue:
         its token is no longer the job's current lease — the lease
         expired and the job was requeued or completed by another
         worker — or when the worker id does not match the grant.  An
-        accepted error payload either requeues the job
-        (``retry_errors``, attempts remaining) or records the failure.
+        accepted error payload records the failure.
         """
         events: List[Tuple[str, str, Dict[str, Any]]] = []
         fired: List[Tuple[Callable, _Entry]] = []
@@ -512,10 +504,6 @@ class LeaseQueue:
             if payload.get("status") == _STATUS_OK:
                 fired = self._settle_locked(entry, DONE, payload=payload)
                 events.append(("completed", entry.key, info))
-            elif self.retry_errors and entry.attempts < self.max_attempts:
-                entry.payload = None
-                self._requeue_locked(entry)
-                events.append(("requeued", entry.key, info))
             else:
                 fired = self._settle_locked(
                     entry, FAILED, payload=payload,

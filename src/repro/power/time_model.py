@@ -17,22 +17,24 @@ estimated as the smallest initiation time such that
 the arithmetic-mean cluster cycle time (the paper's half-fast/half-slow
 assumption), and
 ``Texec = weight * ((N - 1) * IT + it_length)`` per loop.
+
+Constraints 2-4 and the search for the smallest IT are the scheduler's
+own: :func:`repro.scheduler.mii.min_feasible_it` scans ``recMIT`` and
+then the multiples of the cluster (and interconnect) periods above it
+with :func:`~repro.scheduler.mii.capacity_ok`, the check that
+``resMIT`` uses.  This module only supplies the start, the demand, the
+communications and the lifetimes from the loop's profile.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional
 
-from repro.errors import InfeasibleITError
-from repro.ir.opcodes import OpClass
-from repro.machine.fu import FUType, fu_for
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import MachineSpeeds
 from repro.power.profile import LoopProfile, ProgramProfile
-from repro.units import Time, floor_div
+from repro.scheduler.mii import fu_demand, min_feasible_it
 
 
 @dataclass(frozen=True)
@@ -45,85 +47,11 @@ class LoopTimeEstimate:
     total_ns: float
 
 
-def fu_demand(class_counts) -> Dict[FUType, int]:
-    """Per-FU-type instruction counts of a loop body."""
-    demand: Dict[FUType, int] = {fu: 0 for fu in FUType}
-    for opclass, count in class_counts.items():
-        fu = fu_for(opclass)
-        if fu is not None:
-            demand[fu] += count
-    return demand
-
-
-def _candidate_its(speeds: MachineSpeeds, start: Fraction) -> Iterator[Fraction]:
-    """Ascending ITs at which some capacity term can jump.
-
-    Capacities change only when ``floor(IT / Tcyc_d)`` increments for some
-    domain, i.e. at multiples of a domain cycle time.  The stream starts
-    with ``start`` itself, then merges the multiples of every relevant
-    period strictly above ``start``.
-    """
-    yield start
-    periods = list(speeds.cluster_cycle_times) + [speeds.icn_cycle_time]
-    heap: List[Fraction] = []
-    for period in set(periods):
-        k = floor_div(start, period) + 1
-        heapq.heappush(heap, k * period)
-    previous: Optional[Fraction] = None
-    while heap:
-        value = heapq.heappop(heap)
-        # Re-arm the period(s) whose multiple this was.
-        for period in set(periods):
-            if (value / period).denominator == 1:
-                heapq.heappush(heap, value + period)
-        if previous is None or value > previous:
-            previous = value
-            yield value
-
-
 class TimeModel:
     """Section 3.2 estimator bound to one machine description."""
 
-    #: Safety bound on the candidate-IT scan per loop.
-    MAX_CANDIDATES = 100_000
-
     def __init__(self, machine: MachineDescription):
         self._machine = machine
-
-    # ------------------------------------------------------------------
-    def rec_mit(self, profile: LoopProfile, speeds: MachineSpeeds) -> Fraction:
-        """recMIT: recMII cycles of the fastest cluster (section 2.2)."""
-        return profile.rec_mii * speeds.fastest_cluster_cycle_time
-
-    def _capacity_ok(
-        self,
-        it: Fraction,
-        speeds: MachineSpeeds,
-        demand: Dict[FUType, int],
-        comms: int,
-        lifetimes: int,
-    ) -> bool:
-        machine = self._machine
-        iis = [floor_div(it, ct) for ct in speeds.cluster_cycle_times]
-        for fu, needed in demand.items():
-            if needed == 0:
-                continue
-            slots = sum(
-                ii * machine.cluster(i).fu_count(fu) for i, ii in enumerate(iis)
-            )
-            if slots < needed:
-                return False
-        if comms > 0:
-            ii_icn = floor_div(it, speeds.icn_cycle_time)
-            if machine.interconnect.n_buses * ii_icn < comms:
-                return False
-        if lifetimes > 0:
-            reg_slots = sum(
-                ii * machine.cluster(i).n_regs for i, ii in enumerate(iis)
-            )
-            if reg_slots < lifetimes:
-                return False
-        return True
 
     def minimum_initiation_time(
         self, profile: LoopProfile, speeds: MachineSpeeds
@@ -131,26 +59,20 @@ class TimeModel:
         """Smallest IT satisfying the four section 3.2 constraints."""
         if speeds.n_clusters != self._machine.n_clusters:
             raise ValueError("speed assignment and machine disagree on clusters")
-        demand = fu_demand(profile.class_counts)
-        start = self.rec_mit(profile, speeds)
+        # recMIT: recMII cycles of the fastest cluster (section 2.2).
+        start = profile.rec_mii * speeds.fastest_cluster_cycle_time
         if start <= 0:
             # No recurrences: the scan starts at the smallest IT giving the
             # fastest cluster a single slot.
             start = speeds.fastest_cluster_cycle_time
-        for steps, candidate in enumerate(_candidate_its(speeds, start)):
-            if steps > self.MAX_CANDIDATES:  # pragma: no cover - safety net
-                break
-            if self._capacity_ok(
-                candidate,
-                speeds,
-                demand,
-                profile.comms_per_iteration,
-                profile.lifetime_cycles_per_iteration,
-            ):
-                return candidate
-        raise InfeasibleITError(
-            f"no feasible IT found for loop {profile.name!r} within "
-            f"{self.MAX_CANDIDATES} candidates"
+        return min_feasible_it(
+            start,
+            self._machine,
+            speeds,
+            fu_demand(profile.class_counts),
+            profile.comms_per_iteration,
+            profile.lifetime_cycles_per_iteration,
+            loop=profile.name,
         )
 
     # ------------------------------------------------------------------

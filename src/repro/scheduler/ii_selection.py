@@ -10,9 +10,8 @@ leaves the machine unable to schedule, the driver increases the IT
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.machine.clocking import (
     CACHE_DOMAIN,
@@ -21,8 +20,9 @@ from repro.machine.clocking import (
     cluster_domain,
 )
 from repro.machine.operating_point import OperatingPoint
+from repro.scheduler.mii import period_multiples
 from repro.scheduler.schedule import DomainAssignment
-from repro.units import Time, as_fraction, ceil_div, floor_div
+from repro.units import Time, as_fraction
 
 
 def select_assignments(
@@ -81,45 +81,21 @@ def iter_it_candidates(
     if palette.is_any:
         # IIs jump at multiples of the domains' fastest periods; `start`
         # itself (typically the MIT) is always worth trying first.
-        periods = sorted(
-            {s.cycle_time for s in point.clusters}
-            | {point.icn.cycle_time, point.cache.cycle_time}
-        )
+        periods = {s.cycle_time for s in point.clusters}
+        periods |= {point.icn.cycle_time, point.cache.cycle_time}
         yield start
-        previous: Optional[Fraction] = start
-        heap: List[Fraction] = []
-        for period in periods:
-            heapq.heappush(heap, (floor_div(start, period) + 1) * period)
+        yield from (it for it in period_multiples(periods, start) if it > start)
+        return
+    # A domain synchronises only when IT is a multiple of a supported
+    # frequency's period, so those multiples are the candidates.
+    if palette.is_per_domain:
+        size = palette.per_domain_size
+        fmaxes = {s.fmax for s in point.clusters}
+        fmaxes.add(point.icn.fmax)
+        fmaxes.add(point.cache.fmax)
+        periods = {
+            Fraction(size, k) / fmax for fmax in fmaxes for k in range(1, size + 1)
+        }
     else:
-        # A domain synchronises only when IT is a multiple of a supported
-        # frequency's period, so those multiples are the candidates.
-        if palette.is_per_domain:
-            size = palette.per_domain_size
-            fmaxes = {s.fmax for s in point.clusters}
-            fmaxes.add(point.icn.fmax)
-            fmaxes.add(point.cache.fmax)
-            periods = sorted(
-                {
-                    Fraction(size, k) / fmax
-                    for fmax in fmaxes
-                    for k in range(1, size + 1)
-                }
-            )
-        else:
-            periods = sorted({Fraction(1) / f for f in palette.frequencies})
-        previous = None
-        heap = []
-        for period in periods:
-            k = max(ceil_div(start, period), 1)
-            heapq.heappush(heap, k * period)
-    while heap:
-        value = heapq.heappop(heap)
-        for period in periods:
-            # Divisibility check without allocating the quotient Fraction.
-            if (value.numerator * period.denominator) % (
-                value.denominator * period.numerator
-            ) == 0:
-                heapq.heappush(heap, value + period)
-        if previous is None or value > previous:
-            previous = value
-            yield value
+        periods = {Fraction(1) / f for f in palette.frequencies}
+    yield from period_multiples(periods, start)

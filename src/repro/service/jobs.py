@@ -10,11 +10,11 @@ at two levels, both content-addressed:
   concurrently or later — attaches to the existing job instead of
   creating a new one;
 * **experiment level** — every underlying experiment (a bare evaluate,
-  or one point of a suite/campaign expansion) funnels through one
-  in-flight table keyed by :meth:`ExperimentJob.key`, backed by the
-  result store: concurrent *different* requests that share points (a
-  campaign overlapping a pending evaluate, say) still compute each
-  point exactly once.
+  or one point of a suite/campaign expansion) is answered from the
+  result store or submitted to the fleet queue, which holds one entry
+  per :meth:`ExperimentJob.key`: concurrent *different* requests that
+  share points (a campaign overlapping a pending evaluate, say) still
+  compute each point exactly once, under the most patient deadline.
 
 Heavy work never runs on the loop: every experiment is submitted to the
 manager's :class:`~repro.fleet.coordinator.FleetCoordinator`, whose
@@ -420,7 +420,6 @@ class JobManager:
         )
         self._jobs: Dict[str, ServiceJob] = {}
         self._order: List[str] = []  # submission order for listings
-        self._inflight: Dict[str, asyncio.Task] = {}
         #: Strong references to driver tasks (the loop only keeps weak
         #: ones; an unreferenced running task may be collected mid-run).
         self._drivers: set = set()
@@ -455,14 +454,11 @@ class JobManager:
         self.fleet.drain()
 
     async def close(self) -> None:
-        """Cancel in-flight work and stop the local workers."""
-        for task in list(self._inflight.values()):
+        """Fail the running jobs and stop the local workers."""
+        drivers = list(self._drivers)
+        for task in drivers:
             task.cancel()
-        if self._inflight:
-            await asyncio.gather(
-                *self._inflight.values(), return_exceptions=True
-            )
-        self._inflight.clear()
+        await asyncio.gather(*drivers, return_exceptions=True)
         if self._local is not None:
             await self._local.close()
         await self.fleet.close()
@@ -733,7 +729,7 @@ class JobManager:
 
         The warehouse label is part of the job identity: resubmitting
         the same grid under a *new* label is a fresh (cheap — every
-        point answers from the store or in-flight table) job that
+        point answers from the store or a live queue entry) job that
         records the new campaign, rather than deduping onto the old one
         and silently dropping the label.
         """
@@ -770,12 +766,15 @@ class JobManager:
     ) -> Dict[str, Any]:
         """One experiment payload, computed at most once per key.
 
-        Resolution order: result store (completed history), in-flight
-        table (running right now, await the same task), fresh compute.
+        Resolution order: result store (completed history), then the
+        fleet queue, which holds one entry per key: a caller that finds
+        a live entry joins it (an ``inflight`` hit) and is answered by
+        the same computation, under the most patient deadline of the
+        callers sharing it.
 
         When the source job carries a trace, the whole resolution is
         wrapped in an ``experiment`` span: dedup hits get a span tagged
-        with their source, computed experiments additionally gain
+        with their source, experiments this caller submitted gain
         ``queue_wait``, one ``lease`` span per granted attempt (from
         the coordinator's lease log, tagged worker/token/outcome, the
         completing attempt holding the re-parented worker span tree)
@@ -804,26 +803,28 @@ class JobManager:
                         key, payload, campaign, trace, exp_span
                     )
                     return payload
-            task = self._inflight.get(key)
-            if task is not None:
+            self.fleet.ensure_sweeper()
+            if self._local is not None:
+                self._local.ensure_started()
+            # The coordinator saves accepted OK payloads to the store
+            # before resolving the future, so _record sees a fresh file.
+            future, added = self.fleet.submit(
+                key,
+                experiment.to_dict(),
+                job_class=job_class,
+                deadline=deadline,
+                trace=None if trace is None else trace.context(parent=key),
+            )
+            if added:
+                self.stats["computed"] += 1
+            else:
                 self.stats["inflight_hits"] += 1
                 _DEDUP_HITS.inc(level="inflight")
                 if exp_span is not None:
                     exp_span.annotate(source="inflight")
-                payload = await asyncio.shield(task)
-                await self._record_traced(
-                    key, payload, campaign, trace, exp_span
-                )
-                return payload
-            task = asyncio.get_running_loop().create_task(
-                self._compute(experiment, key, job_class, deadline, trace)
-            )
-            self._inflight[key] = task
-            try:
-                payload = await asyncio.shield(task)
-            finally:
-                self._inflight.pop(key, None)
-            if exp_span is not None:
+            payload = await future
+            if added and exp_span is not None:
+                # The lease log belongs to the caller that created the entry.
                 exp_span.annotate(source="fleet")
                 self._attach_lease_spans(trace, exp_span, key, payload)
             await self._record_traced(key, payload, campaign, trace, exp_span)
@@ -831,28 +832,6 @@ class JobManager:
         finally:
             if exp_span is not None:
                 JobTrace.end(exp_span, exp_mark)
-
-    async def _compute(
-        self,
-        experiment: ExperimentJob,
-        key: str,
-        job_class: str = BATCH,
-        deadline: Optional[float] = None,
-        trace: Optional[JobTrace] = None,
-    ) -> Dict[str, Any]:
-        self.stats["computed"] += 1
-        self.fleet.ensure_sweeper()
-        if self._local is not None:
-            self._local.ensure_started()
-        # The coordinator saves accepted OK payloads to the store before
-        # resolving this future, so downstream _record sees a fresh file.
-        return await self.fleet.submit(
-            key,
-            experiment.to_dict(),
-            job_class=job_class,
-            deadline=deadline,
-            trace=None if trace is None else trace.context(parent=key),
-        )
 
     def _attach_lease_spans(
         self,

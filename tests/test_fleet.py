@@ -152,7 +152,7 @@ class TestLeaseQueue:
         assert "expired" in payload["error"]
         assert "2" in payload["error"]
 
-    def test_error_completion_is_terminal_by_default(self):
+    def test_error_completion_is_terminal(self):
         queue = LeaseQueue(ttl=10)
         key, data = job_dict()
         queue.submit(key, data)
@@ -163,24 +163,6 @@ class TestLeaseQueue:
         assert accepted
         assert queue.entry_state(key) == "failed"
         assert queue.result(key)["error"] == "boom"
-
-    def test_error_completion_requeues_when_retry_errors(self):
-        queue = LeaseQueue(ttl=10, max_attempts=2, retry_errors=True)
-        key, data = job_dict()
-        queue.submit(key, data)
-        [first] = queue.lease("w1")
-        accepted, _ = queue.complete(
-            "w1", first.token, error_payload(data, "flaky")
-        )
-        assert accepted
-        assert queue.entry_state(key) == "pending"  # requeued, attempt 1/2
-        [second] = queue.lease("w1")
-        assert second.attempt == 2
-        accepted, _ = queue.complete(
-            "w1", second.token, error_payload(data, "flaky")
-        )
-        assert accepted
-        assert queue.entry_state(key) == "failed"  # cap reached
 
     def test_release_returns_job_without_burning_an_attempt(self):
         queue = LeaseQueue(ttl=10, max_attempts=1)
@@ -263,7 +245,8 @@ class TestFleetCoordinator:
         _job, payload = make_payload()
 
         async def body():
-            future = coordinator.submit(key, data)
+            future, added = coordinator.submit(key, data)
+            assert added
             [grant] = coordinator.lease("w1")
             accepted, _ = coordinator.complete(
                 "w1", grant.token, dict(payload, job=data)
@@ -284,7 +267,8 @@ class TestFleetCoordinator:
         key, data = job_dict()
 
         async def body():
-            future = coordinator.submit(key, data)
+            future, added = coordinator.submit(key, data)
+            assert added
             [grant] = coordinator.lease("w1")
             coordinator.complete(
                 "w1", grant.token, error_payload(data, "boom")

@@ -13,7 +13,7 @@ from repro.machine.isa import ClassEntry, InstructionTable
 from repro.machine.operating_point import MachineSpeeds
 from repro.scheduler.mii import (
     capacity_table,
-    ddg_fu_demand,
+    fu_demand,
     minimum_initiation_time,
     rec_mit,
     res_mit,
@@ -110,7 +110,7 @@ class TestResMitGeneral:
         b.op("l", OpClass.LOAD)
         b.op("f", OpClass.FMUL)
         b.op("i", OpClass.BRANCH)
-        demand = ddg_fu_demand(b.build(validate=False))
+        demand = fu_demand(b.build(validate=False).class_counts())
         assert demand == {FUType.MEM: 1, FUType.FP: 1, FUType.INT: 1}
 
     def test_heterogeneous_capacity_loss_increases_mit(self):

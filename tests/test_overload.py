@@ -10,6 +10,7 @@ storms) the server stays responsive and completes every admitted job
 exactly once.
 """
 
+import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -213,6 +214,48 @@ class TestDeadlines:
             fleet = client.stats()["fleet"]
             assert fleet["leases"].get("deadline", 0) >= 1
         assert not store_dir.exists()  # nothing was ever computed
+
+    def test_shared_point_keeps_the_patient_callers_deadline(self):
+        # A campaign joining a short-deadline evaluate's queued point
+        # must not inherit that deadline: the point stays leasable
+        # after the evaluate gives up, and the campaign gets its result.
+        async def body():
+            manager = JobManager(max_workers=0, default_deadline=None)
+            request = evaluate_request(0)
+            evaluate = manager.submit_evaluate(dict(request, deadline_s=0.3))
+            campaign = manager.submit_campaign(
+                {"benchmarks": [request["benchmark"]], "scale": request["scale"]}
+            )
+            await asyncio.sleep(0.8)
+            assert (await manager.wait(evaluate.id, timeout=1)).status == "failed"
+            [grant] = manager.fleet.lease("late-worker")
+            assert grant.key == evaluate.id
+            accepted, _ = manager.fleet.complete(
+                "late-worker", grant.token, ok_payload(grant.job)
+            )
+            assert accepted
+            finished = await manager.wait(campaign.id, timeout=10)
+            assert finished.status == "done"
+            [point] = finished.result["points"]
+            assert point["status"] == "ok"
+            assert manager.stats["computed"] == 1
+            assert manager.stats["inflight_hits"] == 1
+            await manager.close()
+
+        run_async(body)
+
+    def test_close_fails_running_jobs(self):
+        async def body():
+            manager = JobManager(max_workers=0, default_deadline=None)
+            job = manager.submit_evaluate(evaluate_request(0))
+            campaign = manager.submit_campaign({"benchmarks": ["172.mgrid"]})
+            await asyncio.sleep(0.1)
+            await manager.close()
+            for settled in (job, campaign):
+                assert settled.status == "failed"
+                assert settled.error == "cancelled: service shutting down"
+
+        run_async(body)
 
     def test_deadline_via_header_and_default(self):
         runner = CountingRunner(delay=0.05)

@@ -1,6 +1,6 @@
 """Equivalence tests guarding the hot-path rewrites.
 
-Two families:
+Families:
 
 * **recMII** — the integer-scaled SPFA positive-cycle oracle behind
   :func:`rec_mii_lawler` must agree exactly with the elementary-circuit
@@ -17,14 +17,23 @@ Two families:
   pick exactly the moves of the full-rescoring refinement it replaced,
   kept below verbatim as the oracle; each incremental score must ``==``
   the full :func:`partition_cost` of the moved partition.
+* **IT search** — ``resMIT``, the section 3.2 time model and the
+  scheduler's candidate stream share one period-multiple merge and one
+  capacity check; the four separate copies they replaced are kept below
+  verbatim, and every MIT, time-model IT and candidate prefix must ``==``
+  theirs, on random periods, palettes and demands and on every loop of
+  the SPEC2000 corpora.
 """
 
 import gc
+import heapq as _heapq
+import itertools
 import math
 import random
 import sys
 import weakref
 from fractions import Fraction
+from typing import Dict, Iterator, List, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -37,15 +46,25 @@ from repro.ir.analysis import (
     rec_mii_lawler,
 )
 from repro.ir.builder import DDGBuilder
+from repro.ir.ddg import DDG
 from repro.ir.opcodes import COMPUTE_CLASSES, OpClass
 from repro.machine import DomainSetting, OperatingPoint
 from repro.machine.clocking import ICN_DOMAIN, FrequencyPalette, cluster_domain
+from repro.machine.fu import FUType, fu_for
 from repro.machine.isa import ClassEntry, InstructionTable
-from repro.machine.machine import paper_machine
+from repro.machine.machine import MachineDescription, paper_machine
+from repro.machine.operating_point import MachineSpeeds
+from repro.pipeline import Experiment, ExperimentOptions
+from repro.pipeline.cache import LOOP_CACHE, clear_loop_cache
 from repro.scheduler.context import PartitionEnergyWeights, SchedulingContext
 from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
 from repro.scheduler.ii_selection import iter_it_candidates, select_assignments
-from repro.scheduler.mii import minimum_initiation_time
+from repro.scheduler.mii import (
+    minimum_initiation_time,
+    period_multiples,
+    rec_mit,
+    res_mit,
+)
 from repro.scheduler.mrt import ModuloReservationTable
 from repro.scheduler.options import SchedulerOptions
 from repro.scheduler.partition import Partition, build_partition
@@ -64,7 +83,9 @@ from repro.scheduler.pseudo import (
 from repro.scheduler.schedule import DomainAssignment
 from repro.telemetry import disable_tracing, enable_tracing, span, tracing_enabled
 from repro.power import TechnologyModel
-from repro.units import ceil_div, floor_div
+from repro.power.profile import LoopProfile
+from repro.power.time_model import TimeModel
+from repro.units import Time, as_fraction, ceil_div, floor_div
 from repro.workloads import SPEC2000_PROFILES, build_corpus, spec_profile
 
 ISA = paper_machine().isa
@@ -886,3 +907,526 @@ class TestCostMemoLifetime:
         )
         assert live_contexts() == before
         assert schedule.it > 0
+
+
+# ----------------------------------------------------------------------
+# IT search: the parent's four copies of the period-multiple merge and
+# the capacity check, verbatim, as the oracle for ``repro.scheduler.mii``.
+# ----------------------------------------------------------------------
+class _OutOfBudget(Exception):
+    """The parent copies used up their heap-push budget."""
+
+
+class _BudgetedHeapq:
+    """The ``heapq`` the parent copies below call, with a push budget.
+
+    The parent's merges re-armed every dividing period once per heap copy
+    of a shared multiple, so their heaps double at each multiple two
+    periods share: on periods in small ratios (1 and 1/2 ns) a long scan
+    never ends.  A comparison stops where the budget runs out; every
+    example is also checked in full against brute force.
+    """
+
+    heappop = staticmethod(_heapq.heappop)
+
+    def __init__(self) -> None:
+        self.left = 0
+
+    def heappush(self, heap, item) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise _OutOfBudget
+        _heapq.heappush(heap, item)
+
+
+heapq = _BudgetedHeapq()
+
+#: Heap pushes one call of a parent copy may make.
+PARENT_BUDGET = 5_000
+
+
+def parent_prefix(stream, count):
+    """Up to ``count`` values of a parent stream, as far as its budget goes."""
+    heapq.left = PARENT_BUDGET
+    values = []
+    try:
+        for value in stream:
+            values.append(value)
+            if len(values) == count:
+                break
+    except _OutOfBudget:
+        pass
+    return values
+
+
+def parent_value(call, *args):
+    """A parent copy's result, or None if it ran out of budget."""
+    heapq.left = PARENT_BUDGET
+    try:
+        return call(*args)
+    except _OutOfBudget:
+        return None
+
+
+def reference_ddg_fu_demand(ddg: DDG) -> Dict[FUType, int]:
+    """Per-FU-type operation counts of a loop body (copies excluded)."""
+    demand: Dict[FUType, int] = {fu: 0 for fu in FUType}
+    for op in ddg.operations:
+        fu = fu_for(op.opclass)
+        if fu is not None:
+            demand[fu] += 1
+    return demand
+
+
+def _reference_cluster_iis(it: Fraction, speeds: MachineSpeeds) -> List[int]:
+    return [floor_div(it, ct) for ct in speeds.cluster_cycle_times]
+
+
+def _reference_capacity_satisfied(
+    it: Fraction,
+    machine: MachineDescription,
+    speeds: MachineSpeeds,
+    demand: Dict[FUType, int],
+) -> bool:
+    iis = _reference_cluster_iis(it, speeds)
+    for fu, needed in demand.items():
+        if needed == 0:
+            continue
+        slots = sum(ii * machine.cluster(i).fu_count(fu) for i, ii in enumerate(iis))
+        if slots < needed:
+            return False
+    return True
+
+
+def reference_res_mit(
+    ddg: DDG, machine: MachineDescription, speeds: MachineSpeeds
+) -> Fraction:
+    """Resource-constrained minimum initiation time (ns).
+
+    The capacity of each FU type jumps only when some cluster gains a
+    cycle, i.e. at multiples of that cluster's period; the smallest
+    feasible IT is therefore a multiple of some cluster period and the
+    search walks the merged multiples in ascending order.
+    """
+    demand = reference_ddg_fu_demand(ddg)
+    total_demand = sum(demand.values())
+    if total_demand == 0:
+        return speeds.fastest_cluster_cycle_time
+
+    # Lower bound: even with every cluster contributing slots at its own
+    # rate, IT must satisfy sum_c (IT / Tcyc_c) * units >= demand per type.
+    lower = speeds.fastest_cluster_cycle_time
+    for fu, needed in demand.items():
+        if needed == 0:
+            continue
+        rate = sum(
+            Fraction(machine.cluster(i).fu_count(fu), 1) / ct
+            for i, ct in enumerate(speeds.cluster_cycle_times)
+        )
+        if rate == 0:
+            raise InfeasibleITError(
+                f"loop {ddg.name!r} needs {fu} units but the machine has none"
+            )
+        lower = max(lower, Fraction(needed) / rate)
+
+    periods = sorted(set(speeds.cluster_cycle_times))
+    # Candidates: multiples of each cluster period, merged, from `lower`.
+    candidates = sorted(
+        {
+            k * period
+            for period in periods
+            for k in range(
+                max(1, ceil_div(lower, period)),
+                ceil_div(lower, period) + total_demand + 2,
+            )
+        }
+    )
+    for candidate in candidates:
+        if _reference_capacity_satisfied(candidate, machine, speeds, demand):
+            return candidate
+    raise InfeasibleITError(  # pragma: no cover - candidates always suffice
+        f"no feasible resMIT found for loop {ddg.name!r}"
+    )
+
+
+def reference_minimum_initiation_time(
+    ddg: DDG, machine: MachineDescription, speeds: MachineSpeeds
+) -> Fraction:
+    """``MIT = max(recMIT, resMIT)`` (section 2.2)."""
+    return max(
+        rec_mit(ddg, machine.isa, speeds), reference_res_mit(ddg, machine, speeds)
+    )
+
+
+def reference_fu_demand(class_counts) -> Dict[FUType, int]:
+    """Per-FU-type instruction counts of a loop body."""
+    demand: Dict[FUType, int] = {fu: 0 for fu in FUType}
+    for opclass, count in class_counts.items():
+        fu = fu_for(opclass)
+        if fu is not None:
+            demand[fu] += count
+    return demand
+
+
+def reference_candidate_its(
+    speeds: MachineSpeeds, start: Fraction
+) -> Iterator[Fraction]:
+    """Ascending ITs at which some capacity term can jump.
+
+    Capacities change only when ``floor(IT / Tcyc_d)`` increments for some
+    domain, i.e. at multiples of a domain cycle time.  The stream starts
+    with ``start`` itself, then merges the multiples of every relevant
+    period strictly above ``start``.
+    """
+    yield start
+    periods = list(speeds.cluster_cycle_times) + [speeds.icn_cycle_time]
+    heap: List[Fraction] = []
+    for period in set(periods):
+        k = floor_div(start, period) + 1
+        heapq.heappush(heap, k * period)
+    previous: Optional[Fraction] = None
+    while heap:
+        value = heapq.heappop(heap)
+        # Re-arm the period(s) whose multiple this was.
+        for period in set(periods):
+            if (value / period).denominator == 1:
+                heapq.heappush(heap, value + period)
+        if previous is None or value > previous:
+            previous = value
+            yield value
+
+
+class ReferenceTimeModel:
+    """Section 3.2 estimator bound to one machine description."""
+
+    #: Safety bound on the candidate-IT scan per loop.
+    MAX_CANDIDATES = 100_000
+
+    def __init__(self, machine: MachineDescription):
+        self._machine = machine
+
+    # ------------------------------------------------------------------
+    def rec_mit(self, profile: LoopProfile, speeds: MachineSpeeds) -> Fraction:
+        """recMIT: recMII cycles of the fastest cluster (section 2.2)."""
+        return profile.rec_mii * speeds.fastest_cluster_cycle_time
+
+    def _capacity_ok(
+        self,
+        it: Fraction,
+        speeds: MachineSpeeds,
+        demand: Dict[FUType, int],
+        comms: int,
+        lifetimes: int,
+    ) -> bool:
+        machine = self._machine
+        iis = [floor_div(it, ct) for ct in speeds.cluster_cycle_times]
+        for fu, needed in demand.items():
+            if needed == 0:
+                continue
+            slots = sum(
+                ii * machine.cluster(i).fu_count(fu) for i, ii in enumerate(iis)
+            )
+            if slots < needed:
+                return False
+        if comms > 0:
+            ii_icn = floor_div(it, speeds.icn_cycle_time)
+            if machine.interconnect.n_buses * ii_icn < comms:
+                return False
+        if lifetimes > 0:
+            reg_slots = sum(
+                ii * machine.cluster(i).n_regs for i, ii in enumerate(iis)
+            )
+            if reg_slots < lifetimes:
+                return False
+        return True
+
+    def minimum_initiation_time(
+        self, profile: LoopProfile, speeds: MachineSpeeds
+    ) -> Fraction:
+        """Smallest IT satisfying the four section 3.2 constraints."""
+        if speeds.n_clusters != self._machine.n_clusters:
+            raise ValueError("speed assignment and machine disagree on clusters")
+        demand = reference_fu_demand(profile.class_counts)
+        start = self.rec_mit(profile, speeds)
+        if start <= 0:
+            # No recurrences: the scan starts at the smallest IT giving the
+            # fastest cluster a single slot.
+            start = speeds.fastest_cluster_cycle_time
+        for steps, candidate in enumerate(reference_candidate_its(speeds, start)):
+            if steps > self.MAX_CANDIDATES:  # pragma: no cover - safety net
+                break
+            if self._capacity_ok(
+                candidate,
+                speeds,
+                demand,
+                profile.comms_per_iteration,
+                profile.lifetime_cycles_per_iteration,
+            ):
+                return candidate
+        raise InfeasibleITError(
+            f"no feasible IT found for loop {profile.name!r} within "
+            f"{self.MAX_CANDIDATES} candidates"
+        )
+
+
+def reference_iter_it_candidates(
+    point: OperatingPoint,
+    palette: FrequencyPalette,
+    start: Time,
+) -> Iterator[Fraction]:
+    """Ascending IT candidates from ``start``.
+
+    With an unconstrained palette the per-domain IIs jump at multiples of
+    the domains' fastest periods, so those multiples (plus ``start``
+    itself) are the only ITs worth trying.  With a finite palette an IT
+    synchronises a domain only when it is a multiple of a supported
+    frequency's period, so the candidates are the merged multiples of
+    ``1/f`` over the palette.
+    """
+    start = as_fraction(start)
+    if palette.is_any:
+        # IIs jump at multiples of the domains' fastest periods; `start`
+        # itself (typically the MIT) is always worth trying first.
+        periods = sorted(
+            {s.cycle_time for s in point.clusters}
+            | {point.icn.cycle_time, point.cache.cycle_time}
+        )
+        yield start
+        previous: Optional[Fraction] = start
+        heap: List[Fraction] = []
+        for period in periods:
+            heapq.heappush(heap, (floor_div(start, period) + 1) * period)
+    else:
+        # A domain synchronises only when IT is a multiple of a supported
+        # frequency's period, so those multiples are the candidates.
+        if palette.is_per_domain:
+            size = palette.per_domain_size
+            fmaxes = {s.fmax for s in point.clusters}
+            fmaxes.add(point.icn.fmax)
+            fmaxes.add(point.cache.fmax)
+            periods = sorted(
+                {
+                    Fraction(size, k) / fmax
+                    for fmax in fmaxes
+                    for k in range(1, size + 1)
+                }
+            )
+        else:
+            periods = sorted({Fraction(1) / f for f in palette.frequencies})
+        previous = None
+        heap = []
+        for period in periods:
+            k = max(ceil_div(start, period), 1)
+            heapq.heappush(heap, k * period)
+    while heap:
+        value = heapq.heappop(heap)
+        for period in periods:
+            # Divisibility check without allocating the quotient Fraction.
+            if (value.numerator * period.denominator) % (
+                value.denominator * period.numerator
+            ) == 0:
+                heapq.heappush(heap, value + period)
+        if previous is None or value > previous:
+            previous = value
+            yield value
+
+
+#: Candidates compared per stream.
+PREFIX = 200
+
+
+def brute_force_multiples(periods, start, count):
+    """The first ``count`` distinct ``k * p >= start`` (``k >= 1``), by enumeration."""
+    shortest = min(periods)
+    # The multiples of the shortest period alone already give `count` values.
+    bound = (max(ceil_div(start, shortest), 1) + count) * shortest
+    values = {
+        k * p
+        for p in periods
+        for k in range(max(ceil_div(start, p), 1), floor_div(bound, p) + 1)
+    }
+    return sorted(values)[:count]
+
+
+def expected_it_candidates(point, palette, start, count):
+    """What ``iter_it_candidates`` must yield, from the palette's periods."""
+    if palette.is_any:
+        periods = {s.cycle_time for s in point.clusters}
+        periods |= {point.icn.cycle_time, point.cache.cycle_time}
+        above = [v for v in brute_force_multiples(periods, start, count) if v > start]
+        return ([start] + above)[:count]
+    if palette.is_per_domain:
+        size = palette.per_domain_size
+        fmaxes = {s.fmax for s in point.clusters} | {point.icn.fmax, point.cache.fmax}
+        periods = {Fraction(size, k) / f for f in fmaxes for k in range(1, size + 1)}
+    else:
+        periods = {Fraction(1) / f for f in palette.frequencies}
+    return brute_force_multiples(periods, start, count)
+
+
+def brute_force_time_model_it(machine, profile, speeds):
+    """The smallest section 3.2 IT, scanning every multiple by enumeration."""
+    model = ReferenceTimeModel(machine)
+    start = model.rec_mit(profile, speeds)
+    if start <= 0:
+        start = speeds.fastest_cluster_cycle_time
+    periods = [*speeds.cluster_cycle_times, speeds.icn_cycle_time]
+    candidates = [start] + brute_force_multiples(periods, start, 4000)
+    demand = reference_fu_demand(profile.class_counts)
+    return next(
+        it
+        for it in candidates
+        if model._capacity_ok(
+            it,
+            speeds,
+            demand,
+            profile.comms_per_iteration,
+            profile.lifetime_cycles_per_iteration,
+        )
+    )
+
+
+#: Periods (ns) as exact rationals with the denominators clock settings
+#: use: 0.05 ns steps, quarters and thirds.
+periods_st = st.builds(Fraction, st.integers(10, 60), st.sampled_from((20, 4, 3, 12)))
+palettes_st = st.one_of(
+    st.just(FrequencyPalette.any_frequency()),
+    st.integers(1, 8).map(FrequencyPalette.per_domain_uniform),
+    st.lists(
+        st.builds(Fraction, st.integers(1, 20), st.sampled_from((10, 9, 4))),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    ).map(lambda fs: FrequencyPalette(tuple(sorted(fs)))),
+)
+
+
+def _setting(cycle_time):
+    return DomainSetting(cycle_time, 1.0, 0.3)
+
+
+class TestITSearchOracle:
+    """The shared IT search returns exactly what the parent's copies did."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        fast=periods_st,
+        slow=periods_st,
+        icn=periods_st,
+        cache=periods_st,
+        palette=palettes_st,
+        start=st.builds(Fraction, st.integers(1, 400), st.sampled_from((1, 20, 3))),
+    )
+    def test_candidate_streams(self, fast, slow, icn, cache, palette, start):
+        point = OperatingPoint(
+            clusters=(_setting(fast), *[_setting(slow)] * 3),
+            icn=_setting(icn),
+            cache=_setting(cache),
+        )
+        new = list(itertools.islice(iter_it_candidates(point, palette, start), PREFIX))
+        assert new == expected_it_candidates(point, palette, start, PREFIX)
+        parent = parent_prefix(reference_iter_it_candidates(point, palette, start), PREFIX)
+        assert new[: len(parent)] == parent
+        # The time model's scan: `start`, then the cluster and
+        # interconnect multiples strictly above it.
+        speeds = point.speeds
+        periods = [*speeds.cluster_cycle_times, speeds.icn_cycle_time]
+        above = (v for v in period_multiples(periods, start) if v > start)
+        scan = [start, *itertools.islice(above, PREFIX - 1)]
+        parent = parent_prefix(reference_candidate_its(speeds, start), PREFIX)
+        assert scan[: len(parent)] == parent
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        clusters=st.lists(periods_st, min_size=4, max_size=4),
+        icn=periods_st,
+        buses=st.integers(1, 2),
+        counts=st.dictionaries(
+            st.sampled_from(COMPUTE_CLASSES), st.integers(0, 40), max_size=5
+        ),
+        rec=st.builds(Fraction, st.integers(0, 40), st.integers(1, 3)),
+        comms=st.integers(0, 30),
+        lifetimes=st.integers(0, 1500),
+    )
+    def test_mit_and_time_model(
+        self, seed, clusters, icn, buses, counts, rec, comms, lifetimes
+    ):
+        machine = paper_machine(n_buses=buses)
+        speeds = MachineSpeeds(tuple(clusters), icn, icn)
+        ddg = random_ddg(random.Random(seed), max_ops=16)
+        assert res_mit(ddg, machine, speeds) == reference_res_mit(ddg, machine, speeds)
+        assert minimum_initiation_time(
+            ddg, machine, speeds
+        ) == reference_minimum_initiation_time(ddg, machine, speeds)
+        profile = LoopProfile(
+            name="random",
+            rec_mii=rec,
+            res_mii=1,
+            ii_homogeneous=1,
+            cycles_per_iteration=10,
+            class_counts=counts,
+            energy_units_per_iteration=1.0,
+            comms_per_iteration=comms,
+            mem_accesses_per_iteration=0,
+            lifetime_cycles_per_iteration=lifetimes,
+            trip_count=100.0,
+            weight=1.0,
+        )
+        it = TimeModel(machine).minimum_initiation_time(profile, speeds)
+        assert it == brute_force_time_model_it(machine, profile, speeds)
+        parent = parent_value(
+            ReferenceTimeModel(machine).minimum_initiation_time, profile, speeds
+        )
+        assert parent is None or it == parent
+
+    @pytest.mark.parametrize("profile_name", SPEC2000_PROFILES)
+    def test_spec_corpora(self, profile_name, monkeypatch):
+        """Every MIT, candidate stream and time-model IT of a paper run.
+
+        The profile passes schedule every loop on the reference point,
+        the selector's time model estimates every loop on every
+        configuration it considers, and the schedule pass schedules
+        every loop on the selected heterogeneous point.  The parent's
+        MIT and time model must finish every call within their budget.
+        """
+        checked = {"mit": 0, "stream": 0, "time_model": 0}
+
+        def checked_mit(ddg, machine, speeds):
+            mit = minimum_initiation_time(ddg, machine, speeds)
+            assert mit == reference_minimum_initiation_time(ddg, machine, speeds)
+            checked["mit"] += 1
+            return mit
+
+        def checked_stream(point, palette, start):
+            new = list(itertools.islice(iter_it_candidates(point, palette, start), PREFIX))
+            assert new == expected_it_candidates(point, palette, start, PREFIX)
+            parent = parent_prefix(reference_iter_it_candidates(point, palette, start), PREFIX)
+            assert new[: len(parent)] == parent
+            checked["stream"] += 1
+            return iter_it_candidates(point, palette, start)
+
+        new_time_model = TimeModel.minimum_initiation_time
+
+        def checked_time_model(model, profile, speeds):
+            it = new_time_model(model, profile, speeds)
+            reference = ReferenceTimeModel(model._machine)
+            assert it == parent_value(reference.minimum_initiation_time, profile, speeds)
+            checked["time_model"] += 1
+            return it
+
+        monkeypatch.setattr(
+            "repro.scheduler.heterogeneous.minimum_initiation_time", checked_mit
+        )
+        monkeypatch.setattr(
+            "repro.scheduler.heterogeneous.iter_it_candidates", checked_stream
+        )
+        monkeypatch.setattr(TimeModel, "minimum_initiation_time", checked_time_model)
+        LOOP_CACHE.detach_store()
+        clear_loop_cache(reset_stats=True)
+        try:
+            corpus = build_corpus(spec_profile(profile_name), scale=0.02)
+            Experiment.paper(ExperimentOptions()).run(corpus)
+        finally:
+            clear_loop_cache(reset_stats=True)
+        assert all(checked.values()), checked

@@ -8,7 +8,8 @@ from repro.ir.opcodes import OpClass
 from repro.machine.machine import paper_machine
 from repro.machine.operating_point import MachineSpeeds
 from repro.power.profile import LoopProfile
-from repro.power.time_model import TimeModel, fu_demand
+from repro.power.time_model import TimeModel
+from repro.scheduler.mii import fu_demand
 from repro.machine.fu import FUType
 
 

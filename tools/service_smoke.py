@@ -3,8 +3,10 @@
 
 Starts ``python -m repro serve --jobs 2 --runner RUNNER`` as a
 subprocess, submits a scale-0.05 evaluate over HTTP, polls it to
-completion, checks the dedup counters, scrapes ``/metrics`` and asserts
-the dedup/latency (and, in-process, loop-cache) series are live, shuts
+completion, checks the dedup counters, submits an evaluate and an
+overlapping campaign at once and checks their shared point computed
+once, scrapes ``/metrics`` and asserts the dedup (job and in-flight),
+latency (and, in-process, loop-cache) series are live, shuts
 the server down, and finally asks ``python -m repro query`` for the
 warehouse's view of the freshly computed job — exercising exactly the
 path an operator would: server process, HTTP client, Prometheus scrape,
@@ -48,17 +50,33 @@ def metric_total(text: str, name: str) -> float:
     return total
 
 
+def metric_sample(text: str, series: str) -> float:
+    """The value of one labelled series (``name{label="value"}``), or 0."""
+    for line in text.splitlines():
+        if line.startswith(series + " "):
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
+
+
 def check_metrics(scrape: str, runner: str) -> None:
     """Assert the requests left live dedup, latency and cache series."""
     dedup = metric_total(scrape, "repro_service_dedup_hits_total")
     if dedup < 1:
         raise RuntimeError(f"/metrics dedup hits not recorded: {dedup}")
+    inflight = metric_sample(
+        scrape, 'repro_service_dedup_hits_total{level="inflight"}'
+    )
+    if inflight < 1:
+        raise RuntimeError(f"/metrics in-flight dedup not recorded: {inflight}")
     requests = metric_total(scrape, "repro_service_request_seconds_count")
     if requests < 1:
         raise RuntimeError(
             f"/metrics request latency histogram empty: {requests}"
         )
-    print(f"metrics ok: dedup={dedup:g} requests={requests:g}")
+    print(
+        f"metrics ok: dedup={dedup:g} inflight={inflight:g} "
+        f"requests={requests:g}"
+    )
     if runner != "inline":
         # The process runner computes in child processes, whose loop
         # cache counters never reach the server's registry.
@@ -136,6 +154,24 @@ def main() -> int:
             if stats["computed"] != 1 or stats["deduped"] < 1:
                 raise RuntimeError(f"unexpected dedup counters: {stats}")
             print(f"dedup ok: {stats}")
+
+            # An evaluate and a campaign sharing one of its two points,
+            # submitted at once: the campaign joins the evaluate's queued
+            # point, so three requested points compute only twice.
+            evaluate = client.submit_evaluate(benchmark="172.mgrid", scale=0.02)
+            campaign = client.submit_campaign(
+                benchmarks=["172.mgrid"], scale=0.02, buses_grid=[1, 2]
+            )
+            for submitted in (evaluate, campaign):
+                finished = client.wait(submitted["id"], timeout=600)
+                if finished["status"] != "done":
+                    raise RuntimeError(
+                        f"{submitted['id']} failed: {finished.get('error')}"
+                    )
+            overlap = client.stats()["jobs"]
+            if overlap["computed"] - stats["computed"] != 2:
+                raise RuntimeError(f"shared point computed twice: {overlap}")
+            print(f"in-flight dedup ok: {overlap}")
 
             check_metrics(client.metrics(), runner)
         except Exception:
