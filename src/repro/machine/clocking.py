@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
-from repro.units import Frequency, Rational, Time, as_fraction, floor_div, is_integral
+from repro.units import Frequency, Rational, Time, as_fraction, is_integral
 
 #: Identifier of the interconnect clock domain.
 ICN_DOMAIN = "icn"
@@ -147,15 +147,17 @@ class FrequencyPalette:
         yields an integral ``II >= 1`` — the synchronisation failure that
         forces the scheduler to increase the IT.
         """
-        it = as_fraction(it)
-        fmax = as_fraction(fmax)
-        if it <= 0 or fmax <= 0:
+        it_num, it_den = as_fraction(it).as_integer_ratio()
+        f_num, f_den = as_fraction(fmax).as_integer_ratio()
+        if it_num <= 0 or f_num <= 0:
             raise ValueError("IT and fmax must be positive")
         if self.is_any:
-            ii = floor_div(it * fmax, Fraction(1))
+            ii = (it_num * f_num) // (it_den * f_den)
             if ii < 1:
                 return None
-            return (Fraction(ii) / it, ii)
+            return (Fraction(ii * it_den, it_num), ii)
+        it = as_fraction(it)
+        fmax = as_fraction(fmax)
         if self.per_domain_size is not None:
             size = self.per_domain_size
             for k in range(size, 0, -1):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
 from repro.ir.opcodes import Domain, OpClass
 
@@ -58,3 +58,13 @@ def fu_for(opclass: OpClass) -> Optional[FUType]:
     ``None`` here.
     """
     return _FU_FOR[opclass]
+
+
+def fu_demand(class_counts: Mapping[OpClass, int]) -> Dict[FUType, int]:
+    """Per-FU-type instruction counts of a loop body (copies excluded)."""
+    demand: Dict[FUType, int] = {fu: 0 for fu in FUType}
+    for opclass, count in class_counts.items():
+        fu = fu_for(opclass)
+        if fu is not None:
+            demand[fu] += count
+    return demand

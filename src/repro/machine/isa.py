@@ -65,6 +65,8 @@ class InstructionTable:
         if missing:
             raise ValueError(f"instruction table is missing classes: {missing}")
         self._entries: Dict[OpClass, ClassEntry] = dict(entries)
+        #: The table is immutable, so its hash is computed once.
+        self._hash = hash(tuple(self.rows()))
 
     @classmethod
     def paper_defaults(cls, uniform_energy: bool = False) -> "InstructionTable":
@@ -96,7 +98,12 @@ class InstructionTable:
         return self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(tuple(self.rows()))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a string hash differs between
+        # processes, so the cached hash must not travel in a pickle.
+        return (InstructionTable, (self._entries,))
 
     def latency(self, opclass: OpClass) -> int:
         """Latency in cycles of the executing component's clock."""

@@ -11,11 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
 from repro.machine.clocking import CACHE_DOMAIN, ICN_DOMAIN, cluster_domain
-from repro.units import Frequency, Rational, Time, as_fraction, frequency_of
+from repro.units import (
+    Frequency,
+    Rational,
+    Time,
+    as_fraction,
+    common_quantum,
+    frequency_of,
+)
 
 
 @dataclass(frozen=True)
@@ -41,7 +49,7 @@ class DomainSetting:
                 f"vth must lie strictly between 0 and vdd, got vth={self.vth}, vdd={self.vdd}"
             )
 
-    @property
+    @cached_property
     def fmax(self) -> Frequency:
         """Maximum frequency of the domain (GHz)."""
         return frequency_of(self.cycle_time)
@@ -80,15 +88,22 @@ class MachineSpeeds:
         """Number of cluster domains."""
         return len(self.cluster_cycle_times)
 
-    @property
+    # Derived values are cached in the instance ``__dict__``, outside the
+    # dataclass fields, so equality and hashing are unaffected.
+    @cached_property
     def fastest_cluster_cycle_time(self) -> Time:
         """Minimum cluster period."""
         return min(self.cluster_cycle_times)
 
-    @property
+    @cached_property
     def mean_cluster_cycle_time(self) -> Fraction:
         """Arithmetic mean of cluster periods (section 3.2 it_length model)."""
         return sum(self.cluster_cycle_times) / len(self.cluster_cycle_times)
+
+    @cached_property
+    def time_quantum(self) -> Fraction:
+        """Coarsest quantum dividing every cluster and interconnect period."""
+        return common_quantum((*self.cluster_cycle_times, self.icn_cycle_time))
 
     def domain_cycle_time(self, domain: str) -> Time:
         """Cycle time of a domain by identifier."""
@@ -167,7 +182,7 @@ class OperatingPoint:
         return result
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def fastest_cluster_cycle_time(self) -> Time:
         """Cycle time of the fastest cluster (min period)."""
         return min(s.cycle_time for s in self.clusters)
@@ -196,7 +211,7 @@ class OperatingPoint:
             s.cycle_time == first.cycle_time and s.vdd == first.vdd for s in settings
         )
 
-    @property
+    @cached_property
     def speeds(self) -> MachineSpeeds:
         """The cycle times of this operating point, voltages stripped."""
         return MachineSpeeds(

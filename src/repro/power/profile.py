@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Tuple
 
 from repro.ir.opcodes import OpClass
+from repro.machine.fu import FUType, fu_demand
 from repro.units import Time
 
 
@@ -58,6 +60,11 @@ class LoopProfile:
     #: from the rest of the loop, roughly these edges become bus
     #: communications on top of the homogeneous ones.
     critical_boundary_edges: int = 0
+
+    @cached_property
+    def fu_demand(self) -> Dict[FUType, int]:
+        """Per-FU-type instruction counts (cached outside the fields)."""
+        return fu_demand(self.class_counts)
 
     @property
     def ops_per_iteration(self) -> int:

@@ -96,7 +96,8 @@ class TechnologyModel:
         target.  Returns ``None`` when the point violates the margins.
         """
         period = as_fraction(cycle_time)
-        frequency = float(1 / period)
+        num, den = period.as_integer_ratio()
+        frequency = den / num  # exactly float(1 / period)
         try:
             vth = self.solve_vth(frequency, vdd)
         except TechnologyError:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import MachineSpeeds
 from repro.power.profile import LoopProfile, ProgramProfile
-from repro.scheduler.mii import fu_demand, min_feasible_it
+from repro.scheduler.mii import min_feasible_it
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class TimeModel:
             start,
             self._machine,
             speeds,
-            fu_demand(profile.class_counts),
+            profile.fu_demand,
             profile.comms_per_iteration,
             profile.lifetime_cycles_per_iteration,
             loop=profile.name,

@@ -26,7 +26,6 @@ from repro.ir.analysis import (
     Recurrence,
     alap_times,
     asap_times,
-    edge_delay,
     edge_delay_map,
     find_recurrences,
     operation_heights,
@@ -37,7 +36,7 @@ from repro.machine.fu import FU_CODE, N_FU_KINDS, fu_for
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import OperatingPoint
 from repro.scheduler.options import SchedulerOptions
-from repro.scheduler.schedule import DomainAssignment
+from repro.scheduler.schedule import DomainAssignment, TimeGrid
 from repro.machine.clocking import ICN_DOMAIN, cluster_domain
 from repro.power.scaling import dynamic_scale, static_scale
 
@@ -165,28 +164,31 @@ class LoopAnalysis:
         return ddg
 
     @cached_property
-    def priority_keys(self) -> Dict[Operation, Tuple]:
-        """Kernel scheduling priority per op (smaller sorts earlier).
+    def priority_ranks(self) -> Dict[Operation, int]:
+        """Kernel scheduling order: each op's rank (smaller goes first).
 
         Operations on critical recurrences first (most critical
         recurrence first), then greater height, then DDG order — the
-        classic iterative modulo scheduling priority.  IT-invariant, so
-        computed once per loop.
+        classic iterative modulo scheduling priority adapted to
+        recurrence criticality.  IT-invariant, so computed once per
+        loop; the ranks are dense ints, so the kernel's heap never
+        compares the Fraction recurrence ratios.
         """
         ratio: Dict[Operation, Fraction] = {}
         for recurrence in self.recurrences:
             for op in recurrence.operations:
                 if op not in ratio or recurrence.ratio > ratio[op]:
                     ratio[op] = recurrence.ratio
-        keys: Dict[Operation, Tuple] = {}
         zero = Fraction(0)
-        for position, op in enumerate(self.ops):
-            keys[op] = (
-                -ratio.get(op, zero),
-                -self.heights[op],
+        order = sorted(
+            range(self.n_ops),
+            key=lambda position: (
+                -ratio.get(self.ops[position], zero),
+                -self.heights[self.ops[position]],
                 position,
-            )
-        return keys
+            ),
+        )
+        return {self.ops[position]: rank for rank, position in enumerate(order)}
 
     @cached_property
     def asap(self) -> Dict[Operation, int]:
@@ -271,7 +273,6 @@ class SchedulingContext:
         self.heights: Dict[Operation, int] = analysis.heights
         self.recurrences: List[Recurrence] = analysis.recurrences
         self.recurrence_ops = analysis.recurrence_ops
-        self._delay_of = analysis.delay_by_dep
 
         # Per-cluster running cycle times (None when gated).
         self.cluster_cycle_times: List[Optional[Fraction]] = []
@@ -286,6 +287,23 @@ class SchedulingContext:
         self.icn_ii: int = icn.ii
         self.icn_cycle_time: Optional[Fraction] = (
             icn.cycle_time if icn.usable else None
+        )
+        #: The kernel's exact time grid: the IT, every running cycle
+        #: time and every synchronisation penalty as ints of one quantum.
+        grid = TimeGrid.of(self.it, self.assignments, machine.n_clusters)
+        self.quantum: Fraction = grid.quantum
+        self.it_q: int = grid.it
+        self.cluster_ct_q: Tuple[Optional[int], ...] = grid.cluster_cts
+        self.icn_ct_q: Optional[int] = grid.icn_ct
+        #: Per-cluster penalty of a value entering the interconnect from
+        #: that cluster, and of one leaving it into that cluster (zero
+        #: at equal frequencies, without penalties, or on a gated
+        #: domain, which never carries a value).
+        self.to_icn_sync_q: Tuple[int, ...] = tuple(
+            self._sync_penalty_q(ct, self.icn_ct_q) for ct in self.cluster_ct_q
+        )
+        self.from_icn_sync_q: Tuple[int, ...] = tuple(
+            self._sync_penalty_q(self.icn_ct_q, ct) for ct in self.cluster_ct_q
         )
         #: Float views used by the pseudo-scheduler's inner loop (one
         #: conversion per attempt instead of one per candidate partition).
@@ -347,26 +365,12 @@ class SchedulingContext:
         """Indices of clusters with II >= 1 at this IT."""
         return [i for i, ii in enumerate(self.cluster_iis) if ii >= 1]
 
-    def delay(self, dep) -> int:
-        """Edge delay in producer-clock cycles (precomputed lookup)."""
-        delay = self._delay_of.get(dep)
-        if delay is None:  # edge added after analysis (not seen in practice)
-            return edge_delay(dep, self.isa)
-        return delay
-
-    def sync_penalty(self, from_ct: Fraction, to_ct: Fraction) -> Fraction:
-        """One receiving-domain cycle on a frequency-crossing (or zero)."""
+    def _sync_penalty_q(
+        self, from_ct: Optional[int], to_ct: Optional[int]
+    ) -> int:
+        """One receiving-domain cycle on a frequency crossing (or zero)."""
+        if from_ct is None or to_ct is None:
+            return 0
         if self.options.sync_penalties and from_ct != to_ct:
-            return Fraction(to_ct)
-        return Fraction(0)
-
-    def cluster_capacity_ok(self, demand_by_fu: Mapping, cluster: int) -> bool:
-        """True when per-FU demand fits ``II_c * units`` on ``cluster``."""
-        ii = self.cluster_iis[cluster]
-        if ii < 1:
-            return not any(demand_by_fu.values())
-        config = self.machine.cluster(cluster)
-        return all(
-            needed <= ii * config.fu_count(fu)
-            for fu, needed in demand_by_fu.items()
-        )
+            return to_ct
+        return 0

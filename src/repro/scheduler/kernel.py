@@ -1,9 +1,11 @@
 """The iterative modulo-scheduling kernel (placement engine).
 
 Rau's iterative modulo scheduling, generalised to heterogeneous timing:
-all dependence reasoning happens in continuous (rational) time, while
-slots live on per-cluster modulo reservation tables indexed in each
-cluster's local cycles and on the bus table in interconnect cycles.
+all dependence reasoning happens in absolute time on the context's exact
+integer grid (the IT, every cycle time and every synchronisation penalty
+as ints of one quantum), while slots live on per-cluster modulo
+reservation tables indexed in each cluster's local cycles and on the bus
+table in interconnect cycles.
 
 For each operation (most critical first) the engine computes the
 earliest legal issue time from its placed producers (including bus
@@ -23,21 +25,17 @@ exhaustion signals the driver to increase the IT.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.ir.dependence import Dependence
 from repro.ir.operation import Operation
-from repro.machine.fu import fu_for
 from repro.scheduler.context import SchedulingContext
 from repro.scheduler.mrt import BUS, ModuloReservationTable, bus_mrt, cluster_mrt
 from repro.scheduler.partition.partition import Partition
-from repro.scheduler.priorities import priority_key
 from repro.scheduler.schedule import PlacedCopy, PlacedOp
 from repro.telemetry import span_count
 from repro.telemetry import counter as _metric_counter
-from repro.units import ceil_div, floor_div
 
 #: Reservation-table slot probes (cycles scanned for a free FU slot).
 #: Counted locally per placement run and flushed once — the per-cycle
@@ -57,9 +55,25 @@ class KernelScheduler:
         self._placements: Dict[Operation, PlacedOp] = {}
         self._copies: Dict[Dependence, PlacedCopy] = {}
         self._prev_cycle: Dict[Operation, int] = {}
-        self._keys = priority_key(ctx)
         self._probes = 0
 
+        analysis = ctx.analysis
+        self._ranks = analysis.priority_ranks
+        #: Per-op in- and out-edges paired with their delays.
+        delay = analysis.delay_by_dep
+        self._in_edges: Dict[Operation, List[Tuple[Dependence, int]]] = {
+            op: [(dep, delay[dep]) for dep in ctx.ddg.in_edges(op)]
+            for op in analysis.ops
+        }
+        self._out_edges: Dict[Operation, List[Tuple[Dependence, int]]] = {
+            op: [(dep, delay[dep]) for dep in ctx.ddg.out_edges(op)]
+            for op in analysis.ops
+        }
+        #: Dense FU code per op (-1 = occupies no cluster FU); the
+        #: cluster tables are keyed by these codes.
+        self._fu_code: Dict[Operation, int] = dict(
+            zip(analysis.ops, analysis.op_fu_code)
+        )
         self._tables: List[Optional[ModuloReservationTable]] = []
         for index in range(ctx.n_clusters):
             ii = ctx.cluster_iis[index]
@@ -75,15 +89,12 @@ class KernelScheduler:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _cluster_ct(self, cluster: int) -> Fraction:
-        ct = self._ctx.cluster_cycle_times[cluster]
+    def _cluster_ct(self, cluster: int) -> int:
+        """Running period of ``cluster`` in grid quanta."""
+        ct = self._ctx.cluster_ct_q[cluster]
         if ct is None:
             raise SchedulingError(f"cluster {cluster} is gated at this IT")
         return ct
-
-    def _issue_time(self, op: Operation) -> Fraction:
-        placed = self._placements[op]
-        return placed.cycle * self._cluster_ct(placed.cluster)
 
     def _needs_copy(self, dep: Dependence) -> bool:
         if not dep.carries_value:
@@ -93,7 +104,7 @@ class KernelScheduler:
         )
 
     def _bus_window(
-        self, dep: Dependence, producer_cycle: int, consumer_cycle: int
+        self, dep: Dependence, delay: int, producer_cycle: int, consumer_cycle: int
     ) -> Tuple[int, int]:
         """[min, max] bus cycles legal for the copy of ``dep``.
 
@@ -101,20 +112,20 @@ class KernelScheduler:
         cycles (the op being placed is not in ``self._placements`` yet).
         """
         ctx = self._ctx
-        icn_ct = ctx.icn_cycle_time
+        icn_ct = ctx.icn_ct_q
         if icn_ct is None:
             return (0, -1)  # empty window
-        src_ct = self._cluster_ct(self._partition.cluster_of(dep.src))
-        dst_ct = self._cluster_ct(self._partition.cluster_of(dep.dst))
-        ready = producer_cycle * src_ct + ctx.delay(dep) * src_ct
-        ready += ctx.sync_penalty(src_ct, icn_ct)
-        b_min = ceil_div(ready, icn_ct)
+        src = self._partition.cluster_of(dep.src)
+        dst = self._partition.cluster_of(dep.dst)
+        ready = (producer_cycle + delay) * self._cluster_ct(src)
+        ready += ctx.to_icn_sync_q[src]
+        b_min = -(-ready // icn_ct)
         deadline = (
-            consumer_cycle * dst_ct
-            + dep.distance * ctx.it
-            - ctx.sync_penalty(icn_ct, dst_ct)
+            consumer_cycle * self._cluster_ct(dst)
+            + dep.distance * ctx.it_q
+            - ctx.from_icn_sync_q[dst]
         )
-        b_max = floor_div(deadline, icn_ct) - ctx.machine.interconnect.latency
+        b_max = deadline // icn_ct - ctx.machine.interconnect.latency
         return (b_min, b_max)
 
     def _find_bus_cycle(self, b_min: int, b_max: int) -> Optional[int]:
@@ -130,29 +141,33 @@ class KernelScheduler:
     # ------------------------------------------------------------------
     # constraint evaluation for a hypothetical placement
     # ------------------------------------------------------------------
-    def _earliest_time(self, op: Operation) -> Fraction:
-        """Earliest legal issue instant from placed producers (optimistic
-        about bus availability — slots are checked during placement)."""
+    def _earliest_time(self, op: Operation) -> int:
+        """Earliest legal issue instant (grid quanta) from placed producers
+        (optimistic about bus availability — slots are checked during
+        placement)."""
         ctx = self._ctx
-        cluster = self._partition.cluster_of(op)
-        dst_ct = self._cluster_ct(cluster)
-        earliest = Fraction(0)
-        for dep in ctx.ddg.in_edges(op):
-            if dep.src not in self._placements or dep.src is op:
+        placements = self._placements
+        it = ctx.it_q
+        earliest = 0
+        for dep, delay in self._in_edges[op]:
+            if dep.src not in placements or dep.src is op:
                 continue
-            src_placed = self._placements[dep.src]
-            src_ct = self._cluster_ct(src_placed.cluster)
-            available = src_placed.cycle * src_ct + ctx.delay(dep) * src_ct
+            src_placed = placements[dep.src]
+            available = (src_placed.cycle + delay) * self._cluster_ct(
+                src_placed.cluster
+            )
             if self._needs_copy(dep):
-                icn_ct = ctx.icn_cycle_time
+                icn_ct = ctx.icn_ct_q
                 if icn_ct is None:
                     raise SchedulingError("communication on a gated interconnect")
-                bus_ready = available + ctx.sync_penalty(src_ct, icn_ct)
-                b_min = ceil_div(bus_ready, icn_ct)
+                bus_ready = available + ctx.to_icn_sync_q[src_placed.cluster]
+                b_min = -(-bus_ready // icn_ct)
                 available = (
                     b_min + ctx.machine.interconnect.latency
-                ) * icn_ct + ctx.sync_penalty(icn_ct, dst_ct)
-            earliest = max(earliest, available - dep.distance * ctx.it)
+                ) * icn_ct + ctx.from_icn_sync_q[self._partition.cluster_of(op)]
+            available -= dep.distance * it
+            if available > earliest:
+                earliest = available
         return earliest
 
     def _deadline_violations(
@@ -165,29 +180,25 @@ class KernelScheduler:
         consumer as violated too).
         """
         ctx = self._ctx
-        cluster = self._partition.cluster_of(op)
-        src_ct = self._cluster_ct(cluster)
+        placements = self._placements
+        it = ctx.it_q
+        src_ct = self._cluster_ct(self._partition.cluster_of(op))
         violated: List[Operation] = []
-        for dep in ctx.ddg.out_edges(op):
-            if dep.dst not in self._placements or dep.dst is op:
+        for dep, delay in self._out_edges[op]:
+            if dep.dst is op:
+                # Self-edge: issue(v) >= issue(v) + delay - w*IT, i.e. the
+                # recurrence bound; violation means the IT is too small.
+                if delay * src_ct > dep.distance * it:
+                    raise SchedulingError(
+                        f"self-recurrence of {op.name} exceeds IT {ctx.it}"
+                    )
                 continue
-            if self._needs_copy(dep):
-                continue  # handled by _collect_copies
-            consumer = self._placements[dep.dst]
-            ready = (
-                cycle * src_ct
-                + ctx.delay(dep) * src_ct
-                - dep.distance * ctx.it
-            )
+            if dep.dst not in placements or self._needs_copy(dep):
+                continue  # copies are handled by _collect_copies
+            consumer = placements[dep.dst]
+            ready = (cycle + delay) * src_ct - dep.distance * it
             if consumer.cycle * self._cluster_ct(consumer.cluster) < ready:
                 violated.append(dep.dst)
-        # Self-edges: issue(v) >= issue(v) + delay - w*IT, i.e. the
-        # recurrence bound; violation means the IT is too small.
-        for dep in ctx.ddg.out_edges(op):
-            if dep.dst is op and ctx.delay(dep) * src_ct > dep.distance * ctx.it:
-                raise SchedulingError(
-                    f"self-recurrence of {op.name} exceeds IT {ctx.it}"
-                )
         return violated
 
     def _collect_copies(
@@ -200,20 +211,20 @@ class KernelScheduler:
         no free bus cycle in its legal window.
         """
         needed: List[Tuple[Dependence, int, int]] = []
-        for dep in self._ctx.ddg.in_edges(op):
+        for dep, delay in self._in_edges[op]:
             if dep.src is op or dep.src not in self._placements:
                 continue
             if self._needs_copy(dep):
                 window = self._bus_window(
-                    dep, self._placements[dep.src].cycle, cycle
+                    dep, delay, self._placements[dep.src].cycle, cycle
                 )
                 needed.append((dep, *window))
-        for dep in self._ctx.ddg.out_edges(op):
+        for dep, delay in self._out_edges[op]:
             if dep.dst is op or dep.dst not in self._placements:
                 continue
             if self._needs_copy(dep):
                 window = self._bus_window(
-                    dep, cycle, self._placements[dep.dst].cycle
+                    dep, delay, cycle, self._placements[dep.dst].cycle
                 )
                 needed.append((dep, *window))
 
@@ -222,14 +233,12 @@ class KernelScheduler:
         if self._bus is None:
             return None
         chosen: List[Tuple[Dependence, int]] = []
-        reserved: List[int] = []
         try:
             for dep, b_min, b_max in needed:
                 slot = self._find_bus_cycle(b_min, b_max)
                 if slot is None:
                     return None
                 self._bus.reserve(slot, BUS, dep)  # tentative
-                reserved.append(slot)
                 chosen.append((dep, slot))
             return chosen
         finally:
@@ -243,12 +252,12 @@ class KernelScheduler:
         self, op: Operation, cycle: int, copy_slots: Iterable[Tuple[Dependence, int]]
     ) -> None:
         cluster = self._partition.cluster_of(op)
-        fu = fu_for(op.opclass)
+        code = self._fu_code[op]
         table = self._tables[cluster]
         if table is None:
             raise SchedulingError(f"cluster {cluster} is gated")
-        if fu is not None:
-            table.reserve(cycle, fu, op)
+        if code >= 0:
+            table.reserve(cycle, code, op)
         self._placements[op] = PlacedOp(op=op, cluster=cluster, cycle=cycle)
         self._prev_cycle[op] = cycle
         for dep, slot in copy_slots:
@@ -258,10 +267,10 @@ class KernelScheduler:
 
     def _evict(self, op: Operation) -> None:
         placed = self._placements.pop(op)
-        fu = fu_for(op.opclass)
+        code = self._fu_code[op]
         table = self._tables[placed.cluster]
-        if fu is not None and table is not None:
-            table.release(placed.cycle, fu, op)
+        if code >= 0 and table is not None:
+            table.release(placed.cycle, code, op)
         for dep in list(self._copies):
             if dep.src is op or dep.dst is op:
                 copy = self._copies.pop(dep)
@@ -276,10 +285,10 @@ class KernelScheduler:
         ii = ctx.cluster_iis[cluster]
         table = self._tables[cluster]
         assert table is not None
-        fu = fu_for(op.opclass)
-        start = max(0, ceil_div(self._earliest_time(op), ct))
+        code = self._fu_code[op]
+        start = max(0, -(-self._earliest_time(op) // ct))
         for cycle in range(start, start + ii):
-            if fu is not None and not table.is_free(cycle, fu):
+            if code >= 0 and not table.is_free(cycle, code):
                 continue
             if self._deadline_violations(op, cycle):
                 continue
@@ -299,13 +308,13 @@ class KernelScheduler:
         ct = self._cluster_ct(cluster)
         table = self._tables[cluster]
         assert table is not None
-        start = max(0, ceil_div(self._earliest_time(op), ct))
+        start = max(0, -(-self._earliest_time(op) // ct))
         cycle = max(start, self._prev_cycle.get(op, -1) + 1)
 
         evicted: List[Operation] = []
-        fu = fu_for(op.opclass)
-        if fu is not None:
-            for occupant in table.force_reserve(cycle, fu, op):
+        code = self._fu_code[op]
+        if code >= 0:
+            for occupant in table.force_reserve(cycle, code, op):
                 evicted.append(occupant)  # released below via _evict
         # force_reserve cleared the slot; fix bookkeeping for the evictees
         # (their FU hold is already gone, so only placements/copies go).
@@ -321,7 +330,7 @@ class KernelScheduler:
 
         # Now restore consistency with placed neighbours: allocate copies
         # where possible, evict neighbours whose constraints cannot hold.
-        for dep in list(ctx.ddg.in_edges(op)) + list(ctx.ddg.out_edges(op)):
+        for dep, delay in self._in_edges[op] + self._out_edges[op]:
             neighbour = dep.src if dep.dst is op else dep.dst
             if neighbour is op or neighbour not in self._placements:
                 continue
@@ -330,11 +339,11 @@ class KernelScheduler:
             if self._needs_copy(dep):
                 if dep.dst is op:
                     window = self._bus_window(
-                        dep, self._placements[dep.src].cycle, cycle
+                        dep, delay, self._placements[dep.src].cycle, cycle
                     )
                 else:
                     window = self._bus_window(
-                        dep, cycle, self._placements[dep.dst].cycle
+                        dep, delay, cycle, self._placements[dep.dst].cycle
                     )
                 slot = self._find_bus_cycle(*window)
                 if slot is None:
@@ -348,10 +357,8 @@ class KernelScheduler:
                 src_placed = self._placements[dep.src]
                 dst_placed = self._placements[dep.dst]
                 ready = (
-                    src_placed.cycle * self._cluster_ct(src_placed.cluster)
-                    + ctx.delay(dep) * self._cluster_ct(src_placed.cluster)
-                    - dep.distance * ctx.it
-                )
+                    src_placed.cycle + delay
+                ) * self._cluster_ct(src_placed.cluster) - dep.distance * ctx.it_q
                 if dst_placed.cycle * self._cluster_ct(dst_placed.cluster) < ready:
                     self._evict(neighbour)
                     evicted.append(neighbour)
@@ -363,14 +370,14 @@ class KernelScheduler:
         ctx = self._ctx
         budget = ctx.options.budget_ratio * max(len(ctx.ddg), 1)
         counter = 0
-        heap: List[Tuple[Tuple, int, Operation]] = []
+        heap: List[Tuple[int, int, Operation]] = []
         for op in ctx.ddg.operations:
-            heapq.heappush(heap, (self._keys[op], counter, op))
+            heapq.heappush(heap, (self._ranks[op], counter, op))
             counter += 1
 
         try:
             while heap:
-                _key, _seq, op = heapq.heappop(heap)
+                _rank, _seq, op = heapq.heappop(heap)
                 if op in self._placements:
                     continue  # stale entry
                 if budget <= 0:
@@ -382,7 +389,7 @@ class KernelScheduler:
                 if self._try_window(op):
                     continue
                 for evicted in self._force_place(op):
-                    heapq.heappush(heap, (self._keys[evicted], counter, evicted))
+                    heapq.heappush(heap, (self._ranks[evicted], counter, evicted))
                     counter += 1
         finally:
             # One flush per placement run, success or not (the driver

@@ -17,7 +17,11 @@ is the one capacity check (FU slots, plus the bus and register slots of
 the section 3.2 estimate) and :func:`min_feasible_it` is the scan that
 ``resMIT``, the section 3.2 time model and — through
 :func:`~repro.scheduler.ii_selection.iter_it_candidates` — the
-scheduler's candidate stream share.
+scheduler's candidate stream share.  Each works on an exact integer
+time grid (:func:`~repro.units.common_quantum` of the periods involved,
+:attr:`MachineSpeeds.time_quantum` for the capacity scans): the periods
+are converted to ints once, then multiples merge and slots count on
+plain ints.
 
 :func:`capacity_table` reproduces the Figure 4 table: how many slots each
 IT buys on each cluster.
@@ -26,37 +30,25 @@ IT buys on each cluster.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import InfeasibleITError
 from repro.ir.analysis import rec_mii
 from repro.ir.ddg import DDG
-from repro.ir.opcodes import OpClass
-from repro.machine.fu import FUType, fu_for
+from repro.machine.fu import FU_INDEX, FUType, fu_demand
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import MachineSpeeds
-from repro.units import Time, ceil_div, floor_div
+from repro.units import Time, as_fraction, common_quantum, floor_div, grid_steps
 
 #: Safety bound on the candidate ITs one :func:`min_feasible_it` scan checks.
 MAX_CANDIDATES = 100_000
 
 
-def fu_demand(class_counts: Mapping[OpClass, int]) -> Dict[FUType, int]:
-    """Per-FU-type instruction counts of a loop body (copies excluded)."""
-    demand: Dict[FUType, int] = {fu: 0 for fu in FUType}
-    for opclass, count in class_counts.items():
-        fu = fu_for(opclass)
-        if fu is not None:
-            demand[fu] += count
-    return demand
-
-
-def period_multiples(
-    periods: Iterable[Fraction], start: Fraction
-) -> Iterator[Fraction]:
-    """Ascending distinct ``k * p`` (``k >= 1``, ``p`` in ``periods``) ``>= start``.
+def _grid_multiples(periods: Iterable[int], start: int) -> Iterator[int]:
+    """:func:`period_multiples` on one integer time grid.
 
     A heap holds each period's next multiple; popping a value re-arms
     every period dividing it, and the other periods' copies of the same
@@ -64,21 +56,73 @@ def period_multiples(
     period.
     """
     periods = sorted(set(periods))
-    heap = [max(ceil_div(start, period), 1) * period for period in periods]
+    heap = [max(-(-start // period), 1) * period for period in periods]
     heapq.heapify(heap)
-    previous: Optional[Fraction] = None
+    previous: Optional[int] = None
     while heap:
         value = heapq.heappop(heap)
         if value == previous:
             continue
         for period in periods:
-            # Divisibility check without allocating the quotient Fraction.
-            if (value.numerator * period.denominator) % (
-                value.denominator * period.numerator
-            ) == 0:
+            if value % period == 0:
                 heapq.heappush(heap, value + period)
         previous = value
         yield value
+
+
+def period_multiples(
+    periods: Iterable[Fraction], start: Fraction
+) -> Iterator[Fraction]:
+    """Ascending distinct ``k * p`` (``k >= 1``, ``p`` in ``periods``) ``>= start``."""
+    periods = [as_fraction(period) for period in periods]
+    if not periods:
+        return
+    start = as_fraction(start)
+    quantum = common_quantum([abs(start), *periods])
+    for value in _grid_multiples(
+        [grid_steps(period, quantum) for period in periods],
+        grid_steps(start, quantum),
+    ):
+        yield quantum * value
+
+
+def _capacity_check(
+    machine: MachineDescription,
+    speeds: MachineSpeeds,
+    demand: Mapping[FUType, int],
+    comms: int,
+    lifetimes: int,
+) -> Callable[[int], bool]:
+    """:func:`capacity_ok` for ITs given in ``speeds.time_quantum`` steps.
+
+    The per-cluster unit counts are read once into dense per-FU rows.
+    """
+    quantum = speeds.time_quantum
+    cts = [grid_steps(ct, quantum) for ct in speeds.cluster_cycle_times]
+    clusters = [machine.cluster(i) for i in range(len(cts))]
+    units_by_code = list(zip(*(c.fu_counts_by_code for c in clusters)))
+    needs = [
+        (needed, units_by_code[FU_INDEX[fu]])
+        for fu, needed in demand.items()
+        if needed
+    ]
+    bus_slots = machine.interconnect.n_buses
+    icn_ct = grid_steps(speeds.icn_cycle_time, quantum)
+    regs = [c.n_regs for c in clusters]
+
+    def ok(it: int) -> bool:
+        iis = [it // ct for ct in cts]
+        for needed, units in needs:
+            if sum(ii * unit for ii, unit in zip(iis, units)) < needed:
+                return False
+        if comms > 0 and bus_slots * (it // icn_ct) < comms:
+            return False
+        if lifetimes > 0:
+            if sum(ii * reg for ii, reg in zip(iis, regs)) < lifetimes:
+                return False
+        return True
+
+    return ok
 
 
 def capacity_ok(
@@ -94,24 +138,11 @@ def capacity_ok(
     Every FU type needs ``sum_c II_c * units_{c,r} >= demand_r``; with
     ``comms`` the buses need ``n_buses * II_icn >= comms`` and with
     ``lifetimes`` the register files ``sum_c regs_c * II_c >= lifetimes``
-    (section 3.2), where ``II_d = floor(it / Tcyc_d)``.
+    (section 3.2), where ``II_d = floor(it / Tcyc_d)``.  Every ``II_d``
+    is the same at ``it`` and at the grid point at or below it.
     """
-    iis = [floor_div(it, ct) for ct in speeds.cluster_cycle_times]
-    for fu, needed in demand.items():
-        if needed == 0:
-            continue
-        slots = sum(ii * machine.cluster(i).fu_count(fu) for i, ii in enumerate(iis))
-        if slots < needed:
-            return False
-    if comms > 0:
-        ii_icn = floor_div(it, speeds.icn_cycle_time)
-        if machine.interconnect.n_buses * ii_icn < comms:
-            return False
-    if lifetimes > 0:
-        reg_slots = sum(ii * machine.cluster(i).n_regs for i, ii in enumerate(iis))
-        if reg_slots < lifetimes:
-            return False
-    return True
+    check = _capacity_check(machine, speeds, demand, comms, lifetimes)
+    return check(floor_div(it, speeds.time_quantum))
 
 
 def min_feasible_it(
@@ -128,21 +159,25 @@ def min_feasible_it(
     Capacity only jumps at multiples of a cluster period (and, when
     ``comms`` need bus slots, of the interconnect period), so the answer
     is ``start`` itself or the first feasible such multiple above it.
-    Raises :class:`InfeasibleITError` after :data:`MAX_CANDIDATES`
-    candidates (``loop`` names the loop in the message).
+    The scan runs on ints of ``speeds.time_quantum``.  Raises
+    :class:`InfeasibleITError` after :data:`MAX_CANDIDATES` candidates
+    (``loop`` names the loop in the message).
     """
-    if capacity_ok(start, machine, speeds, demand, comms, lifetimes):
+    quantum = speeds.time_quantum
+    check = _capacity_check(machine, speeds, demand, comms, lifetimes)
+    below = floor_div(start, quantum)
+    if check(below):
         return start
     periods = list(speeds.cluster_cycle_times)
     if comms > 0:
         periods.append(speeds.icn_cycle_time)
-    for steps, it in enumerate(period_multiples(periods, start)):
+    periods_q = [grid_steps(period, quantum) for period in periods]
+    # Grid points above ``below`` are exactly the instants above ``start``.
+    for steps, it in enumerate(_grid_multiples(periods_q, below + 1)):
         if steps >= MAX_CANDIDATES:  # pragma: no cover - safety net
             break
-        if it > start and capacity_ok(
-            it, machine, speeds, demand, comms, lifetimes
-        ):
-            return it
+        if check(it):
+            return quantum * it
     raise InfeasibleITError(
         f"no feasible IT found for loop {loop!r} within "
         f"{MAX_CANDIDATES} candidates"
@@ -165,18 +200,23 @@ def res_mit(
     """
     demand = fu_demand(ddg.class_counts())
     lower = speeds.fastest_cluster_cycle_time
+    quantum = speeds.time_quantum
+    cts = [grid_steps(ct, quantum) for ct in speeds.cluster_cycle_times]
+    # Over ``span`` quanta (a multiple of every period) cluster c issues
+    # ``units_c * span / ct_c`` ops of a type: the rate on ints.
+    span = math.lcm(*cts)
     for fu, needed in demand.items():
         if needed == 0:
             continue
-        rate = sum(
-            Fraction(machine.cluster(i).fu_count(fu), 1) / ct
-            for i, ct in enumerate(speeds.cluster_cycle_times)
+        slots = sum(
+            machine.cluster(i).fu_count(fu) * (span // ct)
+            for i, ct in enumerate(cts)
         )
-        if rate == 0:
+        if slots == 0:
             raise InfeasibleITError(
                 f"loop {ddg.name!r} needs {fu} units but the machine has none"
             )
-        lower = max(lower, Fraction(needed) / rate)
+        lower = max(lower, quantum * Fraction(needed * span, slots))
     return min_feasible_it(lower, machine, speeds, demand, loop=ddg.name)
 
 

@@ -18,7 +18,6 @@ from typing import Dict, Hashable, List, Tuple
 
 from repro.errors import SchedulingError
 from repro.machine.cluster import ClusterConfig
-from repro.machine.fu import FUType
 
 
 class ModuloReservationTable:
@@ -130,15 +129,12 @@ class ModuloReservationTable:
 
 
 def cluster_mrt(cluster: ClusterConfig, ii: int) -> ModuloReservationTable:
-    """Reservation table of one cluster (kinds = FU types)."""
-    return ModuloReservationTable(
-        ii,
-        {
-            FUType.INT: cluster.n_int,
-            FUType.FP: cluster.n_fp,
-            FUType.MEM: cluster.n_mem,
-        },
-    )
+    """Reservation table of one cluster.
+
+    Kinds are the dense FU codes of :data:`repro.machine.fu.FU_INDEX`,
+    so a probe hashes a small int rather than an enum member.
+    """
+    return ModuloReservationTable(ii, dict(enumerate(cluster.fu_counts_by_code)))
 
 
 #: Resource-kind token for bus slots.

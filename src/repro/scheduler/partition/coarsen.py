@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import PartitionError
 from repro.ir.operation import Operation
-from repro.machine.fu import FUType, fu_for
+from repro.machine.fu import N_FU_KINDS
 from repro.scheduler.context import SchedulingContext
 from repro.scheduler.partition.partition import Partition
 
@@ -39,13 +39,15 @@ class Macro:
         """Operation count."""
         return len(self.ops)
 
-    def fu_demand(self) -> Dict[FUType, int]:
-        """Per-FU-type demand of the macro."""
-        demand: Dict[FUType, int] = {fu: 0 for fu in FUType}
+    def fu_demand(self, ctx: SchedulingContext) -> List[int]:
+        """Per-FU demand of the macro, indexed by dense FU code."""
+        analysis = ctx.analysis
+        op_index, op_fu_code = analysis.op_index, analysis.op_fu_code
+        demand = [0] * N_FU_KINDS
         for op in self.ops:
-            fu = fu_for(op.opclass)
-            if fu is not None:
-                demand[fu] += 1
+            code = op_fu_code[op_index[op]]
+            if code >= 0:
+                demand[code] += 1
         return demand
 
 
@@ -72,9 +74,9 @@ def preplace_recurrences(ctx: SchedulingContext) -> Dict[Operation, int]:
     current IT (the driver reacts by increasing the IT).
     """
     pins: Dict[Operation, int] = {}
-    used: Dict[int, Dict[FUType, int]] = {
-        c: {fu: 0 for fu in FUType} for c in range(ctx.n_clusters)
-    }
+    op_index, op_fu_code = ctx.analysis.op_index, ctx.analysis.op_fu_code
+    # Pinned FU demand per cluster, indexed by dense FU code.
+    used: List[List[int]] = [[0] * N_FU_KINDS for _ in range(ctx.n_clusters)]
 
     def fits(cluster: int, recurrence) -> bool:
         ii = ctx.cluster_iis[cluster]
@@ -82,17 +84,15 @@ def preplace_recurrences(ctx: SchedulingContext) -> Dict[Operation, int]:
             return False
         if recurrence.total_delay > recurrence.total_distance * ii:
             return False
-        config = ctx.machine.cluster(cluster)
-        demand = dict(used[cluster])
+        demand = list(used[cluster])
         for op in recurrence.operations:
             if op in pins:
                 continue  # already accounted on its own cluster
-            fu = fu_for(op.opclass)
-            if fu is not None:
-                demand[fu] += 1
-        return all(
-            demand[fu] <= ii * config.fu_count(fu) for fu in demand
-        )
+            code = op_fu_code[op_index[op]]
+            if code >= 0:
+                demand[code] += 1
+        units = ctx.cluster_fu_counts[cluster]
+        return all(needed <= ii * unit for needed, unit in zip(demand, units))
 
     slowest_first = [
         index
@@ -136,9 +136,9 @@ def preplace_recurrences(ctx: SchedulingContext) -> Dict[Operation, int]:
         for op in recurrence.operations:
             if op not in pins:
                 pins[op] = target
-                fu = fu_for(op.opclass)
-                if fu is not None:
-                    used[target][fu] += 1
+                code = op_fu_code[op_index[op]]
+                if code >= 0:
+                    used[target][code] += 1
     return pins
 
 
@@ -288,27 +288,24 @@ def initial_partition(
     usable = ctx.usable_clusters()
     if not usable:
         raise PartitionError("no usable cluster at this IT")
-    demand: Dict[int, Dict[FUType, int]] = {
-        c: {fu: 0 for fu in FUType} for c in range(ctx.n_clusters)
-    }
+    # Placed FU demand per cluster, indexed by dense FU code.
+    demand: List[List[int]] = [[0] * N_FU_KINDS for _ in range(ctx.n_clusters)]
     assignment: Dict[Operation, int] = {}
 
-    def overload_after(cluster: int, macro: Macro) -> int:
+    def overload_after(cluster: int, extra: List[int]) -> int:
         ii = ctx.cluster_iis[cluster]
-        config = ctx.machine.cluster(cluster)
-        extra = macro.fu_demand()
-        total = 0
-        for fu in extra:
-            combined = demand[cluster][fu] + extra[fu]
-            total += max(0, combined - ii * config.fu_count(fu))
-        return total
+        return sum(
+            max(0, placed + more - ii * unit)
+            for placed, more, unit in zip(
+                demand[cluster], extra, ctx.cluster_fu_counts[cluster]
+            )
+        )
 
     def place(macro: Macro, cluster: int) -> None:
         for op in macro.ops:
             assignment[op] = cluster
-            fu = fu_for(op.opclass)
-            if fu is not None:
-                demand[cluster][fu] += 1
+        for code, more in enumerate(macro.fu_demand(ctx)):
+            demand[cluster][code] += more
 
     pending: List[Macro] = []
     for macro in coarsening.coarsest:
@@ -317,13 +314,19 @@ def initial_partition(
         else:
             pending.append(macro)
 
-    slowness = {
-        c: ctx.point.cluster_setting(c).cycle_time for c in range(ctx.n_clusters)
+    # Rank 0 is the slowest cycle time; equal cycle times share a rank.
+    cycle_times = [
+        ctx.point.cluster_setting(c).cycle_time for c in range(ctx.n_clusters)
+    ]
+    slow_rank = {
+        ct: rank for rank, ct in enumerate(sorted(set(cycle_times), reverse=True))
     }
+    slowness = [slow_rank[ct] for ct in cycle_times]
     for macro in sorted(pending, key=lambda m: (-m.size, m.ident)):
+        extra = macro.fu_demand(ctx)
         best = min(
             usable,
-            key=lambda c: (overload_after(c, macro), -slowness[c], c),
+            key=lambda c: (overload_after(c, extra), slowness[c], c),
         )
         place(macro, best)
 

@@ -10,15 +10,20 @@ A schedule fixes, for one loop:
   local clock, iteration 0),
 * for every inter-cluster value edge, the bus cycle of its copy.
 
-All timing here is exact rational arithmetic.  :meth:`Schedule.validate`
-re-derives every legality condition from scratch, independently of the
-kernel that built the schedule.
+Every time the public accessors return is an exact :class:`Fraction`
+of nanoseconds.  :meth:`Schedule.validate`, :attr:`Schedule.it_length`
+and the register lifetimes work on the schedule's :class:`TimeGrid`
+instead — the IT and the running cycle times as ints of one quantum —
+which the schedule derives from its own IT and assignments, so
+validation re-derives every legality condition from scratch,
+independently of the kernel that built the schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError, SchedulingError
@@ -28,10 +33,10 @@ from repro.ir.dependence import Dependence
 from repro.ir.operation import Operation
 from repro.ir.opcodes import OpClass
 from repro.machine.clocking import ICN_DOMAIN, cluster_domain
-from repro.machine.fu import FUType, fu_for
+from repro.machine.fu import FU_BY_CODE, FU_CODE
 from repro.machine.machine import MachineDescription
 from repro.scheduler.mrt import BUS, bus_mrt, cluster_mrt
-from repro.units import Frequency, Time, ceil_div
+from repro.units import Frequency, Time, ceil_div, common_quantum, grid_steps
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,54 @@ class DomainAssignment:
         """True when the domain participates in the loop."""
         return self.ii >= 1
 
-    @property
+    @cached_property
     def cycle_time(self) -> Time:
-        """Running period (ns); undefined for gated domains."""
+        """Running period (ns); undefined for gated domains.
+
+        Cached in the instance ``__dict__``, outside the dataclass
+        fields, so equality and hashing are unaffected.
+        """
         if not self.usable:
             raise SchedulingError(f"domain {self.domain} is gated")
         return Fraction(1) / self.frequency
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """The IT and the running cycle times of one loop as exact ints.
+
+    ``II = f * IT`` integral makes every running period divide the IT,
+    so the IT and the usable cluster and interconnect periods are whole
+    multiples of their :func:`~repro.units.common_quantum`.  Times on
+    this grid compare and add as plain ints; ``quantum * steps`` turns
+    a grid time back into nanoseconds.
+    """
+
+    quantum: Fraction
+    it: int
+    #: Per-cluster running period in quanta (``None`` when gated).
+    cluster_cts: Tuple[Optional[int], ...]
+    #: Interconnect running period in quanta (``None`` when gated).
+    icn_ct: Optional[int]
+
+    @classmethod
+    def of(
+        cls,
+        it: Fraction,
+        assignments: Mapping[str, DomainAssignment],
+        n_clusters: int,
+    ) -> "TimeGrid":
+        """The grid of ``it`` and the usable cluster/interconnect periods."""
+        domains = [assignments[cluster_domain(i)] for i in range(n_clusters)]
+        domains.append(assignments[ICN_DOMAIN])
+        quantum = common_quantum(
+            [it] + [a.cycle_time for a in domains if a.usable]
+        )
+        steps = [
+            grid_steps(a.cycle_time, quantum) if a.usable else None
+            for a in domains
+        ]
+        return cls(quantum, grid_steps(it, quantum), tuple(steps[:-1]), steps[-1])
 
 
 @dataclass(frozen=True)
@@ -153,11 +200,19 @@ class Schedule:
         """Running period of the interconnect."""
         return self.icn_assignment.cycle_time
 
-    def _sync_penalty(self, from_ct: Time, to_ct: Time) -> Fraction:
-        """One receiving-domain cycle when frequencies differ (section 2.1)."""
+    def sync_penalty(self, from_ct, to_ct):
+        """One receiving-domain cycle when frequencies differ (section 2.1).
+
+        Unit-agnostic: periods in ns give a penalty in ns, periods in
+        :class:`TimeGrid` quanta give one in quanta.
+        """
         if self.sync_penalties and from_ct != to_ct:
-            return Fraction(to_ct)
-        return Fraction(0)
+            return to_ct
+        return 0
+
+    def time_grid(self) -> TimeGrid:
+        """This schedule's integer time grid, from its own IT and assignments."""
+        return TimeGrid.of(self.it, self.assignments, self.machine.n_clusters)
 
     # ------------------------------------------------------------------
     # timing
@@ -191,7 +246,7 @@ class Schedule:
         icn_ct = self.icn_cycle_time
         arrival = (copy.bus_cycle + self.machine.interconnect.latency) * icn_ct
         consumer_ct = self.cluster_cycle_time(self.placements[dep.dst].cluster)
-        return arrival + self._sync_penalty(icn_ct, consumer_ct)
+        return arrival + self.sync_penalty(icn_ct, consumer_ct)
 
     def value_ready_time(self, dep: Dependence) -> Fraction:
         """Earliest instant ``dep.dst`` may issue, in iteration-0 frame.
@@ -214,15 +269,43 @@ class Schedule:
     # ------------------------------------------------------------------
     # aggregate shape
     # ------------------------------------------------------------------
+    def _placed_grid(self) -> TimeGrid:
+        """:meth:`time_grid`, checking that every placed domain is usable."""
+        grid = self.time_grid()
+        for placed in self.placements.values():
+            if grid.cluster_cts[placed.cluster] is None:
+                raise SchedulingError(
+                    f"domain {cluster_domain(placed.cluster)} is gated"
+                )
+        if self.copies and grid.icn_ct is None:
+            raise SchedulingError(f"domain {ICN_DOMAIN} is gated")
+        return grid
+
+    def _arrival_steps(self, dep: Dependence, grid: TimeGrid) -> int:
+        """:meth:`copy_arrival_time` of ``dep`` in grid quanta."""
+        icn_ct = grid.icn_ct
+        arrival = (
+            self.copies[dep].bus_cycle + self.machine.interconnect.latency
+        ) * icn_ct
+        consumer_ct = grid.cluster_cts[self.placements[dep.dst].cluster]
+        return arrival + self.sync_penalty(icn_ct, consumer_ct)
+
     @property
     def it_length(self) -> Fraction:
         """Time one whole iteration spans (issue of first to last finish)."""
-        latest = Fraction(0)
-        for op in self.placements:
-            latest = max(latest, self.finish_time(op))
+        grid = self._placed_grid()
+        cts = grid.cluster_cts
+        isa = self.machine.isa
+        latest = 0
+        for op, placed in self.placements.items():
+            finish = (placed.cycle + isa.latency(op.opclass)) * cts[placed.cluster]
+            if finish > latest:
+                latest = finish
         for dep in self.copies:
-            latest = max(latest, self.copy_arrival_time(dep))
-        return latest
+            arrival = self._arrival_steps(dep, grid)
+            if arrival > latest:
+                latest = arrival
+        return grid.quantum * latest
 
     @property
     def stage_count(self) -> int:
@@ -280,34 +363,40 @@ class Schedule:
         copy's result lives in the consumer's cluster from its arrival to
         its reader.  Lengths are in local cycles of the owning cluster.
         """
+        grid = self._placed_grid()
+        cts = grid.cluster_cts
+        isa = self.machine.isa
+        copies = self.copies
         lifetimes: List[ValueLifetime] = []
         for op, placed in self.placements.items():
             if not op.opclass.writes_register:
                 continue
             cluster = placed.cluster
-            cluster_ct = self.cluster_cycle_time(cluster)
+            cluster_ct = cts[cluster]
             ii = self.cluster_assignment(cluster).ii
-            start = placed.cycle + self.machine.isa.latency(op.opclass)
+            start = placed.cycle + isa.latency(op.opclass)
             end = start
             consumed = False
             for dep in self.ddg.out_edges(op):
                 if not dep.carries_value:
                     continue
                 consumed = True
-                if dep in self.copies:
-                    read_cycle = ceil_div(self.copy_issue_time(dep), cluster_ct)
+                copy = copies.get(dep)
+                if copy is not None:
+                    # First local cycle at or after the copy's bus issue.
+                    read_cycle = -(-copy.bus_cycle * grid.icn_ct // cluster_ct)
                 else:
                     consumer = self.placements[dep.dst]
                     read_cycle = consumer.cycle + dep.distance * ii
                 end = max(end, read_cycle)
             if consumed:
                 lifetimes.append(ValueLifetime(cluster, start, max(end, start)))
-        for dep, copy in self.copies.items():
+        for dep in copies:
             consumer = self.placements[dep.dst]
             cluster = consumer.cluster
-            cluster_ct = self.cluster_cycle_time(cluster)
             ii = self.cluster_assignment(cluster).ii
-            start = ceil_div(self.copy_arrival_time(dep), cluster_ct)
+            arrival = self._arrival_steps(dep, grid)
+            start = -(-arrival // cts[cluster])
             end = consumer.cycle + dep.distance * ii
             lifetimes.append(ValueLifetime(cluster, start, max(end, start)))
         return lifetimes
@@ -350,13 +439,14 @@ class Schedule:
         self._validate_dependences()
 
     def _validate_assignments(self) -> None:
+        it_num, it_den = self.it.as_integer_ratio()
         for assignment in self.assignments.values():
             if assignment.usable:
-                ii_check = assignment.frequency * self.it
-                if ii_check != assignment.ii:
+                f_num, f_den = assignment.frequency.as_integer_ratio()
+                if f_num * it_num != assignment.ii * f_den * it_den:
                     raise SimulationError(
                         f"domain {assignment.domain}: II {assignment.ii} != "
-                        f"f * IT = {ii_check}"
+                        f"f * IT = {assignment.frequency * self.it}"
                     )
 
     def _validate_placements(self) -> None:
@@ -380,16 +470,16 @@ class Schedule:
                 else None
             )
         for op, placed in self.placements.items():
-            fu = fu_for(op.opclass)
-            if fu is None:
+            code = FU_CODE[op.opclass]
+            if code < 0:
                 continue
             table = tables[placed.cluster]
             assert table is not None  # placement validation ran first
             try:
-                table.reserve(placed.cycle, fu, op)
+                table.reserve(placed.cycle, code, op)
             except SchedulingError as error:
                 raise SimulationError(
-                    f"operation {op.name}: {error}"
+                    f"operation {op.name} ({FU_BY_CODE[code].value} unit): {error}"
                 ) from error
         if self.copies:
             icn = self.icn_assignment
@@ -405,34 +495,43 @@ class Schedule:
                     ) from error
 
     def _validate_dependences(self) -> None:
+        # Placement and resource validation ran first, so every placed
+        # cluster (and, with copies, the interconnect) is usable.
+        grid = self.time_grid()
+        cts = grid.cluster_cts
+        isa = self.machine.isa
+        copies = self.copies
         for dep in self.ddg.dependences:
             consumer = self.placements[dep.dst]
             producer = self.placements[dep.src]
             crosses = producer.cluster != consumer.cluster
-            if dep.carries_value and crosses and dep not in self.copies:
+            copy = copies.get(dep)
+            if dep.carries_value and crosses and copy is None:
                 raise SimulationError(
                     f"value edge {dep.src.name}->{dep.dst.name} crosses "
                     "clusters without a copy"
                 )
-            if dep in self.copies:
+            src_ct = cts[producer.cluster]
+            produce = (producer.cycle + edge_delay(dep, isa)) * src_ct
+            if copy is not None:
                 # Producer -> bus leg.
-                produce = self.issue_time(dep.src) + edge_delay(
-                    dep, self.machine.isa
-                ) * self.cluster_cycle_time(producer.cluster)
-                bus_ready = produce + self._sync_penalty(
-                    self.cluster_cycle_time(producer.cluster), self.icn_cycle_time
-                )
-                if self.copy_issue_time(dep) < bus_ready:
+                bus_ready = produce + self.sync_penalty(src_ct, grid.icn_ct)
+                if copy.bus_cycle * grid.icn_ct < bus_ready:
                     raise SimulationError(
                         f"copy of {dep.src.name}->{dep.dst.name} issues before "
                         "its value reaches the bus"
                     )
-            ready = self.value_ready_time(dep)
-            if self.issue_time(dep.dst) < ready:
+                ready = self._arrival_steps(dep, grid)
+            else:
+                ready = produce
+            # Iteration -w's producer feeds iteration 0's consumer.
+            ready -= dep.distance * grid.it
+            issue = consumer.cycle * cts[consumer.cluster]
+            if issue < ready:
                 raise SimulationError(
                     f"dependence {dep.src.name}->{dep.dst.name} violated: "
-                    f"consumer issues at {self.issue_time(dep.dst)}, "
-                    f"value ready at {ready}"
+                    f"consumer issues at {grid.quantum * issue}, "
+                    f"value ready at {grid.quantum * ready}"
                 )
 
     def __repr__(self) -> str:

@@ -129,7 +129,7 @@ class LoopExecutor:
             src_ct = schedule.cluster_cycle_time(producer.cluster)
             produce = schedule.issue_time(dep.src) + edge_delay(dep, isa) * src_ct
             copy_gate_q[dep] = grid(
-                produce + schedule._sync_penalty(src_ct, schedule.icn_cycle_time)
+                produce + schedule.sync_penalty(src_ct, schedule.icn_cycle_time)
             )
         dep_index = {dep: i for i, dep in enumerate(schedule.ddg.dependences)}
         #: In-edge readiness checks per op: (distance, copy key or None,

@@ -2,10 +2,16 @@
 
 The heterogeneous machine mixes clock domains whose cycle times are related
 by small rational factors (the paper uses factors such as 0.95, 1.25 and
-1.33 = 4/3).  All legality reasoning — ``II_X = IT * f_X`` integrality,
-synchronisation of domain clocks, simulator event ordering — is done with
-:class:`fractions.Fraction` so there is no floating-point epsilon anywhere
-in the core.
+1.33 = 4/3).  Every time the public API exposes is a
+:class:`fractions.Fraction`, so there is no floating-point epsilon
+anywhere in the core.
+
+Legality reasoning runs on an exact **integer time grid** instead:
+because ``II_X = IT * f_X`` is integral, the IT and every running cycle
+time are whole multiples of their :func:`common_quantum`.  The
+scheduler and the schedule validator convert each of them once with
+:func:`grid_steps` and then compare and add plain ints; the simulator
+runs its events on the same kind of grid.
 
 Conventions used throughout the package:
 
@@ -97,15 +103,33 @@ def fraction_lcm(a: Fraction, b: Fraction) -> Fraction:
 def common_quantum(values: Iterable[Fraction]) -> Fraction:
     """Return the coarsest time quantum dividing every value exactly.
 
-    Used to derive the global simulation grid for a set of clock-domain
-    periods: every domain edge falls on a multiple of the quantum.
+    Used to derive the exact integer time grid of a set of clock-domain
+    periods: every domain edge falls on a multiple of the quantum.  Over
+    the common denominator ``L`` of the values this is
+    ``gcd(v_i * L) / L``, computed on ints.
     """
-    quantum = Fraction(0)
-    for value in values:
-        quantum = fraction_gcd(quantum, as_fraction(value))
-    if quantum == 0:
+    ratios = [as_fraction(value).as_integer_ratio() for value in values]
+    if any(num < 0 for num, _den in ratios):
+        raise ValueError("common_quantum requires non-negative values")
+    common = math.lcm(*(den for _num, den in ratios))
+    num = math.gcd(*(num * (common // den) for num, den in ratios))
+    if num == 0:
         raise ValueError("common_quantum needs at least one non-zero value")
-    return quantum
+    return Fraction(num, common)
+
+
+def grid_steps(value: Fraction, quantum: Fraction) -> int:
+    """``value / quantum`` as an exact integer (raises off the grid).
+
+    Integers and Fractions divide by cross-multiplication, without
+    building the quotient :class:`Fraction`.
+    """
+    num, den = value.as_integer_ratio()
+    q_num, q_den = quantum.as_integer_ratio()
+    steps, rest = divmod(num * q_den, den * q_num)
+    if rest:
+        raise ValueError(f"{value} is not a multiple of the quantum {quantum}")
+    return steps
 
 
 def is_integral(value: Fraction) -> bool:
@@ -118,8 +142,7 @@ def ceil_div(value: Fraction, unit: Fraction) -> int:
 
     Integer and Fraction inputs take a pure-integer path (``ceil(a/b) =
     -(-a // b)`` on cross-multiplied numerators) instead of constructing
-    and normalising intermediate :class:`Fraction` ratios — this runs in
-    the kernel's slot-probing inner loop.
+    and normalising intermediate :class:`Fraction` ratios.
     """
     if isinstance(value, (int, Fraction)) and isinstance(unit, (int, Fraction)):
         num = value.numerator * unit.denominator

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.machine.cluster import ClusterConfig
-from repro.machine.fu import FUType
+from repro.machine.fu import FU_INDEX, FUType
 from repro.scheduler.mrt import BUS, ModuloReservationTable, bus_mrt, cluster_mrt
 
 
@@ -72,8 +72,8 @@ class TestFactories:
     def test_cluster_mrt(self):
         table = cluster_mrt(ClusterConfig(n_int=2, n_fp=1, n_mem=1), 4)
         assert table.ii == 4
-        assert table.capacity(FUType.INT) == 2
-        assert table.capacity(FUType.FP) == 1
+        assert table.capacity(FU_INDEX[FUType.INT]) == 2
+        assert table.capacity(FU_INDEX[FUType.FP]) == 1
 
     def test_bus_mrt(self):
         table = bus_mrt(2, 3)

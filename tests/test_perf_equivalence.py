@@ -23,6 +23,14 @@ Families:
   verbatim, and every MIT, time-model IT and candidate prefix must ``==``
   theirs, on random periods, palettes and demands and on every loop of
   the SPEC2000 corpora.
+* **Integer time grid** — the kernel's earliest-time, bus-window and
+  deadline queries, the schedule's validation, ``it_length`` and
+  register lifetimes, ``capacity_ok``/``period_multiples``/
+  ``min_feasible_it`` and the seed partition compute on ints of one
+  quantum; the parent's Fraction versions are kept below verbatim and
+  every result (and every raised error) must ``==`` theirs, on
+  non-decimal periods, gated clusters, loop-carried edges and with
+  synchronisation penalties off.
 """
 
 import gc
@@ -39,8 +47,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InfeasibleITError, PartitionError, SchedulingError
+from repro.errors import (
+    InfeasibleITError,
+    PartitionError,
+    SchedulingError,
+    SimulationError,
+)
 from repro.ir.analysis import (
+    edge_delay,
     find_recurrences,
     rec_mii,
     rec_mii_lawler,
@@ -59,7 +73,11 @@ from repro.pipeline.cache import LOOP_CACHE, clear_loop_cache
 from repro.scheduler.context import PartitionEnergyWeights, SchedulingContext
 from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
 from repro.scheduler.ii_selection import iter_it_candidates, select_assignments
+from repro.scheduler.kernel import KernelScheduler
 from repro.scheduler.mii import (
+    MAX_CANDIDATES,
+    capacity_ok,
+    min_feasible_it,
     minimum_initiation_time,
     period_multiples,
     rec_mit,
@@ -80,7 +98,7 @@ from repro.scheduler.pseudo import (
     partition_cost,
     pseudo_schedule,
 )
-from repro.scheduler.schedule import DomainAssignment
+from repro.scheduler.schedule import DomainAssignment, PlacedCopy, PlacedOp, Schedule
 from repro.telemetry import disable_tracing, enable_tracing, span, tracing_enabled
 from repro.power import TechnologyModel
 from repro.power.profile import LoopProfile
@@ -1430,3 +1448,656 @@ class TestITSearchOracle:
         finally:
             clear_loop_cache(reset_stats=True)
         assert all(checked.values()), checked
+
+
+# ----------------------------------------------------------------------
+# Integer time grid: the kernel, the schedule and the IT search compute
+# on ints of one quantum.  The parent's Fraction versions, verbatim, are
+# the oracle; every call the grid code makes is compared with them.
+# ----------------------------------------------------------------------
+def fraction_sync_penalty(sync_penalties, from_ct, to_ct):
+    """One receiving-domain cycle on a frequency crossing (or zero)."""
+    if sync_penalties and from_ct != to_ct:
+        return Fraction(to_ct)
+    return Fraction(0)
+
+
+class FractionKernelTiming:
+    """The parent kernel's timing methods, reading a live kernel's state."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.ctx = kernel._ctx
+        self.delay = self.ctx.analysis.delay_by_dep
+
+    def sync_penalty(self, from_ct, to_ct):
+        return fraction_sync_penalty(self.ctx.options.sync_penalties, from_ct, to_ct)
+
+    def cluster_ct(self, cluster):
+        ct = self.ctx.cluster_cycle_times[cluster]
+        if ct is None:
+            raise SchedulingError(f"cluster {cluster} is gated at this IT")
+        return ct
+
+    def bus_window(self, dep, producer_cycle, consumer_cycle):
+        ctx = self.ctx
+        partition = self.kernel._partition
+        icn_ct = ctx.icn_cycle_time
+        if icn_ct is None:
+            return (0, -1)  # empty window
+        src_ct = self.cluster_ct(partition.cluster_of(dep.src))
+        dst_ct = self.cluster_ct(partition.cluster_of(dep.dst))
+        ready = producer_cycle * src_ct + self.delay[dep] * src_ct
+        ready += self.sync_penalty(src_ct, icn_ct)
+        b_min = ceil_div(ready, icn_ct)
+        deadline = (
+            consumer_cycle * dst_ct
+            + dep.distance * ctx.it
+            - self.sync_penalty(icn_ct, dst_ct)
+        )
+        b_max = floor_div(deadline, icn_ct) - ctx.machine.interconnect.latency
+        return (b_min, b_max)
+
+    def earliest_time(self, op):
+        ctx = self.ctx
+        kernel = self.kernel
+        cluster = kernel._partition.cluster_of(op)
+        dst_ct = self.cluster_ct(cluster)
+        earliest = Fraction(0)
+        for dep in ctx.ddg.in_edges(op):
+            if dep.src not in kernel._placements or dep.src is op:
+                continue
+            src_placed = kernel._placements[dep.src]
+            src_ct = self.cluster_ct(src_placed.cluster)
+            available = src_placed.cycle * src_ct + self.delay[dep] * src_ct
+            if kernel._needs_copy(dep):
+                icn_ct = ctx.icn_cycle_time
+                if icn_ct is None:
+                    raise SchedulingError("communication on a gated interconnect")
+                bus_ready = available + self.sync_penalty(src_ct, icn_ct)
+                b_min = ceil_div(bus_ready, icn_ct)
+                available = (
+                    b_min + ctx.machine.interconnect.latency
+                ) * icn_ct + self.sync_penalty(icn_ct, dst_ct)
+            earliest = max(earliest, available - dep.distance * ctx.it)
+        return earliest
+
+    def deadline_violations(self, op, cycle):
+        ctx = self.ctx
+        kernel = self.kernel
+        cluster = kernel._partition.cluster_of(op)
+        src_ct = self.cluster_ct(cluster)
+        violated = []
+        for dep in ctx.ddg.out_edges(op):
+            if dep.dst not in kernel._placements or dep.dst is op:
+                continue
+            if kernel._needs_copy(dep):
+                continue
+            consumer = kernel._placements[dep.dst]
+            ready = (
+                cycle * src_ct
+                + self.delay[dep] * src_ct
+                - dep.distance * ctx.it
+            )
+            if consumer.cycle * self.cluster_ct(consumer.cluster) < ready:
+                violated.append(dep.dst)
+        for dep in ctx.ddg.out_edges(op):
+            if dep.dst is op and self.delay[dep] * src_ct > dep.distance * ctx.it:
+                raise SchedulingError(
+                    f"self-recurrence of {op.name} exceeds IT {ctx.it}"
+                )
+        return violated
+
+
+def outcome(call, *args):
+    """``("ok", value)`` or ``("raised", type, message)`` of one call."""
+    try:
+        return ("ok", call(*args))
+    except (SchedulingError, SimulationError, InfeasibleITError) as error:
+        return ("raised", type(error), str(error))
+
+
+class CheckedKernel(KernelScheduler):
+    """The kernel, checking every timing query against the Fraction copy."""
+
+    #: Timing queries compared so far, by method.
+    checked: Dict[str, int] = {"earliest": 0, "window": 0, "deadline": 0}
+
+    def __init__(self, ctx, partition):
+        super().__init__(ctx, partition)
+        self._oracle = FractionKernelTiming(self)
+
+    def _earliest_time(self, op):
+        got = outcome(super()._earliest_time, op)
+        want = outcome(self._oracle.earliest_time, op)
+        if got[0] == "ok":
+            ct = self._ctx.cluster_ct_q[self._partition.cluster_of(op)]
+            got_start = max(0, -(-got[1] // ct))
+            assert ("ok", self._ctx.quantum * got[1]) == want
+            cluster_ct = self._oracle.cluster_ct(self._partition.cluster_of(op))
+            assert got_start == max(0, ceil_div(want[1], cluster_ct))
+        else:
+            assert got == want
+        self.checked["earliest"] += 1
+        return super()._earliest_time(op)
+
+    def _bus_window(self, dep, delay, producer_cycle, consumer_cycle):
+        got = super()._bus_window(dep, delay, producer_cycle, consumer_cycle)
+        assert got == self._oracle.bus_window(dep, producer_cycle, consumer_cycle)
+        self.checked["window"] += 1
+        return got
+
+    def _deadline_violations(self, op, cycle):
+        got = outcome(super()._deadline_violations, op, cycle)
+        assert got == outcome(self._oracle.deadline_violations, op, cycle)
+        self.checked["deadline"] += 1
+        return super()._deadline_violations(op, cycle)
+
+
+class FractionScheduleTiming:
+    """The parent schedule's timing, validation and lifetimes, in Fraction."""
+
+    def __init__(self, schedule):
+        self.s = schedule
+
+    def ct(self, index):
+        return Fraction(1) / self.s.cluster_assignment(index).frequency
+
+    def icn_ct(self):
+        return Fraction(1) / self.s.icn_assignment.frequency
+
+    def sync_penalty(self, from_ct, to_ct):
+        return fraction_sync_penalty(self.s.sync_penalties, from_ct, to_ct)
+
+    def issue_time(self, op):
+        placed = self.s.placements[op]
+        return placed.cycle * self.ct(placed.cluster)
+
+    def finish_time(self, op):
+        placed = self.s.placements[op]
+        latency = self.s.machine.isa.latency(op.opclass)
+        return (placed.cycle + latency) * self.ct(placed.cluster)
+
+    def copy_issue_time(self, dep):
+        return self.s.copies[dep].bus_cycle * self.icn_ct()
+
+    def copy_arrival_time(self, dep):
+        copy = self.s.copies[dep]
+        icn_ct = self.icn_ct()
+        arrival = (copy.bus_cycle + self.s.machine.interconnect.latency) * icn_ct
+        consumer_ct = self.ct(self.s.placements[dep.dst].cluster)
+        return arrival + self.sync_penalty(icn_ct, consumer_ct)
+
+    def value_ready_time(self, dep):
+        if dep in self.s.copies:
+            ready = self.copy_arrival_time(dep)
+        else:
+            producer = self.s.placements[dep.src]
+            delay = edge_delay(dep, self.s.machine.isa)
+            ready = self.issue_time(dep.src) + delay * self.ct(producer.cluster)
+        return ready - dep.distance * self.s.it
+
+    def it_length(self):
+        latest = Fraction(0)
+        for op in self.s.placements:
+            latest = max(latest, self.finish_time(op))
+        for dep in self.s.copies:
+            latest = max(latest, self.copy_arrival_time(dep))
+        return latest
+
+    def value_lifetimes(self):
+        s = self.s
+        lifetimes = []
+        for op, placed in s.placements.items():
+            if not op.opclass.writes_register:
+                continue
+            cluster = placed.cluster
+            cluster_ct = self.ct(cluster)
+            ii = s.cluster_assignment(cluster).ii
+            start = placed.cycle + s.machine.isa.latency(op.opclass)
+            end = start
+            consumed = False
+            for dep in s.ddg.out_edges(op):
+                if not dep.carries_value:
+                    continue
+                consumed = True
+                if dep in s.copies:
+                    read_cycle = ceil_div(self.copy_issue_time(dep), cluster_ct)
+                else:
+                    consumer = s.placements[dep.dst]
+                    read_cycle = consumer.cycle + dep.distance * ii
+                end = max(end, read_cycle)
+            if consumed:
+                lifetimes.append((cluster, start, max(end, start)))
+        for dep, copy in s.copies.items():
+            consumer = s.placements[dep.dst]
+            cluster = consumer.cluster
+            cluster_ct = self.ct(cluster)
+            ii = s.cluster_assignment(cluster).ii
+            start = ceil_div(self.copy_arrival_time(dep), cluster_ct)
+            end = consumer.cycle + dep.distance * ii
+            lifetimes.append((cluster, start, max(end, start)))
+        return lifetimes
+
+    def validate_assignments(self):
+        for assignment in self.s.assignments.values():
+            if assignment.usable:
+                ii_check = assignment.frequency * self.s.it
+                if ii_check != assignment.ii:
+                    raise SimulationError(
+                        f"domain {assignment.domain}: II {assignment.ii} != "
+                        f"f * IT = {ii_check}"
+                    )
+
+    def validate_dependences(self):
+        s = self.s
+        for dep in s.ddg.dependences:
+            consumer = s.placements[dep.dst]
+            producer = s.placements[dep.src]
+            crosses = producer.cluster != consumer.cluster
+            if dep.carries_value and crosses and dep not in s.copies:
+                raise SimulationError(
+                    f"value edge {dep.src.name}->{dep.dst.name} crosses "
+                    "clusters without a copy"
+                )
+            if dep in s.copies:
+                produce = self.issue_time(dep.src) + edge_delay(
+                    dep, s.machine.isa
+                ) * self.ct(producer.cluster)
+                bus_ready = produce + self.sync_penalty(
+                    self.ct(producer.cluster), self.icn_ct()
+                )
+                if self.copy_issue_time(dep) < bus_ready:
+                    raise SimulationError(
+                        f"copy of {dep.src.name}->{dep.dst.name} issues before "
+                        "its value reaches the bus"
+                    )
+            ready = self.value_ready_time(dep)
+            if self.issue_time(dep.dst) < ready:
+                raise SimulationError(
+                    f"dependence {dep.src.name}->{dep.dst.name} violated: "
+                    f"consumer issues at {self.issue_time(dep.dst)}, "
+                    f"value ready at {ready}"
+                )
+
+
+def check_schedule_timing(schedule):
+    """Compare a schedule's grid timing with the Fraction copy, in full."""
+    oracle = FractionScheduleTiming(schedule)
+    assert outcome(schedule._validate_assignments) == outcome(
+        oracle.validate_assignments
+    )
+    assert outcome(schedule._validate_dependences) == outcome(
+        oracle.validate_dependences
+    )
+    length = schedule.it_length
+    assert type(length) is Fraction and length == oracle.it_length()
+    lifetimes = oracle.value_lifetimes()
+    assert [
+        (l.cluster, l.start, l.end) for l in schedule.value_lifetimes()
+    ] == lifetimes
+    peaks = [0] * schedule.machine.n_clusters
+    for cluster in range(schedule.machine.n_clusters):
+        ii = schedule.cluster_assignment(cluster).ii
+        slots = [0] * max(ii, 1)
+        for owner, start, end in lifetimes:
+            if owner == cluster:
+                for x in range(start, start + max(end - start, 1)):
+                    slots[x % ii] += 1
+        if any(owner == cluster for owner, _s, _e in lifetimes):
+            peaks[cluster] = max(slots)
+    assert schedule.max_live() == tuple(peaks)
+
+
+def perturbed(schedule, rng):
+    """A copy of ``schedule`` with a few placements or copies moved."""
+    placements = dict(schedule.placements)
+    copies = dict(schedule.copies)
+    for _ in range(rng.randint(1, 3)):
+        if copies and rng.random() < 0.4:
+            dep = rng.choice(list(copies))
+            cycle = max(0, copies[dep].bus_cycle + rng.choice((-2, -1, 1)))
+            copies[dep] = PlacedCopy(dep=dep, bus_cycle=cycle)
+        else:
+            op = rng.choice(list(placements))
+            placed = placements[op]
+            cycle = max(0, placed.cycle + rng.choice((-2, -1, 1, 2)))
+            placements[op] = PlacedOp(op=op, cluster=placed.cluster, cycle=cycle)
+    return Schedule(
+        schedule.ddg,
+        schedule.machine,
+        schedule.it,
+        schedule.assignments,
+        placements,
+        copies,
+        schedule.sync_penalties,
+    )
+
+
+def fraction_period_multiples(periods, start):
+    """The parent's ``period_multiples``, on Fractions."""
+    periods = sorted(set(periods))
+    heap = [max(ceil_div(start, period), 1) * period for period in periods]
+    _heapq.heapify(heap)
+    previous = None
+    while heap:
+        value = _heapq.heappop(heap)
+        if value == previous:
+            continue
+        for period in periods:
+            if (value.numerator * period.denominator) % (
+                value.denominator * period.numerator
+            ) == 0:
+                _heapq.heappush(heap, value + period)
+        previous = value
+        yield value
+
+
+def fraction_capacity_ok(it, machine, speeds, demand, comms=0, lifetimes=0):
+    """The parent's ``capacity_ok``, on Fractions and FU-keyed dicts."""
+    iis = [floor_div(it, ct) for ct in speeds.cluster_cycle_times]
+    for fu, needed in demand.items():
+        if needed == 0:
+            continue
+        slots = sum(ii * machine.cluster(i).fu_count(fu) for i, ii in enumerate(iis))
+        if slots < needed:
+            return False
+    if comms > 0:
+        ii_icn = floor_div(it, speeds.icn_cycle_time)
+        if machine.interconnect.n_buses * ii_icn < comms:
+            return False
+    if lifetimes > 0:
+        reg_slots = sum(ii * machine.cluster(i).n_regs for i, ii in enumerate(iis))
+        if reg_slots < lifetimes:
+            return False
+    return True
+
+
+def fraction_min_feasible_it(
+    start, machine, speeds, demand, comms=0, lifetimes=0, loop=""
+):
+    """The parent's ``min_feasible_it``, on Fractions."""
+    if fraction_capacity_ok(start, machine, speeds, demand, comms, lifetimes):
+        return start
+    periods = list(speeds.cluster_cycle_times)
+    if comms > 0:
+        periods.append(speeds.icn_cycle_time)
+    for steps, it in enumerate(fraction_period_multiples(periods, start)):
+        if steps >= MAX_CANDIDATES:  # pragma: no cover - safety net
+            break
+        if it > start and fraction_capacity_ok(
+            it, machine, speeds, demand, comms, lifetimes
+        ):
+            return it
+    raise InfeasibleITError(
+        f"no feasible IT found for loop {loop!r} within "
+        f"{MAX_CANDIDATES} candidates"
+    )
+
+
+def fraction_preplace_recurrences(ctx):
+    """The parent's recurrence pre-placement, on FU-keyed dicts."""
+    pins = {}
+    used = {c: {fu: 0 for fu in FUType} for c in range(ctx.n_clusters)}
+
+    def fits(cluster, recurrence):
+        ii = ctx.cluster_iis[cluster]
+        if ii < 1:
+            return False
+        if recurrence.total_delay > recurrence.total_distance * ii:
+            return False
+        config = ctx.machine.cluster(cluster)
+        demand = dict(used[cluster])
+        for op in recurrence.operations:
+            if op in pins:
+                continue
+            fu = fu_for(op.opclass)
+            if fu is not None:
+                demand[fu] += 1
+        return all(demand[fu] <= ii * config.fu_count(fu) for fu in demand)
+
+    slowest_first = [
+        index
+        for index in ctx.point.sorted_cluster_indices_slowest_first()
+        if ctx.cluster_iis[index] >= 1
+    ]
+    for recurrence in ctx.recurrences:
+        fits_everywhere = all(
+            recurrence.total_delay <= recurrence.total_distance * ctx.cluster_iis[c]
+            for c in range(ctx.n_clusters)
+            if ctx.cluster_iis[c] >= 1
+        )
+        pinned_clusters = {pins[op] for op in recurrence.operations if op in pins}
+        if len(pinned_clusters) > 1:
+            raise PartitionError(
+                f"recurrence spans clusters {sorted(pinned_clusters)}"
+            )
+        if pinned_clusters:
+            target = next(iter(pinned_clusters))
+            if not fits(target, recurrence):
+                raise PartitionError(
+                    f"recurrence through {recurrence.operations[0].name} cannot "
+                    f"join its overlapping recurrence on cluster {target}"
+                )
+        else:
+            if fits_everywhere:
+                continue
+            target = None
+            for cluster in slowest_first:
+                if fits(cluster, recurrence):
+                    target = cluster
+                    break
+            if target is None:
+                raise PartitionError(
+                    f"recurrence through {recurrence.operations[0].name} fits in "
+                    f"no cluster at IT={ctx.it}"
+                )
+        for op in recurrence.operations:
+            if op not in pins:
+                pins[op] = target
+                fu = fu_for(op.opclass)
+                if fu is not None:
+                    used[target][fu] += 1
+    return pins
+
+
+def fraction_initial_partition(ctx, coarsening):
+    """The parent's seed partition: FU-keyed dicts, Fraction slowness."""
+    usable = ctx.usable_clusters()
+    if not usable:
+        raise PartitionError("no usable cluster at this IT")
+    demand = {c: {fu: 0 for fu in FUType} for c in range(ctx.n_clusters)}
+    assignment = {}
+
+    def macro_demand(macro):
+        counts = {fu: 0 for fu in FUType}
+        for op in macro.ops:
+            fu = fu_for(op.opclass)
+            if fu is not None:
+                counts[fu] += 1
+        return counts
+
+    def overload_after(cluster, macro):
+        ii = ctx.cluster_iis[cluster]
+        config = ctx.machine.cluster(cluster)
+        extra = macro_demand(macro)
+        total = 0
+        for fu in extra:
+            combined = demand[cluster][fu] + extra[fu]
+            total += max(0, combined - ii * config.fu_count(fu))
+        return total
+
+    def place(macro, cluster):
+        for op in macro.ops:
+            assignment[op] = cluster
+            fu = fu_for(op.opclass)
+            if fu is not None:
+                demand[cluster][fu] += 1
+
+    pending = []
+    for macro in coarsening.coarsest:
+        if macro.pinned is not None:
+            place(macro, macro.pinned)
+        else:
+            pending.append(macro)
+    slowness = {
+        c: ctx.point.cluster_setting(c).cycle_time for c in range(ctx.n_clusters)
+    }
+    for macro in sorted(pending, key=lambda m: (-m.size, m.ident)):
+        best = min(
+            usable,
+            key=lambda c: (overload_after(c, macro), -slowness[c], c),
+        )
+        place(macro, best)
+    return Partition(ctx.ddg, ctx.n_clusters, assignment)
+
+
+#: ITs (ns) whose domain periods ``IT / II`` include non-decimal values
+#: such as 4/3 and 1/3 ns.
+GRID_ITS = (Fraction(4), Fraction(2), Fraction(8, 3), Fraction(6, 5), Fraction(12, 7))
+
+
+@st.composite
+def grid_contexts(draw):
+    """A random loop on a random (frequency, II) assignment.
+
+    Clusters may be gated (II 0), the interconnect period may differ from
+    every cluster's, and synchronisation penalties may be off.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ddg = random_ddg(rng, max_ops=draw(st.integers(3, 14)))
+    it = draw(st.sampled_from(GRID_ITS))
+    iis = draw(st.lists(st.integers(0, 12), min_size=4, max_size=4))
+    if not any(iis):
+        iis[0] = draw(st.integers(1, 12))
+    icn_ii = draw(st.integers(1, 12))
+    cache_ii = draw(st.integers(0, 12))
+    sync = draw(st.booleans())
+    machine = paper_machine(n_buses=draw(st.integers(1, 2)))
+
+    def assignment(domain, ii):
+        return DomainAssignment(domain, Fraction(ii) / it, ii)
+
+    assignments = {cluster_domain(i): assignment(cluster_domain(i), ii) for i, ii in enumerate(iis)}
+    assignments[ICN_DOMAIN] = assignment(ICN_DOMAIN, icn_ii)
+    assignments["cache"] = assignment("cache", cache_ii)
+
+    def setting(ii):
+        return DomainSetting(it / ii if ii else it, 1.0, 0.3)
+
+    point = OperatingPoint(
+        clusters=tuple(setting(ii) for ii in iis),
+        icn=setting(icn_ii),
+        cache=setting(cache_ii),
+    )
+    options = SchedulerOptions(sync_penalties=sync)
+    return SchedulingContext(ddg, machine, point, assignments, it, options, 100.0, WEIGHTS)
+
+
+class TestIntegerTimeGrid:
+    """Grid arithmetic returns exactly what the parent's Fractions did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ctx=grid_contexts(), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_and_schedule(self, ctx, seed):
+        q = ctx.quantum
+        assert q * ctx.it_q == ctx.it
+        for ct_q, ct in zip(ctx.cluster_ct_q, ctx.cluster_cycle_times):
+            assert (ct_q is None) == (ct is None)
+            assert ct is None or q * ct_q == ct
+        assert ctx.icn_ct_q is not None and q * ctx.icn_ct_q == ctx.icn_cycle_time
+
+        pins = outcome(preplace_recurrences, ctx)
+        assert pins == outcome(fraction_preplace_recurrences, ctx)
+        if pins[0] != "ok":
+            return
+        coarsening = coarsen(ctx, pins[1])
+        seeded = initial_partition(ctx, coarsening)
+        assert seeded.vector() == fraction_initial_partition(ctx, coarsening).vector()
+        partition = refine(ctx, seeded, coarsening)
+
+        try:
+            placements, copies = CheckedKernel(ctx, partition).run()
+        except SchedulingError:
+            return
+        schedule = Schedule(
+            ctx.ddg,
+            ctx.machine,
+            ctx.it,
+            ctx.assignments,
+            placements,
+            copies,
+            ctx.options.sync_penalties,
+        )
+        schedule.validate()
+        check_schedule_timing(schedule)
+        rng = random.Random(seed)
+        for _ in range(4):
+            check_schedule_timing(perturbed(schedule, rng))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        clusters=st.lists(
+            st.one_of(periods_st, st.sampled_from((Fraction(4, 3), Fraction(1, 3)))),
+            min_size=4,
+            max_size=4,
+        ),
+        icn=st.one_of(periods_st, st.just(Fraction(2, 3))),
+        buses=st.integers(1, 2),
+        demand=st.dictionaries(st.sampled_from(list(FUType)), st.integers(0, 60)),
+        start=st.builds(Fraction, st.integers(0, 300), st.sampled_from((1, 3, 7, 20))),
+        near=st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 3), st.integers(1, 40), st.sampled_from((-1, 0, 1))),
+        ),
+        comms=st.integers(0, 40),
+        lifetimes=st.integers(0, 1500),
+    )
+    def test_it_search(
+        self, clusters, icn, buses, demand, start, near, comms, lifetimes
+    ):
+        if near is not None:
+            # Just below, at or just above a multiple of a cluster period.
+            index, k, side = near
+            start = k * clusters[index] + Fraction(side, 1000)
+        machine = paper_machine(n_buses=buses)
+        speeds = MachineSpeeds(tuple(clusters), icn, icn)
+        args = (machine, speeds, demand, comms, lifetimes)
+        assert capacity_ok(start, *args) == fraction_capacity_ok(start, *args)
+        for it in itertools.islice(fraction_period_multiples(clusters, start), 30):
+            assert capacity_ok(it, *args) == fraction_capacity_ok(it, *args)
+        got = outcome(min_feasible_it, start, *args)
+        assert got == outcome(fraction_min_feasible_it, start, *args)
+        assert got[0] == "raised" or type(got[1]) is Fraction
+        periods = [*clusters, icn]
+        new = list(itertools.islice(period_multiples(periods, start), PREFIX))
+        assert new == list(
+            itertools.islice(fraction_period_multiples(periods, start), PREFIX)
+        )
+        assert all(type(value) is Fraction for value in new)
+
+    @pytest.mark.parametrize("profile_name", ["swim", "lucas", "sixtrack", "facerec"])
+    def test_spec_corpora(self, profile_name, monkeypatch):
+        """Every kernel query and every schedule of a paper run."""
+        for key in CheckedKernel.checked:
+            CheckedKernel.checked[key] = 0
+        schedules = []
+        validate = Schedule.validate
+
+        def checked_validate(schedule):
+            validate(schedule)
+            check_schedule_timing(schedule)
+            schedules.append(schedule)
+
+        monkeypatch.setattr(
+            "repro.scheduler.heterogeneous.KernelScheduler", CheckedKernel
+        )
+        monkeypatch.setattr(Schedule, "validate", checked_validate)
+        LOOP_CACHE.detach_store()
+        clear_loop_cache(reset_stats=True)
+        try:
+            corpus = build_corpus(spec_profile(profile_name), scale=0.02)
+            Experiment.paper(ExperimentOptions()).run(corpus)
+        finally:
+            clear_loop_cache(reset_stats=True)
+        assert schedules and all(CheckedKernel.checked.values()), CheckedKernel.checked

@@ -8,6 +8,7 @@ from repro.errors import SimulationError
 from repro.ir.builder import DDGBuilder
 from repro.ir.loop import Loop
 from repro.ir.opcodes import OpClass
+from repro.machine import DomainSetting, OperatingPoint
 from repro.machine.clocking import CACHE_DOMAIN, ICN_DOMAIN
 from repro.machine.machine import paper_machine
 from repro.scheduler.schedule import (
@@ -17,6 +18,7 @@ from repro.scheduler.schedule import (
     Schedule,
 )
 from repro.scheduler import HeterogeneousModuloScheduler, HomogeneousModuloScheduler
+from repro.workloads import build_corpus, spec_profile
 from tests.conftest import build_recurrence_loop, build_tiny_loop
 
 
@@ -188,3 +190,113 @@ class TestLifetimes:
             l for l in schedule.value_lifetimes() if l.cluster == placed.cluster
         ]
         assert any(l.length >= 1 for l in lifetimes)
+
+
+#: Cluster 0 at 1 ns, three clusters at 4/3 ns and the bus at 2/3 ns:
+#: periods off any decimal grid, with a sync penalty on every crossing.
+THIRDS_POINT = OperatingPoint(
+    clusters=(
+        DomainSetting(Fraction(1), 1.1, 0.28),
+        *[DomainSetting(Fraction(4, 3), 0.8, 0.30)] * 3,
+    ),
+    icn=DomainSetting(Fraction(2, 3), 1.0, 0.30),
+    cache=DomainSetting(Fraction(1), 1.0, 0.30),
+)
+
+
+def thirds_schedules():
+    """Kernel-built schedules of the first swim loops on THIRDS_POINT."""
+    scheduler = HeterogeneousModuloScheduler(paper_machine())
+    corpus = build_corpus(spec_profile("swim"), scale=0.02)
+    return [scheduler.schedule(loop, THIRDS_POINT) for loop in list(corpus)[:8]]
+
+
+def rebuilt(schedule, placements=None, copies=None):
+    return Schedule(
+        schedule.ddg,
+        schedule.machine,
+        schedule.it,
+        schedule.assignments,
+        placements if placements is not None else schedule.placements,
+        copies if copies is not None else schedule.copies,
+        schedule.sync_penalties,
+    )
+
+
+class TestGridValidatorMutations:
+    """The validator's integer grid still catches a one-cycle slip."""
+
+    def test_consumer_one_cycle_early(self):
+        caught_by_timing = 0
+        for schedule in thirds_schedules():
+            schedule.validate()
+            for dep in schedule.ddg.dependences:
+                consumer = schedule.placements[dep.dst]
+                tight = schedule.issue_time(dep.dst) == schedule.value_ready_time(dep)
+                if not tight or consumer.cycle == 0:
+                    continue
+                placements = dict(schedule.placements)
+                placements[dep.dst] = PlacedOp(
+                    dep.dst, consumer.cluster, consumer.cycle - 1
+                )
+                with pytest.raises(SimulationError) as error:
+                    rebuilt(schedule, placements=placements).validate()
+                caught_by_timing += "violated" in str(error.value)
+        assert caught_by_timing > 0
+
+    def test_copy_one_bus_cycle_early(self):
+        moved = 0
+        for schedule in thirds_schedules():
+            for dep, copy in schedule.copies.items():
+                if copy.bus_cycle == 0:
+                    continue
+                copies = dict(schedule.copies)
+                copies[dep] = PlacedCopy(dep, copy.bus_cycle - 1)
+                with pytest.raises(SimulationError, match="reaches the bus"):
+                    rebuilt(schedule, copies=copies).validate()
+                moved += 1
+        assert moved > 0
+
+
+class TestPublicTimeBoundary:
+    """Grid ints stay inside: every public time is still a Fraction."""
+
+    def test_schedule_accessors_return_fractions(self):
+        schedules = thirds_schedules()
+        assert any(schedule.copies for schedule in schedules)
+        for schedule in schedules:
+            assert type(schedule.it) is Fraction
+            assert type(schedule.it_length) is Fraction
+            assert type(schedule.icn_cycle_time) is Fraction
+            for op in schedule.placements:
+                assert type(schedule.issue_time(op)) is Fraction
+                assert type(schedule.finish_time(op)) is Fraction
+            for dep in schedule.copies:
+                assert type(schedule.copy_issue_time(dep)) is Fraction
+                assert type(schedule.copy_arrival_time(dep)) is Fraction
+            for dep in schedule.ddg.dependences:
+                assert type(schedule.value_ready_time(dep)) is Fraction
+            for assignment in schedule.assignments.values():
+                assert type(assignment.frequency) is Fraction
+                if assignment.usable:
+                    assert type(assignment.cycle_time) is Fraction
+
+    def test_cached_cycle_time_keeps_equality_and_hash(self):
+        first = DomainAssignment("cluster0", Fraction(3, 4), 3)
+        second = DomainAssignment("cluster0", Fraction(3, 4), 3)
+        before = hash(first)
+        assert first.cycle_time == Fraction(4, 3)
+        assert first.cycle_time is first.cycle_time  # computed once
+        assert first == second and hash(first) == hash(second) == before
+        assert repr(first) == repr(second)
+        assert {first: 1}[second] == 1
+        assert first != DomainAssignment("cluster0", Fraction(3, 2), 6)
+
+    def test_sync_penalty_is_shared_by_validator_and_simulator(self):
+        schedule = hand_schedule()
+        ct = Fraction(4, 3)
+        assert schedule.sync_penalty(Fraction(1), ct) == ct
+        assert schedule.sync_penalty(ct, ct) == 0
+        assert schedule.sync_penalty(3, 4) == 4  # grid quanta work too
+        schedule.sync_penalties = False
+        assert schedule.sync_penalty(Fraction(1), ct) == 0
