@@ -6,11 +6,11 @@ machine.  This example builds a TigerSHARC-flavoured two-cluster VLIW
 filter tap loop on it, and meters the result with an energy model
 calibrated on that same machine.
 
-It then registers the machine under a name and drives the *entire*
-paper pipeline — profile, calibrate, optimum-homogeneous baseline,
-heterogeneous selection, scheduling, metering — on it through the
-composable :class:`repro.Experiment` builder, exactly the path the
-paper machine takes.
+It then drives the *entire* paper pipeline — profile, calibrate,
+optimum-homogeneous baseline, heterogeneous selection, scheduling,
+metering — on it through the :class:`repro.Experiment` builder, exactly
+the path the paper machine takes, and exports it as a scenario pack:
+the form a campaign can sweep (``--machine-file``).
 
 Run: ``python examples/custom_machine.py``
 """
@@ -134,15 +134,15 @@ def main() -> None:
     )
 
     # --- the same machine through the experiment API -----------------
-    # Registering the factory by name makes the machine first-class:
-    # campaign jobs can sweep it (options.machine = "tigersharc"), and
-    # Experiment.paper() runs the full evaluation flow on it.
-    from repro import Experiment, register_machine
+    # A live description runs the full evaluation flow in this process.
+    import tempfile
+    from pathlib import Path
 
-    register_machine("tigersharc", lambda options: build_machine(), overwrite=True)
+    from repro import Experiment, machine_to_toml
+
     evaluation = (
         Experiment.paper()
-        .with_machine("tigersharc")
+        .with_machine(build_machine())
         .run(Corpus("fir", [build_fir_tap()]))
     )
     print(
@@ -151,6 +151,23 @@ def main() -> None:
         f"energy {evaluation.energy_ratio:.3f}, time {evaluation.time_ratio:.3f}"
     )
 
+    # Exported as a scenario pack, the machine travels by content: a
+    # campaign job carries the file (options.machine_file), so any
+    # worker process can run it.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tigersharc.toml"
+        path.write_text(machine_to_toml(build_machine(), "tigersharc"))
+        from_file = (
+            Experiment.paper()
+            .with_machine_file(path)
+            .run(Corpus("fir", [build_fir_tap()]))
+        )
+    assert from_file.to_dict() == evaluation.to_dict(), "pack must be exact"
+    print(
+        "exported as a pack, identical results; sweep it with\n"
+        "  python -m repro campaign --machine-file tigersharc.toml "
+        "--machine-file paper"
+    )
 
 if __name__ == "__main__":
     main()

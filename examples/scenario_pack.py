@@ -5,7 +5,7 @@ Walks the whole declarative loop:
 1. write a scenario pack (a TOML machine description) to disk,
 2. load + validate it and run the full paper pipeline on it through
    ``--machine-file``-equivalent library calls,
-3. compare against a bundled pack on the same corpus,
+3. compare against the paper machine on the same corpus,
 4. export a programmatic machine back to TOML and show the round trip
    is exact.
 
@@ -64,8 +64,8 @@ def main() -> None:
         path = Path(tmp) / "asymmetric-duo.toml"
         path.write_text(PACK)
 
-        # Load + validate; registration makes the name usable everywhere.
-        pack = load_pack(path, register=True)
+        # Load + validate.
+        pack = load_pack(path)
         print(f"loaded {pack.name!r}: {pack.describe()}")
 
         # The file machine drives the full pipeline exactly like the
@@ -81,12 +81,8 @@ def main() -> None:
             f"time {evaluation.time_ratio:.3f}"
         )
 
-    # A bundled pack on the same corpus, for comparison.
-    bundled = (
-        Experiment.paper()
-        .with_machine("paper")
-        .run(corpus)
-    )
+    # The paper machine on the same corpus, for comparison.
+    bundled = Experiment.paper().run(corpus)
     print(
         f"paper machine:  ED^2 {bundled.ed2_ratio:.3f}, "
         f"energy {bundled.energy_ratio:.3f}, time {bundled.time_ratio:.3f}"

@@ -17,8 +17,8 @@ The package implements, from scratch:
 * synthetic SPECfp2000 loop corpora calibrated to the paper's Table 2
   (:mod:`repro.workloads`),
 * the end-to-end experiment pipeline behind every figure: the paper's
-  fixed stage sequence with a per-loop artifact cache, on any registered
-  or file-declared machine (:mod:`repro.pipeline` — see
+  fixed stage sequence with a per-loop artifact cache, on the paper
+  machine, a file-declared or a live machine (:mod:`repro.pipeline` — see
   :class:`Experiment`), plus campaign orchestration
   (:mod:`repro.campaign`), declarative TOML/JSON scenario packs for
   file-based machines and workloads (:mod:`repro.scenarios`) and
@@ -31,7 +31,12 @@ Experiments::
     evaluation = Experiment.paper().run(corpus)   # == evaluate_corpus(corpus)
     custom = (
         Experiment.paper()
-        .with_machine("my-dsp")                   # via register_machine(...)
+        .with_machine(my_dsp)                     # a MachineDescription
+        .run(corpus)
+    )
+    packed = (
+        Experiment.paper()
+        .with_machine_file("my-dsp.toml")         # a scenario pack
         .run(corpus)
     )
 
@@ -138,9 +143,7 @@ from repro.pipeline import (
     evaluate_corpus,
     evaluate_suite,
     paper_stages,
-    register_machine,
 )
-from repro.pipeline.registry import register_workload
 from repro.scenarios import (
     ScenarioPack,
     find_pack,
@@ -244,8 +247,6 @@ __all__ = [
     "ScheduleStage",
     "MeasureStage",
     "paper_stages",
-    "register_machine",
-    "register_workload",
     # scenarios
     "ScenarioPack",
     "find_pack",

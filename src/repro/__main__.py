@@ -4,12 +4,12 @@ Commands:
 
 * ``evaluate <benchmark>`` — run the full pipeline for one SPECfp2000
   benchmark and print the Figure 6 row (``--buses``, ``--scale``,
-  ``--machine``, ``--output json``),
+  ``--machine-file``, ``--output json``),
 * ``suite`` — run every benchmark and print the Figure 6 chart,
 * ``campaign`` — expand a (benchmarks x option grids) sweep into jobs,
   run them in parallel with on-disk whole-job *and* loop-granular
   caching, and print the aggregate tables (``--jobs``, ``--buses``,
-  ``--machine``, ``--ablate``, ``--cache-dir``),
+  ``--machine-file``, ``--ablate``, ``--cache-dir``),
 * ``table2`` — print the measured constraint-class time shares,
 * ``bench`` — time the pipeline per stage per benchmark, write
   ``BENCH_pipeline.json``, and optionally gate against a baseline
@@ -37,9 +37,9 @@ format.
 distribution metadata when available, the source tree's fallback
 otherwise).
 
-``evaluate``/``suite``/``campaign`` also take ``--machine`` (a
-registered machine name), ``--machine-file`` (a scenario pack file) and
-``--workloads`` (a pack whose workloads to register); see
+``evaluate``/``suite``/``campaign`` also take ``--machine-file`` (a
+scenario pack file; ``paper`` for the paper machine) and ``--workloads``
+(a pack whose workloads benchmark names may refer to); see
 ``docs/cli.md`` for the full reference.
 """
 
@@ -99,18 +99,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_machine_flags(
-        subparser,
-        machine_help: Optional[str] = None,
-        campaign_files: bool = False,
-    ) -> None:
-        subparser.add_argument(
-            "--machine",
-            default=None,
-            help=machine_help
-            or "registered machine name to target (default 'paper'; "
-            "see repro.pipeline.register_machine)",
-        )
+    def add_machine_flags(subparser, campaign_files: bool = False) -> None:
         if campaign_files:
             subparser.add_argument(
                 "--machine-file",
@@ -118,8 +107,8 @@ def _parser() -> argparse.ArgumentParser:
                 default=[],
                 metavar="PACK",
                 help="scenario pack file (or bundled pack name) to add to "
-                "the machine sweep (repeatable); when given without "
-                "--machine, only the files are swept",
+                "the machine sweep (repeatable); 'paper' adds the paper "
+                "machine, which is also the default",
             )
         else:
             subparser.add_argument(
@@ -127,15 +116,15 @@ def _parser() -> argparse.ArgumentParser:
                 default=None,
                 metavar="PACK",
                 help="scenario pack file (or bundled pack name) declaring "
-                "the machine; overrides --machine",
+                "the machine (default: the paper machine)",
             )
         subparser.add_argument(
             "--workloads",
             action="append",
             default=[],
             metavar="PACK",
-            help="scenario pack (bundled name or file) whose workloads to "
-            "register before resolving benchmark names (repeatable)",
+            help="scenario pack (bundled name or file) whose workloads "
+            "benchmark names may refer to (repeatable)",
         )
 
     evaluate = commands.add_parser(
@@ -218,13 +207,7 @@ def _parser() -> argparse.ArgumentParser:
         "warehouse (enables `repro query diff <label> ...` later); "
         "without it, jobs are indexed but not grouped",
     )
-    add_machine_flags(
-        campaign,
-        machine_help="comma-separated registered machine names to sweep, "
-        "e.g. 'paper,my-dsp' (default 'paper' unless --machine-file is "
-        "given)",
-        campaign_files=True,
-    )
+    add_machine_flags(campaign, campaign_files=True)
 
     scenarios = commands.add_parser(
         "scenarios",
@@ -390,14 +373,6 @@ def _parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="idle sleep between empty lease attempts (default 1.0s)",
-    )
-    worker.add_argument(
-        "--workloads",
-        action="append",
-        default=[],
-        metavar="PACK",
-        help="scenario pack (bundled name or path) whose workloads this "
-        "worker registers at startup; repeatable",
     )
     worker.add_argument(
         "--max-jobs",
@@ -680,8 +655,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _machine_file_path(ref: Optional[str]) -> Optional[str]:
-    """Resolve a --machine-file value: a path, or a bundled pack name."""
-    if ref is None:
+    """Resolve a --machine-file value: a path, or a bundled pack name;
+    ``paper`` (and no value) is the paper machine, None."""
+    if ref is None or ref == "paper":
         return None
     import os
 
@@ -694,48 +670,37 @@ def _machine_file_path(ref: Optional[str]) -> Optional[str]:
     return str(ref)
 
 
-def _load_workload_packs(args: argparse.Namespace) -> None:
-    """Register the workloads of every ``--workloads`` pack."""
-    if getattr(args, "workloads", None):
-        from repro.scenarios import find_pack
+def _benchmark(args: argparse.Namespace, name: str):
+    """A benchmark name resolved to its spec: a workload of a
+    ``--workloads`` pack, else a built-in profile (packs cannot declare
+    a built-in name)."""
+    from repro.scenarios import find_pack
 
-        for ref in args.workloads:
-            find_pack(ref).register()
+    for ref in getattr(args, "workloads", ()):
+        for spec in find_pack(ref).workloads:
+            if spec.name == name:
+                return spec
+    return spec_profile(name)
 
 
 def _experiment(args: argparse.Namespace) -> Experiment:
     """The experiment the CLI flags describe."""
-    machine = getattr(args, "machine", None) or "paper"
     machine_file = _machine_file_path(getattr(args, "machine_file", None))
     return Experiment.paper(
-        ExperimentOptions(
-            n_buses=args.buses, machine=machine, machine_file=machine_file
-        )
+        ExperimentOptions(n_buses=args.buses, machine_file=machine_file)
     )
 
 
-def _campaign_machines(args: argparse.Namespace) -> tuple:
-    """The campaign machine axis: (names, resolved file paths)."""
-    machines = [
-        m.strip()
-        for m in str(args.machine or "").split(",")
-        if m.strip()
-    ]
-    files = [_machine_file_path(f) for f in args.machine_file]
-    if not machines and not files:
-        machines = ["paper"]
-    return machines, files
-
-
-def _evaluate(name: str, experiment: Experiment, scale: float):
-    corpus = build_corpus(spec_profile(name), scale=scale)
+def _evaluate(spec, experiment: Experiment, scale: float):
+    corpus = build_corpus(spec, scale=scale)
     return experiment.run(corpus)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _load_workload_packs(args)
     experiment = _experiment(args)
-    evaluation = _evaluate(args.benchmark, experiment, args.scale)
+    evaluation = _evaluate(
+        _benchmark(args, args.benchmark), experiment, args.scale
+    )
     if args.output == "json":
         print(json.dumps(evaluation.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -762,12 +727,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    _load_workload_packs(args)
     experiment = _experiment(args)
     evaluations = []
     measured = {}
-    for name in SPEC2000_PROFILES:
-        evaluation = _evaluate(name, experiment, args.scale)
+    for name, spec in SPEC2000_PROFILES.items():
+        evaluation = _evaluate(spec, experiment, args.scale)
         evaluations.append(evaluation)
         measured[name] = evaluation.ed2_ratio
         print(f"{name}: {evaluation.ed2_ratio:.3f}", file=sys.stderr)
@@ -805,8 +769,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         campaign_summary,
     )
 
-    _load_workload_packs(args)
-
     store = None
     if not args.no_cache:
         store = ResultStore(
@@ -830,21 +792,25 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.benchmarks.strip().lower() == "all":
         benchmarks = tuple(SPEC2000_PROFILES)
     else:
+        # Built-in profiles travel by name, pack workloads as specs.
         benchmarks = tuple(
-            spec_profile(name.strip()).name
-            for name in args.benchmarks.split(",")
-            if name.strip()
+            spec if spec.name not in SPEC2000_PROFILES else spec.name
+            for spec in (
+                _benchmark(args, name.strip())
+                for name in args.benchmarks.split(",")
+                if name.strip()
+            )
         )
     on_off = lambda knob: (True, False) if knob in args.ablate else (True,)
-    machines, machine_files = _campaign_machines(args)
     spec = CampaignSpec(
         benchmarks=benchmarks,
         scale=args.scale,
         buses_grid=tuple(
             int(b.strip()) for b in str(args.buses).split(",") if b.strip()
         ),
-        machine_grid=tuple(machines),
-        machine_files=tuple(machine_files),
+        machine_files=tuple(
+            _machine_file_path(ref) for ref in args.machine_file or ["paper"]
+        ),
         per_class_energy_grid=on_off("per-class-energy"),
         preplace_grid=on_off("preplace"),
         ed2_refinement_grid=on_off("ed2-refinement"),
@@ -884,7 +850,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             n_jobs=args.jobs,
             progress=_progress,
             recompute=args.recompute,
-            workload_packs=tuple(args.workloads),
             sink=sink,
         )
     finally:
@@ -1061,7 +1026,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         ttl=args.ttl,
         poll=args.poll,
-        workload_packs=tuple(args.workloads),
         execute=execute,
         exit_on_drain=not args.stay_on_drain,
         max_jobs=args.max_jobs,
@@ -1453,19 +1417,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.cmd == "evaluate" and args.benchmark is None:
         print("trace evaluate needs a benchmark", file=sys.stderr)
         return 2
-    _load_workload_packs(args)
     experiment = _experiment(args)
     enable_tracing()
     with span(args.cmd, buses=args.buses, scale=args.scale) as root:
         if args.cmd == "evaluate":
-            evaluation = _evaluate(args.benchmark, experiment, args.scale)
+            evaluation = _evaluate(
+                _benchmark(args, args.benchmark), experiment, args.scale
+            )
             print(
                 f"{evaluation.benchmark}: {evaluation.ed2_ratio:.3f}",
                 file=sys.stderr,
             )
         else:
-            for name in SPEC2000_PROFILES:
-                evaluation = _evaluate(name, experiment, args.scale)
+            for name, spec in SPEC2000_PROFILES.items():
+                evaluation = _evaluate(spec, experiment, args.scale)
                 print(
                     f"{name}: {evaluation.ed2_ratio:.3f}", file=sys.stderr
                 )

@@ -147,15 +147,13 @@ _CORPUS_CACHE: Dict[Any, Any] = {}
 _CORPUS_CACHE_LIMIT = 32
 
 
-def _corpus_for(benchmark: str, scale: float):
+def _corpus_for(spec, scale: float):
     from repro.workloads.corpus import build_corpus
-    from repro.workloads.spec_profiles import spec_profile
 
-    # Keyed by the resolved *spec* (frozen, hashable), not the name:
-    # registered workloads can be re-registered with a new definition
-    # mid-process (e.g. jobs carrying edited pack workloads), and a
-    # name-keyed memo would serve the stale corpus.
-    spec = spec_profile(benchmark)
+    # Keyed by the *spec* (frozen, hashable), not the name: two jobs may
+    # carry different definitions under one workload name (e.g. an
+    # edited pack workload), and a name-keyed memo would serve the
+    # stale corpus.
     key = (spec, scale)
     corpus = _CORPUS_CACHE.get(key)
     if corpus is None:
@@ -166,22 +164,16 @@ def _corpus_for(benchmark: str, scale: float):
     return corpus
 
 
-def _worker_init(
-    loop_dir: Optional[str],
-    workload_packs: Sequence[str] = (),
-    telemetry: bool = False,
-) -> None:
+def _worker_init(loop_dir: Optional[str], telemetry: bool = False) -> None:
     """One-time setup of a worker process (local slot child or remote).
 
     Attaches the store's on-disk loop cache once per process (instead
-    of per job), registers the caller's workload packs (pack-declared
-    benchmarks must resolve in *this* process — registration does not
-    survive the spawn/forkserver boundary), mirrors the parent's tracing
-    switch (span state is process-local, so enablement must be carried
-    across the spawn boundary explicitly), and warms the heavyweight
-    imports — machine registry, workload profiles, pipeline stages — so
-    the first job of each worker doesn't pay them inside its measured
-    time.
+    of per job), mirrors the parent's tracing switch (span state is
+    process-local, so enablement must be carried across the process
+    boundary explicitly), and warms the heavyweight imports — workload
+    profiles, pipeline stages — so the first job of each worker doesn't
+    pay them inside its measured time.  Nothing else is needed: every
+    job carries its machine and workload.
     """
     if telemetry:
         from repro.telemetry import enable_tracing
@@ -191,12 +183,6 @@ def _worker_init(
         from repro.pipeline.cache import LOOP_CACHE
 
         LOOP_CACHE.attach_store(loop_dir)
-    if workload_packs:
-        from repro.scenarios import find_pack
-
-        for ref in workload_packs:
-            find_pack(ref).register()
-    import repro.pipeline.registry  # noqa: F401  (registers factories)
     import repro.pipeline.stages  # noqa: F401
     import repro.workloads.spec_profiles  # noqa: F401
 
@@ -256,7 +242,7 @@ def execute_job_payload(
             with span(
                 "job", benchmark=job.benchmark, config=job.config_label()
             ) as job_span:
-                corpus = _corpus_for(job.benchmark, job.scale)
+                corpus = _corpus_for(job.spec, job.scale)
                 evaluation = evaluate_corpus(corpus, job.options)
             loops_after = LOOP_CACHE.stats()
         finally:
@@ -317,20 +303,15 @@ def run_campaign(
     n_jobs: int = 1,
     progress: Optional[Callable[[JobResult], None]] = None,
     recompute: bool = False,
-    workload_packs: Sequence[str] = (),
     sink: Optional[Callable[[str, Dict[str, Any], bool], None]] = None,
 ) -> CampaignResult:
     """Execute ``jobs``, reusing cached results and sharding the rest.
 
     ``n_jobs`` bounds worker processes (1 runs in-process); ``progress``
     is invoked once per finished job, in completion order; ``recompute``
-    forces fresh runs even for cached keys.  ``workload_packs`` names
-    scenario packs (bundled names or paths) whose workloads every worker
-    registers at startup — required when jobs reference pack-declared
-    benchmarks and ``n_jobs > 1``, because registry state does not cross
-    the process boundary.  Successful results are persisted to ``store``
-    before the call returns; failures are reported but never cached, so
-    a fixed configuration re-runs.
+    forces fresh runs even for cached keys.  Successful results are
+    persisted to ``store`` before the call returns; failures are
+    reported but never cached, so a fixed configuration re-runs.
 
     ``sink`` is the raw-payload hook: called once per finished job with
     ``(key, payload, cached)`` — the exact dict that lands in (or came
@@ -383,7 +364,6 @@ def run_campaign(
             coordinator,
             slots,
             loop_dir=None if store is None else str(store.loop_dir),
-            workload_packs=workload_packs,
             # One slot runs in-process: there is nothing to parallelise.
             execute=execute_job_payload if slots == 1 else None,
         )

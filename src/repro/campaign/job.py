@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.errors import WorkloadError
 from repro.pipeline.experiment import ExperimentOptions
 from repro.pipeline.serialization import canonical_json, content_key
-from repro.workloads.spec_profiles import SPEC2000_PROFILES
+from repro.workloads.spec_profiles import (
+    SPEC2000_PROFILES,
+    BenchmarkSpec,
+    shadows_builtin,
+)
 
 #: Hex digits of the sha256 digest used as the job key (64 bits —
 #: comfortable for campaigns of at most a few thousand jobs).
@@ -31,32 +35,52 @@ SCHEMA_VERSION = 2
 
 @dataclass(frozen=True)
 class ExperimentJob:
-    """One fully specified experiment: benchmark x corpus scale x options."""
+    """One fully specified experiment: benchmark x corpus scale x options.
+
+    The benchmark is a built-in SPECfp2000 profile (``workload`` None)
+    or the spec ``workload`` the job itself carries (a scenario-pack
+    corpus, named ``benchmark``).  Either way the job holds everything
+    a worker in any process needs to run it.
+    """
 
     benchmark: str
     scale: float
     options: ExperimentOptions = field(default_factory=ExperimentOptions)
+    workload: Optional[BenchmarkSpec] = None
 
     def __post_init__(self) -> None:
-        if self.benchmark not in SPEC2000_PROFILES:
-            from repro.pipeline.registry import registered_workload
-
-            if registered_workload(self.benchmark) is None:
+        if self.workload is None:
+            if self.benchmark not in SPEC2000_PROFILES:
                 raise WorkloadError(f"unknown benchmark {self.benchmark!r}")
+        elif self.workload.name != self.benchmark:
+            raise WorkloadError(
+                f"job benchmark {self.benchmark!r} does not match its "
+                f"workload {self.workload.name!r}"
+            )
+        elif shadows_builtin(self.benchmark):
+            raise WorkloadError(
+                f"workload name {self.benchmark!r} shadows a built-in "
+                "SPECfp2000 profile"
+            )
         if self.scale <= 0:
             raise WorkloadError(f"corpus scale must be positive, got {self.scale}")
+
+    @property
+    def spec(self) -> BenchmarkSpec:
+        """The spec the job's corpus is built from."""
+        if self.workload is not None:
+            return self.workload
+        return SPEC2000_PROFILES[self.benchmark]
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON-safe dict form of the job.
 
-        A benchmark that names a *registered* workload (a scenario-pack
-        corpus rather than a built-in profile) embeds its full spec
-        under ``workload``.  That makes such jobs content-addressed —
-        editing the workload definition changes the key, so stale
-        cached results are never served — and self-contained:
-        :meth:`from_dict` re-registers the spec, so worker processes
-        need no prior registration.
+        A carried workload embeds its full spec under ``workload``.
+        That makes such jobs content-addressed — editing the workload
+        definition changes the key, so stale cached results are never
+        served — and self-contained: :meth:`from_dict` rebuilds the
+        spec in any process.
         """
         data = {
             "schema": SCHEMA_VERSION,
@@ -64,36 +88,25 @@ class ExperimentJob:
             "scale": self.scale,
             "options": self.options.to_dict(),
         }
-        if self.benchmark not in SPEC2000_PROFILES:
-            from repro.pipeline.registry import registered_workload
+        if self.workload is not None:
             from repro.scenarios.schema import workload_to_dict
 
-            spec = registered_workload(self.benchmark)
-            if spec is not None:
-                data["workload"] = workload_to_dict(spec)
+            data["workload"] = workload_to_dict(self.workload)
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentJob":
-        """Rebuild a job from :meth:`to_dict` output.
-
-        An embedded ``workload`` spec is registered (replacing any
-        same-named registration) before validation, so jobs carrying
-        pack workloads rebuild in any process.
-        """
+        """Rebuild a job from :meth:`to_dict` output."""
+        workload = None
         if "workload" in data:
-            from repro.pipeline.registry import register_workload
             from repro.scenarios.schema import workload_from_dict
 
-            register_workload(
-                workload_from_dict(data["workload"]),
-                name=data["benchmark"],
-                overwrite=True,
-            )
+            workload = workload_from_dict(data["workload"])
         return cls(
             benchmark=data["benchmark"],
             scale=data["scale"],
             options=ExperimentOptions.from_dict(data["options"]),
+            workload=workload,
         )
 
     def canonical_json(self) -> str:
@@ -136,14 +149,10 @@ class ExperimentJob:
             try:
                 from repro.scenarios import load_machine_file
 
-                label = load_machine_file(
-                    options.machine_file, register=False
-                ).name
+                label = load_machine_file(options.machine_file).name
             except Exception:
                 label = Path(options.machine_file).stem
             parts.append(f"machine-file={label}")
-        elif options.machine != "paper":
-            parts.append(f"machine={options.machine}")
         if not options.per_class_energy:
             parts.append("uniform-energy")
         if not scheduler.preplace_recurrences:

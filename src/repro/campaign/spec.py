@@ -7,30 +7,60 @@ values to explore.  :meth:`CampaignSpec.expand` takes the cross product
 and emits one :class:`~repro.campaign.job.ExperimentJob` per point, in a
 deterministic order.
 
-**Names vs files.**  The machine axis has two legs that concatenate into
-one grid: ``machine_grid`` holds *registered names* and ``machine_files``
-holds *scenario pack paths* (:mod:`repro.scenarios`).  Names rely on the
-registration contract documented in :mod:`repro.pipeline.registry` — in
-particular, with ``n_jobs > 1`` a name must be registered in a module
-the worker processes import, while a file needs no prior registration
-anywhere: the job carries the path and every worker loads it.  Job keys
-embed the file's scenario name and content fingerprint, so sweeping
-files stays content-addressed (editing a pack invalidates exactly its
-own jobs).  Benchmarks resolve through the same contract: built-in
-SPECfp2000 profiles always work, and workloads registered from a pack
-work inline (``n_jobs=1``) or wherever the workers also register them.
+Every input travels by content, so a job runs the same in any process.
+A benchmark is a built-in SPECfp2000 profile name or a
+:class:`~repro.workloads.spec_profiles.BenchmarkSpec` (a scenario-pack
+workload), which each of its jobs embeds.  The machine axis,
+``machine_files``, holds scenario pack paths (:mod:`repro.scenarios`),
+with ``None`` standing for the paper machine; job keys embed each
+file's scenario name and content fingerprint, so editing a pack
+invalidates exactly its own jobs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import WorkloadError
 from repro.campaign.job import ExperimentJob
 from repro.pipeline.experiment import ExperimentOptions
-from repro.workloads.spec_profiles import SPEC2000_PROFILES
+from repro.workloads.spec_profiles import BenchmarkSpec
+
+#: A campaign benchmark: a built-in profile name or a carried spec.
+Benchmark = Union[str, BenchmarkSpec]
+
+
+def benchmark_to_dict(benchmark: Benchmark) -> Union[str, Dict[str, Any]]:
+    """JSON form of a benchmark entry: a name, or the spec's dict."""
+    if isinstance(benchmark, BenchmarkSpec):
+        from repro.scenarios.schema import workload_to_dict
+
+        return workload_to_dict(benchmark)
+    return benchmark
+
+
+def benchmark_from_dict(data: Union[str, Dict[str, Any]]) -> Benchmark:
+    """Inverse of :func:`benchmark_to_dict`."""
+    if isinstance(data, dict):
+        from repro.scenarios.schema import workload_from_dict
+
+        return workload_from_dict(data)
+    return str(data)
+
+
+def _job(
+    benchmark: Benchmark, scale: float, options: ExperimentOptions
+) -> ExperimentJob:
+    if isinstance(benchmark, BenchmarkSpec):
+        return ExperimentJob(
+            benchmark=benchmark.name,
+            scale=scale,
+            options=options,
+            workload=benchmark,
+        )
+    return ExperimentJob(benchmark=benchmark, scale=scale, options=options)
 
 
 def _unique(values: Sequence) -> Tuple:
@@ -51,21 +81,12 @@ class CampaignSpec:
     benchmark.
     """
 
-    benchmarks: Tuple[str, ...]
+    benchmarks: Tuple[Benchmark, ...]
     scale: float = 0.05
     buses_grid: Tuple[int, ...] = (1,)
-    #: Registered machine names to sweep (see
-    #: :func:`repro.pipeline.registry.register_machine`).  Names resolve
-    #: in the process that *runs* the job: with ``n_jobs > 1`` the
-    #: workers re-import :mod:`repro`, so custom machines must be
-    #: registered at import time (e.g. in a module the workers load),
-    #: not ad hoc in the driver script.  Unknown names fail the job with
-    #: a clear error instead of aborting the sweep.
-    machine_grid: Tuple[str, ...] = ("paper",)
-    #: Scenario pack paths to sweep alongside (concatenated with) the
-    #: named machines: each file contributes one machine-axis point.
-    #: Unlike names, files resolve in the worker with no registration.
-    machine_files: Tuple[str, ...] = ()
+    #: The machine axis: scenario pack paths, ``None`` for the paper
+    #: machine.  Each entry becomes one job's ``options.machine_file``.
+    machine_files: Tuple[Optional[str], ...] = (None,)
     per_class_energy_grid: Tuple[bool, ...] = (True,)
     preplace_grid: Tuple[bool, ...] = (True,)
     ed2_refinement_grid: Tuple[bool, ...] = (True,)
@@ -77,15 +98,13 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.benchmarks:
             raise WorkloadError("a campaign needs at least one benchmark")
-        from repro.pipeline.registry import registered_workload
-
-        for name in self.benchmarks:
-            if name not in SPEC2000_PROFILES and registered_workload(name) is None:
-                raise WorkloadError(f"unknown benchmark {name!r}")
         if self.scale <= 0:
             raise WorkloadError("corpus scale must be positive")
+        for benchmark in self.benchmarks:
+            _job(benchmark, self.scale, self.base_options)
         for label, grid in (
             ("buses_grid", self.buses_grid),
+            ("machine_files", self.machine_files),
             ("per_class_energy_grid", self.per_class_energy_grid),
             ("preplace_grid", self.preplace_grid),
             ("ed2_refinement_grid", self.ed2_refinement_grid),
@@ -93,27 +112,14 @@ class CampaignSpec:
         ):
             if not grid:
                 raise WorkloadError(f"campaign grid {label} is empty")
-        # The machine axis is the concatenation of both legs.
-        if not self.machine_grid and not self.machine_files:
-            raise WorkloadError(
-                "campaign needs a machine: machine_grid and machine_files "
-                "are both empty"
-            )
 
     # ------------------------------------------------------------------
-    def _machine_axis(self) -> Tuple[Tuple[str, str], ...]:
-        """The machine grid as (kind, value) points: names then files."""
-        return tuple(
-            [("name", name) for name in _unique(self.machine_grid)]
-            + [("file", path) for path in _unique(self.machine_files)]
-        )
-
     @property
     def n_configurations(self) -> int:
         """Number of option points per benchmark."""
         return (
             len(_unique(self.buses_grid))
-            * len(self._machine_axis())
+            * len(_unique(self.machine_files))
             * len(_unique(self.per_class_energy_grid))
             * len(_unique(self.preplace_grid))
             * len(_unique(self.ed2_refinement_grid))
@@ -126,11 +132,11 @@ class CampaignSpec:
     def expand(self) -> List[ExperimentJob]:
         """All jobs of the campaign, in deterministic order."""
         jobs: List[ExperimentJob] = []
-        for benchmark, buses, machine, per_class, preplace, ed2_ref, sync in (
+        for benchmark, buses, machine_file, per_class, preplace, ed2_ref, sync in (
             itertools.product(
                 _unique(self.benchmarks),
                 _unique(self.buses_grid),
-                self._machine_axis(),
+                _unique(self.machine_files),
                 _unique(self.per_class_energy_grid),
                 _unique(self.preplace_grid),
                 _unique(self.ed2_refinement_grid),
@@ -143,36 +149,23 @@ class CampaignSpec:
                 ed2_refinement=ed2_ref,
                 sync_penalties=sync,
             )
-            machine_kind, machine_value = machine
             options = replace(
                 self.base_options,
                 n_buses=buses,
-                machine=(
-                    machine_value
-                    if machine_kind == "name"
-                    else self.base_options.machine
-                ),
-                machine_file=(
-                    machine_value if machine_kind == "file" else None
-                ),
+                machine_file=machine_file,
                 per_class_energy=per_class,
                 scheduler=scheduler,
             )
-            jobs.append(
-                ExperimentJob(
-                    benchmark=benchmark, scale=self.scale, options=options
-                )
-            )
+            jobs.append(_job(benchmark, self.scale, options))
         return jobs
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict form (campaign manifests)."""
         return {
-            "benchmarks": list(self.benchmarks),
+            "benchmarks": [benchmark_to_dict(b) for b in self.benchmarks],
             "scale": self.scale,
             "buses_grid": list(self.buses_grid),
-            "machine_grid": list(self.machine_grid),
             "machine_files": list(self.machine_files),
             "per_class_energy_grid": list(self.per_class_energy_grid),
             "preplace_grid": list(self.preplace_grid),
@@ -184,15 +177,30 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
         """Rebuild a spec from :meth:`to_dict` output."""
+        check_grid_keys(data)
         return cls(
-            benchmarks=tuple(data["benchmarks"]),
+            benchmarks=tuple(benchmark_from_dict(b) for b in data["benchmarks"]),
             scale=data["scale"],
             buses_grid=tuple(data["buses_grid"]),
-            machine_grid=tuple(data.get("machine_grid", ("paper",))),
-            machine_files=tuple(data.get("machine_files", ())),
+            machine_files=tuple(data.get("machine_files", (None,))),
             per_class_energy_grid=tuple(data["per_class_energy_grid"]),
             preplace_grid=tuple(data["preplace_grid"]),
             ed2_refinement_grid=tuple(data["ed2_refinement_grid"]),
             sync_penalties_grid=tuple(data["sync_penalties_grid"]),
             base_options=ExperimentOptions.from_dict(data["base_options"]),
+        )
+
+
+def check_grid_keys(data: Dict[str, Any]) -> None:
+    """Refuse ``*_grid`` keys a spec does not have, rather than ignore
+    them: a grid of machine *names*, say, which no longer resolve."""
+    known = {spec_field.name for spec_field in fields(CampaignSpec)}
+    unknown = sorted(
+        key for key in data if key.endswith("_grid") and key not in known
+    )
+    if unknown:
+        raise WorkloadError(
+            f"unknown campaign grid(s): {', '.join(unknown)}; machines are "
+            "swept as scenario pack paths in machine_files (null for the "
+            "paper machine)"
         )

@@ -64,8 +64,8 @@ class WorkloadError(ReproError):
 
 
 class PipelineError(ReproError):
-    """An experiment's machine or workload cannot be resolved or
-    registered (unknown or duplicate name, bad machine override)."""
+    """An experiment's machine cannot be resolved (a machine named
+    rather than carried, a bad machine override)."""
 
 
 class ScenarioError(ReproError):

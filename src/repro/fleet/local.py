@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import asyncio
 import math
+import multiprocessing
 import traceback
 from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.queue import LeaseGrant, error_payload, stamp_traced
@@ -41,8 +42,6 @@ def _execute_in_child(
     payload carries the job's span tree back."""
     if traced:
         enable_tracing()
-    # Looked up per call: the child runs what the campaign module
-    # exported when it was forked.
     from repro.campaign import executor
 
     return executor.execute_job_payload(job_data, loop_dir)
@@ -53,10 +52,11 @@ class LocalWorkers:
 
     ``execute(job_data, loop_dir)`` runs jobs on threads of this
     process; without it each slot owns a single-process executor running
-    :func:`~repro.campaign.executor.execute_job_payload`, initialised
-    with ``loop_dir``, ``workload_packs`` and this process's tracing
-    switch.  Slots wake on submission.  Start and close on the event
-    loop.
+    :func:`~repro.campaign.executor.execute_job_payload`, started by a
+    forkserver (forking this process would copy its threads' state) and
+    initialised with ``loop_dir`` and this process's tracing switch.
+    Jobs carry their machine and workload, so a child needs nothing
+    else.  Slots wake on submission.  Start and close on the event loop.
     """
 
     def __init__(
@@ -64,13 +64,11 @@ class LocalWorkers:
         coordinator: FleetCoordinator,
         slots: int,
         loop_dir: Optional[str] = None,
-        workload_packs: Sequence[str] = (),
         execute: Optional[Callable[..., Dict[str, Any]]] = None,
     ) -> None:
         self._coordinator = coordinator
         self._slots = max(1, slots)
         self._loop_dir = loop_dir
-        self._workload_packs = tuple(workload_packs)
         self._execute = execute
         self._threads: Optional[ThreadPoolExecutor] = None
         self._children: List[Optional[Executor]] = [None] * self._slots
@@ -163,17 +161,11 @@ class LocalWorkers:
 
             from repro.campaign.executor import _worker_init
 
-            # The platform's default start method (fork on Linux), as
-            # the pools before it: children inherit machines and
-            # workloads registered in this process.
             child = self._children[index] = ProcessPoolExecutor(
                 max_workers=1,
+                mp_context=multiprocessing.get_context("forkserver"),
                 initializer=_worker_init,
-                initargs=(
-                    self._loop_dir,
-                    self._workload_packs,
-                    tracing_enabled(),
-                ),
+                initargs=(self._loop_dir, tracing_enabled()),
             )
         return child
 

@@ -4,7 +4,7 @@ One :class:`FleetWorker` is the client half of the worker-pull protocol
 — what ``python -m repro worker --connect <url>`` runs.  It polls the
 service for leases, executes each job locally through the same
 :func:`~repro.campaign.executor.execute_job_payload` path local slots
-use (with :func:`_worker_init`'s warm registries and, when a cache dir
+use (with :func:`_worker_init`'s warm imports and, when a cache dir
 is given, the shared on-disk loop cache), renews the lease while
 computing, and posts the payload back, stamped like a local slot's.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional
 
 from repro.fleet.coordinator import default_worker_id
 from repro.fleet.queue import error_payload, stamp_traced
@@ -95,7 +95,6 @@ class FleetWorker:
         cache_dir: Optional[str] = None,
         ttl: float = 60.0,
         poll: float = 1.0,
-        workload_packs: Sequence[str] = (),
         execute: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
         exit_on_drain: bool = True,
         max_jobs: Optional[int] = None,
@@ -105,7 +104,6 @@ class FleetWorker:
         self.worker_id = worker_id or default_worker_id()
         self.ttl = float(ttl)
         self.poll = float(poll)
-        self.workload_packs = tuple(workload_packs)
         self.exit_on_drain = exit_on_drain
         self.max_jobs = max_jobs  # None = run until drain/stop
         self.stats = WorkerStats()
@@ -145,10 +143,10 @@ class FleetWorker:
 
     # ------------------------------------------------------------------
     def _warm(self) -> None:
-        """Campaign-worker startup: loop cache, registries, once."""
+        """Campaign-worker startup: loop cache and imports, once."""
         from repro.campaign.executor import _worker_init
 
-        _worker_init(self._loop_dir, self.workload_packs)
+        _worker_init(self._loop_dir)
 
     def run(self) -> WorkerStats:
         """The worker loop; returns once stopped, drained or cut off."""

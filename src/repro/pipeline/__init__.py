@@ -7,8 +7,8 @@ heterogeneous scheduling -> metering -> ED^2 vs baseline.
 Two entry points:
 
 * :class:`Experiment` runs the :class:`Stage` sequence over one
-  :class:`ExperimentContext` on a registered, file-declared or live
-  machine (:func:`register_machine`), with loop-granular caching
+  :class:`ExperimentContext` on the paper machine, a scenario-pack
+  machine file or a live machine, with loop-granular caching
   (:data:`~repro.pipeline.cache.LOOP_CACHE`);
 * :func:`evaluate_corpus` / :func:`evaluate_suite` are function-shaped
   wrappers over ``Experiment.paper()``.
@@ -24,11 +24,6 @@ from repro.pipeline.experiment import (
 )
 from repro.pipeline.cache import StageCache, stage_key
 from repro.pipeline.context import ExperimentContext
-from repro.pipeline.registry import (
-    machine_factory,
-    machine_names,
-    register_machine,
-)
 from repro.pipeline.stages import (
     BaselineStage,
     CalibrateStage,
@@ -55,10 +50,6 @@ __all__ = [
     "stage_key",
     # context
     "ExperimentContext",
-    # machine registry
-    "machine_factory",
-    "machine_names",
-    "register_machine",
     # stages + builder
     "BaselineStage",
     "CalibrateStage",

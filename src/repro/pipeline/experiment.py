@@ -49,17 +49,13 @@ class ExperimentOptions:
     scheduler: SchedulerOptions = field(default_factory=SchedulerOptions)
     #: Per-class instruction energies (False collapses Table 1 energies).
     per_class_energy: bool = True
-    #: Name of the machine factory to target (see
-    #: :func:`repro.pipeline.registry.register_machine`).  Serializable,
-    #: so campaign jobs can sweep registered machines by name.
-    machine: str = "paper"
     #: Path of a scenario pack declaring the machine (see
-    #: :mod:`repro.scenarios`).  Takes precedence over ``machine`` when
-    #: set; the file is (re-)loaded in whichever process runs the
-    #: experiment, so campaign workers resolve it without any prior
-    #: registration.  Serialized with the pack's content fingerprint, so
-    #: job keys follow the file's *content*: editing the pack's meaning
-    #: invalidates caches, merely reformatting the TOML does not.
+    #: :mod:`repro.scenarios`); None targets the paper machine, built
+    #: from ``n_buses`` and ``per_class_energy``.  The file is
+    #: (re-)loaded in whichever process runs the experiment.  Serialized
+    #: with the pack's content fingerprint, so job keys follow the
+    #: file's *content*: editing the pack's meaning invalidates caches,
+    #: merely reformatting the TOML does not.
     machine_file: Optional[str] = None
 
     def to_dict(self) -> dict:

@@ -23,6 +23,7 @@ import json
 from fractions import Fraction
 from typing import Any, Dict
 
+from repro.errors import PipelineError
 from repro.ir.opcodes import OpClass
 from repro.machine.clocking import FrequencyPalette
 from repro.machine.operating_point import DomainSetting, OperatingPoint
@@ -36,6 +37,11 @@ from repro.sim.power_meter import MeasuredExecution
 from repro.units import as_fraction
 from repro.vfs.candidates import DesignSpaceSpec
 from repro.vfs.selector import SelectionResult
+
+#: The serialized options' ``"machine"`` entry: always the paper
+#: machine's name, so job keys written under the old machine registry
+#: stay valid.
+PAPER_MACHINE = "paper"
 
 
 def _fraction_str(value) -> str:
@@ -428,6 +434,8 @@ def options_to_dict(options) -> Dict[str, Any]:
     time — campaign job keys hash this dict, so a job's cache identity
     follows the pack's content.  The key is omitted entirely when unset,
     keeping pre-scenario payloads (and their job keys) byte-identical.
+    ``"machine"`` is the constant ``"paper"``: it once named a machine
+    registry entry, and keeping it keeps every job key byte-identical.
     """
     data = {
         "n_buses": options.n_buses,
@@ -436,7 +444,7 @@ def options_to_dict(options) -> Dict[str, Any]:
         "design_space": design_space_to_dict(options.design_space),
         "scheduler": scheduler_options_to_dict(options.scheduler),
         "per_class_energy": options.per_class_energy,
-        "machine": options.machine,
+        "machine": PAPER_MACHINE,
     }
     if getattr(options, "machine_file", None) is not None:
         from repro.scenarios import machine_file_fingerprint
@@ -455,9 +463,20 @@ def options_from_dict(data: Dict[str, Any]):
 
     Payloads written before metering became analytic-only carry a
     ``"simulate"`` flag; it selected between two paths that give
-    identical results, so it is ignored.
+    identical results, so it is ignored.  A ``"machine"`` other than
+    ``"paper"`` named a machine registered in some process; nothing
+    here can rebuild it, so it is rejected.
     """
     from repro.pipeline.experiment import ExperimentOptions
+
+    # Absent in pre-stage-API payloads: those always ran the paper machine.
+    machine = data.get("machine", PAPER_MACHINE)
+    if machine != PAPER_MACHINE:
+        raise PipelineError(
+            f"options name the machine {machine!r}; machines are no longer "
+            "resolved by name: declare it in a scenario pack and pass its "
+            "path as machine_file"
+        )
 
     return ExperimentOptions(
         n_buses=data["n_buses"],
@@ -466,8 +485,6 @@ def options_from_dict(data: Dict[str, Any]):
         design_space=design_space_from_dict(data["design_space"]),
         scheduler=scheduler_options_from_dict(data["scheduler"]),
         per_class_energy=data["per_class_energy"],
-        # Absent in pre-stage-API payloads: those always ran the paper machine.
-        machine=data.get("machine", "paper"),
         machine_file=data.get("machine_file", {}).get("path"),
     )
 

@@ -16,23 +16,23 @@ processes.
     from repro.pipeline import Experiment
 
     evaluation = Experiment.paper().run(corpus)            # == evaluate_corpus
-    evaluation = Experiment.paper().with_machine("my-dsp").run(corpus)
+    evaluation = Experiment.paper().with_machine(my_dsp).run(corpus)
 
-Only the machine and the options vary: the machine is a name registered
-in :mod:`repro.pipeline.registry`, a scenario pack file, a live
-:class:`~repro.machine.machine.MachineDescription` or a factory.
+Only the machine and the options vary: the machine is the paper machine
+(built from the options), a scenario pack file
+(``options.machine_file``, which a campaign job carries) or a live
+:class:`~repro.machine.machine.MachineDescription` (in-process only).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from repro.errors import PipelineError
-from repro.machine.machine import MachineDescription
-from repro.pipeline import registry
 from repro.machine.fingerprint import machine_facets
+from repro.machine.machine import MachineDescription, paper_machine
 from repro.pipeline.cache import LOOP_CACHE, StageCache, stage_key
 from repro.pipeline.context import ExperimentContext
 from repro.power.calibration import calibrate
@@ -446,9 +446,6 @@ def paper_stages() -> Tuple[Stage, ...]:
 # ----------------------------------------------------------------------
 # the builder
 # ----------------------------------------------------------------------
-MachineLike = Union[str, MachineDescription, Callable]
-
-
 @dataclass(frozen=True)
 class Experiment:
     """The paper's evaluation flow on one machine and option set.
@@ -457,7 +454,7 @@ class Experiment:
     partial configurations can be shared and specialized::
 
         base = Experiment.paper()
-        dsp = base.with_machine("my-dsp")
+        dsp = base.with_machine(my_dsp)
         two_bus = dsp.with_options(replace(dsp.options, n_buses=2))
 
     ``run(corpus)`` executes :attr:`stages` in order against a fresh
@@ -466,9 +463,10 @@ class Experiment:
     """
 
     options: Any = None
-    #: Machine override: a live description or factory.  None resolves
-    #: ``options.machine`` through the registry (the serializable path).
-    machine: Union[None, MachineDescription, Callable] = None
+    #: Machine override: a live description.  None resolves
+    #: ``options.machine_file``, else the paper machine (the
+    #: serializable path).
+    machine: Optional[MachineDescription] = None
     #: The fixed stage sequence (see :func:`paper_stages`).
     stages: ClassVar[Tuple[Stage, ...]] = paper_stages()
 
@@ -488,36 +486,26 @@ class Experiment:
         """A copy of this experiment with different options."""
         return replace(self, options=options)
 
-    def with_machine(self, machine: MachineLike) -> "Experiment":
-        """Target ``machine``: a registry name (serializable — campaign
-        jobs can carry it), a live :class:`MachineDescription`, or a
-        ``factory(options)`` callable."""
-        if isinstance(machine, str):
-            registry.machine_factory(machine)  # fail fast on unknown names
-            # Also drop any machine_file: it outranks the name at
-            # resolution, so leaving it set would silently ignore this
-            # call.
-            return replace(
-                self,
-                options=replace(
-                    self.options, machine=machine, machine_file=None
-                ),
-                machine=None,
+    def with_machine(self, machine: MachineDescription) -> "Experiment":
+        """Target a live :class:`MachineDescription`.
+
+        In-process only: a campaign job cannot carry it.  Export it with
+        :func:`repro.scenarios.machine_to_toml` and use
+        :meth:`with_machine_file` for the form a campaign can sweep.
+        """
+        if not isinstance(machine, MachineDescription):
+            raise PipelineError(
+                f"with_machine expects a MachineDescription, got {machine!r}"
             )
-        if isinstance(machine, MachineDescription) or callable(machine):
-            return replace(self, machine=machine)
-        raise PipelineError(
-            f"with_machine expects a name, MachineDescription or factory, "
-            f"got {machine!r}"
-        )
+        return replace(self, machine=machine)
 
     def with_machine_file(self, path: str) -> "Experiment":
         """Target the machine declared in a scenario pack file.
 
         The serializable sibling of :meth:`with_machine`: the path lands
         in ``options.machine_file``, so campaign jobs can carry it and
-        workers re-load the file themselves.  Loads (and registers) the
-        pack immediately to fail fast on malformed files.
+        workers re-load the file themselves.  Loads the pack immediately
+        to fail fast on malformed files.
         """
         from repro.scenarios import load_machine_file
 
@@ -532,20 +520,20 @@ class Experiment:
     def resolve_machine(self) -> MachineDescription:
         """The concrete machine this experiment targets.
 
-        Precedence: an explicit ``machine`` override (live description or
-        factory) wins, then ``options.machine_file`` (a scenario pack,
-        loaded and registered on resolution), then the registry entry
-        named by ``options.machine``.
+        Precedence: an explicit ``machine`` override wins, then
+        ``options.machine_file`` (a scenario pack, loaded on
+        resolution), then the paper machine built from the options.
         """
-        if isinstance(self.machine, MachineDescription):
+        if self.machine is not None:
             return self.machine
-        if callable(self.machine):
-            return self.machine(self.options)
         if self.options.machine_file is not None:
             from repro.scenarios import load_machine_file
 
             return load_machine_file(self.options.machine_file).machine
-        return registry.machine_factory(self.options.machine)(self.options)
+        return paper_machine(
+            n_buses=self.options.n_buses,
+            uniform_energy=not self.options.per_class_energy,
+        )
 
     def build_context(self, corpus: Corpus) -> ExperimentContext:
         """A fresh context with the run's inputs resolved."""

@@ -2,10 +2,11 @@
 
 Everything the experiment pipeline targets — the machine and the
 workload corpus — can be declared in a TOML (or JSON) *scenario pack*
-instead of Python, validated against the model invariants, and
-auto-registered into :mod:`repro.pipeline.registry` under the
-file-declared names.  This turns the experiment API and the campaign runner
-into a design-space-exploration tool: write a machine file, sweep it.
+instead of Python and validated against the model invariants.  A job
+targets a pack's machine by its path and carries a pack's workloads as
+specs, so every process resolves both on its own.  This turns the
+experiment API and the campaign runner into a design-space-exploration
+tool: write a machine file, sweep it.
 
 Three layers:
 
@@ -13,8 +14,8 @@ Three layers:
   strict validation (unknown keys, bad FU codes, negative latencies, ...
   all raise :class:`~repro.errors.ScenarioError` naming the field),
 * :mod:`~repro.scenarios.pack` — the :class:`ScenarioPack` model,
-  file loading, bundled-pack discovery, registry installation, and
-  round-trip TOML export for sharing programmatic machines,
+  file loading, bundled-pack discovery and round-trip TOML export for
+  sharing programmatic machines,
 * :mod:`~repro.scenarios.toml_writer` — the minimal TOML emitter
   backing the export path (the stdlib reads TOML but cannot write it).
 
@@ -29,7 +30,7 @@ Quick use::
     from repro.scenarios import find_pack, machine_to_toml
 
     pack = find_pack("wide-issue")          # bundled name or file path
-    pack.register()                         # now a registered machine
+    Experiment.paper().with_machine_file(pack.source)   # target its machine
     print(machine_to_toml(my_machine, "my-dsp"))   # share it as TOML
 
 or from the command line::
@@ -52,7 +53,6 @@ from repro.scenarios.pack import (
     machine_to_toml,
     pack_from_dict,
     pack_to_toml,
-    register_bundled_packs,
 )
 from repro.scenarios.schema import (
     machine_from_dict,
@@ -75,7 +75,6 @@ __all__ = [
     "machine_to_toml",
     "pack_from_dict",
     "pack_to_toml",
-    "register_bundled_packs",
     "machine_from_dict",
     "machine_to_dict",
     "workload_from_dict",

@@ -1,4 +1,4 @@
-"""Scenario packs: loading, validation, registration and export.
+"""Scenario packs: loading, validation and export.
 
 A *scenario pack* is a TOML (or JSON) file declaring a machine and/or a
 set of workloads under a ``[scenario]`` name::
@@ -18,11 +18,10 @@ set of workloads under a ``[scenario]`` name::
     buses = 4
 
 Loading validates every field against the live model invariants (see
-:mod:`repro.scenarios.schema`) and :meth:`ScenarioPack.register` installs
-the result into the pipeline registries under the file-declared name —
-after which the pack's machine behaves exactly like a hand-registered
-factory: ``Experiment.paper().with_machine("wide-issue")``, CLI
-``--machine wide-issue``, campaign ``machine_grid=("wide-issue",)``.
+:mod:`repro.scenarios.schema`).  A pack's machine is targeted by its
+path (``ExperimentOptions.machine_file``, CLI ``--machine-file``,
+campaign ``machine_files``), which every process re-loads; its workloads
+travel as specs inside the jobs that run them.
 
 Packs are content-addressed: :attr:`ScenarioPack.fingerprint` hashes the
 canonical dict form (not the file bytes), so reformatting a TOML file
@@ -45,7 +44,7 @@ from repro.machine.clocking import FrequencyPalette
 from repro.machine.machine import MachineDescription
 from repro.scenarios import schema
 from repro.scenarios.toml_writer import toml_dumps
-from repro.workloads.spec_profiles import BenchmarkSpec
+from repro.workloads.spec_profiles import BenchmarkSpec, shadows_builtin
 
 #: Directory of the packs shipped with the library.
 BUNDLED_DIR = Path(__file__).parent / "packs"
@@ -85,6 +84,12 @@ class ScenarioPack:
             raise ScenarioError(
                 f"scenario {self.name!r} declares duplicate workload names"
             )
+        for name in names:
+            if shadows_builtin(name):
+                raise ScenarioError(
+                    f"scenario {self.name!r}: workload name {name!r} shadows "
+                    "a built-in SPECfp2000 profile"
+                )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -146,27 +151,6 @@ class ScenarioPack:
             parts.append(f"{len(self.workloads)} workload(s)")
         return "; ".join(parts)
 
-    # ------------------------------------------------------------------
-    def register(self, overwrite: bool = True) -> None:
-        """Install the pack into the pipeline registries.
-
-        The machine registers as a factory under the scenario name (the
-        factory ignores the experiment options: a file machine is fully
-        explicit, so ``--buses`` does not rewire its interconnect), and
-        every workload registers under its own declared name.  Bundled
-        and file-loaded packs default to ``overwrite=True`` so re-loading
-        an edited file replaces the previous registration instead of
-        erroring.
-        """
-        from repro.pipeline import registry
-
-        if self.machine is not None:
-            machine = self.machine
-            registry.register_machine(
-                self.name, lambda options: machine, overwrite=overwrite
-            )
-        for spec in self.workloads:
-            registry.register_workload(spec, overwrite=overwrite)
 
 
 # ----------------------------------------------------------------------
@@ -232,17 +216,14 @@ def loads(text: str, source: Optional[str] = None) -> ScenarioPack:
     return pack_from_dict(data, source=source)
 
 
-def load_pack(path, register: bool = False) -> ScenarioPack:
-    """Load, validate and optionally register a pack file (TOML or JSON)."""
+def load_pack(path) -> ScenarioPack:
+    """Load and validate a pack file (TOML or JSON)."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as error:
         raise ScenarioError(f"cannot read scenario file {path}: {error}") from error
-    pack = loads(text, source=str(path))
-    if register:
-        pack.register()
-    return pack
+    return loads(text, source=str(path))
 
 
 # ----------------------------------------------------------------------
@@ -275,15 +256,6 @@ def find_pack(ref: str) -> ScenarioPack:
     )
 
 
-def register_bundled_packs() -> Tuple[str, ...]:
-    """Register every bundled pack; returns the registered names."""
-    names = []
-    for pack in bundled_packs():
-        pack.register()
-        names.append(pack.name)
-    return tuple(names)
-
-
 # ----------------------------------------------------------------------
 # the machine-file resolver (ExperimentOptions.machine_file)
 # ----------------------------------------------------------------------
@@ -295,8 +267,13 @@ def register_bundled_packs() -> Tuple[str, ...]:
 _MACHINE_FILE_CACHE: Dict[str, Tuple[Tuple[int, int], ScenarioPack]] = {}
 
 
-def _load_machine_pack(path) -> ScenarioPack:
-    """Load + memoize a machine pack *without* touching the registries."""
+def load_machine_file(path) -> ScenarioPack:
+    """Resolve a machine file: load, require a machine, memoize.
+
+    This is the hook behind ``ExperimentOptions.machine_file`` and the
+    CLI ``--machine-file`` flag.  The returned pack is guaranteed to
+    carry a machine.
+    """
     resolved = str(Path(path).resolve())
     try:
         stat = Path(resolved).stat()
@@ -321,30 +298,13 @@ def _load_machine_pack(path) -> ScenarioPack:
     return pack
 
 
-def load_machine_file(path, register: bool = True) -> ScenarioPack:
-    """Resolve a machine file: load, require a machine, memoize, register.
-
-    This is the hook behind ``ExperimentOptions.machine_file`` and the
-    CLI ``--machine-file`` flag.  The returned pack is guaranteed to
-    carry a machine.  ``register=True`` (the resolution path) installs
-    the pack into the registries; pure *readers* — fingerprinting for
-    job keys, label rendering — pass ``register=False`` so that merely
-    serializing options never mutates global registry state.
-    """
-    pack = _load_machine_pack(path)
-    if register:
-        pack.register()
-    return pack
-
-
 def machine_file_fingerprint(path) -> Tuple[str, str]:
     """(scenario name, content fingerprint) of a machine file.
 
     Used by the job serializer: campaign job keys embed this pair, so a
     job's cache identity follows the pack's *content*, not its path.
-    Read-only: does not register the pack.
     """
-    pack = load_machine_file(path, register=False)
+    pack = load_machine_file(path)
     return pack.name, pack.fingerprint
 
 

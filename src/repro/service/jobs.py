@@ -39,9 +39,13 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.executor import STATUS_OK
 from repro.campaign.job import ExperimentJob
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import (
+    CampaignSpec,
+    benchmark_from_dict,
+    check_grid_keys,
+)
 from repro.campaign.store import ResultStore
-from repro.errors import ReproError
+from repro.errors import PipelineError, ReproError, WorkloadError
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.local import LocalWorkers
 from repro.fleet.queue import BATCH, INTERACTIVE
@@ -310,11 +314,18 @@ class ServiceJob:
 # ----------------------------------------------------------------------
 def _options_from_request(request: Dict[str, Any]) -> ExperimentOptions:
     """Experiment options from a request's shorthand (or full) form."""
-    if "options" in request:  # power users post the canonical dict
-        return ExperimentOptions.from_dict(request["options"])
+    try:
+        if "options" in request:  # power users post the canonical dict
+            return ExperimentOptions.from_dict(request["options"])
+    except PipelineError as error:
+        raise ServiceError(str(error)) from error
+    if request.get("machine", "paper") != "paper":
+        raise ServiceError(
+            f"unknown machine {request['machine']!r}: only 'paper' is a "
+            "machine name; send a scenario pack path as machine_file"
+        )
     return ExperimentOptions(
         n_buses=int(request.get("buses", 1)),
-        machine=str(request.get("machine", "paper")),
         machine_file=request.get("machine_file"),
     )
 
@@ -338,15 +349,18 @@ def _campaign_spec(request: Dict[str, Any]) -> CampaignSpec:
     try:
         spec = dict(request.get("spec", request))
         spec.pop("label", None)
+        try:
+            check_grid_keys(spec)
+        except WorkloadError as error:
+            raise ServiceError(str(error)) from error
         benchmarks = spec.get("benchmarks", "all")
         if benchmarks == "all":
             benchmarks = list(SPEC2000_PROFILES)
         return CampaignSpec(
-            benchmarks=tuple(benchmarks),
+            benchmarks=tuple(benchmark_from_dict(b) for b in benchmarks),
             scale=float(spec.get("scale", 0.05)),
             buses_grid=tuple(spec.get("buses_grid", (1,))),
-            machine_grid=tuple(spec.get("machine_grid", ("paper",))),
-            machine_files=tuple(spec.get("machine_files", ())),
+            machine_files=tuple(spec.get("machine_files", (None,))),
             per_class_energy_grid=tuple(
                 spec.get("per_class_energy_grid", (True,))
             ),

@@ -76,30 +76,6 @@ def cycle_time_of(frequency: Rational) -> Time:
     return Fraction(1) / freq
 
 
-def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """Greatest common divisor of two positive rationals.
-
-    ``gcd(a/b, c/d) = gcd(a*d, c*b) / (b*d)``; the result is the largest
-    rational that divides both arguments an integral number of times.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("fraction_gcd requires non-negative arguments")
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    den = a.denominator * b.denominator
-    return Fraction(num, den)
-
-
-def fraction_lcm(a: Fraction, b: Fraction) -> Fraction:
-    """Least common multiple of two positive rationals."""
-    if a <= 0 or b <= 0:
-        raise ValueError("fraction_lcm requires positive arguments")
-    return a * b / fraction_gcd(a, b)
-
-
 def common_quantum(values: Iterable[Fraction]) -> Fraction:
     """Return the coarsest time quantum dividing every value exactly.
 

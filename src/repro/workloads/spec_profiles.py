@@ -157,22 +157,25 @@ SPEC2000_PROFILES: Dict[str, BenchmarkSpec] = {
 
 
 def spec_profile(name: str) -> BenchmarkSpec:
-    """Look up one benchmark spec by (possibly unprefixed) name.
-
-    Resolution order: the built-in SPECfp2000 profiles (exact name, then
-    the unprefixed short form ``swim`` -> ``171.swim``), then workloads
-    registered at runtime (:func:`repro.pipeline.registry.register_workload`
-    — e.g. by a loaded :mod:`repro.scenarios` pack).
-    """
+    """Look up one built-in benchmark spec by (possibly unprefixed) name:
+    the exact name, then the short form ``swim`` -> ``171.swim``."""
     if name in SPEC2000_PROFILES:
         return SPEC2000_PROFILES[name]
     for key, spec in SPEC2000_PROFILES.items():
         if key.split(".", 1)[-1] == name:
             return spec
-    # Deferred import: pipeline.registry imports this module at load time.
-    from repro.pipeline.registry import registered_workload
-
-    registered = registered_workload(name)
-    if registered is not None:
-        return registered
     raise KeyError(f"unknown benchmark {name!r}")
+
+
+def shadows_builtin(name: str) -> bool:
+    """True when ``name`` resolves to a built-in profile.
+
+    Workloads declared elsewhere (scenario packs, specs embedded in
+    jobs) may not take such a name: resolvers try the built-ins first,
+    so the workload would be unreachable by name.
+    """
+    try:
+        spec_profile(name)
+    except KeyError:
+        return False
+    return True

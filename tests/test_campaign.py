@@ -421,14 +421,14 @@ class TestStoresFromBeforeAnalyticMetering:
         assert canonical_json(again.evaluation.to_dict()) == reference
 
 
-def _exit_worker(job_data, loop_dir=None):
+def _exit_worker(job_data, loop_dir=None, traced=False):
     """Simulates a worker killed by the OS (picklable module-level fn)."""
     import os
 
     os._exit(1)
 
 
-def _exit_on_mgrid_two_buses(job_data, loop_dir=None):
+def _exit_on_mgrid_two_buses(job_data, loop_dir=None, traced=False):
     """Kills its worker on exactly one job of a grid; runs the rest."""
     import os
 
@@ -442,9 +442,11 @@ class TestWorkerDeath:
     def test_dead_worker_recorded_as_failure_not_crash(
         self, tmp_path, monkeypatch
     ):
-        import repro.campaign.executor as executor
+        # Stands in for the child's entry point, which pickles by
+        # reference: the forkserver child imports this module's stub.
+        import repro.fleet.local as local
 
-        monkeypatch.setattr(executor, "execute_job_payload", _exit_worker)
+        monkeypatch.setattr(local, "_execute_in_child", _exit_worker)
         jobs = [_job(), _job(benchmark="172.mgrid")]
         store = ResultStore(tmp_path)
         outcome = run_campaign(jobs, store=store, n_jobs=2)
@@ -457,11 +459,9 @@ class TestWorkerDeath:
     ):
         # A broken shared pool used to fail every job of the campaign;
         # a dead child must cost only the job it was running.
-        import repro.campaign.executor as executor
+        import repro.fleet.local as local
 
-        monkeypatch.setattr(
-            executor, "execute_job_payload", _exit_on_mgrid_two_buses
-        )
+        monkeypatch.setattr(local, "_execute_in_child", _exit_on_mgrid_two_buses)
         jobs = CampaignSpec(
             benchmarks=("171.swim", "172.mgrid", "173.applu"),
             scale=0.02,

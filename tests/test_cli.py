@@ -48,11 +48,21 @@ class TestEvaluate:
 
         assert BenchmarkEvaluation.from_dict(data).to_dict() == data
 
-    def test_unknown_machine_fails_fast(self):
-        from repro.errors import PipelineError
+    def test_unknown_machine_file_fails_fast(self):
+        from repro.errors import ScenarioError
 
-        with pytest.raises(PipelineError, match="unknown machine"):
-            main(["evaluate", "swim", "--scale", "0.02", "--machine", "warp9"])
+        with pytest.raises(ScenarioError, match="cannot read machine file"):
+            main(["evaluate", "swim", "--scale", "0.02", "--machine-file", "warp9"])
+
+    def test_paper_machine_file_token_is_the_default_machine(self, capsys):
+        runs = []
+        for extra in ([], ["--machine-file", "paper"]):
+            assert main(
+                ["evaluate", "swim", "--scale", "0.02", "--output", "json"]
+                + extra
+            ) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
 
 
 class TestRemovedFlags:

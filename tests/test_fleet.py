@@ -447,6 +447,42 @@ class TestFleetWorker:
             service.stop()
             warehouse.close()
 
+    def test_worker_runs_a_pack_workload_carried_by_the_job(self, tmp_path):
+        # The worker is given no packs: the job dict carries the
+        # workload spec, and the machine travels as a pack path.
+        from repro.scenarios import bundled_pack_paths, find_pack
+        from repro.scenarios.schema import workload_to_dict
+
+        [deep] = [
+            spec
+            for spec in find_pack("stress").workloads
+            if spec.name == "stress.deep"
+        ]
+        service, store, warehouse = fleet_service(tmp_path)
+        try:
+            client = ServiceClient(host=service.host, port=service.port)
+            submitted = client.submit_campaign(
+                spec={
+                    "benchmarks": [workload_to_dict(deep)],
+                    "scale": 0.01,
+                    "machine_files": [str(bundled_pack_paths()["embedded"])],
+                }
+            )
+            worker = FleetWorker(
+                client, worker_id="w1", ttl=30, poll=0.05, max_jobs=1
+            )
+            assert worker.run().completed == 1
+            finished = client.wait(submitted["id"], timeout=60)
+            assert finished["status"] == "done"
+            [key] = store.keys()
+            payload = store.get(key)
+            assert payload["status"] == "ok"
+            assert payload["job"]["workload"] == workload_to_dict(deep)
+            assert payload["evaluation"]["benchmark"] == "stress.deep"
+        finally:
+            service.stop()
+            warehouse.close()
+
     def test_stop_finishes_current_lease_before_exit(self, tmp_path):
         # Graceful shutdown path 1: SIGINT's request_stop completes the
         # in-flight job rather than dropping it.

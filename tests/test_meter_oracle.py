@@ -52,9 +52,8 @@ def _metered_inputs(meter, schedule, point, iterations):
     return inputs
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _stress_workloads():
-    find_pack("stress").register()
+#: The stress pack's workloads, resolved from the pack itself.
+STRESS = {spec.name: spec for spec in find_pack("stress").workloads}
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -63,7 +62,8 @@ def test_simulator_reproduces_metered_counts(pack_name, workload):
     options = ExperimentOptions(
         machine_file=str(bundled_pack_paths()[pack_name])
     )
-    corpus = build_corpus(spec_profile(workload), scale=SCALE)
+    spec = STRESS[workload] if workload in STRESS else spec_profile(workload)
+    corpus = build_corpus(spec, scale=SCALE)
     context = Experiment.paper(options).run_context(corpus)
     meter = context.meter
     point = context.heterogeneous_selection.point

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from repro.machine.operating_point import DomainSetting, OperatingPoint
 from repro.scheduler import HeterogeneousModuloScheduler
 from repro.scheduler.mii import minimum_initiation_time
 from repro.sim.executor import LoopExecutor
-from repro.units import fraction_gcd, fraction_lcm, is_integral
+from repro.units import common_quantum, is_integral
 
 MACHINE = paper_machine()
 ISA = MACHINE.isa
@@ -131,18 +132,31 @@ class TestAnalysisProperties:
 # ----------------------------------------------------------------------
 # arithmetic properties
 # ----------------------------------------------------------------------
-class TestFractionProperties:
+class TestCommonQuantumProperties:
     @SETTINGS
-    @given(positive_fractions, positive_fractions)
-    def test_gcd_divides_both(self, a, b):
-        g = fraction_gcd(a, b)
-        assert is_integral(a / g)
-        assert is_integral(b / g)
+    @given(st.lists(positive_fractions, min_size=1, max_size=4))
+    def test_quantum_divides_every_value(self, values):
+        quantum = common_quantum(values)
+        assert all(is_integral(value / quantum) for value in values)
 
     @SETTINGS
-    @given(positive_fractions, positive_fractions)
-    def test_gcd_lcm_product(self, a, b):
-        assert fraction_gcd(a, b) * fraction_lcm(a, b) == a * b
+    @given(st.lists(positive_fractions, min_size=1, max_size=4))
+    def test_no_coarser_quantum_divides_them(self, values):
+        # The step counts share no factor, so any coarser quantum (a
+        # multiple k > 1 of this one) leaves some value off its grid.
+        quantum = common_quantum(values)
+        steps = [int(value / quantum) for value in values]
+        assert math.gcd(*steps) == 1
+
+    @SETTINGS
+    @given(
+        st.lists(positive_fractions, min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_zero_entries_are_ignored(self, values, zeros):
+        assert common_quantum(values + [Fraction(0)] * zeros) == common_quantum(
+            values
+        )
 
 
 # ----------------------------------------------------------------------

@@ -9,15 +9,16 @@ import pytest
 
 from repro.__main__ import main
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
-from repro.errors import PipelineError, ScenarioError
+from repro.errors import ScenarioError, WorkloadError
 from repro.machine import MachineDescription, paper_machine
 from repro.machine.cluster import ClusterConfig
 from repro.machine.interconnect import InterconnectConfig
 from repro.machine.isa import ClassEntry, InstructionTable
 from repro.pipeline import Experiment, ExperimentOptions
 from repro.pipeline.cache import clear_loop_cache
-from repro.pipeline.registry import register_workload, registered_workload
+from repro.pipeline.serialization import canonical_json
 from repro.scenarios import (
+    ScenarioPack,
     bundled_pack_paths,
     bundled_packs,
     find_pack,
@@ -268,41 +269,45 @@ class TestExport:
 
 
 # ----------------------------------------------------------------------
-# registration
+# pack inputs carried by content
 # ----------------------------------------------------------------------
-class TestRegistration:
-    def test_register_installs_machine_by_name(self):
+def _stress(name="stress.deep"):
+    return {spec.name: spec for spec in find_pack("stress").workloads}[name]
+
+
+class TestPackInputs:
+    def test_machine_file_resolves_the_pack_machine(self):
         pack = find_pack("wide-issue")
-        pack.register()
-        experiment = Experiment.paper().with_machine("wide-issue")
+        experiment = Experiment.paper().with_machine_file(pack.source)
         assert experiment.resolve_machine() == pack.machine
 
-    def test_register_installs_workloads(self):
-        find_pack("stress").register()
-        spec = spec_profile("stress.deep")
+    def test_pack_workloads_build_corpora(self):
+        spec = _stress()
         assert spec.recurrence_share == 1.0
         corpus = build_corpus(spec, scale=0.02)
         assert len(corpus) >= 4
 
-    def test_workload_cannot_shadow_builtin(self):
+    def test_pack_workload_cannot_shadow_builtin(self):
         spec = replace(spec_profile("swim"), name="171.swim")
-        with pytest.raises(PipelineError, match="shadows a built-in"):
-            register_workload(spec)
+        with pytest.raises(ScenarioError, match="shadows a built-in"):
+            ScenarioPack(name="shadow", workloads=(spec,))
 
-    def test_workload_cannot_shadow_builtin_short_form(self):
-        # spec_profile resolves "swim" -> "171.swim" before the registry,
-        # so a workload named "swim" would be silently unreachable.
+    def test_job_workload_cannot_shadow_builtin_short_form(self):
+        # Resolvers try "swim" -> "171.swim" first, so a workload named
+        # "swim" would be silently unreachable.
+        from repro.campaign.job import ExperimentJob
+
         spec = replace(spec_profile("swim"), name="swim")
-        with pytest.raises(PipelineError, match="shadows a built-in"):
-            register_workload(spec)
+        with pytest.raises(WorkloadError, match="shadows a built-in"):
+            ExperimentJob(benchmark="swim", scale=0.02, workload=spec)
 
-    def test_workload_overwrite_contract(self):
-        spec = replace(spec_profile("swim"), name="scratch.w")
-        register_workload(spec, overwrite=True)
-        with pytest.raises(PipelineError, match="already registered"):
-            register_workload(spec)
-        register_workload(spec, overwrite=True)
-        assert registered_workload("scratch.w") is spec
+    def test_job_workload_must_carry_the_benchmark_name(self):
+        from repro.campaign.job import ExperimentJob
+
+        with pytest.raises(WorkloadError, match="does not match"):
+            ExperimentJob(benchmark="stress.other", scale=0.02, workload=_stress())
+        with pytest.raises(WorkloadError, match="unknown benchmark"):
+            ExperimentJob(benchmark="stress.deep", scale=0.02)
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +319,8 @@ class TestMachineFiles:
         experiment = Experiment.paper().with_machine_file(path)
         assert experiment.resolve_machine() == paper_machine(n_buses=1)
 
-    def test_machine_file_takes_precedence_over_name(self):
+    def test_machine_file_replaces_the_paper_machine(self):
         options = ExperimentOptions(
-            machine="paper",
             machine_file=str(bundled_pack_paths()["wide-issue"]),
         )
         machine = Experiment.paper(options).resolve_machine()
@@ -387,77 +391,83 @@ class TestMachineFiles:
         assert len(labels) == 2
         assert any("machine-file=m-alpha" in label for label in labels)
 
-    def test_fingerprinting_does_not_register(self, tmp_path):
-        """Serializing options (pure read) must not mutate registries."""
-        from repro.pipeline.registry import machine_names
+    def test_fingerprint_follows_file_edits(self, tmp_path):
+        """The memoized loader re-reads a file whose content changed."""
         from repro.scenarios import machine_file_fingerprint
 
         path = tmp_path / "ghost.toml"
         path.write_text(machine_to_toml(paper_machine(), "ghost-machine"))
-        name, _fingerprint = machine_file_fingerprint(path)
+        name, fingerprint = machine_file_fingerprint(path)
         assert name == "ghost-machine"
-        assert "ghost-machine" not in machine_names()
-        # Serialization and labels go through the same read-only path.
-        ExperimentOptions(machine_file=str(path)).to_dict()
-        assert "ghost-machine" not in machine_names()
+        assert machine_file_fingerprint(path) == (name, fingerprint)
+        path.write_text(machine_to_toml(paper_machine(n_buses=2), "ghost-2"))
+        assert machine_file_fingerprint(path)[0] == "ghost-2"
+        assert load_machine_file(path).machine == paper_machine(n_buses=2)
 
-    def test_with_machine_name_clears_machine_file(self):
+    def test_live_machine_overrides_machine_file(self):
         path = bundled_pack_paths()["wide-issue"]
         experiment = (
-            Experiment.paper().with_machine_file(path).with_machine("paper")
+            Experiment.paper().with_machine_file(path).with_machine(paper_machine())
         )
-        assert experiment.options.machine_file is None
         assert experiment.resolve_machine() == paper_machine()
 
-    def test_registered_workload_jobs_are_content_addressed(self):
+    def test_carried_workload_jobs_are_content_addressed(self):
         """Editing a workload definition must change job keys."""
         from repro.campaign.job import ExperimentJob
-        from repro.pipeline.registry import registered_workload
 
         base = replace(
             spec_profile("187.facerec"), name="scratch.addressed", seed=1
         )
-        register_workload(base, overwrite=True)
         job = ExperimentJob(
-            benchmark="scratch.addressed", scale=0.02, options=ExperimentOptions()
+            benchmark="scratch.addressed", scale=0.02, workload=base
         )
         key = job.key()
         assert "workload" in job.to_dict()
 
-        register_workload(replace(base, seed=2), overwrite=True)
-        assert job.key() != key
+        edited = replace(job, workload=replace(base, seed=2))
+        assert edited.key() != key
 
         # from_dict restores the embedded definition (the worker path).
-        restored = ExperimentJob.from_dict(job.to_dict())
-        assert registered_workload("scratch.addressed").seed == 2
-        assert restored.key() == job.key()
+        restored = ExperimentJob.from_dict(edited.to_dict())
+        assert restored.workload.seed == 2
+        assert restored == edited
+        assert restored.key() == edited.key()
 
-    def test_campaign_workers_register_workload_packs(self, tmp_path):
-        """Pack workloads survive the process boundary via workload_packs."""
-        find_pack("stress").register()
+    def test_campaign_children_need_no_registration(self, tmp_path):
+        """Pack workload x {paper, pack machine} under forkserver children.
+
+        Nothing is registered in this process and no pack is handed to
+        the runner: every job carries its workload spec and machine
+        file.  Two children compute what one in-process slot computes,
+        byte for byte.
+        """
         spec = CampaignSpec(
-            benchmarks=("stress.deep", "stress.wide"),  # 2 jobs: pool path
+            benchmarks=(_stress(),),
             scale=0.01,
-            machine_grid=("paper",),
+            machine_files=(None, str(bundled_pack_paths()["wide-issue"])),
         )
-        outcome = run_campaign(
-            spec.expand(),
-            store=ResultStore(tmp_path / "cache"),
-            n_jobs=2,
-            recompute=True,
-            workload_packs=("stress",),
+        jobs = spec.expand()
+        assert len(jobs) == 2
+        children = run_campaign(
+            jobs, store=ResultStore(tmp_path / "two"), n_jobs=2, recompute=True
         )
-        assert not outcome.failed
+        assert not children.failed, [r.error for r in children.failed]
+        inline = run_campaign(jobs, store=ResultStore(tmp_path / "one"), n_jobs=1)
+        assert not inline.failed
+        for forked, local in zip(children.results, inline.results):
+            assert forked.key == local.key
+            assert canonical_json(forked.evaluation.to_dict()) == canonical_json(
+                local.evaluation.to_dict()
+            )
 
-    def test_campaign_machine_axis_concatenates_names_and_files(self):
+    def test_campaign_machine_axis_sweeps_paper_and_files(self):
         files = [
             str(bundled_pack_paths()[name])
             for name in ("paper-2bus", "wide-issue")
         ]
         spec = CampaignSpec(
             benchmarks=("171.swim",),
-            machine_grid=("paper",),
-            machine_files=tuple(files),
+            machine_files=(None, *files),
         )
         jobs = spec.expand()
         assert spec.n_configurations == 3
@@ -468,10 +478,22 @@ class TestMachineFiles:
         assert rebuilt == spec
 
     def test_campaign_requires_some_machine_axis(self):
-        from repro.errors import WorkloadError
+        with pytest.raises(WorkloadError, match="machine_files is empty"):
+            CampaignSpec(benchmarks=("171.swim",), machine_files=())
 
-        with pytest.raises(WorkloadError, match="machine_grid and machine_files"):
-            CampaignSpec(benchmarks=("171.swim",), machine_grid=())
+    def test_campaign_spec_rejects_unknown_grids(self):
+        data = CampaignSpec(benchmarks=("171.swim",)).to_dict()
+        data["machines_grid"] = ["warp9"]
+        with pytest.raises(WorkloadError, match="unknown campaign grid"):
+            CampaignSpec.from_dict(data)
+
+    def test_campaign_spec_carries_pack_workloads(self):
+        spec = CampaignSpec(benchmarks=("171.swim", _stress()), scale=0.02)
+        rebuilt = CampaignSpec.from_dict(spec.to_dict())
+        assert rebuilt == spec
+        jobs = rebuilt.expand()
+        assert [job.benchmark for job in jobs] == ["171.swim", "stress.deep"]
+        assert [job.workload for job in jobs] == [None, _stress()]
 
 
 class TestCampaignOverScenarioFiles:
@@ -490,7 +512,6 @@ class TestCampaignOverScenarioFiles:
         spec = CampaignSpec(
             benchmarks=("171.swim",),
             scale=0.02,
-            machine_grid=(),
             machine_files=files,
         )
         jobs = spec.expand()

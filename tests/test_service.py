@@ -289,6 +289,43 @@ class TestRequestValidation:
 
         run_async(body)
 
+    def test_machine_names_rejected(self):
+        async def body():
+            manager = make_manager(CountingRunner())
+            with pytest.raises(ServiceError, match="machine_file"):
+                manager.submit_evaluate(
+                    {"benchmark": "171.swim", "machine": "warp9"}
+                )
+            await manager.close()
+
+        run_async(body)
+
+    def test_canonical_options_naming_a_machine_rejected(self):
+        from repro.pipeline import ExperimentOptions
+
+        options = dict(ExperimentOptions().to_dict(), machine="warp9")
+
+        async def body():
+            manager = make_manager(CountingRunner())
+            with pytest.raises(ServiceError, match="machine_file"):
+                manager.submit_evaluate(
+                    {"benchmark": "171.swim", "options": options}
+                )
+            await manager.close()
+
+        run_async(body)
+
+    def test_unknown_campaign_grid_rejected(self):
+        async def body():
+            manager = make_manager(CountingRunner())
+            with pytest.raises(ServiceError, match="unknown campaign grid"):
+                manager.submit_campaign(
+                    {"benchmarks": ["171.swim"], "machines_grid": ["warp9"]}
+                )
+            await manager.close()
+
+        run_async(body)
+
     def test_unknown_benchmark_rejected(self):
         from repro.errors import WorkloadError
 
@@ -419,6 +456,14 @@ class TestHttpService:
         status, document = client.request("POST", "/v1/evaluate", body={})
         assert status == 400
         assert document["error"]["code"] == "bad_request"
+        for path, body in (
+            ("/v1/evaluate", {"benchmark": "171.swim", "machine": "warp9"}),
+            ("/v1/suite", {"machine": "warp9"}),
+            ("/v1/campaign", {"benchmarks": ["171.swim"], "machines_grid": []}),
+        ):
+            status, document = client.request("POST", path, body=body)
+            assert status == 400, path
+            assert "machine_file" in document["error"]["message"]
         status, document = client.request("GET", "/nope")
         assert status == 404
         assert document["error"]["code"] == "not_found"
@@ -502,7 +547,7 @@ class TestRealPipelineOverHttp:
             assert warehouse.job_count() == 1
 
 
-def _exit_on_mgrid(job_data, loop_dir=None):
+def _exit_on_mgrid(job_data, loop_dir=None, traced=False):
     """Kills the child process on 172.mgrid; runs every other job."""
     import os
 
@@ -517,9 +562,11 @@ class TestLocalProcessWorkers:
     def test_next_evaluate_completes_after_a_child_dies(
         self, tmp_path, monkeypatch
     ):
-        import repro.campaign.executor as executor
+        # The child's entry point pickles by reference: the forkserver
+        # child imports this module's stub.
+        import repro.fleet.local as local
 
-        monkeypatch.setattr(executor, "execute_job_payload", _exit_on_mgrid)
+        monkeypatch.setattr(local, "_execute_in_child", _exit_on_mgrid)
 
         async def body():
             manager = JobManager(store=ResultStore(tmp_path), max_workers=1)

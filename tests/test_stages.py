@@ -1,5 +1,5 @@
 """Tests for the experiment pipeline: the fixed stage sequence, the
-context, the builder and the machine registry.  The pipeline's numbers
+context, the builder and machine resolution.  The pipeline's numbers
 are pinned in test_golden.py."""
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from repro.pipeline import (
     ExperimentOptions,
     ProfileStage,
     paper_stages,
-    register_machine,
 )
-from repro.pipeline.registry import machine_factory, machine_names
 from repro.pipeline.stages import ScheduleSummary
 from repro.workloads import build_corpus, spec_profile
 
@@ -135,7 +133,7 @@ class TestScheduleSummary:
 
 
 # ----------------------------------------------------------------------
-# the machine registry
+# machine resolution
 # ----------------------------------------------------------------------
 def _examples_machine():
     examples = str(Path(__file__).parent.parent / "examples")
@@ -146,44 +144,48 @@ def _examples_machine():
     return custom_machine.build_machine()
 
 
-class TestRegistries:
-    def test_paper_entries_present(self):
-        assert "paper" in machine_names()
+def _fir_corpus():
+    _examples_machine()  # puts examples/ on the path
+    import custom_machine
+    from repro.workloads.corpus import Corpus
 
-    def test_unknown_names_fail_fast(self):
-        with pytest.raises(PipelineError, match="unknown machine"):
-            machine_factory("warp9")
-        with pytest.raises(PipelineError, match="unknown machine"):
+    return Corpus("fir", [custom_machine.build_fir_tap()])
+
+
+class TestMachineResolution:
+    def test_paper_machine_is_built_from_the_options(self):
+        from repro.machine.machine import paper_machine
+
+        options = ExperimentOptions(n_buses=2, per_class_energy=False)
+        machine = Experiment.paper(options).resolve_machine()
+        assert machine == paper_machine(n_buses=2, uniform_energy=True)
+
+    def test_with_machine_takes_only_descriptions(self):
+        # Names resolved in one process only; factories cannot travel.
+        with pytest.raises(PipelineError, match="MachineDescription"):
             Experiment.paper().with_machine("warp9")
+        with pytest.raises(PipelineError, match="MachineDescription"):
+            Experiment.paper().with_machine(lambda options: None)
 
-    def test_duplicate_registration_rejected(self):
-        register_machine("dup-test", lambda options: None, overwrite=True)
-        with pytest.raises(PipelineError, match="already registered"):
-            register_machine("dup-test", lambda options: None)
-        register_machine("dup-test", lambda options: None, overwrite=True)
+    def test_options_serialize_the_paper_machine_name(self):
+        data = ExperimentOptions().to_dict()
+        assert data["machine"] == "paper"
+        assert ExperimentOptions.from_dict(data) == ExperimentOptions()
 
-    def test_paper_machine_factory_honors_options(self):
-        factory = machine_factory("paper")
-        machine = factory(ExperimentOptions(n_buses=2, per_class_energy=False))
-        assert machine.interconnect.n_buses == 2
+    def test_options_naming_another_machine_are_rejected(self):
+        data = dict(ExperimentOptions().to_dict(), machine="warp9")
+        with pytest.raises(PipelineError, match="machine_file"):
+            ExperimentOptions.from_dict(data)
 
 
 class TestCustomMachineEndToEnd:
     """The examples/custom_machine.py machine through the builder."""
 
     def test_live_description_runs_full_pipeline(self):
-        from repro.workloads.corpus import Corpus
-
-        examples = str(Path(__file__).parent.parent / "examples")
-        if examples not in sys.path:
-            sys.path.insert(0, examples)
-        import custom_machine
-
-        corpus = Corpus("fir", [custom_machine.build_fir_tap()])
         evaluation = (
             Experiment.paper()
             .with_machine(_examples_machine())
-            .run(corpus)
+            .run(_fir_corpus())
         )
         assert evaluation.benchmark == "fir"
         assert evaluation.reference_measured.energy.total == pytest.approx(
@@ -191,67 +193,57 @@ class TestCustomMachineEndToEnd:
         )
         assert 0.2 < evaluation.ed2_ratio < 1.5
 
-    def test_registered_name_runs_and_serializes(self):
-        from repro.workloads.corpus import Corpus
+    def test_exported_machine_file_runs_and_serializes(self, tmp_path):
+        from repro.scenarios import machine_to_toml
 
-        register_machine(
-            "test-dsp", lambda options: _examples_machine(), overwrite=True
-        )
-        examples = str(Path(__file__).parent.parent / "examples")
-        if examples not in sys.path:
-            sys.path.insert(0, examples)
-        import custom_machine
-
-        options = ExperimentOptions(machine="test-dsp")
-        experiment = Experiment.paper(options)
-        # the name flows into the serializable options (campaign-able)
-        assert experiment.options.machine == "test-dsp"
+        path = tmp_path / "tigersharc.toml"
+        path.write_text(machine_to_toml(_examples_machine(), "tigersharc"))
+        options = ExperimentOptions(machine_file=str(path))
+        # the file travels in the serializable options (campaign-able)
         assert ExperimentOptions.from_dict(options.to_dict()) == options
-        evaluation = experiment.run(
-            Corpus("fir", [custom_machine.build_fir_tap()])
+        by_file = Experiment.paper(options).run(_fir_corpus())
+        by_description = (
+            Experiment.paper().with_machine(_examples_machine()).run(_fir_corpus())
         )
-        assert evaluation.heterogeneous_selection.point.clusters[0] is not None
-        assert len(evaluation.units.__dict__) > 0
+        assert by_file.to_dict() == by_description.to_dict()
 
-    def test_with_machine_name_updates_options(self):
-        register_machine(
-            "test-dsp2", lambda options: _examples_machine(), overwrite=True
+    def test_with_machine_file_replaces_a_live_machine(self, tmp_path):
+        from repro.scenarios import machine_to_toml
+
+        path = tmp_path / "tigersharc.toml"
+        path.write_text(machine_to_toml(_examples_machine(), "tigersharc"))
+        experiment = (
+            Experiment.paper()
+            .with_machine(_examples_machine())
+            .with_machine_file(str(path))
         )
-        experiment = Experiment.paper().with_machine("test-dsp2")
-        assert experiment.options.machine == "test-dsp2"
-        assert experiment.machine is None  # resolved via registry
+        assert experiment.options.machine_file == str(path)
+        assert experiment.machine is None  # resolved from the file
+        assert experiment.resolve_machine() == _examples_machine()
 
-
-    def test_machine_description_matches_registered_name(self):
+    def test_machine_description_matches_the_paper_options(self):
         from repro.machine.machine import paper_machine
 
         options = ExperimentOptions(n_buses=2)
         corpus = _corpus("swim")
-        by_name = Experiment.paper(options).run(corpus)
+        by_options = Experiment.paper(options).run(corpus)
         by_description = (
             Experiment.paper(options)
             .with_machine(paper_machine(n_buses=2))
             .run(corpus)
         )
-        assert by_description.to_dict() == by_name.to_dict()
+        assert by_description.to_dict() == by_options.to_dict()
 
-    def test_machine_factory_receives_the_options(self):
+    def test_live_machine_is_the_context_machine(self):
         from repro.machine.machine import paper_machine
 
-        seen = []
-
-        def factory(options):
-            seen.append(options)
-            return paper_machine(n_buses=options.n_buses)
-
-        options = ExperimentOptions(n_buses=2)
+        machine = paper_machine(n_buses=2)
         context = (
-            Experiment.paper(options).with_machine(factory).build_context(
-                _corpus("swim")
-            )
+            Experiment.paper(ExperimentOptions(n_buses=2))
+            .with_machine(machine)
+            .build_context(_corpus("swim"))
         )
-        assert seen == [options]
-        assert context.machine.interconnect.n_buses == 2
+        assert context.machine is machine
         assert context.reference_scheduler.machine is context.machine
 
 

@@ -12,8 +12,6 @@ from repro.units import (
     floor_div,
     format_frequency,
     format_time,
-    fraction_gcd,
-    fraction_lcm,
     frequency_of,
     is_integral,
 )
@@ -76,36 +74,6 @@ class TestFrequencyConversion:
             cycle_time_of(-1)
 
 
-class TestGcdLcm:
-    def test_gcd_integers(self):
-        assert fraction_gcd(Fraction(6), Fraction(4)) == Fraction(2)
-
-    def test_gcd_fractions(self):
-        # gcd(1/2, 1/3) = 1/6
-        assert fraction_gcd(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
-
-    def test_gcd_with_zero(self):
-        assert fraction_gcd(Fraction(0), Fraction(5, 7)) == Fraction(5, 7)
-
-    def test_gcd_negative_rejected(self):
-        with pytest.raises(ValueError):
-            fraction_gcd(Fraction(-1), Fraction(1))
-
-    def test_lcm(self):
-        # lcm(3/2, 9/10): gcd = 3/10, lcm = (27/20)/(3/10) = 9/2
-        assert fraction_lcm(Fraction(3, 2), Fraction(9, 10)) == Fraction(9, 2)
-
-    def test_lcm_divides_result(self):
-        a, b = Fraction(4, 3), Fraction(5, 4)
-        lcm = fraction_lcm(a, b)
-        assert is_integral(lcm / a)
-        assert is_integral(lcm / b)
-
-    def test_lcm_zero_rejected(self):
-        with pytest.raises(ValueError):
-            fraction_lcm(Fraction(0), Fraction(1))
-
-
 class TestCommonQuantum:
     def test_divides_all(self):
         periods = [Fraction(1), Fraction(3, 2), Fraction(9, 10)]
@@ -118,6 +86,33 @@ class TestCommonQuantum:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             common_quantum([])
+
+    def test_integers(self):
+        assert common_quantum([Fraction(6), Fraction(4)]) == Fraction(2)
+
+    def test_fractions(self):
+        # 1/2 and 1/3 share the quantum 1/6
+        assert common_quantum([Fraction(1, 2), Fraction(1, 3)]) == Fraction(1, 6)
+
+    def test_zero_entries_ignored(self):
+        assert common_quantum([Fraction(0), Fraction(5, 7)]) == Fraction(5, 7)
+
+    def test_all_zero_rejected(self):
+        with pytest.raises(ValueError):
+            common_quantum([Fraction(0), Fraction(0)])
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            common_quantum([Fraction(-1), Fraction(1)])
+
+    def test_coarsest(self):
+        # 3/2 and 9/10 are 5 and 3 steps of 3/10, which share no factor
+        quantum = common_quantum([Fraction(3, 2), Fraction(9, 10)])
+        assert quantum == Fraction(3, 10)
+        assert not is_integral(Fraction(9, 10) / (2 * quantum))
+
+    def test_accepts_ints_and_floats(self):
+        assert common_quantum([3, 0.5]) == Fraction(1, 2)
 
 
 class TestIntegerDivision:

@@ -62,6 +62,15 @@ def make_payload(
     return job, payload
 
 
+def _alt_machine():
+    """Options targeting a machine other than the paper's (a pack file)."""
+    from repro.scenarios import bundled_pack_paths
+
+    return ExperimentOptions(
+        machine_file=str(bundled_pack_paths()["wide-issue"])
+    )
+
+
 def fill_store(root, specs):
     """Write one payload per (benchmark, kwargs) spec; returns the store."""
     store = ResultStore(root)
@@ -395,14 +404,14 @@ class TestQueries:
                     "171.swim",
                     {
                         "energy_ratio": 0.9,
-                        "options": ExperimentOptions(machine="alt"),
+                        "options": _alt_machine(),
                     },
                 ),
                 (
                     "172.mgrid",
                     {
                         "energy_ratio": 0.7,
-                        "options": ExperimentOptions(machine="alt"),
+                        "options": _alt_machine(),
                     },
                 ),
             ],
@@ -417,7 +426,7 @@ class TestQueries:
         assert by_benchmark["171.swim"].regressed
         assert not by_benchmark["172.mgrid"].regressed
         machine_diffs = regression_diff(
-            warehouse, "machine:paper", "machine:alt", metric="energy_ratio"
+            warehouse, "machine:paper", "machine:wide-issue", metric="energy_ratio"
         )
         assert len(machine_diffs) == 2
         warehouse.close()
@@ -584,7 +593,7 @@ class TestCLI:
                     "171.swim",
                     {
                         "energy_ratio": 0.9,
-                        "options": ExperimentOptions(machine="alt"),
+                        "options": _alt_machine(),
                     },
                 )
             ],
