@@ -38,9 +38,10 @@ distribution metadata when available, the source tree's fallback
 otherwise).
 
 ``evaluate``/``suite``/``campaign`` also take ``--machine-file`` (a
-scenario pack file; ``paper`` for the paper machine) and ``--workloads``
-(a pack whose workloads benchmark names may refer to); see
-``docs/cli.md`` for the full reference.
+scenario pack file; ``paper`` for the paper machine), and
+``evaluate``/``campaign`` take ``--workloads`` (a pack whose workloads
+benchmark names may refer to; ``suite`` runs only the built-in
+profiles); see ``docs/cli.md`` for the full reference.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_machine_flags(subparser, campaign_files: bool = False) -> None:
+    def add_machine_flags(
+        subparser, campaign_files: bool = False, workloads: bool = True
+    ) -> None:
         if campaign_files:
             subparser.add_argument(
                 "--machine-file",
@@ -118,6 +121,8 @@ def _parser() -> argparse.ArgumentParser:
                 help="scenario pack file (or bundled pack name) declaring "
                 "the machine (default: the paper machine)",
             )
+        if not workloads:  # the verb runs only the built-in profiles
+            return
         subparser.add_argument(
             "--workloads",
             action="append",
@@ -150,7 +155,7 @@ def _parser() -> argparse.ArgumentParser:
         default="table",
         help="result format: Figure 6 chart (default) or canonical JSON",
     )
-    add_machine_flags(suite)
+    add_machine_flags(suite, workloads=False)
 
     campaign = commands.add_parser(
         "campaign",
@@ -1453,7 +1458,13 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command == "trace" and args.cmd == "suite" and args.workloads:
+        parser.error(
+            "trace suite runs only the built-in profiles; --workloads "
+            "applies to trace evaluate"
+        )
     from repro.telemetry import configure_logging
 
     configure_logging(verbosity=args.verbose - args.quiet)

@@ -125,11 +125,29 @@ class EnergyModel:
             raise CalibrationError(
                 "event counts and operating point disagree on cluster count"
             )
+        return self.scaled_estimate(
+            self._deltas(point), self._sigmas(point), counts, exec_time_ns
+        )
+
+    def scaled_estimate(
+        self,
+        deltas: Tuple[Tuple[float, ...], float, float],
+        sigmas: Tuple[Tuple[float, ...], float, float],
+        counts: EventCounts,
+        exec_time_ns: float,
+    ) -> EnergyEstimate:
+        """:meth:`estimate` from a point's scalings instead of the point.
+
+        ``deltas`` and ``sigmas`` are ``(per-cluster, icn, cache)`` as
+        :func:`dynamic_scale` and :func:`static_scale` give them, so a
+        caller pricing many points from a few settings scales each
+        setting once.
+        """
         if exec_time_ns < 0:
             raise ValueError("execution time must be non-negative")
         units = self._units
-        cluster_deltas, icn_delta, cache_delta = self._deltas(point)
-        cluster_sigmas, icn_sigma, cache_sigma = self._sigmas(point)
+        cluster_deltas, icn_delta, cache_delta = deltas
+        cluster_sigmas, icn_sigma, cache_sigma = sigmas
 
         cluster_dynamic = units.e_ins_unit * sum(
             delta * events
@@ -197,10 +215,15 @@ def default_cluster_distribution(point: OperatingPoint) -> Tuple[float, ...]:
     fast = [i for i, s in enumerate(point.clusters) if s.cycle_time == fastest]
     slow = [i for i in range(point.n_clusters) if i not in fast]
     if not slow:
-        return tuple(1.0 / point.n_clusters for _ in range(point.n_clusters))
+        return uniform_distribution(point.n_clusters)
     probabilities = [0.0] * point.n_clusters
     for index in fast:
         probabilities[index] = 0.5 / len(fast)
     for index in slow:
         probabilities[index] = 0.5 / len(slow)
     return tuple(probabilities)
+
+
+def uniform_distribution(n_clusters: int) -> Tuple[float, ...]:
+    """Every cluster issues the same share: the homogeneous distribution."""
+    return tuple(1.0 / n_clusters for _ in range(n_clusters))

@@ -19,22 +19,31 @@ assumption), and
 ``Texec = weight * ((N - 1) * IT + it_length)`` per loop.
 
 Constraints 2-4 and the search for the smallest IT are the scheduler's
-own: :func:`repro.scheduler.mii.min_feasible_it` scans ``recMIT`` and
-then the multiples of the cluster (and interconnect) periods above it
-with :func:`~repro.scheduler.mii.capacity_ok`, the check that
-``resMIT`` uses.  This module only supplies the start, the demand, the
-communications and the lifetimes from the loop's profile.
+own: a :class:`~repro.scheduler.mii.SpeedsContext` checks capacity and
+scans ``recMIT`` and then the multiples of the cluster (and
+interconnect) periods above it, the check and the scan ``resMIT`` uses.
+This module only supplies the start, the demand, the communications and
+the lifetimes from the loop's profile.
+
+:meth:`TimeModel.program_time` builds the speeds context once per speed
+assignment and walks the loops as :class:`LoopRow` s (what the estimate
+reads of a profile, read once), on ints of the context's quantum.
+Callers that price one profile at many speed assignments (the section
+3.3 selector) build the rows once with :meth:`TimeModel.loop_rows` and
+call :meth:`TimeModel.rows_time` per assignment.  Nothing is kept
+across calls: there is no memo between evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Sequence, Tuple
 
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import MachineSpeeds
 from repro.power.profile import LoopProfile, ProgramProfile
-from repro.scheduler.mii import min_feasible_it
+from repro.scheduler.mii import SpeedsContext, demand_codes
 
 
 @dataclass(frozen=True)
@@ -47,33 +56,77 @@ class LoopTimeEstimate:
     total_ns: float
 
 
+class LoopRow(NamedTuple):
+    """What the section 3.2 estimate reads of one loop profile."""
+
+    profile: LoopProfile
+    #: ``recMII`` as an exact ``(numerator, denominator)`` pair of ints.
+    rec_mii: Tuple[int, int]
+    #: FU demand as :func:`~repro.scheduler.mii.demand_codes` pairs.
+    needs: Tuple[Tuple[int, int], ...]
+    comms: int
+    lifetimes: int
+    cycles_per_iteration: int
+    #: ``trip_count - 1``: iterations issued after the first, per entry.
+    later_iterations: float
+    weight: float
+
+    @classmethod
+    def of(cls, profile: LoopProfile) -> "LoopRow":
+        """The row of one loop profile."""
+        return cls(
+            profile=profile,
+            rec_mii=profile.rec_mii.as_integer_ratio(),
+            needs=demand_codes(profile.fu_demand),
+            comms=profile.comms_per_iteration,
+            lifetimes=profile.lifetime_cycles_per_iteration,
+            cycles_per_iteration=profile.cycles_per_iteration,
+            later_iterations=profile.trip_count - 1,
+            weight=profile.weight,
+        )
+
+
 class TimeModel:
     """Section 3.2 estimator bound to one machine description."""
 
     def __init__(self, machine: MachineDescription):
         self._machine = machine
 
+    def speeds_context(self, speeds: MachineSpeeds) -> SpeedsContext:
+        """The capacity check and IT scan of this machine at ``speeds``."""
+        if speeds.n_clusters != self._machine.n_clusters:
+            raise ValueError("speed assignment and machine disagree on clusters")
+        return SpeedsContext(self._machine, speeds)
+
+    def loop_it(self, context: SpeedsContext, row: LoopRow) -> Tuple[int, int]:
+        """Smallest IT satisfying the four section 3.2 constraints.
+
+        Returned as an exact ``(numerator, denominator)`` pair of ns, so
+        callers that only need its float skip building a Fraction.
+        """
+        # recMIT: recMII cycles of the fastest cluster (section 2.2), as
+        # ``start / den`` quanta.
+        num, den = row.rec_mii
+        if num > 0:
+            start = num * context.fastest_period
+        else:
+            # No recurrences: the scan starts at the smallest IT giving the
+            # fastest cluster a single slot.
+            start, den = context.fastest_period, 1
+        below = start // den
+        ok = context.check(row.needs, row.comms, row.lifetimes)
+        it = context.scan(below, ok, row.comms, loop=row.profile.name)
+        q_num, q_den = context.quantum.as_integer_ratio()
+        if it == below:
+            # The same IIs as at ``below``: recMIT itself is feasible.
+            return start * q_num, den * q_den
+        return it * q_num, q_den
+
     def minimum_initiation_time(
         self, profile: LoopProfile, speeds: MachineSpeeds
     ) -> Fraction:
         """Smallest IT satisfying the four section 3.2 constraints."""
-        if speeds.n_clusters != self._machine.n_clusters:
-            raise ValueError("speed assignment and machine disagree on clusters")
-        # recMIT: recMII cycles of the fastest cluster (section 2.2).
-        start = profile.rec_mii * speeds.fastest_cluster_cycle_time
-        if start <= 0:
-            # No recurrences: the scan starts at the smallest IT giving the
-            # fastest cluster a single slot.
-            start = speeds.fastest_cluster_cycle_time
-        return min_feasible_it(
-            start,
-            self._machine,
-            speeds,
-            profile.fu_demand,
-            profile.comms_per_iteration,
-            profile.lifetime_cycles_per_iteration,
-            loop=profile.name,
-        )
+        return Fraction(*self.loop_it(self.speeds_context(speeds), LoopRow.of(profile)))
 
     # ------------------------------------------------------------------
     def loop_estimate(
@@ -92,10 +145,29 @@ class TimeModel:
             total_ns=per_entry * profile.weight,
         )
 
+    @staticmethod
+    def loop_rows(profile: ProgramProfile) -> Tuple[LoopRow, ...]:
+        """The rows :meth:`rows_time` walks, one per loop of ``profile``."""
+        return tuple(LoopRow.of(loop) for loop in profile.loops)
+
+    def rows_time(self, rows: Sequence[LoopRow], speeds: MachineSpeeds) -> float:
+        """:meth:`program_time` of a profile's :meth:`loop_rows`.
+
+        Each loop's total is :meth:`loop_estimate`'s ``total_ns``, in the
+        same float operations; the IT stays an int ratio until its float.
+        """
+        context = self.speeds_context(speeds)
+        mean_cycle_time = float(speeds.mean_cluster_cycle_time)
+
+        def total_ns(row: LoopRow) -> float:
+            num, den = self.loop_it(context, row)
+            it_length = row.cycles_per_iteration * mean_cycle_time
+            return (row.later_iterations * (num / den) + it_length) * row.weight
+
+        return sum(total_ns(row) for row in rows)
+
     def program_time(
         self, profile: ProgramProfile, speeds: MachineSpeeds
     ) -> float:
         """Estimated execution time (ns) of a whole program."""
-        return sum(
-            self.loop_estimate(loop, speeds).total_ns for loop in profile.loops
-        )
+        return self.rows_time(self.loop_rows(profile), speeds)

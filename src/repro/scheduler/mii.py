@@ -12,16 +12,20 @@ per-domain frequencies the shared loop constant is the initiation *time*:
 
 Every IT search in the package rests on one rule: capacity never shrinks
 as IT grows, and it only jumps at multiples of a domain period (Figure 4).
-:func:`period_multiples` enumerates those multiples, :func:`capacity_ok`
-is the one capacity check (FU slots, plus the bus and register slots of
-the section 3.2 estimate) and :func:`min_feasible_it` is the scan that
-``resMIT``, the section 3.2 time model and — through
-:func:`~repro.scheduler.ii_selection.iter_it_candidates` — the
-scheduler's candidate stream share.  Each works on an exact integer
-time grid (:func:`~repro.units.common_quantum` of the periods involved,
-:attr:`MachineSpeeds.time_quantum` for the capacity scans): the periods
-are converted to ints once, then multiples merge and slots count on
-plain ints.
+:func:`period_multiples` enumerates those multiples.  A
+:class:`SpeedsContext` holds one machine at one speed assignment on an
+exact integer time grid (:attr:`MachineSpeeds.time_quantum`): its
+:meth:`~SpeedsContext.check` is the one capacity check (FU slots, plus
+the bus and register slots of the section 3.2 estimate) and its
+:meth:`~SpeedsContext.scan` the one minimum-IT scan.
+:func:`capacity_ok`, :func:`min_feasible_it` and ``resMIT`` are thin
+callers that build a context per call; the section 3.2 time model builds
+one per speed assignment and checks every loop against it.  The
+scheduler's candidate stream
+(:func:`~repro.scheduler.ii_selection.iter_it_candidates`) merges period
+multiples on the same kind of grid (:func:`~repro.units.common_quantum`
+of its periods): the periods are converted to ints once, then multiples
+merge and slots count on plain ints.
 
 :func:`capacity_table` reproduces the Figure 4 table: how many slots each
 IT buys on each cluster.
@@ -33,12 +37,13 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import InfeasibleITError
 from repro.ir.analysis import rec_mii
 from repro.ir.ddg import DDG
-from repro.machine.fu import FU_INDEX, FUType, fu_demand
+from repro.machine.fu import FU_INDEX, N_FU_KINDS, FUType, fu_demand
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import MachineSpeeds
 from repro.units import Time, as_fraction, common_quantum, floor_div, grid_steps
@@ -86,43 +91,119 @@ def period_multiples(
         yield quantum * value
 
 
-def _capacity_check(
-    machine: MachineDescription,
-    speeds: MachineSpeeds,
-    demand: Mapping[FUType, int],
-    comms: int,
-    lifetimes: int,
-) -> Callable[[int], bool]:
-    """:func:`capacity_ok` for ITs given in ``speeds.time_quantum`` steps.
+def demand_codes(demand: Mapping[FUType, int]) -> Tuple[Tuple[int, int], ...]:
+    """``demand`` as ``(needed, FU code)`` pairs, zero entries dropped.
 
-    The per-cluster unit counts are read once into dense per-FU rows.
+    Codes index :data:`~repro.machine.fu.FU_INDEX`; callers that check
+    the same demand at many speeds convert it once.
     """
-    quantum = speeds.time_quantum
-    cts = [grid_steps(ct, quantum) for ct in speeds.cluster_cycle_times]
-    clusters = [machine.cluster(i) for i in range(len(cts))]
-    units_by_code = list(zip(*(c.fu_counts_by_code for c in clusters)))
-    needs = [
-        (needed, units_by_code[FU_INDEX[fu]])
-        for fu, needed in demand.items()
-        if needed
-    ]
-    bus_slots = machine.interconnect.n_buses
-    icn_ct = grid_steps(speeds.icn_cycle_time, quantum)
-    regs = [c.n_regs for c in clusters]
+    return tuple((needed, FU_INDEX[fu]) for fu, needed in demand.items() if needed)
 
-    def ok(it: int) -> bool:
-        iis = [it // ct for ct in cts]
-        for needed, units in needs:
-            if sum(ii * unit for ii, unit in zip(iis, units)) < needed:
-                return False
-        if comms > 0 and bus_slots * (it // icn_ct) < comms:
-            return False
-        if lifetimes > 0:
-            if sum(ii * reg for ii, reg in zip(iis, regs)) < lifetimes:
-                return False
-        return True
 
-    return ok
+class SpeedsContext:
+    """One machine at one :class:`MachineSpeeds`, on the speeds' time grid.
+
+    Holds everything the capacity check and the minimum-IT scan read
+    that depends on the speeds alone: the quantum
+    (:attr:`MachineSpeeds.time_quantum`), the cluster and interconnect
+    periods in quanta, the per-FU unit rows and the register row, the bus
+    slots and the two period lists a scan merges (the clusters', and the
+    clusters' plus the interconnect's when communications need bus
+    slots).  Clusters sharing a period share an II, so the rows hold one
+    entry per distinct cluster period: the units (registers) of those
+    clusters summed.  Build it once per speeds; :meth:`check` then gives
+    the capacity check of one demand and :meth:`scan` is the one
+    minimum-IT scan.  ITs are ints of :attr:`quantum`.
+    """
+
+    def __init__(self, machine: MachineDescription, speeds: MachineSpeeds):
+        quantum = speeds.time_quantum
+        self.speeds = speeds
+        self.quantum = quantum
+        self.cluster_periods = [
+            grid_steps(ct, quantum) for ct in speeds.cluster_cycle_times
+        ]
+        self.fastest_period = min(self.cluster_periods)
+        self.icn_period = grid_steps(speeds.icn_cycle_time, quantum)
+        self._fu_periods = sorted(set(self.cluster_periods))
+        self._bus_periods = sorted({*self.cluster_periods, self.icn_period})
+        # Clusters sharing a period share an II: their rows add up.
+        slot = {period: k for k, period in enumerate(self._fu_periods)}
+        self._units_by_code = [[0] * len(slot) for _ in range(N_FU_KINDS)]
+        self._regs = [0] * len(slot)
+        for index, period in enumerate(self.cluster_periods):
+            cluster = machine.cluster(index)
+            for code, count in enumerate(cluster.fu_counts_by_code):
+                self._units_by_code[code][slot[period]] += count
+            self._regs[slot[period]] += cluster.n_regs
+        self._bus_slots = machine.interconnect.n_buses
+
+    def check(
+        self,
+        needs: Iterable[Tuple[int, int]],
+        comms: int = 0,
+        lifetimes: int = 0,
+    ) -> Callable[[int], bool]:
+        """:func:`capacity_ok` of one demand (:func:`demand_codes` pairs)."""
+        periods = self._fu_periods
+        rows = [(needed, self._units_by_code[code]) for needed, code in needs]
+        bus_slots = self._bus_slots
+        icn_ct = self.icn_period
+        regs = self._regs
+
+        def ok(it: int) -> bool:
+            iis = [it // period for period in periods]
+            for needed, units in rows:
+                if sum(map(mul, iis, units)) < needed:
+                    return False
+            if comms > 0 and bus_slots * (it // icn_ct) < comms:
+                return False
+            if lifetimes > 0 and sum(map(mul, iis, regs)) < lifetimes:
+                return False
+            return True
+
+        return ok
+
+    def scan(
+        self, below: int, ok: Callable[[int], bool], comms: int, loop: str = ""
+    ) -> int:
+        """Smallest grid IT passing ``ok``, scanning from ``below``.
+
+        Capacity only jumps at multiples of a cluster period (and, when
+        ``comms`` need bus slots, of the interconnect period), so the
+        answer is ``below`` itself or the first passing multiple above
+        it.  Raises :class:`InfeasibleITError` after
+        :data:`MAX_CANDIDATES` candidates (``loop`` names the loop in the
+        message).
+        """
+        if ok(below):
+            return below
+        periods = self._bus_periods if comms > 0 else self._fu_periods
+        for steps, it in enumerate(_grid_multiples(periods, below + 1)):
+            if steps >= MAX_CANDIDATES:  # pragma: no cover - safety net
+                break
+            if ok(it):
+                return it
+        raise InfeasibleITError(
+            f"no feasible IT found for loop {loop!r} within "
+            f"{MAX_CANDIDATES} candidates"
+        )
+
+    def min_feasible_it(
+        self,
+        start: Time,
+        demand: Mapping[FUType, int],
+        comms: int = 0,
+        lifetimes: int = 0,
+        loop: str = "",
+    ) -> Fraction:
+        """:func:`min_feasible_it` at these speeds."""
+        below = floor_div(start, self.quantum)
+        ok = self.check(demand_codes(demand), comms, lifetimes)
+        it = self.scan(below, ok, comms, loop)
+        # Every II is the same at ``start`` and at the grid point below
+        # it, and grid points above ``below`` are the instants above it.
+        return start if it == below else self.quantum * it
 
 
 def capacity_ok(
@@ -141,8 +222,9 @@ def capacity_ok(
     (section 3.2), where ``II_d = floor(it / Tcyc_d)``.  Every ``II_d``
     is the same at ``it`` and at the grid point at or below it.
     """
-    check = _capacity_check(machine, speeds, demand, comms, lifetimes)
-    return check(floor_div(it, speeds.time_quantum))
+    context = SpeedsContext(machine, speeds)
+    ok = context.check(demand_codes(demand), comms, lifetimes)
+    return ok(floor_div(it, context.quantum))
 
 
 def min_feasible_it(
@@ -156,31 +238,13 @@ def min_feasible_it(
 ) -> Fraction:
     """Smallest IT ``>= start`` passing :func:`capacity_ok`.
 
-    Capacity only jumps at multiples of a cluster period (and, when
-    ``comms`` need bus slots, of the interconnect period), so the answer
-    is ``start`` itself or the first feasible such multiple above it.
-    The scan runs on ints of ``speeds.time_quantum``.  Raises
-    :class:`InfeasibleITError` after :data:`MAX_CANDIDATES` candidates
-    (``loop`` names the loop in the message).
+    ``start`` itself or the first passing period multiple above it
+    (:meth:`SpeedsContext.scan`, on ints of ``speeds.time_quantum``).
+    Raises :class:`InfeasibleITError` after :data:`MAX_CANDIDATES`
+    candidates (``loop`` names the loop in the message).
     """
-    quantum = speeds.time_quantum
-    check = _capacity_check(machine, speeds, demand, comms, lifetimes)
-    below = floor_div(start, quantum)
-    if check(below):
-        return start
-    periods = list(speeds.cluster_cycle_times)
-    if comms > 0:
-        periods.append(speeds.icn_cycle_time)
-    periods_q = [grid_steps(period, quantum) for period in periods]
-    # Grid points above ``below`` are exactly the instants above ``start``.
-    for steps, it in enumerate(_grid_multiples(periods_q, below + 1)):
-        if steps >= MAX_CANDIDATES:  # pragma: no cover - safety net
-            break
-        if check(it):
-            return quantum * it
-    raise InfeasibleITError(
-        f"no feasible IT found for loop {loop!r} within "
-        f"{MAX_CANDIDATES} candidates"
+    return SpeedsContext(machine, speeds).min_feasible_it(
+        start, demand, comms, lifetimes, loop
     )
 
 
@@ -199,9 +263,9 @@ def res_mit(
     ``sum_c (IT / Tcyc_c) * units >= demand`` per FU type.
     """
     demand = fu_demand(ddg.class_counts())
+    context = SpeedsContext(machine, speeds)
     lower = speeds.fastest_cluster_cycle_time
-    quantum = speeds.time_quantum
-    cts = [grid_steps(ct, quantum) for ct in speeds.cluster_cycle_times]
+    cts = context.cluster_periods
     # Over ``span`` quanta (a multiple of every period) cluster c issues
     # ``units_c * span / ct_c`` ops of a type: the rate on ints.
     span = math.lcm(*cts)
@@ -216,8 +280,8 @@ def res_mit(
             raise InfeasibleITError(
                 f"loop {ddg.name!r} needs {fu} units but the machine has none"
             )
-        lower = max(lower, quantum * Fraction(needed * span, slots))
-    return min_feasible_it(lower, machine, speeds, demand, loop=ddg.name)
+        lower = max(lower, context.quantum * Fraction(needed * span, slots))
+    return context.min_feasible_it(lower, demand, loop=ddg.name)
 
 
 def minimum_initiation_time(

@@ -339,8 +339,10 @@ def _experiment_job(request: Dict[str, Any]) -> ExperimentJob:
             scale=float(request.get("scale", 0.05)),
             options=_options_from_request(request),
         )
-    except ReproError:
+    except ServiceError:
         raise
+    except ReproError as error:  # bad input, e.g. an unknown benchmark
+        raise ServiceError(str(error)) from error
     except Exception as error:
         raise ServiceError(f"malformed evaluate request: {error}") from error
 
@@ -368,8 +370,10 @@ def _campaign_spec(request: Dict[str, Any]) -> CampaignSpec:
             ed2_refinement_grid=tuple(spec.get("ed2_refinement_grid", (True,))),
             sync_penalties_grid=tuple(spec.get("sync_penalties_grid", (True,))),
         )
-    except ReproError:
+    except ServiceError:
         raise
+    except ReproError as error:  # bad input, e.g. an unknown benchmark
+        raise ServiceError(str(error)) from error
     except Exception as error:
         raise ServiceError(f"malformed campaign request: {error}") from error
 

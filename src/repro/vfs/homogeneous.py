@@ -17,12 +17,12 @@ from repro.errors import ConfigurationError
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import OperatingPoint
 from repro.power.calibration import CalibratedUnits
-from repro.power.energy import EnergyModel
+from repro.power.energy import EnergyModel, EventCounts, uniform_distribution
 from repro.power.metrics import ed2
 from repro.power.profile import ProgramProfile
 from repro.power.technology import TechnologyModel
 from repro.vfs.candidates import DesignSpaceSpec
-from repro.vfs.selector import SelectionResult
+from repro.vfs.selector import SelectionResult, VoltageTable
 
 
 def optimum_homogeneous(
@@ -36,44 +36,53 @@ def optimum_homogeneous(
 
     Explores all cycle-time factors reachable by the heterogeneous design
     space and the voltages legal for *every* component simultaneously
-    (``spec.homogeneous_vdd_grid``).
+    (``spec.homogeneous_vdd_grid``).  Each candidate is priced with
+    :meth:`EnergyModel.scaled_estimate` from its setting's scalings and
+    the profile totals, both computed once per call; only the winner
+    becomes an :class:`OperatingPoint`.
     """
     spec = spec if spec is not None else DesignSpaceSpec.paper()
     model = EnergyModel(units, technology)
     reference_ct = units.reference.cycle_time
     total_cycles = profile.total_cycles
+    n_clusters = machine.n_clusters
+    # A point without slow clusters spreads instructions uniformly.
+    counts = EventCounts(
+        cluster_energy_units=tuple(
+            profile.total_energy_units * p for p in uniform_distribution(n_clusters)
+        ),
+        n_comms=profile.total_comms,
+        n_mem_accesses=profile.total_mem_accesses,
+    )
+    voltages = VoltageTable(technology, units.reference)
 
-    best: Optional[SelectionResult] = None
+    best = None
     for factor in spec.homogeneous_factors():
         cycle_time = factor * reference_ct
         exec_time = total_cycles * float(cycle_time)
-        for vdd in spec.homogeneous_vdd_grid:
-            setting = technology.domain_setting(cycle_time, vdd)
-            if setting is None:
-                continue
-            point = OperatingPoint.homogeneous(
-                machine.n_clusters, cycle_time, setting.vdd, setting.vth
-            )
-            estimate = model.estimate_with_distribution(
-                point,
-                total_energy_units=profile.total_energy_units,
-                n_comms=profile.total_comms,
-                n_mem_accesses=profile.total_mem_accesses,
-                exec_time_ns=exec_time,
-            )
-            candidate = SelectionResult(
-                point=point,
-                estimated_time_ns=exec_time,
-                estimated_energy=estimate.total,
-                estimated_ed2=ed2(estimate.total, exec_time),
-                n_fast=machine.n_clusters,
-                fast_factor=factor,
-                slow_ratio=Fraction(1),
-            )
-            if best is None or candidate.estimated_ed2 < best.estimated_ed2:
-                best = candidate
+        for setting, delta, sigma in voltages(cycle_time, spec.homogeneous_vdd_grid):
+            energy = model.scaled_estimate(
+                ((delta,) * n_clusters, delta, delta),
+                ((sigma,) * n_clusters, sigma, sigma),
+                counts,
+                exec_time,
+            ).total
+            score = ed2(energy, exec_time)
+            if best is None or score < best[0]:
+                best = (score, energy, exec_time, factor, cycle_time, setting)
     if best is None:
         raise ConfigurationError(
             "no feasible homogeneous configuration in the design space"
         )
-    return best
+    score, energy, exec_time, factor, cycle_time, setting = best
+    return SelectionResult(
+        point=OperatingPoint.homogeneous(
+            n_clusters, cycle_time, setting.vdd, setting.vth
+        ),
+        estimated_time_ns=exec_time,
+        estimated_energy=energy,
+        estimated_ed2=score,
+        n_fast=n_clusters,
+        fast_factor=factor,
+        slow_ratio=Fraction(1),
+    )

@@ -11,13 +11,19 @@ couples two components.  Minimising each component's term over its own
 voltage grid therefore yields exactly the global optimum over the full
 cross-product grid, at a fraction of the cost.  (A brute-force mode used
 in tests verifies the equivalence.)
+
+One ``select``/``enumerate`` call reads the profile once — the time
+model's loop rows, the whole-program totals and the fast-cluster share —
+and prices every voltage of a (cycle time, Vdd grid) pair once, in a
+:class:`VoltageTable`; each structure then builds one speeds context
+for the time model.  All of it is dropped when the call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.machine.machine import MachineDescription
@@ -27,7 +33,7 @@ from repro.power.metrics import ed2
 from repro.power.profile import ProgramProfile
 from repro.power.scaling import dynamic_scale, static_scale
 from repro.power.technology import TechnologyModel
-from repro.power.time_model import TimeModel
+from repro.power.time_model import LoopRow, TimeModel
 from repro.vfs.candidates import DesignSpaceSpec
 
 
@@ -77,6 +83,62 @@ class SelectionResult:
         return self.slow_ratio != 1
 
 
+#: Feasible ``(setting, delta, sigma)`` triples of one Vdd grid, in grid order.
+VoltageRows = Tuple[Tuple[DomainSetting, float, float], ...]
+
+
+class VoltageTable:
+    """Feasible supply settings per (cycle time, Vdd grid), for one call.
+
+    For one speed and one grid, :meth:`__call__` lists the feasible
+    :class:`DomainSetting` of each grid voltage (in grid order) with its
+    ``delta`` and ``sigma`` scalings (section 3.1), computed on first
+    use.  A selector call builds one table and drops it on return, so no
+    setting outlives the evaluation that priced it.
+    """
+
+    def __init__(self, technology: TechnologyModel, reference: DomainSetting):
+        self._technology = technology
+        self._reference = reference
+        self._settings: Dict[Tuple[Fraction, Tuple[float, ...]], VoltageRows] = {}
+
+    def __call__(
+        self, cycle_time: Fraction, vdd_grid: Tuple[float, ...]
+    ) -> VoltageRows:
+        key = (cycle_time, vdd_grid)
+        settings = self._settings.get(key)
+        if settings is None:
+            technology = self._technology
+            reference = self._reference
+            feasible = []
+            for vdd in vdd_grid:
+                setting = technology.domain_setting(cycle_time, vdd)
+                if setting is None:
+                    continue
+                delta = dynamic_scale(setting, reference)
+                sigma = static_scale(
+                    setting, reference, technology.subthreshold_slope
+                )
+                feasible.append((setting, delta, sigma))
+            settings = self._settings[key] = tuple(feasible)
+        return settings
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """What one selector call reads for every structure, read once."""
+
+    rows: Tuple[LoopRow, ...]
+    units: CalibratedUnits
+    total_energy_units: float
+    total_comms: float
+    total_comms_heterogeneous: float
+    total_mem_accesses: float
+    #: Fast-cluster instruction share of a heterogeneous structure.
+    fast_share: float
+    voltages: VoltageTable
+
+
 class ConfigurationSelector:
     """Implements the section 3.3 selection heuristics.
 
@@ -114,37 +176,24 @@ class ConfigurationSelector:
         return self._spec
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _best_component_voltage(
-        self,
-        cycle_time: Fraction,
-        vdd_grid: Sequence[float],
+        settings: VoltageRows,
         dynamic_at_reference: float,
         static_rate: float,
         exec_time_ns: float,
-        units: CalibratedUnits,
     ) -> Optional[Tuple[DomainSetting, float]]:
         """Cheapest feasible setting for one component, and its energy."""
         best: Optional[Tuple[DomainSetting, float]] = None
-        for vdd in vdd_grid:
-            setting = self._technology.domain_setting(cycle_time, vdd)
-            if setting is None:
-                continue
-            energy = (
-                dynamic_scale(setting, units.reference) * dynamic_at_reference
-                + static_scale(
-                    setting, units.reference, self._technology.subthreshold_slope
-                )
-                * static_rate
-                * exec_time_ns
-            )
+        for setting, delta, sigma in settings:
+            energy = delta * dynamic_at_reference + sigma * static_rate * exec_time_ns
             if best is None or energy < best[1]:
                 best = (setting, energy)
         return best
 
     def _evaluate_structure(
         self,
-        profile: ProgramProfile,
-        units: CalibratedUnits,
+        walk: _Walk,
         n_fast: int,
         fast_factor: Fraction,
         slow_ratio: Fraction,
@@ -153,6 +202,7 @@ class ConfigurationSelector:
         n_clusters = machine.n_clusters
         if n_fast > n_clusters:
             return None
+        units = walk.units
         reference_ct = units.reference.cycle_time
         fast_ct = fast_factor * reference_ct
         slow_ct = slow_ratio * fast_ct
@@ -165,30 +215,26 @@ class ConfigurationSelector:
             icn_cycle_time=fast_ct,  # ICN tracks the fastest cluster (section 5)
             cache_cycle_time=fast_ct,  # so does the cache
         )
-        exec_time = self._time_model.program_time(profile, speeds)
+        exec_time = self._time_model.rows_time(walk.rows, speeds)
 
         # Instruction distribution across fast/slow cluster groups.
-        total_units = profile.total_energy_units
+        total_units = walk.total_energy_units
         if n_slow == 0 or slow_ratio == 1:
             per_cluster_units = total_units / n_clusters
             fast_units, slow_units = per_cluster_units, per_cluster_units
         else:
-            if self._distribution == "critical":
-                fast_share = effective_fast_share(profile)
-            else:
-                fast_share = 0.5
+            fast_share = walk.fast_share
             fast_units = fast_share * total_units / n_fast
             slow_units = (1.0 - fast_share) * total_units / n_slow
 
         per_cluster_static = units.static_rate_per_cluster
+        spec = self._spec
 
         fast_choice = self._best_component_voltage(
-            fast_ct,
-            self._spec.cluster_vdd_grid,
+            walk.voltages(fast_ct, spec.cluster_vdd_grid),
             units.e_ins_unit * fast_units,
             per_cluster_static,
             exec_time,
-            units,
         )
         if fast_choice is None:
             return None
@@ -196,12 +242,10 @@ class ConfigurationSelector:
 
         if n_slow > 0:
             slow_choice = self._best_component_voltage(
-                slow_ct,
-                self._spec.cluster_vdd_grid,
+                walk.voltages(slow_ct, spec.cluster_vdd_grid),
                 units.e_ins_unit * slow_units,
                 per_cluster_static,
                 exec_time,
-                units,
             )
             if slow_choice is None:
                 return None
@@ -213,24 +257,20 @@ class ConfigurationSelector:
         # schedule: splitting critical recurrences from the rest turns the
         # boundary edges into bus traffic.
         if n_slow > 0 and slow_ratio != 1:
-            comm_estimate = profile.total_comms_heterogeneous
+            comm_estimate = walk.total_comms_heterogeneous
         else:
-            comm_estimate = profile.total_comms
+            comm_estimate = walk.total_comms
         icn_choice = self._best_component_voltage(
-            fast_ct,
-            self._spec.icn_vdd_grid,
+            walk.voltages(fast_ct, spec.icn_vdd_grid),
             units.e_comm * comm_estimate,
             units.static_rate_icn,
             exec_time,
-            units,
         )
         cache_choice = self._best_component_voltage(
-            fast_ct,
-            self._spec.cache_vdd_grid,
-            units.e_access * profile.total_mem_accesses,
+            walk.voltages(fast_ct, spec.cache_vdd_grid),
+            units.e_access * walk.total_mem_accesses,
             units.static_rate_cache,
             exec_time,
-            units,
         )
         if icn_choice is None or cache_choice is None:
             return None
@@ -254,18 +294,36 @@ class ConfigurationSelector:
             slow_ratio=slow_ratio,
         )
 
+    def _candidates(
+        self, profile: ProgramProfile, units: CalibratedUnits
+    ) -> Iterator[SelectionResult]:
+        """Every feasible structure's estimates, in design-space order."""
+        walk = _Walk(
+            rows=self._time_model.loop_rows(profile),
+            units=units,
+            total_energy_units=profile.total_energy_units,
+            total_comms=profile.total_comms,
+            total_comms_heterogeneous=profile.total_comms_heterogeneous,
+            total_mem_accesses=profile.total_mem_accesses,
+            fast_share=(
+                effective_fast_share(profile)
+                if self._distribution == "critical"
+                else 0.5
+            ),
+            voltages=VoltageTable(self._technology, units.reference),
+        )
+        for n_fast, fast_factor, slow_ratio in self._spec.structures():
+            candidate = self._evaluate_structure(walk, n_fast, fast_factor, slow_ratio)
+            if candidate is not None:
+                yield candidate
+
     # ------------------------------------------------------------------
     def select(
         self, profile: ProgramProfile, units: CalibratedUnits
     ) -> SelectionResult:
         """The operating point with the lowest *estimated* ED^2."""
         best: Optional[SelectionResult] = None
-        for n_fast, fast_factor, slow_ratio in self._spec.structures():
-            candidate = self._evaluate_structure(
-                profile, units, n_fast, fast_factor, slow_ratio
-            )
-            if candidate is None:
-                continue
+        for candidate in self._candidates(profile, units):
             if best is None or candidate.estimated_ed2 < best.estimated_ed2:
                 best = candidate
         if best is None:
@@ -278,11 +336,6 @@ class ConfigurationSelector:
         self, profile: ProgramProfile, units: CalibratedUnits
     ) -> Tuple[SelectionResult, ...]:
         """Every feasible structure with its estimates (for exploration)."""
-        results = []
-        for n_fast, fast_factor, slow_ratio in self._spec.structures():
-            candidate = self._evaluate_structure(
-                profile, units, n_fast, fast_factor, slow_ratio
-            )
-            if candidate is not None:
-                results.append(candidate)
-        return tuple(sorted(results, key=lambda r: r.estimated_ed2))
+        return tuple(
+            sorted(self._candidates(profile, units), key=lambda r: r.estimated_ed2)
+        )

@@ -75,6 +75,18 @@ class TestRemovedFlags:
             assert raised.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    def test_suite_rejects_workloads(self, capsys):
+        # suite runs only the ten built-in profiles, so a pack would be
+        # silently ignored.
+        with pytest.raises(SystemExit) as raised:
+            main(["suite", "--workloads", "stress"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --workloads" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as raised:
+            main(["trace", "suite", "--workloads", "stress"])
+        assert raised.value.code == 2
+        assert "--workloads applies to trace evaluate" in capsys.readouterr().err
+
 
 class TestTable2:
     def test_prints_measured_shares(self, capsys):

@@ -41,13 +41,15 @@ import random
 import sys
 import weakref
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
+    CalibrationError,
+    ConfigurationError,
     InfeasibleITError,
     PartitionError,
     SchedulingError,
@@ -101,9 +103,21 @@ from repro.scheduler.pseudo import (
 from repro.scheduler.schedule import DomainAssignment, PlacedCopy, PlacedOp, Schedule
 from repro.telemetry import disable_tracing, enable_tracing, span, tracing_enabled
 from repro.power import TechnologyModel
-from repro.power.profile import LoopProfile
-from repro.power.time_model import TimeModel
+from repro.power.breakdown import EnergyBreakdown
+from repro.power.calibration import CalibratedUnits, calibrate
+from repro.power.energy import EnergyEstimate, EnergyModel, EventCounts
+from repro.power.metrics import ed2
+from repro.power.profile import LoopProfile, ProgramProfile
+from repro.power.scaling import dynamic_scale, static_scale
+from repro.power.time_model import LoopTimeEstimate, TimeModel
 from repro.units import Time, as_fraction, ceil_div, floor_div
+from repro.vfs.candidates import DesignSpaceSpec, volt_grid
+from repro.vfs.homogeneous import optimum_homogeneous
+from repro.vfs.selector import (
+    ConfigurationSelector,
+    SelectionResult,
+    effective_fast_share,
+)
 from repro.workloads import SPEC2000_PROFILES, build_corpus, spec_profile
 
 ISA = paper_machine().isa
@@ -1424,14 +1438,16 @@ class TestITSearchOracle:
             checked["stream"] += 1
             return iter_it_candidates(point, palette, start)
 
-        new_time_model = TimeModel.minimum_initiation_time
+        new_loop_it = TimeModel.loop_it
 
-        def checked_time_model(model, profile, speeds):
-            it = new_time_model(model, profile, speeds)
+        def checked_time_model(model, context, row):
+            num, den = new_loop_it(model, context, row)
             reference = ReferenceTimeModel(model._machine)
-            assert it == parent_value(reference.minimum_initiation_time, profile, speeds)
+            assert Fraction(num, den) == parent_value(
+                reference.minimum_initiation_time, row.profile, context.speeds
+            )
             checked["time_model"] += 1
-            return it
+            return num, den
 
         monkeypatch.setattr(
             "repro.scheduler.heterogeneous.minimum_initiation_time", checked_mit
@@ -1439,7 +1455,7 @@ class TestITSearchOracle:
         monkeypatch.setattr(
             "repro.scheduler.heterogeneous.iter_it_candidates", checked_stream
         )
-        monkeypatch.setattr(TimeModel, "minimum_initiation_time", checked_time_model)
+        monkeypatch.setattr(TimeModel, "loop_it", checked_time_model)
         LOOP_CACHE.detach_store()
         clear_loop_cache(reset_stats=True)
         try:
@@ -1448,6 +1464,486 @@ class TestITSearchOracle:
         finally:
             clear_loop_cache(reset_stats=True)
         assert all(checked.values()), checked
+
+
+# ----------------------------------------------------------------------
+# Selector: one speeds context per structure, one set of profile totals
+# and one voltage table per call.  The parent's time model, selector and
+# homogeneous optimum, verbatim, are the oracle; every estimate and every
+# SelectionResult must ``==`` theirs.
+# ----------------------------------------------------------------------
+class ParentTimeModel:
+    """Section 3.2 estimator bound to one machine description."""
+
+    def __init__(self, machine: MachineDescription):
+        self._machine = machine
+
+    def minimum_initiation_time(
+        self, profile: LoopProfile, speeds: MachineSpeeds
+    ) -> Fraction:
+        """Smallest IT satisfying the four section 3.2 constraints."""
+        if speeds.n_clusters != self._machine.n_clusters:
+            raise ValueError("speed assignment and machine disagree on clusters")
+        # recMIT: recMII cycles of the fastest cluster (section 2.2).
+        start = profile.rec_mii * speeds.fastest_cluster_cycle_time
+        if start <= 0:
+            # No recurrences: the scan starts at the smallest IT giving the
+            # fastest cluster a single slot.
+            start = speeds.fastest_cluster_cycle_time
+        return min_feasible_it(
+            start,
+            self._machine,
+            speeds,
+            profile.fu_demand,
+            profile.comms_per_iteration,
+            profile.lifetime_cycles_per_iteration,
+            loop=profile.name,
+        )
+
+    # ------------------------------------------------------------------
+    def loop_estimate(
+        self, profile: LoopProfile, speeds: MachineSpeeds
+    ) -> LoopTimeEstimate:
+        """IT, it_length and total time of one loop (section 3.2)."""
+        it = self.minimum_initiation_time(profile, speeds)
+        it_length = profile.cycles_per_iteration * float(
+            speeds.mean_cluster_cycle_time
+        )
+        per_entry = (profile.trip_count - 1) * float(it) + it_length
+        return LoopTimeEstimate(
+            it=it,
+            it_length_ns=it_length,
+            time_per_entry_ns=per_entry,
+            total_ns=per_entry * profile.weight,
+        )
+
+    def program_time(
+        self, profile: ProgramProfile, speeds: MachineSpeeds
+    ) -> float:
+        """Estimated execution time (ns) of a whole program."""
+        return sum(
+            self.loop_estimate(loop, speeds).total_ns for loop in profile.loops
+        )
+
+
+class ParentSelector(ConfigurationSelector):
+    """The parent's section 3.3 walk: everything re-derived per structure."""
+
+    def __init__(self, machine, technology, spec=None, distribution="critical"):
+        super().__init__(machine, technology, spec, distribution)
+        self._time_model = ParentTimeModel(machine)
+
+    # ------------------------------------------------------------------
+    def _best_component_voltage(
+        self,
+        cycle_time: Fraction,
+        vdd_grid: Sequence[float],
+        dynamic_at_reference: float,
+        static_rate: float,
+        exec_time_ns: float,
+        units: CalibratedUnits,
+    ) -> Optional[Tuple[DomainSetting, float]]:
+        """Cheapest feasible setting for one component, and its energy."""
+        best: Optional[Tuple[DomainSetting, float]] = None
+        for vdd in vdd_grid:
+            setting = self._technology.domain_setting(cycle_time, vdd)
+            if setting is None:
+                continue
+            energy = (
+                dynamic_scale(setting, units.reference) * dynamic_at_reference
+                + static_scale(
+                    setting, units.reference, self._technology.subthreshold_slope
+                )
+                * static_rate
+                * exec_time_ns
+            )
+            if best is None or energy < best[1]:
+                best = (setting, energy)
+        return best
+
+    def _evaluate_structure(
+        self,
+        profile: ProgramProfile,
+        units: CalibratedUnits,
+        n_fast: int,
+        fast_factor: Fraction,
+        slow_ratio: Fraction,
+    ) -> Optional[SelectionResult]:
+        machine = self._machine
+        n_clusters = machine.n_clusters
+        if n_fast > n_clusters:
+            return None
+        reference_ct = units.reference.cycle_time
+        fast_ct = fast_factor * reference_ct
+        slow_ct = slow_ratio * fast_ct
+        n_slow = n_clusters - n_fast
+
+        speeds = MachineSpeeds(
+            cluster_cycle_times=tuple(
+                fast_ct if i < n_fast else slow_ct for i in range(n_clusters)
+            ),
+            icn_cycle_time=fast_ct,  # ICN tracks the fastest cluster (section 5)
+            cache_cycle_time=fast_ct,  # so does the cache
+        )
+        exec_time = self._time_model.program_time(profile, speeds)
+
+        # Instruction distribution across fast/slow cluster groups.
+        total_units = profile.total_energy_units
+        if n_slow == 0 or slow_ratio == 1:
+            per_cluster_units = total_units / n_clusters
+            fast_units, slow_units = per_cluster_units, per_cluster_units
+        else:
+            if self._distribution == "critical":
+                fast_share = effective_fast_share(profile)
+            else:
+                fast_share = 0.5
+            fast_units = fast_share * total_units / n_fast
+            slow_units = (1.0 - fast_share) * total_units / n_slow
+
+        per_cluster_static = units.static_rate_per_cluster
+
+        fast_choice = self._best_component_voltage(
+            fast_ct,
+            self._spec.cluster_vdd_grid,
+            units.e_ins_unit * fast_units,
+            per_cluster_static,
+            exec_time,
+            units,
+        )
+        if fast_choice is None:
+            return None
+        energy = n_fast * fast_choice[1]
+
+        if n_slow > 0:
+            slow_choice = self._best_component_voltage(
+                slow_ct,
+                self._spec.cluster_vdd_grid,
+                units.e_ins_unit * slow_units,
+                per_cluster_static,
+                exec_time,
+                units,
+            )
+            if slow_choice is None:
+                return None
+            energy += n_slow * slow_choice[1]
+        else:
+            slow_choice = fast_choice
+
+        # A heterogeneous partition communicates more than the homogeneous
+        # schedule: splitting critical recurrences from the rest turns the
+        # boundary edges into bus traffic.
+        if n_slow > 0 and slow_ratio != 1:
+            comm_estimate = profile.total_comms_heterogeneous
+        else:
+            comm_estimate = profile.total_comms
+        icn_choice = self._best_component_voltage(
+            fast_ct,
+            self._spec.icn_vdd_grid,
+            units.e_comm * comm_estimate,
+            units.static_rate_icn,
+            exec_time,
+            units,
+        )
+        cache_choice = self._best_component_voltage(
+            fast_ct,
+            self._spec.cache_vdd_grid,
+            units.e_access * profile.total_mem_accesses,
+            units.static_rate_cache,
+            exec_time,
+            units,
+        )
+        if icn_choice is None or cache_choice is None:
+            return None
+        energy += icn_choice[1] + cache_choice[1]
+
+        point = OperatingPoint(
+            clusters=tuple(
+                fast_choice[0] if i < n_fast else slow_choice[0]
+                for i in range(n_clusters)
+            ),
+            icn=icn_choice[0],
+            cache=cache_choice[0],
+        )
+        return SelectionResult(
+            point=point,
+            estimated_time_ns=exec_time,
+            estimated_energy=energy,
+            estimated_ed2=ed2(energy, exec_time),
+            n_fast=n_fast,
+            fast_factor=fast_factor,
+            slow_ratio=slow_ratio,
+        )
+
+    # ------------------------------------------------------------------
+    def select(
+        self, profile: ProgramProfile, units: CalibratedUnits
+    ) -> SelectionResult:
+        """The operating point with the lowest *estimated* ED^2."""
+        best: Optional[SelectionResult] = None
+        for n_fast, fast_factor, slow_ratio in self._spec.structures():
+            candidate = self._evaluate_structure(
+                profile, units, n_fast, fast_factor, slow_ratio
+            )
+            if candidate is None:
+                continue
+            if best is None or candidate.estimated_ed2 < best.estimated_ed2:
+                best = candidate
+        if best is None:
+            raise ConfigurationError(
+                "no feasible heterogeneous configuration in the design space"
+            )
+        return best
+
+    def enumerate(
+        self, profile: ProgramProfile, units: CalibratedUnits
+    ) -> Tuple[SelectionResult, ...]:
+        """Every feasible structure with its estimates (for exploration)."""
+        results = []
+        for n_fast, fast_factor, slow_ratio in self._spec.structures():
+            candidate = self._evaluate_structure(
+                profile, units, n_fast, fast_factor, slow_ratio
+            )
+            if candidate is not None:
+                results.append(candidate)
+        return tuple(sorted(results, key=lambda r: r.estimated_ed2))
+
+
+class ParentEnergyModel(EnergyModel):
+    """The parent's ``estimate``, with the scaling formula inline."""
+
+    def estimate(
+        self,
+        point: OperatingPoint,
+        counts: EventCounts,
+        exec_time_ns: float,
+    ) -> EnergyEstimate:
+        """Energy with known per-cluster event counts (measurement path)."""
+        if len(counts.cluster_energy_units) != point.n_clusters:
+            raise CalibrationError(
+                "event counts and operating point disagree on cluster count"
+            )
+        if exec_time_ns < 0:
+            raise ValueError("execution time must be non-negative")
+        units = self._units
+        cluster_deltas, icn_delta, cache_delta = self._deltas(point)
+        cluster_sigmas, icn_sigma, cache_sigma = self._sigmas(point)
+
+        cluster_dynamic = units.e_ins_unit * sum(
+            delta * events
+            for delta, events in zip(cluster_deltas, counts.cluster_energy_units)
+        )
+        icn_dynamic = icn_delta * units.e_comm * counts.n_comms
+        cache_dynamic = cache_delta * units.e_access * counts.n_mem_accesses
+
+        per_cluster_rate = units.static_rate_per_cluster
+        cluster_static = exec_time_ns * per_cluster_rate * sum(cluster_sigmas)
+        icn_static = exec_time_ns * units.static_rate_icn * icn_sigma
+        cache_static = exec_time_ns * units.static_rate_cache * cache_sigma
+
+        return EnergyEstimate(
+            cluster_dynamic=cluster_dynamic,
+            icn_dynamic=icn_dynamic,
+            cache_dynamic=cache_dynamic,
+            cluster_static=cluster_static,
+            icn_static=icn_static,
+            cache_static=cache_static,
+        )
+
+
+def parent_optimum_homogeneous(
+    profile: ProgramProfile,
+    machine: MachineDescription,
+    technology: TechnologyModel,
+    units: CalibratedUnits,
+    spec: Optional[DesignSpaceSpec] = None,
+) -> SelectionResult:
+    """The homogeneous operating point with the lowest estimated ED^2.
+
+    Explores all cycle-time factors reachable by the heterogeneous design
+    space and the voltages legal for *every* component simultaneously
+    (``spec.homogeneous_vdd_grid``).
+    """
+    spec = spec if spec is not None else DesignSpaceSpec.paper()
+    model = ParentEnergyModel(units, technology)
+    reference_ct = units.reference.cycle_time
+    total_cycles = profile.total_cycles
+
+    best: Optional[SelectionResult] = None
+    for factor in spec.homogeneous_factors():
+        cycle_time = factor * reference_ct
+        exec_time = total_cycles * float(cycle_time)
+        for vdd in spec.homogeneous_vdd_grid:
+            setting = technology.domain_setting(cycle_time, vdd)
+            if setting is None:
+                continue
+            point = OperatingPoint.homogeneous(
+                machine.n_clusters, cycle_time, setting.vdd, setting.vth
+            )
+            estimate = model.estimate_with_distribution(
+                point,
+                total_energy_units=profile.total_energy_units,
+                n_comms=profile.total_comms,
+                n_mem_accesses=profile.total_mem_accesses,
+                exec_time_ns=exec_time,
+            )
+            candidate = SelectionResult(
+                point=point,
+                estimated_time_ns=exec_time,
+                estimated_energy=estimate.total,
+                estimated_ed2=ed2(estimate.total, exec_time),
+                n_fast=machine.n_clusters,
+                fast_factor=factor,
+                slow_ratio=Fraction(1),
+            )
+            if best is None or candidate.estimated_ed2 < best.estimated_ed2:
+                best = candidate
+    if best is None:
+        raise ConfigurationError(
+            "no feasible homogeneous configuration in the design space"
+        )
+    return best
+
+
+def selection_outcome(call, *args):
+    """``("ok", value)`` or ``("raised", message)`` of one selector call."""
+    try:
+        return ("ok", call(*args))
+    except ConfigurationError as error:
+        return ("raised", str(error))
+
+
+#: Cycle times (ns) off the decimal grid: a 3/4 GHz and a 3 GHz clock.
+ODD_PERIODS = (Fraction(4, 3), Fraction(1, 3))
+
+loop_profile_st = st.builds(
+    LoopProfile,
+    name=st.sampled_from(("a", "b", "c")),
+    # No recurrence, an integral one and a fractional one.
+    rec_mii=st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(1, 40), st.integers(1, 4)),
+    ),
+    res_mii=st.integers(1, 12),
+    ii_homogeneous=st.integers(1, 40),
+    cycles_per_iteration=st.integers(1, 60),
+    class_counts=st.dictionaries(
+        st.sampled_from(COMPUTE_CLASSES), st.integers(0, 30), max_size=5
+    ),
+    energy_units_per_iteration=st.integers(1, 400).map(lambda n: n / 8),
+    comms_per_iteration=st.one_of(st.just(0), st.integers(1, 24)),
+    mem_accesses_per_iteration=st.integers(0, 20),
+    lifetime_cycles_per_iteration=st.one_of(st.just(0), st.integers(1, 1200)),
+    trip_count=st.one_of(
+        st.just(1.0), st.integers(5, 40_000).map(lambda n: n / 4)
+    ),
+    weight=st.integers(1, 4000).map(lambda n: n / 2),
+    critical_energy_fraction=st.integers(0, 20).map(lambda n: n / 20),
+    critical_boundary_edges=st.integers(0, 6),
+)
+program_profile_st = st.lists(loop_profile_st, min_size=1, max_size=5).map(
+    lambda loops: ProgramProfile(name="random", loops=loops)
+)
+
+#: The paper's design space and a small one with two fast-cluster counts
+#: and off-decimal speeds.
+SELECTOR_SPECS = (
+    DesignSpaceSpec.paper(),
+    DesignSpaceSpec(
+        fast_factors=(Fraction(3, 4), Fraction(1), Fraction(4, 3)),
+        slow_over_fast=(Fraction(1), Fraction(4, 3), Fraction(3, 2)),
+        n_fast_options=(1, 2),
+        cluster_vdd_grid=volt_grid(0.7, 1.2, 0.1),
+        icn_vdd_grid=volt_grid(0.8, 1.1, 0.1),
+        cache_vdd_grid=volt_grid(1.0, 1.4, 0.1),
+        homogeneous_vdd_grid=volt_grid(0.9, 1.2, 0.1),
+    ),
+)
+
+
+class TestSelectorOracle:
+    """The hoisted selector returns exactly what the parent's walk did."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        profile=program_profile_st,
+        clusters=st.lists(
+            st.sampled_from((*ODD_PERIODS, Fraction(1), Fraction(9, 10), Fraction(3, 2))),
+            min_size=4,
+            max_size=4,
+        ),
+        icn=st.sampled_from((*ODD_PERIODS, Fraction(1), Fraction(11, 10))),
+        buses=st.integers(1, 2),
+    )
+    def test_program_time(self, profile, clusters, icn, buses):
+        machine = paper_machine(n_buses=buses)
+        speeds = MachineSpeeds(tuple(clusters), icn, icn)
+        new, parent = TimeModel(machine), ParentTimeModel(machine)
+        assert new.program_time(profile, speeds) == parent.program_time(
+            profile, speeds
+        )
+        for loop in profile.loops:
+            assert new.loop_estimate(loop, speeds) == parent.loop_estimate(
+                loop, speeds
+            )
+            assert new.minimum_initiation_time(
+                loop, speeds
+            ) == parent.minimum_initiation_time(loop, speeds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        profile=program_profile_st,
+        reference=st.sampled_from(
+            (Fraction(1), Fraction(4, 3), Fraction(5, 6), Fraction(1, 3))
+        ),
+        buses=st.integers(1, 2),
+        spec=st.sampled_from(SELECTOR_SPECS),
+        distribution=st.sampled_from(("critical", "half")),
+    )
+    def test_selection(self, profile, reference, buses, spec, distribution):
+        machine = paper_machine(n_buses=buses)
+        technology = TechnologyModel()
+        units = calibrate(
+            profile,
+            DomainSetting(reference, 1.0, 0.25),
+            EnergyBreakdown.paper_baseline(),
+            machine.n_clusters,
+        )
+        new = ConfigurationSelector(machine, technology, spec, distribution)
+        parent = ParentSelector(machine, technology, spec, distribution)
+        assert selection_outcome(new.select, profile, units) == selection_outcome(
+            parent.select, profile, units
+        )
+        assert new.enumerate(profile, units) == parent.enumerate(profile, units)
+        args = (profile, machine, technology, units, spec)
+        assert selection_outcome(optimum_homogeneous, *args) == selection_outcome(
+            parent_optimum_homogeneous, *args
+        )
+
+    @pytest.mark.parametrize("profile_name", ("173.applu", "301.apsi"))
+    def test_spec_profiles(self, profile_name):
+        """A reference-machine profile of a SPEC2000 corpus, priced both ways."""
+        LOOP_CACHE.detach_store()
+        clear_loop_cache(reset_stats=True)
+        try:
+            corpus = build_corpus(spec_profile(profile_name), scale=0.02)
+            evaluation = Experiment.paper(ExperimentOptions()).run(corpus)
+        finally:
+            clear_loop_cache(reset_stats=True)
+        profile = evaluation.profile
+        machine = paper_machine()
+        technology = TechnologyModel()
+        units = calibrate(
+            profile,
+            technology.reference_setting,
+            EnergyBreakdown.paper_baseline(),
+            machine.n_clusters,
+        )
+        for spec in SELECTOR_SPECS:
+            new = ConfigurationSelector(machine, technology, spec)
+            parent = ParentSelector(machine, technology, spec)
+            assert new.enumerate(profile, units) == parent.enumerate(profile, units)
+            args = (profile, machine, technology, units, spec)
+            assert optimum_homogeneous(*args) == parent_optimum_homogeneous(*args)
 
 
 # ----------------------------------------------------------------------

@@ -331,8 +331,9 @@ class TestRequestValidation:
 
         async def body():
             manager = make_manager(CountingRunner())
-            with pytest.raises(WorkloadError):
+            with pytest.raises(ServiceError) as raised:
                 manager.submit_evaluate({"benchmark": "183.equake"})
+            assert isinstance(raised.value.__cause__, WorkloadError)
             await manager.close()
 
         run_async(body)
@@ -464,6 +465,14 @@ class TestHttpService:
             status, document = client.request("POST", path, body=body)
             assert status == 400, path
             assert "machine_file" in document["error"]["message"]
+        for path, body in (
+            ("/v1/evaluate", {"benchmark": "183.equake"}),
+            ("/v1/campaign", {"benchmarks": ["183.equake"]}),
+        ):
+            status, document = client.request("POST", path, body=body)
+            assert status == 400, path
+            assert document["error"]["code"] == "bad_request"
+            assert "183.equake" in document["error"]["message"]
         status, document = client.request("GET", "/nope")
         assert status == 404
         assert document["error"]["code"] == "not_found"
