@@ -20,7 +20,8 @@ as ``margin * Vdd <= Vth <= (1 - margin) * Vdd`` with ``margin = 0.1``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.errors import TechnologyError
 from repro.machine.operating_point import DomainSetting
@@ -51,9 +52,13 @@ class TechnologyModel:
             raise TechnologyError("vth margin must lie in (0, 0.5)")
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def k(self) -> float:
-        """The calibrated ``beta / CL`` constant (GHz * V^(1-alpha))."""
+        """The calibrated ``beta / CL`` constant (GHz * V^(1-alpha)).
+
+        Cached in the instance ``__dict__``, outside the dataclass
+        fields, so equality and hashing are unaffected.
+        """
         overdrive = self.reference_vdd - self.reference_vth
         return self.reference_frequency * self.reference_vdd / overdrive**self.alpha
 
@@ -85,26 +90,40 @@ class TechnologyModel:
         return self.vth_margin * vdd <= vth <= (1 - self.vth_margin) * vdd
 
     # ------------------------------------------------------------------
+    def thresholds(
+        self, cycle_time: Rational, vdd_grid: Iterable[float]
+    ) -> Iterator[Tuple[float, float]]:
+        """``(vdd, vth)`` of each grid voltage reaching the target speed.
+
+        In grid order.  The Vth is the *largest* value that still reaches
+        the target frequency (higher Vth leaks exponentially less), i.e.
+        solved from the alpha-power law with fmax equal to the target.
+        Voltages at which the speed is unreachable or the Vth violates
+        the margins are skipped.  :meth:`domain_setting` and the section
+        3.3 selector's voltage table both read their voltages here.
+        """
+        num, den = as_fraction(cycle_time).as_integer_ratio()
+        frequency = den / num  # exactly float(1 / cycle_time)
+        for vdd in vdd_grid:
+            try:
+                vth = self.solve_vth(frequency, vdd)
+            except TechnologyError:
+                continue
+            if self.vth_within_margins(vdd, vth):
+                yield vdd, vth
+
     def domain_setting(
         self, cycle_time: Rational, vdd: float
     ) -> Optional[DomainSetting]:
         """Build a :class:`DomainSetting` for a target speed at ``vdd``.
 
-        The threshold voltage is chosen as the *largest* value that still
-        reaches the target frequency (higher Vth leaks exponentially
-        less), i.e. solved from the alpha-power law with fmax equal to the
-        target.  Returns ``None`` when the point violates the margins.
+        The Vth is the one :meth:`thresholds` solves; returns ``None``
+        when the point violates the margins.
         """
         period = as_fraction(cycle_time)
-        num, den = period.as_integer_ratio()
-        frequency = den / num  # exactly float(1 / period)
-        try:
-            vth = self.solve_vth(frequency, vdd)
-        except TechnologyError:
-            return None
-        if not self.vth_within_margins(vdd, vth):
-            return None
-        return DomainSetting(cycle_time=period, vdd=vdd, vth=vth)
+        for vdd, vth in self.thresholds(period, (vdd,)):
+            return DomainSetting(cycle_time=period, vdd=vdd, vth=vth)
+        return None
 
     def min_vdd_for(
         self, cycle_time: Rational, vdd_grid: tuple

@@ -19,11 +19,11 @@ assumption), and
 ``Texec = weight * ((N - 1) * IT + it_length)`` per loop.
 
 Constraints 2-4 and the search for the smallest IT are the scheduler's
-own: a :class:`~repro.scheduler.mii.SpeedsContext` checks capacity and
-scans ``recMIT`` and then the multiples of the cluster (and
-interconnect) periods above it, the check and the scan ``resMIT`` uses.
-This module only supplies the start, the demand, the communications and
-the lifetimes from the loop's profile.
+own: a :class:`~repro.scheduler.mii.SpeedsContext` scans ``recMIT`` and
+then the multiples of the cluster (and interconnect) periods above it,
+with the capacity test and the scan ``resMIT`` uses.  This module only
+supplies the start, the demand, the communications and the lifetimes
+from the loop's profile, as plain ints (:meth:`TimeModel.loop_it`).
 
 :meth:`TimeModel.program_time` builds the speeds context once per speed
 assignment and walks the loops as :class:`LoopRow` s (what the estimate
@@ -114,9 +114,10 @@ class TimeModel:
             # fastest cluster a single slot.
             start, den = context.fastest_period, 1
         below = start // den
-        ok = context.check(row.needs, row.comms, row.lifetimes)
-        it = context.scan(below, ok, row.comms, loop=row.profile.name)
-        q_num, q_den = context.quantum.as_integer_ratio()
+        it = context.scan(
+            below, row.needs, row.comms, row.lifetimes, row.profile.name
+        )
+        q_num, q_den = context.quantum_ratio
         if it == below:
             # The same IIs as at ``below``: recMIT itself is feasible.
             return start * q_num, den * q_den
@@ -157,14 +158,21 @@ class TimeModel:
         same float operations; the IT stays an int ratio until its float.
         """
         context = self.speeds_context(speeds)
-        mean_cycle_time = float(speeds.mean_cluster_cycle_time)
-
-        def total_ns(row: LoopRow) -> float:
-            num, den = self.loop_it(context, row)
-            it_length = row.cycles_per_iteration * mean_cycle_time
-            return (row.later_iterations * (num / den) + it_length) * row.weight
-
-        return sum(total_ns(row) for row in rows)
+        q_num, q_den = context.quantum_ratio
+        periods = context.cluster_periods
+        # float(speeds.mean_cluster_cycle_time) on ints: int true division
+        # rounds correctly, as Fraction.__float__ does.
+        mean_cycle_time = q_num * sum(periods) / (q_den * len(periods))
+        loop_it = self.loop_it
+        return sum(
+            (
+                row.later_iterations * (num / den)
+                + row.cycles_per_iteration * mean_cycle_time
+            )
+            * row.weight
+            for row in rows
+            for num, den in (loop_it(context, row),)
+        )
 
     def program_time(
         self, profile: ProgramProfile, speeds: MachineSpeeds

@@ -15,12 +15,14 @@ as IT grows, and it only jumps at multiples of a domain period (Figure 4).
 :func:`period_multiples` enumerates those multiples.  A
 :class:`SpeedsContext` holds one machine at one speed assignment on an
 exact integer time grid (:attr:`MachineSpeeds.time_quantum`): its
-:meth:`~SpeedsContext.check` is the one capacity check (FU slots, plus
+:meth:`~SpeedsContext.fits` is the one capacity test (FU slots, plus
 the bus and register slots of the section 3.2 estimate) and its
-:meth:`~SpeedsContext.scan` the one minimum-IT scan.
-:func:`capacity_ok`, :func:`min_feasible_it` and ``resMIT`` are thin
-callers that build a context per call; the section 3.2 time model builds
-one per speed assignment and checks every loop against it.  The
+:meth:`~SpeedsContext.scan` the one minimum-IT scan.  Both take the
+demand as plain ints (:func:`demand_codes` pairs, communications,
+lifetimes) and build nothing per demand.  :func:`capacity_ok`,
+:func:`min_feasible_it` and ``resMIT`` are thin callers that build a
+context per call; the section 3.2 time model builds one per speed
+assignment and scans every loop against it.  The
 scheduler's candidate stream
 (:func:`~repro.scheduler.ii_selection.iter_it_candidates`) merges period
 multiples on the same kind of grid (:func:`~repro.units.common_quantum`
@@ -38,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InfeasibleITError
 from repro.ir.analysis import rec_mii
@@ -50,6 +52,11 @@ from repro.units import Time, as_fraction, common_quantum, floor_div, grid_steps
 
 #: Safety bound on the candidate ITs one :func:`min_feasible_it` scan checks.
 MAX_CANDIDATES = 100_000
+
+#: Positions of the register and bus slots in a context's slot counts,
+#: after one entry per FU code.
+_REGS = N_FU_KINDS
+_BUS = N_FU_KINDS + 1
 
 
 def _grid_multiples(periods: Iterable[int], start: int) -> Iterator[int]:
@@ -103,23 +110,30 @@ def demand_codes(demand: Mapping[FUType, int]) -> Tuple[Tuple[int, int], ...]:
 class SpeedsContext:
     """One machine at one :class:`MachineSpeeds`, on the speeds' time grid.
 
-    Holds everything the capacity check and the minimum-IT scan read
+    Holds everything the capacity test and the minimum-IT scan read
     that depends on the speeds alone: the quantum
-    (:attr:`MachineSpeeds.time_quantum`), the cluster and interconnect
-    periods in quanta, the per-FU unit rows and the register row, the bus
-    slots and the two period lists a scan merges (the clusters', and the
-    clusters' plus the interconnect's when communications need bus
-    slots).  Clusters sharing a period share an II, so the rows hold one
-    entry per distinct cluster period: the units (registers) of those
-    clusters summed.  Build it once per speeds; :meth:`check` then gives
-    the capacity check of one demand and :meth:`scan` is the one
-    minimum-IT scan.  ITs are ints of :attr:`quantum`.
+    (:attr:`MachineSpeeds.time_quantum`) and its integer ratio, the
+    cluster and interconnect periods in quanta, the per-FU unit rows and
+    the register row, the bus slots and the two period lists a scan
+    merges (the clusters', and the clusters' plus the interconnect's
+    when communications need bus slots).  Clusters sharing a period
+    share an II, so the rows hold one entry per distinct cluster period:
+    the units (registers) of those clusters summed.  Build it once per
+    speeds; :meth:`fits` is then the capacity test of one demand at one
+    IT and :meth:`scan` the minimum-IT scan.  ITs are ints of
+    :attr:`quantum`; a demand is :func:`demand_codes` pairs plus the
+    communications and register lifetimes of one iteration.  The slots
+    an IT buys are counted once per context, on the first test at that
+    IT, so the loops scanned at one speed assignment share them; they
+    die with the context.
     """
 
     def __init__(self, machine: MachineDescription, speeds: MachineSpeeds):
         quantum = speeds.time_quantum
         self.speeds = speeds
         self.quantum = quantum
+        #: :attr:`quantum` as an exact ``(numerator, denominator)`` pair.
+        self.quantum_ratio = quantum.as_integer_ratio()
         self.cluster_periods = [
             grid_steps(ct, quantum) for ct in speeds.cluster_cycle_times
         ]
@@ -137,52 +151,65 @@ class SpeedsContext:
                 self._units_by_code[code][slot[period]] += count
             self._regs[slot[period]] += cluster.n_regs
         self._bus_slots = machine.interconnect.n_buses
+        self._slots: Dict[int, List[int]] = {}
 
-    def check(
+    def fits(
         self,
-        needs: Iterable[Tuple[int, int]],
+        it: int,
+        needs: Sequence[Tuple[int, int]],
         comms: int = 0,
         lifetimes: int = 0,
-    ) -> Callable[[int], bool]:
-        """:func:`capacity_ok` of one demand (:func:`demand_codes` pairs)."""
-        periods = self._fu_periods
-        rows = [(needed, self._units_by_code[code]) for needed, code in needs]
-        bus_slots = self._bus_slots
-        icn_ct = self.icn_period
-        regs = self._regs
+    ) -> bool:
+        """Whether grid IT ``it`` buys the slots of one iteration.
 
-        def ok(it: int) -> bool:
-            iis = [it // period for period in periods]
-            for needed, units in rows:
-                if sum(map(mul, iis, units)) < needed:
-                    return False
-            if comms > 0 and bus_slots * (it // icn_ct) < comms:
+        The one capacity test: :func:`capacity_ok` on ints.
+        """
+        slots = self._slots.get(it)
+        if slots is None:
+            slots = self._slots[it] = self._count_slots(it)
+        for needed, code in needs:
+            if slots[code] < needed:
                 return False
-            if lifetimes > 0 and sum(map(mul, iis, regs)) < lifetimes:
-                return False
-            return True
+        return slots[_REGS] >= lifetimes and slots[_BUS] >= comms
 
-        return ok
+    def _count_slots(self, it: int) -> List[int]:
+        """Slots grid IT ``it`` buys: per FU code, then registers, then bus.
+
+        With ``II_d = it // period_d``, FU (register) slots sum ``II_c``
+        times each cluster's units (registers); bus slots are
+        ``n_buses * II_icn``.
+        """
+        iis = [it // period for period in self._fu_periods]
+        slots = [sum(map(mul, iis, units)) for units in self._units_by_code]
+        slots.append(sum(map(mul, iis, self._regs)))
+        slots.append(self._bus_slots * (it // self.icn_period))
+        return slots
 
     def scan(
-        self, below: int, ok: Callable[[int], bool], comms: int, loop: str = ""
+        self,
+        below: int,
+        needs: Sequence[Tuple[int, int]],
+        comms: int = 0,
+        lifetimes: int = 0,
+        loop: str = "",
     ) -> int:
-        """Smallest grid IT passing ``ok``, scanning from ``below``.
+        """Smallest grid IT ``>= below`` that :meth:`fits` the demand.
 
         Capacity only jumps at multiples of a cluster period (and, when
         ``comms`` need bus slots, of the interconnect period), so the
-        answer is ``below`` itself or the first passing multiple above
+        answer is ``below`` itself or the first fitting multiple above
         it.  Raises :class:`InfeasibleITError` after
         :data:`MAX_CANDIDATES` candidates (``loop`` names the loop in the
         message).
         """
-        if ok(below):
+        fits = self.fits
+        if fits(below, needs, comms, lifetimes):
             return below
         periods = self._bus_periods if comms > 0 else self._fu_periods
         for steps, it in enumerate(_grid_multiples(periods, below + 1)):
             if steps >= MAX_CANDIDATES:  # pragma: no cover - safety net
                 break
-            if ok(it):
+            if fits(it, needs, comms, lifetimes):
                 return it
         raise InfeasibleITError(
             f"no feasible IT found for loop {loop!r} within "
@@ -199,8 +226,7 @@ class SpeedsContext:
     ) -> Fraction:
         """:func:`min_feasible_it` at these speeds."""
         below = floor_div(start, self.quantum)
-        ok = self.check(demand_codes(demand), comms, lifetimes)
-        it = self.scan(below, ok, comms, loop)
+        it = self.scan(below, demand_codes(demand), comms, lifetimes, loop)
         # Every II is the same at ``start`` and at the grid point below
         # it, and grid points above ``below`` are the instants above it.
         return start if it == below else self.quantum * it
@@ -223,8 +249,9 @@ def capacity_ok(
     is the same at ``it`` and at the grid point at or below it.
     """
     context = SpeedsContext(machine, speeds)
-    ok = context.check(demand_codes(demand), comms, lifetimes)
-    return ok(floor_div(it, context.quantum))
+    return context.fits(
+        floor_div(it, context.quantum), demand_codes(demand), comms, lifetimes
+    )
 
 
 def min_feasible_it(

@@ -178,6 +178,8 @@ class Schedule:
         self.placements = dict(placements)
         self.copies = dict(copies)
         self.sync_penalties = sync_penalties
+        #: ``((it, assignments), grid)`` of the last :meth:`time_grid`.
+        self._time_grid: Optional[Tuple[tuple, TimeGrid]] = None
 
     # ------------------------------------------------------------------
     # domain helpers
@@ -211,8 +213,18 @@ class Schedule:
         return 0
 
     def time_grid(self) -> TimeGrid:
-        """This schedule's integer time grid, from its own IT and assignments."""
-        return TimeGrid.of(self.it, self.assignments, self.machine.n_clusters)
+        """This schedule's integer time grid, from its own IT and assignments.
+
+        Kept with the IT and assignments it was derived from, and derived
+        again on the first call after either changed: both are plain
+        attributes, which may be edited in place.
+        """
+        key = (self.it, tuple(self.assignments.values()))
+        cached = self._time_grid
+        if cached is None or cached[0] != key:
+            grid = TimeGrid.of(self.it, self.assignments, self.machine.n_clusters)
+            cached = self._time_grid = (key, grid)
+        return cached[1]
 
     # ------------------------------------------------------------------
     # timing

@@ -37,9 +37,10 @@ def optimum_homogeneous(
     Explores all cycle-time factors reachable by the heterogeneous design
     space and the voltages legal for *every* component simultaneously
     (``spec.homogeneous_vdd_grid``).  Each candidate is priced with
-    :meth:`EnergyModel.scaled_estimate` from its setting's scalings and
-    the profile totals, both computed once per call; only the winner
-    becomes an :class:`OperatingPoint`.
+    :meth:`EnergyModel.scaled_estimate` from the scalings of its
+    :class:`VoltageTable` row (plain floats) and the profile totals, both
+    computed once per call; only the winner becomes an
+    :class:`OperatingPoint`, with its one :class:`DomainSetting`.
     """
     spec = spec if spec is not None else DesignSpaceSpec.paper()
     model = EnergyModel(units, technology)
@@ -60,7 +61,7 @@ def optimum_homogeneous(
     for factor in spec.homogeneous_factors():
         cycle_time = factor * reference_ct
         exec_time = total_cycles * float(cycle_time)
-        for setting, delta, sigma in voltages(cycle_time, spec.homogeneous_vdd_grid):
+        for vdd, vth, delta, sigma in voltages(cycle_time, spec.homogeneous_vdd_grid):
             energy = model.scaled_estimate(
                 ((delta,) * n_clusters, delta, delta),
                 ((sigma,) * n_clusters, sigma, sigma),
@@ -69,16 +70,14 @@ def optimum_homogeneous(
             ).total
             score = ed2(energy, exec_time)
             if best is None or score < best[0]:
-                best = (score, energy, exec_time, factor, cycle_time, setting)
+                best = (score, energy, exec_time, factor, cycle_time, vdd, vth)
     if best is None:
         raise ConfigurationError(
             "no feasible homogeneous configuration in the design space"
         )
-    score, energy, exec_time, factor, cycle_time, setting = best
+    score, energy, exec_time, factor, cycle_time, vdd, vth = best
     return SelectionResult(
-        point=OperatingPoint.homogeneous(
-            n_clusters, cycle_time, setting.vdd, setting.vth
-        ),
+        point=OperatingPoint.homogeneous(n_clusters, cycle_time, vdd, vth),
         estimated_time_ns=exec_time,
         estimated_energy=energy,
         estimated_ed2=score,

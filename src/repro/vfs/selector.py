@@ -14,9 +14,10 @@ in tests verifies the equivalence.)
 
 One ``select``/``enumerate`` call reads the profile once — the time
 model's loop rows, the whole-program totals and the fast-cluster share —
-and prices every voltage of a (cycle time, Vdd grid) pair once, in a
-:class:`VoltageTable`; each structure then builds one speeds context
-for the time model.  All of it is dropped when the call returns.
+and prices every voltage of a (cycle time, Vdd grid) pair once, as a
+float row of a :class:`VoltageTable`; each structure then builds one
+speeds context for the time model, and a :class:`DomainSetting` only
+for the rows it chooses.  All of it is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.machine.operating_point import DomainSetting, MachineSpeeds, Operatin
 from repro.power.calibration import CalibratedUnits
 from repro.power.metrics import ed2
 from repro.power.profile import ProgramProfile
-from repro.power.scaling import dynamic_scale, static_scale
+from repro.power.scaling import dynamic_ratio, static_ratio
 from repro.power.technology import TechnologyModel
 from repro.power.time_model import LoopRow, TimeModel
 from repro.vfs.candidates import DesignSpaceSpec
@@ -83,45 +84,58 @@ class SelectionResult:
         return self.slow_ratio != 1
 
 
-#: Feasible ``(setting, delta, sigma)`` triples of one Vdd grid, in grid order.
-VoltageRows = Tuple[Tuple[DomainSetting, float, float], ...]
+#: One feasible voltage of a Vdd grid: ``(vdd, vth, delta, sigma)``.
+VoltageRow = Tuple[float, float, float, float]
 
 
 class VoltageTable:
-    """Feasible supply settings per (cycle time, Vdd grid), for one call.
+    """Feasible supply voltages per (cycle time, Vdd grid), for one call.
 
-    For one speed and one grid, :meth:`__call__` lists the feasible
-    :class:`DomainSetting` of each grid voltage (in grid order) with its
-    ``delta`` and ``sigma`` scalings (section 3.1), computed on first
-    use.  A selector call builds one table and drops it on return, so no
-    setting outlives the evaluation that priced it.
+    For one speed and one grid, :meth:`__call__` lists a
+    :data:`VoltageRow` per grid voltage at which
+    :meth:`TechnologyModel.domain_setting` returns a setting, in grid
+    order: the voltage, the setting's Vth (both from
+    :meth:`TechnologyModel.thresholds`) and its ``delta`` and ``sigma``
+    scalings (section 3.1, :func:`dynamic_ratio` and
+    :func:`static_ratio`), computed on first use.  The rows are plain
+    floats; callers build a :class:`DomainSetting` only for the rows
+    they choose.  A selector call builds one table and drops it on
+    return, so no row outlives the evaluation that priced it.
     """
 
     def __init__(self, technology: TechnologyModel, reference: DomainSetting):
         self._technology = technology
         self._reference = reference
-        self._settings: Dict[Tuple[Fraction, Tuple[float, ...]], VoltageRows] = {}
+        self._rows: Dict[
+            Tuple[Fraction, Tuple[float, ...]], Tuple[VoltageRow, ...]
+        ] = {}
 
     def __call__(
         self, cycle_time: Fraction, vdd_grid: Tuple[float, ...]
-    ) -> VoltageRows:
+    ) -> Tuple[VoltageRow, ...]:
         key = (cycle_time, vdd_grid)
-        settings = self._settings.get(key)
-        if settings is None:
+        rows = self._rows.get(key)
+        if rows is None:
             technology = self._technology
-            reference = self._reference
-            feasible = []
-            for vdd in vdd_grid:
-                setting = technology.domain_setting(cycle_time, vdd)
-                if setting is None:
-                    continue
-                delta = dynamic_scale(setting, reference)
-                sigma = static_scale(
-                    setting, reference, technology.subthreshold_slope
+            slope = technology.subthreshold_slope
+            reference_vdd = self._reference.vdd
+            reference_vth = self._reference.vth
+            rows = self._rows[key] = tuple(
+                (
+                    vdd,
+                    vth,
+                    dynamic_ratio(vdd, reference_vdd),
+                    static_ratio(vdd, vth, reference_vdd, reference_vth, slope),
                 )
-                feasible.append((setting, delta, sigma))
-            settings = self._settings[key] = tuple(feasible)
-        return settings
+                for vdd, vth in technology.thresholds(cycle_time, vdd_grid)
+            )
+        return rows
+
+
+def _setting(cycle_time: Fraction, row: VoltageRow) -> DomainSetting:
+    """The :class:`DomainSetting` of one chosen voltage row."""
+    vdd, vth, _, _ = row
+    return DomainSetting(cycle_time=cycle_time, vdd=vdd, vth=vth)
 
 
 @dataclass(frozen=True)
@@ -178,17 +192,18 @@ class ConfigurationSelector:
     # ------------------------------------------------------------------
     @staticmethod
     def _best_component_voltage(
-        settings: VoltageRows,
+        rows: Tuple[VoltageRow, ...],
         dynamic_at_reference: float,
         static_rate: float,
         exec_time_ns: float,
-    ) -> Optional[Tuple[DomainSetting, float]]:
-        """Cheapest feasible setting for one component, and its energy."""
-        best: Optional[Tuple[DomainSetting, float]] = None
-        for setting, delta, sigma in settings:
+    ) -> Optional[Tuple[VoltageRow, float]]:
+        """Cheapest feasible voltage row for one component, and its energy."""
+        best: Optional[Tuple[VoltageRow, float]] = None
+        for row in rows:
+            _, _, delta, sigma = row
             energy = delta * dynamic_at_reference + sigma * static_rate * exec_time_ns
             if best is None or energy < best[1]:
-                best = (setting, energy)
+                best = (row, energy)
         return best
 
     def _evaluate_structure(
@@ -250,8 +265,6 @@ class ConfigurationSelector:
             if slow_choice is None:
                 return None
             energy += n_slow * slow_choice[1]
-        else:
-            slow_choice = fast_choice
 
         # A heterogeneous partition communicates more than the homogeneous
         # schedule: splitting critical recurrences from the rest turns the
@@ -276,13 +289,12 @@ class ConfigurationSelector:
             return None
         energy += icn_choice[1] + cache_choice[1]
 
+        fast = _setting(fast_ct, fast_choice[0])
+        slow = _setting(slow_ct, slow_choice[0]) if n_slow > 0 else fast
         point = OperatingPoint(
-            clusters=tuple(
-                fast_choice[0] if i < n_fast else slow_choice[0]
-                for i in range(n_clusters)
-            ),
-            icn=icn_choice[0],
-            cache=cache_choice[0],
+            clusters=tuple(fast if i < n_fast else slow for i in range(n_clusters)),
+            icn=_setting(fast_ct, icn_choice[0]),
+            cache=_setting(fast_ct, cache_choice[0]),
         )
         return SelectionResult(
             point=point,

@@ -66,6 +66,7 @@ from repro.ir.ddg import DDG
 from repro.ir.opcodes import COMPUTE_CLASSES, OpClass
 from repro.machine import DomainSetting, OperatingPoint
 from repro.machine.clocking import ICN_DOMAIN, FrequencyPalette, cluster_domain
+from repro.machine.cluster import ClusterConfig
 from repro.machine.fu import FUType, fu_for
 from repro.machine.isa import ClassEntry, InstructionTable
 from repro.machine.machine import MachineDescription, paper_machine
@@ -78,7 +79,9 @@ from repro.scheduler.ii_selection import iter_it_candidates, select_assignments
 from repro.scheduler.kernel import KernelScheduler
 from repro.scheduler.mii import (
     MAX_CANDIDATES,
+    SpeedsContext,
     capacity_ok,
+    demand_codes,
     min_feasible_it,
     minimum_initiation_time,
     period_multiples,
@@ -116,6 +119,7 @@ from repro.vfs.homogeneous import optimum_homogeneous
 from repro.vfs.selector import (
     ConfigurationSelector,
     SelectionResult,
+    VoltageTable,
     effective_fast_share,
 )
 from repro.workloads import SPEC2000_PROFILES, build_corpus, spec_profile
@@ -1944,6 +1948,191 @@ class TestSelectorOracle:
             assert new.enumerate(profile, units) == parent.enumerate(profile, units)
             args = (profile, machine, technology, units, spec)
             assert optimum_homogeneous(*args) == parent_optimum_homogeneous(*args)
+
+
+# ----------------------------------------------------------------------
+# Plain-number selector: the voltage table holds float rows and the IT
+# scan takes the demand as ints.  Independent oracles: the table against
+# ``domain_setting`` and the DomainSetting scalings, the scan against a
+# walk over every grid int.
+# ----------------------------------------------------------------------
+#: Technologies around the paper's: alpha, subthreshold slope, margin.
+technology_st = st.builds(
+    TechnologyModel,
+    alpha=st.sampled_from((1.0, 1.3, 1.7, 2.0)),
+    subthreshold_slope=st.sampled_from((0.08, 0.1, 0.12)),
+    vth_margin=st.sampled_from((0.05, 0.1, 0.2)),
+)
+
+
+@st.composite
+def margin_edge_cycle_times(draw, technology, vdd_grid):
+    """Cycle times whose solved Vth lands on (or an ulp off) a margin edge."""
+    vdd = draw(st.sampled_from(vdd_grid))
+    margin = technology.vth_margin
+    vth = draw(st.sampled_from((margin * vdd, (1 - margin) * vdd)))
+    frequency = technology.fmax(vdd, vth)
+    direction = draw(st.sampled_from((0.0, math.inf)))
+    for _ in range(draw(st.integers(0, 3))):
+        frequency = math.nextafter(frequency, direction)
+    return Fraction(1 / frequency)
+
+
+class TestVoltageTableRows:
+    """Every float row is exactly what the DomainSetting path gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), technology=technology_st)
+    def test_rows_match_domain_setting(self, data, technology):
+        vdd_grid = data.draw(
+            st.sampled_from(
+                (volt_grid(0.7, 1.2), volt_grid(0.8, 1.1), volt_grid(0.3, 2.0, 0.1))
+            )
+        )
+        reference = DomainSetting(
+            data.draw(st.sampled_from((Fraction(1), Fraction(4, 3), Fraction(1, 3)))),
+            data.draw(st.sampled_from((0.9, 1.0, 1.2))),
+            data.draw(st.sampled_from((0.2, 0.25, 0.3))),
+        )
+        cycle_time = data.draw(
+            st.one_of(
+                # Reachable, unreachable (Vth <= 0) and too slow for the
+                # upper margin, on the design space's kinds of grid.
+                st.builds(Fraction, st.integers(1, 60), st.sampled_from((1, 3, 4, 20))),
+                margin_edge_cycle_times(technology, vdd_grid),
+            )
+        )
+        rows = VoltageTable(technology, reference)(cycle_time, vdd_grid)
+        expected = []
+        for vdd in vdd_grid:
+            setting = technology.domain_setting(cycle_time, vdd)
+            if setting is None:
+                continue
+            expected.append(
+                (
+                    setting.vdd,
+                    setting.vth,
+                    dynamic_scale(setting, reference),
+                    static_scale(setting, reference, technology.subthreshold_slope),
+                )
+            )
+        assert rows == tuple(expected)
+
+    def test_margin_edges_are_drawn_both_ways(self):
+        """The edge strategy reaches both feasible and rejected points."""
+        technology = TechnologyModel()
+        grid = volt_grid(0.7, 1.2)
+        seen = set()
+        for vdd in grid:
+            for vth in (0.1 * vdd, 0.9 * vdd):
+                frequency = technology.fmax(vdd, vth)
+                for direction in (0.0, math.inf):
+                    nearby = math.nextafter(frequency, direction)
+                    setting = technology.domain_setting(Fraction(1 / nearby), vdd)
+                    seen.add(setting is None)
+        assert seen == {True, False}
+
+
+def brute_force_scan(machine, speeds, below, demand, comms, lifetimes):
+    """The smallest grid IT ``>= below`` with enough slots, int by int."""
+    quantum = speeds.time_quantum
+    periods = [ct / quantum for ct in speeds.cluster_cycle_times]
+    icn_period = speeds.icn_cycle_time / quantum
+    it = below
+    while True:
+        iis = [it // period for period in periods]
+        enough = all(
+            sum(ii * machine.cluster(c).fu_count(fu) for c, ii in enumerate(iis))
+            >= needed
+            for fu, needed in demand.items()
+        )
+        if (
+            enough
+            and machine.interconnect.n_buses * (it // icn_period) >= comms
+            and sum(ii * machine.cluster(c).n_regs for c, ii in enumerate(iis))
+            >= lifetimes
+        ):
+            return it
+        it += 1
+
+
+cluster_config_st = st.builds(
+    ClusterConfig,
+    n_int=st.integers(0, 2),
+    n_fp=st.integers(0, 2),
+    n_mem=st.integers(1, 2),
+    n_regs=st.integers(4, 32),
+)
+
+
+class TestScanOracle:
+    """``SpeedsContext.scan`` against a walk over every grid int."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        clusters=st.lists(cluster_config_st, min_size=1, max_size=4),
+        cluster_periods=st.lists(
+            st.one_of(periods_st, st.sampled_from(ODD_PERIODS)), min_size=4, max_size=4
+        ),
+        icn=st.one_of(periods_st, st.sampled_from(ODD_PERIODS)),
+        buses=st.integers(1, 2),
+        demand=st.dictionaries(st.sampled_from(list(FUType)), st.integers(0, 40)),
+        comms=st.integers(1, 30),
+        lifetimes=st.integers(1, 1500),
+        below=st.integers(0, 400),
+    )
+    def test_matches_brute_force(
+        self, clusters, cluster_periods, icn, buses, demand, comms, lifetimes, below
+    ):
+        base = paper_machine(n_buses=buses)
+        machine = MachineDescription(
+            clusters=tuple(clusters),
+            interconnect=base.interconnect,
+            memory=base.memory,
+            isa=base.isa,
+        )
+        # Only FU kinds the machine has: the scan of a missing kind never
+        # ends (see ``test_missing_fu_kind_is_infeasible``).
+        demand = {
+            fu: needed
+            for fu, needed in demand.items()
+            if any(cluster.fu_count(fu) for cluster in clusters)
+        }
+        speeds = MachineSpeeds(tuple(cluster_periods[: len(clusters)]), icn, icn)
+        context = SpeedsContext(machine, speeds)
+        needs = demand_codes(demand)
+        it = context.scan(below, needs, comms, lifetimes)
+        assert it == brute_force_scan(machine, speeds, below, demand, comms, lifetimes)
+        # The same context answers again from its slot counts, and every
+        # grid int below the answer fails the capacity test.
+        assert context.scan(below, needs, comms, lifetimes) == it
+        assert context.fits(it, needs, comms, lifetimes)
+        assert not any(
+            context.fits(other, needs, comms, lifetimes) for other in range(below, it)
+        )
+
+    def test_missing_fu_kind_is_infeasible(self, monkeypatch):
+        machine = MachineDescription(
+            clusters=(ClusterConfig(n_fp=0),) * 4,
+            interconnect=paper_machine().interconnect,
+            memory=paper_machine().memory,
+            isa=paper_machine().isa,
+        )
+        speeds = MachineSpeeds.uniform(4, 1)
+        monkeypatch.setattr("repro.scheduler.mii.MAX_CANDIDATES", 50)
+        context = SpeedsContext(machine, speeds)
+        needs = demand_codes({FUType.INT: 1, FUType.FP: 1})
+        with pytest.raises(InfeasibleITError, match="'lp' within 50 candidates"):
+            context.scan(1, needs, 0, 0, loop="lp")
+        with pytest.raises(InfeasibleITError, match="within 50 candidates"):
+            context.scan(1, needs, comms=1, lifetimes=1)
+        with pytest.raises(InfeasibleITError):
+            min_feasible_it(Fraction(1), machine, speeds, {FUType.FP: 1})
+        assert not capacity_ok(Fraction(1000), machine, speeds, {FUType.FP: 1})
+        builder = DDGBuilder("fp_only")
+        builder.op("x", OpClass.FADD)
+        with pytest.raises(InfeasibleITError, match="the machine has none"):
+            res_mit(builder.build(), machine, speeds)
 
 
 # ----------------------------------------------------------------------

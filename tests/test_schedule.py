@@ -16,6 +16,7 @@ from repro.scheduler.schedule import (
     PlacedCopy,
     PlacedOp,
     Schedule,
+    TimeGrid,
 )
 from repro.scheduler import HeterogeneousModuloScheduler, HomogeneousModuloScheduler
 from repro.workloads import build_corpus, spec_profile
@@ -300,3 +301,35 @@ class TestPublicTimeBoundary:
         assert schedule.sync_penalty(3, 4) == 4  # grid quanta work too
         schedule.sync_penalties = False
         assert schedule.sync_penalty(Fraction(1), ct) == 0
+
+
+class TestTimeGridCache:
+    """``time_grid`` is kept, and derived again after an in-place edit."""
+
+    def test_kept_between_calls(self):
+        schedule = hand_schedule()
+        grid = schedule.time_grid()
+        schedule.validate()
+        assert schedule.it_length == 7
+        assert schedule.time_grid() is grid
+
+    def test_edited_it_gives_a_new_grid(self):
+        schedule = hand_schedule()
+        first = schedule.time_grid()
+        assert (first.quantum, first.it) == (Fraction(1), 4)
+        schedule.it = Fraction(10, 3)
+        grid = schedule.time_grid()
+        assert (grid.quantum, grid.it, grid.cluster_cts[0]) == (Fraction(1, 3), 10, 3)
+        assert grid == TimeGrid.of(schedule.it, schedule.assignments, 4)
+        assert schedule.it_length == 7  # same instants on the finer grid
+
+    def test_edited_assignment_gives_a_new_grid(self):
+        schedule = hand_schedule()
+        assert schedule.it_length == 7
+        # Cluster 1 at half speed: the add issues at cycle 4 of a 2 ns
+        # clock and finishes three cycles later.
+        schedule.assignments["cluster1"] = DomainAssignment(
+            "cluster1", Fraction(1, 2), 2
+        )
+        assert schedule.time_grid().cluster_cts[1] == 2
+        assert schedule.it_length == 14
