@@ -27,6 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.pipeline.serialization import (
+    from_data,
+    options_from_dict,
+    options_to_dict,
+    to_data,
+)
 from repro.power.breakdown import EnergyBreakdown
 from repro.power.calibration import CalibratedUnits
 from repro.power.profile import ProgramProfile
@@ -60,15 +66,11 @@ class ExperimentOptions:
 
     def to_dict(self) -> dict:
         """Canonical JSON-safe dict form (see pipeline.serialization)."""
-        from repro.pipeline.serialization import options_to_dict
-
         return options_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentOptions":
         """Rebuild options from :meth:`to_dict` output."""
-        from repro.pipeline.serialization import options_from_dict
-
         return options_from_dict(data)
 
 
@@ -108,16 +110,12 @@ class BenchmarkEvaluation:
 
     def to_dict(self) -> dict:
         """Canonical JSON-safe dict form (see pipeline.serialization)."""
-        from repro.pipeline.serialization import evaluation_to_dict
-
-        return evaluation_to_dict(self)
+        return to_data(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkEvaluation":
         """Rebuild an evaluation from :meth:`to_dict` output."""
-        from repro.pipeline.serialization import evaluation_from_dict
-
-        return evaluation_from_dict(data)
+        return from_data(cls, data)
 
 
 @dataclass

@@ -6,37 +6,41 @@ addresses jobs by a content hash of their options, so
 :class:`~repro.pipeline.experiment.BenchmarkEvaluation` — and every value
 type nested inside them — need exact, canonical dict representations.
 
-Conventions:
+One codec, :func:`to_data` / :func:`from_data`, writes and reads every
+value type field by field, going by each field's *declared* type:
 
-* exact rationals (:class:`fractions.Fraction`) serialize as strings
-  (``"9/10"``) and round-trip through :func:`repro.units.as_fraction`,
-* enums serialize by value (``OpClass.FADD`` -> ``"fadd"``),
-* every ``*_to_dict`` emits only JSON-native types (dict/list/str/
-  int/float/bool/None), so ``json.dumps(..., sort_keys=True)`` of the
-  result is canonical and hashable.
+* ``Fraction`` is a string (``"9/10"``), read back exactly,
+* a nested dataclass is a dict of its fields,
+* ``Tuple[X, ...]`` and ``List[X]`` are lists, read back into the
+  declared container,
+* ``Optional[X]`` keeps ``None`` as ``None``,
+* ``Mapping[Enum, V]`` is keyed by member value (``OpClass.FADD`` ->
+  ``"fadd"``), its values unchanged,
+* anything else (str, int, float, bool) passes through unchanged.
+
+So the output holds only JSON-native types and ``json.dumps(...,
+sort_keys=True)`` of it is canonical and hashable.  Decoding rejects a
+key that is not a field, and a missing field that has no default, with
+:class:`~repro.errors.PipelineError`.  Two forms are not a plain field
+copy and stay hand-written: the options (:func:`options_to_dict`, with
+the constant ``"machine"`` entry and the expanded ``machine_file``) and
+live schedules (:func:`schedule_to_dict`, keyed by DDG index).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import typing
+from collections.abc import Mapping
+from enum import Enum
 from fractions import Fraction
-from typing import Any, Dict
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import PipelineError
-from repro.ir.opcodes import OpClass
-from repro.machine.clocking import FrequencyPalette
-from repro.machine.operating_point import DomainSetting, OperatingPoint
-from repro.power.breakdown import EnergyBreakdown
-from repro.power.calibration import CalibratedUnits
-from repro.power.energy import EnergyEstimate
-from repro.power.profile import LoopProfile, ProgramProfile
-from repro.power.technology import TechnologyModel
-from repro.scheduler.options import SchedulerOptions
-from repro.sim.power_meter import MeasuredExecution
 from repro.units import as_fraction
-from repro.vfs.candidates import DesignSpaceSpec
-from repro.vfs.selector import SelectionResult
 
 #: The serialized options' ``"machine"`` entry: always the paper
 #: machine's name, so job keys written under the old machine registry
@@ -91,214 +95,102 @@ def evaluation_ratios(evaluation: Dict[str, Any]) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# machine / technology / design space
+# the field-driven codec
 # ----------------------------------------------------------------------
-def breakdown_to_dict(breakdown: EnergyBreakdown) -> Dict[str, Any]:
+#: One direction of a field's conversion; ``None`` passes values through.
+_Convert = Optional[Callable[[Any], Any]]
+
+
+def _each(convert: _Convert, container: type) -> Callable[[Any], Any]:
+    if convert is None:
+        return container
+    return lambda values: container(convert(v) for v in values)
+
+
+def _field_codec(hint) -> Tuple[_Convert, _Convert]:
+    """(encode, decode) for one declared field type."""
+    if hint is Fraction:
+        return _fraction_str, Fraction
+    if dataclasses.is_dataclass(hint):
+        return to_data, partial(from_data, hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union and type(None) in args:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        encode, decode = _field_codec(inner)
+        return (
+            encode and (lambda v: None if v is None else encode(v)),
+            decode and (lambda v: None if v is None else decode(v)),
+        )
+    if origin in (tuple, list):
+        encode, decode = _field_codec(args[0])
+        return _each(encode, list), _each(decode, origin)
+    if origin in (Mapping, dict) and issubclass(args[0], Enum):
+        key_type = args[0]
+        return (
+            lambda m: {k.value: v for k, v in m.items()},
+            lambda m: {key_type(k): v for k, v in m.items()},
+        )
+    return None, None
+
+
+#: Per-class plan: ``(name, encode, decode)`` per field, the field
+#: names and the names without a default.
+_Plan = Tuple[Tuple[Tuple[str, _Convert, _Convert], ...], frozenset, frozenset]
+_PLANS: Dict[type, _Plan] = {}
+
+
+def _plan(cls: type) -> _Plan:
+    plan = _PLANS.get(cls)
+    if plan is None:
+        hints = typing.get_type_hints(cls)
+        fields = dataclasses.fields(cls)
+        plan = _PLANS[cls] = (
+            tuple((f.name, *_field_codec(hints[f.name])) for f in fields),
+            frozenset(f.name for f in fields),
+            frozenset(
+                f.name
+                for f in fields
+                if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING
+            ),
+        )
+    return plan
+
+
+def to_data(value) -> Dict[str, Any]:
+    """The JSON-safe dict form of a dataclass value (module docstring)."""
     return {
-        "icn_share": breakdown.icn_share,
-        "cache_share": breakdown.cache_share,
-        "cluster_leakage": breakdown.cluster_leakage,
-        "icn_leakage": breakdown.icn_leakage,
-        "cache_leakage": breakdown.cache_leakage,
+        name: getattr(value, name) if encode is None else encode(getattr(value, name))
+        for name, encode, _decode in _plan(type(value))[0]
     }
 
 
-def breakdown_from_dict(data: Dict[str, Any]) -> EnergyBreakdown:
-    return EnergyBreakdown(**data)
+def from_data(cls: type, data: Dict[str, Any]):
+    """Rebuild a ``cls`` from :func:`to_data` output.
 
-
-def technology_to_dict(technology: TechnologyModel) -> Dict[str, Any]:
-    return {
-        "alpha": technology.alpha,
-        "subthreshold_slope": technology.subthreshold_slope,
-        "reference_frequency": technology.reference_frequency,
-        "reference_vdd": technology.reference_vdd,
-        "reference_vth": technology.reference_vth,
-        "vth_margin": technology.vth_margin,
-    }
-
-
-def technology_from_dict(data: Dict[str, Any]) -> TechnologyModel:
-    return TechnologyModel(**data)
-
-
-def design_space_to_dict(spec: DesignSpaceSpec) -> Dict[str, Any]:
-    return {
-        "fast_factors": [_fraction_str(f) for f in spec.fast_factors],
-        "slow_over_fast": [_fraction_str(r) for r in spec.slow_over_fast],
-        "n_fast_options": list(spec.n_fast_options),
-        "cluster_vdd_grid": list(spec.cluster_vdd_grid),
-        "icn_vdd_grid": list(spec.icn_vdd_grid),
-        "cache_vdd_grid": list(spec.cache_vdd_grid),
-        "homogeneous_vdd_grid": list(spec.homogeneous_vdd_grid),
-    }
-
-
-def design_space_from_dict(data: Dict[str, Any]) -> DesignSpaceSpec:
-    return DesignSpaceSpec(
-        fast_factors=tuple(Fraction(f) for f in data["fast_factors"]),
-        slow_over_fast=tuple(Fraction(r) for r in data["slow_over_fast"]),
-        n_fast_options=tuple(data["n_fast_options"]),
-        cluster_vdd_grid=tuple(data["cluster_vdd_grid"]),
-        icn_vdd_grid=tuple(data["icn_vdd_grid"]),
-        cache_vdd_grid=tuple(data["cache_vdd_grid"]),
-        homogeneous_vdd_grid=tuple(data["homogeneous_vdd_grid"]),
+    Raises :class:`PipelineError` naming ``cls`` when ``data`` is not a
+    dict, has a key that is not a field, or lacks a field that has no
+    default — one rule for every payload, including ones posted from
+    outside the program.
+    """
+    fields, names, required = _plan(cls)
+    if not isinstance(data, dict):
+        raise PipelineError(
+            f"{cls.__name__} expects a dict, got {type(data).__name__}"
+        )
+    if not names >= data.keys() >= required:
+        unexpected = sorted(data.keys() - names)
+        missing = sorted(required - data.keys())
+        raise PipelineError(
+            f"{cls.__name__}: unexpected keys {unexpected}, missing keys {missing}"
+        )
+    return cls(
+        **{
+            name: data[name] if decode is None else decode(data[name])
+            for name, _encode, decode in fields
+            if name in data
+        }
     )
-
-
-def palette_to_dict(palette: FrequencyPalette) -> Dict[str, Any]:
-    return {
-        "frequencies": (
-            None
-            if palette.frequencies is None
-            else [_fraction_str(f) for f in palette.frequencies]
-        ),
-        "per_domain_size": palette.per_domain_size,
-    }
-
-
-def palette_from_dict(data: Dict[str, Any]) -> FrequencyPalette:
-    frequencies = data["frequencies"]
-    return FrequencyPalette(
-        frequencies=(
-            None
-            if frequencies is None
-            else tuple(Fraction(f) for f in frequencies)
-        ),
-        per_domain_size=data["per_domain_size"],
-    )
-
-
-def scheduler_options_to_dict(options: SchedulerOptions) -> Dict[str, Any]:
-    return {
-        "palette": palette_to_dict(options.palette),
-        "sync_penalties": options.sync_penalties,
-        "check_register_pressure": options.check_register_pressure,
-        "budget_ratio": options.budget_ratio,
-        "max_it_candidates": options.max_it_candidates,
-        "preplace_recurrences": options.preplace_recurrences,
-        "ed2_refinement": options.ed2_refinement,
-        "refinement_passes": options.refinement_passes,
-        "pseudo_window": options.pseudo_window,
-    }
-
-
-def scheduler_options_from_dict(data: Dict[str, Any]) -> SchedulerOptions:
-    data = dict(data)
-    palette = palette_from_dict(data.pop("palette"))
-    return SchedulerOptions(palette=palette, **data)
-
-
-# ----------------------------------------------------------------------
-# operating points and selections
-# ----------------------------------------------------------------------
-def domain_setting_to_dict(setting: DomainSetting) -> Dict[str, Any]:
-    return {
-        "cycle_time": _fraction_str(setting.cycle_time),
-        "vdd": setting.vdd,
-        "vth": setting.vth,
-    }
-
-
-def domain_setting_from_dict(data: Dict[str, Any]) -> DomainSetting:
-    return DomainSetting(
-        cycle_time=Fraction(data["cycle_time"]),
-        vdd=data["vdd"],
-        vth=data["vth"],
-    )
-
-
-def operating_point_to_dict(point: OperatingPoint) -> Dict[str, Any]:
-    return {
-        "clusters": [domain_setting_to_dict(s) for s in point.clusters],
-        "icn": domain_setting_to_dict(point.icn),
-        "cache": domain_setting_to_dict(point.cache),
-    }
-
-
-def operating_point_from_dict(data: Dict[str, Any]) -> OperatingPoint:
-    return OperatingPoint(
-        clusters=tuple(domain_setting_from_dict(s) for s in data["clusters"]),
-        icn=domain_setting_from_dict(data["icn"]),
-        cache=domain_setting_from_dict(data["cache"]),
-    )
-
-
-def selection_to_dict(selection: SelectionResult) -> Dict[str, Any]:
-    return {
-        "point": operating_point_to_dict(selection.point),
-        "estimated_time_ns": selection.estimated_time_ns,
-        "estimated_energy": selection.estimated_energy,
-        "estimated_ed2": selection.estimated_ed2,
-        "n_fast": selection.n_fast,
-        "fast_factor": _fraction_str(selection.fast_factor),
-        "slow_ratio": _fraction_str(selection.slow_ratio),
-    }
-
-
-def selection_from_dict(data: Dict[str, Any]) -> SelectionResult:
-    return SelectionResult(
-        point=operating_point_from_dict(data["point"]),
-        estimated_time_ns=data["estimated_time_ns"],
-        estimated_energy=data["estimated_energy"],
-        estimated_ed2=data["estimated_ed2"],
-        n_fast=data["n_fast"],
-        fast_factor=Fraction(data["fast_factor"]),
-        slow_ratio=Fraction(data["slow_ratio"]),
-    )
-
-
-# ----------------------------------------------------------------------
-# measurements and calibration
-# ----------------------------------------------------------------------
-def energy_estimate_to_dict(energy: EnergyEstimate) -> Dict[str, Any]:
-    return {
-        "cluster_dynamic": energy.cluster_dynamic,
-        "icn_dynamic": energy.icn_dynamic,
-        "cache_dynamic": energy.cache_dynamic,
-        "cluster_static": energy.cluster_static,
-        "icn_static": energy.icn_static,
-        "cache_static": energy.cache_static,
-    }
-
-
-def energy_estimate_from_dict(data: Dict[str, Any]) -> EnergyEstimate:
-    return EnergyEstimate(**data)
-
-
-def measured_to_dict(measured: MeasuredExecution) -> Dict[str, Any]:
-    return {
-        "energy": energy_estimate_to_dict(measured.energy),
-        "exec_time_ns": measured.exec_time_ns,
-    }
-
-
-def measured_from_dict(data: Dict[str, Any]) -> MeasuredExecution:
-    return MeasuredExecution(
-        energy=energy_estimate_from_dict(data["energy"]),
-        exec_time_ns=data["exec_time_ns"],
-    )
-
-
-def units_to_dict(units: CalibratedUnits) -> Dict[str, Any]:
-    return {
-        "e_ins_unit": units.e_ins_unit,
-        "e_comm": units.e_comm,
-        "e_access": units.e_access,
-        "static_rate_clusters": units.static_rate_clusters,
-        "static_rate_icn": units.static_rate_icn,
-        "static_rate_cache": units.static_rate_cache,
-        "n_clusters": units.n_clusters,
-        "reference": domain_setting_to_dict(units.reference),
-        "breakdown": breakdown_to_dict(units.breakdown),
-    }
-
-
-def units_from_dict(data: Dict[str, Any]) -> CalibratedUnits:
-    data = dict(data)
-    reference = domain_setting_from_dict(data.pop("reference"))
-    breakdown = breakdown_from_dict(data.pop("breakdown"))
-    return CalibratedUnits(reference=reference, breakdown=breakdown, **data)
 
 
 # ----------------------------------------------------------------------
@@ -377,54 +269,7 @@ def schedule_from_dict(data: Dict[str, Any], ddg, machine):
 
 
 # ----------------------------------------------------------------------
-# profiles
-# ----------------------------------------------------------------------
-def loop_profile_to_dict(loop: LoopProfile) -> Dict[str, Any]:
-    return {
-        "name": loop.name,
-        "rec_mii": _fraction_str(loop.rec_mii),
-        "res_mii": loop.res_mii,
-        "ii_homogeneous": loop.ii_homogeneous,
-        "cycles_per_iteration": loop.cycles_per_iteration,
-        "class_counts": {
-            opclass.value: count for opclass, count in loop.class_counts.items()
-        },
-        "energy_units_per_iteration": loop.energy_units_per_iteration,
-        "comms_per_iteration": loop.comms_per_iteration,
-        "mem_accesses_per_iteration": loop.mem_accesses_per_iteration,
-        "lifetime_cycles_per_iteration": loop.lifetime_cycles_per_iteration,
-        "trip_count": loop.trip_count,
-        "weight": loop.weight,
-        "critical_energy_fraction": loop.critical_energy_fraction,
-        "critical_boundary_edges": loop.critical_boundary_edges,
-    }
-
-
-def loop_profile_from_dict(data: Dict[str, Any]) -> LoopProfile:
-    data = dict(data)
-    data["rec_mii"] = Fraction(data["rec_mii"])
-    data["class_counts"] = {
-        OpClass(name): count for name, count in data["class_counts"].items()
-    }
-    return LoopProfile(**data)
-
-
-def profile_to_dict(profile: ProgramProfile) -> Dict[str, Any]:
-    return {
-        "name": profile.name,
-        "loops": [loop_profile_to_dict(loop) for loop in profile.loops],
-    }
-
-
-def profile_from_dict(data: Dict[str, Any]) -> ProgramProfile:
-    return ProgramProfile(
-        name=data["name"],
-        loops=[loop_profile_from_dict(loop) for loop in data["loops"]],
-    )
-
-
-# ----------------------------------------------------------------------
-# experiment options / evaluation (the public entry points)
+# experiment options (not a plain field copy)
 # ----------------------------------------------------------------------
 def options_to_dict(options) -> Dict[str, Any]:
     """Canonical dict form of :class:`ExperimentOptions`.
@@ -437,21 +282,15 @@ def options_to_dict(options) -> Dict[str, Any]:
     ``"machine"`` is the constant ``"paper"``: it once named a machine
     registry entry, and keeping it keeps every job key byte-identical.
     """
-    data = {
-        "n_buses": options.n_buses,
-        "breakdown": breakdown_to_dict(options.breakdown),
-        "technology": technology_to_dict(options.technology),
-        "design_space": design_space_to_dict(options.design_space),
-        "scheduler": scheduler_options_to_dict(options.scheduler),
-        "per_class_energy": options.per_class_energy,
-        "machine": PAPER_MACHINE,
-    }
-    if getattr(options, "machine_file", None) is not None:
+    data = to_data(options)
+    machine_file = data.pop("machine_file")
+    data["machine"] = PAPER_MACHINE
+    if machine_file is not None:
         from repro.scenarios import machine_file_fingerprint
 
-        scenario, fingerprint = machine_file_fingerprint(options.machine_file)
+        scenario, fingerprint = machine_file_fingerprint(machine_file)
         data["machine_file"] = {
-            "path": str(options.machine_file),
+            "path": str(machine_file),
             "scenario": scenario,
             "fingerprint": fingerprint,
         }
@@ -469,57 +308,18 @@ def options_from_dict(data: Dict[str, Any]):
     """
     from repro.pipeline.experiment import ExperimentOptions
 
+    if not isinstance(data, dict):
+        raise PipelineError(f"options must be a dict, got {type(data).__name__}")
+    data = dict(data)
+    data.pop("simulate", None)
     # Absent in pre-stage-API payloads: those always ran the paper machine.
-    machine = data.get("machine", PAPER_MACHINE)
+    machine = data.pop("machine", PAPER_MACHINE)
     if machine != PAPER_MACHINE:
         raise PipelineError(
             f"options name the machine {machine!r}; machines are no longer "
             "resolved by name: declare it in a scenario pack and pass its "
             "path as machine_file"
         )
-
-    return ExperimentOptions(
-        n_buses=data["n_buses"],
-        breakdown=breakdown_from_dict(data["breakdown"]),
-        technology=technology_from_dict(data["technology"]),
-        design_space=design_space_from_dict(data["design_space"]),
-        scheduler=scheduler_options_from_dict(data["scheduler"]),
-        per_class_energy=data["per_class_energy"],
-        machine_file=data.get("machine_file", {}).get("path"),
-    )
-
-
-def evaluation_to_dict(evaluation) -> Dict[str, Any]:
-    """Canonical dict form of :class:`BenchmarkEvaluation`."""
-    return {
-        "benchmark": evaluation.benchmark,
-        "profile": profile_to_dict(evaluation.profile),
-        "units": units_to_dict(evaluation.units),
-        "baseline_selection": selection_to_dict(evaluation.baseline_selection),
-        "heterogeneous_selection": selection_to_dict(
-            evaluation.heterogeneous_selection
-        ),
-        "reference_measured": measured_to_dict(evaluation.reference_measured),
-        "baseline_measured": measured_to_dict(evaluation.baseline_measured),
-        "heterogeneous_measured": measured_to_dict(
-            evaluation.heterogeneous_measured
-        ),
-    }
-
-
-def evaluation_from_dict(data: Dict[str, Any]):
-    """Rebuild :class:`BenchmarkEvaluation` from its dict form."""
-    from repro.pipeline.experiment import BenchmarkEvaluation
-
-    return BenchmarkEvaluation(
-        benchmark=data["benchmark"],
-        profile=profile_from_dict(data["profile"]),
-        units=units_from_dict(data["units"]),
-        baseline_selection=selection_from_dict(data["baseline_selection"]),
-        heterogeneous_selection=selection_from_dict(
-            data["heterogeneous_selection"]
-        ),
-        reference_measured=measured_from_dict(data["reference_measured"]),
-        baseline_measured=measured_from_dict(data["baseline_measured"]),
-        heterogeneous_measured=measured_from_dict(data["heterogeneous_measured"]),
-    )
+    if data.get("machine_file") is not None:
+        data["machine_file"] = data["machine_file"]["path"]
+    return from_data(ExperimentOptions, data)

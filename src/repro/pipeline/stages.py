@@ -35,9 +35,15 @@ from repro.machine.fingerprint import machine_facets
 from repro.machine.machine import MachineDescription, paper_machine
 from repro.pipeline.cache import LOOP_CACHE, StageCache, stage_key
 from repro.pipeline.context import ExperimentContext
+from repro.pipeline.serialization import (
+    from_data,
+    schedule_from_dict,
+    schedule_to_dict,
+    to_data,
+)
 from repro.power.calibration import calibrate
 from repro.power.energy import EnergyModel, EventCounts
-from repro.power.profile import ProgramProfile
+from repro.power.profile import LoopProfile, ProgramProfile
 from repro.scheduler.context import PartitionEnergyWeights
 from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
 from repro.scheduler.homogeneous import HomogeneousModuloScheduler
@@ -94,27 +100,6 @@ class ScheduleSummary:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         return (iterations - 1) * self.it + self.it_length
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict form."""
-        return {
-            "it": self.it,
-            "it_length": self.it_length,
-            "comms_per_iteration": self.comms_per_iteration,
-            "mem_accesses_per_iteration": self.mem_accesses_per_iteration,
-            "energy_units": list(self.energy_units),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ScheduleSummary":
-        """Rebuild a summary from :meth:`to_dict` output."""
-        return cls(
-            it=data["it"],
-            it_length=data["it_length"],
-            comms_per_iteration=data["comms_per_iteration"],
-            mem_accesses_per_iteration=data["mem_accesses_per_iteration"],
-            energy_units=tuple(data["energy_units"]),
-        )
 
 
 def measure_homogeneous(
@@ -211,7 +196,6 @@ class ProfileStage(Stage):
         measurement reads, so warm runs are bit-identical to cold.
         """
         from repro.pipeline.profiling import profile_loop
-        from repro.pipeline.serialization import loop_profile_to_dict
 
         scheduler = context.reference_scheduler
         reference = scheduler.reference_point()
@@ -244,8 +228,8 @@ class ProfileStage(Stage):
                 key,
                 (profile, summary),
                 payload={
-                    "profile": loop_profile_to_dict(profile),
-                    "schedule": summary.to_dict(),
+                    "profile": to_data(profile),
+                    "schedule": to_data(summary),
                 },
             )
             profiles.append(profile)
@@ -257,11 +241,9 @@ class ProfileStage(Stage):
 
     @staticmethod
     def _decode_loop(payload: Dict[str, Any]):
-        from repro.pipeline.serialization import loop_profile_from_dict
-
         return (
-            loop_profile_from_dict(payload["profile"]),
-            ScheduleSummary.from_dict(payload["schedule"]),
+            from_data(LoopProfile, payload["profile"]),
+            from_data(ScheduleSummary, payload["schedule"]),
         )
 
 
@@ -346,11 +328,6 @@ class ScheduleStage(Stage):
         illegal does not decode, so the cache counts it corrupt, evicts
         it and it is rescheduled.
         """
-        from repro.pipeline.serialization import (
-            schedule_from_dict,
-            schedule_to_dict,
-        )
-
         scheduler = HeterogeneousModuloScheduler(
             context.machine, context.options.scheduler
         )

@@ -125,21 +125,6 @@ class TechnologyModel:
             return DomainSetting(cycle_time=period, vdd=vdd, vth=vth)
         return None
 
-    def min_vdd_for(
-        self, cycle_time: Rational, vdd_grid: tuple
-    ) -> Optional[DomainSetting]:
-        """Cheapest supply on ``vdd_grid`` supporting the target speed.
-
-        Walks the grid in ascending order and returns the first feasible
-        :class:`DomainSetting`; ``None`` when even the highest voltage
-        cannot reach the speed within margins.
-        """
-        for vdd in sorted(vdd_grid):
-            setting = self.domain_setting(cycle_time, vdd)
-            if setting is not None:
-                return setting
-        return None
-
     @property
     def reference_setting(self) -> DomainSetting:
         """The reference homogeneous point (1 ns, 1 V, 0.25 V by default)."""

@@ -78,11 +78,6 @@ class SelectionResult:
     fast_factor: Fraction
     slow_ratio: Fraction
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        """True when fast and slow clusters actually differ in speed."""
-        return self.slow_ratio != 1
-
 
 #: One feasible voltage of a Vdd grid: ``(vdd, vth, delta, sigma)``.
 VoltageRow = Tuple[float, float, float, float]

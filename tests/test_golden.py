@@ -96,3 +96,46 @@ class TestPinnedLoopCacheKeys:
             "profile_loop-c7b3572541338cf17a1b5a33",
             "schedule_loop-407c145115ea9d7bcd165027",
         )
+
+
+class TestPinnedJobKeys:
+    """Campaign job keys, spelled out.
+
+    A job key hashes the canonical JSON of the job and its options, so
+    it names the job's result in every campaign store, service and
+    warehouse.  A change to how any option serializes turns those
+    results cold; this makes such a change fail a test instead.
+    """
+
+    @staticmethod
+    def _stress_deep():
+        from repro.scenarios import find_pack
+
+        return {w.name: w for w in find_pack("stress").workloads}["stress.deep"]
+
+    def test_pinned_keys(self):
+        from repro.campaign.job import ExperimentJob
+        from repro.scenarios import bundled_pack_paths
+        from test_serialization import _variant_options
+
+        wide_issue = str(bundled_pack_paths()["wide-issue"])
+        jobs = {
+            "default": ExperimentJob("171.swim", SCALE),
+            "two buses": ExperimentJob(
+                "171.swim", SCALE, ExperimentOptions(n_buses=2)
+            ),
+            "variant": ExperimentJob("171.swim", SCALE, _variant_options()),
+            "wide-issue": ExperimentJob(
+                "171.swim", SCALE, ExperimentOptions(machine_file=wide_issue)
+            ),
+            "stress": ExperimentJob(
+                "stress.deep", SCALE, workload=self._stress_deep()
+            ),
+        }
+        assert {name: job.key() for name, job in jobs.items()} == {
+            "default": "524d79bf69f082fb",
+            "two buses": "3c95f85674a8143e",
+            "variant": "03eca2de0cfa82fa",
+            "wide-issue": "0548bd1c3c4387fa",
+            "stress": "b5bb02666595c4cd",
+        }

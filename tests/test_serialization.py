@@ -10,14 +10,10 @@ import pytest
 
 from repro.machine.clocking import FrequencyPalette
 from repro.pipeline import BenchmarkEvaluation, ExperimentOptions, evaluate_corpus
-from repro.pipeline.serialization import (
-    design_space_from_dict,
-    design_space_to_dict,
-    loop_profile_from_dict,
-    loop_profile_to_dict,
-    profile_from_dict,
-    profile_to_dict,
-)
+from repro.errors import PipelineError
+from repro.machine.operating_point import DomainSetting
+from repro.pipeline.serialization import from_data, to_data
+from repro.pipeline.stages import ScheduleSummary
 from repro.scheduler.options import SchedulerOptions
 from repro.vfs.candidates import DesignSpaceSpec
 from repro.workloads import build_corpus, spec_profile
@@ -78,7 +74,7 @@ class TestOptionsRoundTrip:
 
     def test_fractions_serialize_exactly(self):
         spec = DesignSpaceSpec(fast_factors=(Fraction(19, 20),))
-        rebuilt = design_space_from_dict(design_space_to_dict(spec))
+        rebuilt = from_data(DesignSpaceSpec, to_data(spec))
         assert rebuilt.fast_factors == (Fraction(19, 20),)
         assert isinstance(rebuilt.fast_factors[0], Fraction)
 
@@ -113,13 +109,68 @@ class TestEvaluationRoundTrip:
 
     def test_profile_class_counts_survive_enum_round_trip(self, evaluation):
         profile = evaluation.profile
-        rebuilt = profile_from_dict(profile_to_dict(profile))
+        rebuilt = from_data(type(profile), to_data(profile))
         assert len(rebuilt) == len(profile)
         first, first_rebuilt = profile.loops[0], rebuilt.loops[0]
         assert first_rebuilt.class_counts == dict(first.class_counts)
         assert first_rebuilt.rec_mii == first.rec_mii
         assert isinstance(first_rebuilt.rec_mii, Fraction)
 
-    def test_loop_profile_round_trip(self, evaluation):
-        loop = evaluation.profile.loops[0]
-        assert loop_profile_from_dict(loop_profile_to_dict(loop)) == loop
+
+#: Every value type the codec handles, as a getter on an evaluation (or
+#: a constant).
+CODEC_VALUES = {
+    "breakdown": lambda e: e.units.breakdown,
+    "technology": lambda e: _variant_options().technology,
+    "design_space": lambda e: _variant_options().design_space,
+    "palette_any": lambda e: FrequencyPalette.any_frequency(),
+    "palette_global": lambda e: FrequencyPalette.uniform(3, Fraction(1)),
+    "palette_per_domain": lambda e: FrequencyPalette.per_domain_uniform(4),
+    "scheduler_options": lambda e: _variant_options().scheduler,
+    "domain_setting": lambda e: e.units.reference,
+    "operating_point": lambda e: e.heterogeneous_selection.point,
+    "selection": lambda e: e.heterogeneous_selection,
+    "energy_estimate": lambda e: e.baseline_measured.energy,
+    "measured": lambda e: e.heterogeneous_measured,
+    "units": lambda e: e.units,
+    "loop_profile": lambda e: e.profile.loops[0],
+    "profile": lambda e: e.profile,
+    "schedule_summary": lambda e: ScheduleSummary(
+        it=2.0,
+        it_length=10.0,
+        comms_per_iteration=3,
+        mem_accesses_per_iteration=4,
+        energy_units=(1.5, 2.5),
+    ),
+    "evaluation": lambda e: e,
+}
+
+
+class TestCodec:
+    @pytest.mark.parametrize("name", sorted(CODEC_VALUES))
+    def test_round_trips_through_json(self, name, evaluation):
+        value = CODEC_VALUES[name](evaluation)
+        data = to_data(value)
+        text = json.dumps(data, sort_keys=True)
+        rebuilt = from_data(type(value), json.loads(text))
+        assert rebuilt == value
+        assert to_data(rebuilt) == data
+
+    def test_fraction_field_encodes_by_declared_type(self, evaluation):
+        selection = replace(evaluation.heterogeneous_selection, slow_ratio=1)
+        data = to_data(selection)
+        assert data["slow_ratio"] == "1"
+        assert isinstance(from_data(type(selection), data).slow_ratio, Fraction)
+
+    def test_missing_key_without_default_is_named(self):
+        data = to_data(DomainSetting(cycle_time=Fraction(1), vdd=1.0, vth=0.25))
+        del data["vth"]
+        with pytest.raises(PipelineError, match=r"DomainSetting.*'vth'"):
+            from_data(DomainSetting, data)
+
+    def test_missing_key_with_default_takes_it(self):
+        assert from_data(SchedulerOptions, {}) == SchedulerOptions()
+
+    def test_non_dict_is_rejected(self):
+        with pytest.raises(PipelineError, match="SchedulerOptions"):
+            from_data(SchedulerOptions, [1, 2])

@@ -300,14 +300,30 @@ class TestRequestValidation:
 
         run_async(body)
 
-    def test_canonical_options_naming_a_machine_rejected(self):
+    @pytest.mark.parametrize(
+        "case", ["machine", "top-level key", "nested key", "not a dict"]
+    )
+    def test_canonical_options_naming_a_machine_rejected(self, case):
         from repro.pipeline import ExperimentOptions
 
-        options = dict(ExperimentOptions().to_dict(), machine="warp9")
+        canonical = ExperimentOptions().to_dict()
+        misspelled = dict(canonical["scheduler"], ed2_refinment=False)
+        options, match = {
+            "machine": (dict(canonical, machine="warp9"), "machine_file"),
+            "top-level key": (
+                dict(canonical, n_busses=2),
+                r"ExperimentOptions.*'n_busses'",
+            ),
+            "nested key": (
+                dict(canonical, scheduler=misspelled),
+                r"SchedulerOptions.*'ed2_refinment'",
+            ),
+            "not a dict": ([canonical], "options must be a dict"),
+        }[case]
 
         async def body():
             manager = make_manager(CountingRunner())
-            with pytest.raises(ServiceError, match="machine_file"):
+            with pytest.raises(ServiceError, match=match):
                 manager.submit_evaluate(
                     {"benchmark": "171.swim", "options": options}
                 )

@@ -17,6 +17,7 @@ from repro.pipeline import (
     ProfileStage,
     paper_stages,
 )
+from repro.pipeline.serialization import from_data, to_data
 from repro.pipeline.stages import ScheduleSummary
 from repro.workloads import build_corpus, spec_profile
 
@@ -83,7 +84,7 @@ class TestScheduleSummary:
             mem_accesses_per_iteration=4,
             energy_units=(1.5, 2.5),
         )
-        again = ScheduleSummary.from_dict(summary.to_dict())
+        again = from_data(ScheduleSummary, to_data(summary))
         assert again == summary
         assert again.cluster_energy_units() == (1.5, 2.5)
         assert again.execution_time(6) == 5 * 2.0 + 10.0

@@ -78,18 +78,6 @@ class TestDomainSetting:
         # 0.3 ns (3.33 GHz) at 1.0 V: far beyond reach.
         assert tech.domain_setting(Fraction(3, 10), 1.0) is None
 
-    def test_min_vdd_for_picks_cheapest(self):
-        tech = TechnologyModel()
-        grid = (0.7, 0.8, 0.9, 1.0, 1.1)
-        setting = tech.min_vdd_for(Fraction(3, 2), grid)
-        assert setting is not None
-        slower_needs = tech.min_vdd_for(Fraction(9, 10), grid)
-        assert slower_needs is None or slower_needs.vdd >= setting.vdd
-
-    def test_min_vdd_for_can_fail(self):
-        tech = TechnologyModel()
-        assert tech.min_vdd_for(Fraction(1, 10), (0.7, 0.8)) is None
-
 
 class TestValidation:
     def test_alpha_below_one_rejected(self):

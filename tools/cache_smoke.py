@@ -9,7 +9,9 @@ schedule artifact from disk.  Fails unless
 * the warm suite JSON is byte-identical to the cold one,
 * the warm loop-cache hit ratio meets the threshold (every artifact
   served from cache, zero re-scheduled loops),
-* nothing was counted corrupt.
+* nothing was counted corrupt,
+* every ``profile_loop-*`` artifact left in the cache decodes through
+  the pipeline's codec and re-encodes to exactly its stored ``data``.
 
 Exercising two separate interpreter processes is the point: it proves
 the fingerprints the cache keys on carry no process-local state
@@ -51,9 +53,9 @@ print(json.dumps({
 """
 
 
-def run_pass(loop_dir: Path) -> dict:
+def _run(snippet: str, *args: str) -> str:
     result = subprocess.run(
-        [sys.executable, "-c", _RUN_SNIPPET, str(loop_dir), str(SCALE)],
+        [sys.executable, "-c", snippet, *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -61,8 +63,38 @@ def run_pass(loop_dir: Path) -> dict:
     )
     if result.returncode != 0:
         print(result.stderr, file=sys.stderr)
-        raise SystemExit("cache smoke: suite process failed")
-    return json.loads(result.stdout)
+        raise SystemExit("cache smoke: child process failed")
+    return result.stdout
+
+
+def run_pass(loop_dir: Path) -> dict:
+    return json.loads(_run(_RUN_SNIPPET, str(loop_dir), str(SCALE)))
+
+
+_CODEC_SNIPPET = """
+import json, sys
+from pathlib import Path
+from repro.pipeline.serialization import from_data, to_data
+from repro.pipeline.stages import ScheduleSummary
+from repro.power.profile import LoopProfile
+
+checked, mismatched = 0, []
+for path in sorted(Path(sys.argv[1]).glob("profile_loop-*.json")):
+    data = json.loads(path.read_text())["data"]
+    again = {
+        "profile": to_data(from_data(LoopProfile, data["profile"])),
+        "schedule": to_data(from_data(ScheduleSummary, data["schedule"])),
+    }
+    checked += 1
+    if again != data:
+        mismatched.append(path.name)
+print(json.dumps({"checked": checked, "mismatched": mismatched}))
+"""
+
+
+def check_codec(loop_dir: Path) -> dict:
+    """Decode and re-encode every stored profile artifact."""
+    return json.loads(_run(_CODEC_SNIPPET, str(loop_dir)))
 
 
 def main() -> int:
@@ -72,8 +104,13 @@ def main() -> int:
         cold = run_pass(loop_dir)
         warm = run_pass(loop_dir)
         wall = time.perf_counter() - started
+        codec = check_codec(loop_dir)
 
     failures = []
+    if codec["checked"] == 0:
+        failures.append("no profile_loop artifacts to decode")
+    for name in codec["mismatched"]:
+        failures.append(f"{name} does not re-encode to its stored data")
     if warm["doc"] != cold["doc"]:
         failures.append("warm suite JSON differs from cold suite JSON")
     cold_stats, warm_stats = cold["loop_cache"], warm["loop_cache"]
@@ -96,7 +133,9 @@ def main() -> int:
         f"({cold_stats['misses']} loops computed) -> warm "
         f"{warm['elapsed_s']:.2f}s ({served} served from cache, "
         f"hit ratio {ratio:.3f}), byte-identical="
-        f"{warm['doc'] == cold['doc']}, wall {wall:.2f}s"
+        f"{warm['doc'] == cold['doc']}, wall {wall:.2f}s; "
+        f"{codec['checked']} profile artifacts re-encoded, "
+        f"{len(codec['mismatched'])} mismatched"
     )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
