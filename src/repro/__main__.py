@@ -20,10 +20,11 @@ Commands:
   campaign jobs over HTTP, deduplicated by content-addressed job keys,
   with the SQLite warehouse kept in sync (``--host``, ``--port``,
   ``--cache-dir``, ``--jobs``, ``--runner``),
-* ``query`` — ask the warehouse cross-campaign questions: ``ingest``,
-  ``summary``, ``jobs``, ``best``, ``pareto``, ``diff``, ``campaigns``,
-  ``spans``, ``timeline`` (``--db``, ``--campaign``, ``--metric``,
-  ``--output json``),
+* ``query`` — ``ingest`` cache dirs into the warehouse, or ask it one
+  of the cross-campaign questions in ``repro.warehouse.QUERY_OPS``
+  (``summary``, ``campaigns``, ``jobs``, ``best``, ``pareto``,
+  ``spans``, ``cache``, ``diff``, ``timeline``; ``--db``, ``--label``,
+  ``--benchmark``, ``--metric``, ``--output json``),
 * ``trace`` — run ``evaluate`` or ``suite`` with tracing enabled and
   print the span tree showing where the wall time went
   (``--output json`` for the raw tree),
@@ -51,8 +52,10 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.campaign.aggregate import METRICS
 from repro.pipeline import Experiment, ExperimentOptions
 from repro.reporting import PAPER_FIGURE6_ED2, bar_chart, render_table
+from repro.warehouse.queries import QUERY_OPS
 from repro.workloads import SPEC2000_PROFILES, build_corpus, spec_profile
 
 
@@ -539,18 +542,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "op",
-        choices=(
-            "ingest",
-            "summary",
-            "campaigns",
-            "jobs",
-            "best",
-            "pareto",
-            "diff",
-            "spans",
-            "cache",
-            "timeline",
-        ),
+        choices=("ingest", *QUERY_OPS),
         help="what to ask (see docs/service.md#queries)",
     )
     query.add_argument(
@@ -559,8 +551,8 @@ def _parser() -> argparse.ArgumentParser:
         metavar="SELECTOR",
         help="for ingest: cache dirs to index; for diff: exactly two "
         "selectors (campaign labels or machine:NAME); for timeline: a "
-        "job id or trace id; for best/pareto/jobs: an optional single "
-        "selector narrowing the population",
+        "job id or trace id; for jobs/best/pareto/spans/cache: an "
+        "optional single selector narrowing the population",
     )
     query.add_argument(
         "--db",
@@ -579,11 +571,13 @@ def _parser() -> argparse.ArgumentParser:
         help="for ingest: campaign label to file the entries under",
     )
     query.add_argument(
-        "--benchmark", default=None, help="for best: narrow to one benchmark"
+        "--benchmark",
+        default=None,
+        help="for jobs and best: narrow to one benchmark",
     )
     query.add_argument(
         "--metric",
-        choices=("ed2_ratio", "energy_ratio", "time_ratio"),
+        choices=METRICS,
         default="ed2_ratio",
         help="ranking/diff metric (default ed2_ratio)",
     )
@@ -1150,23 +1144,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.campaign import DEFAULT_CACHE_DIR
-    from repro.reporting import (
-        warehouse_best_table,
-        warehouse_cache_table,
-        warehouse_diff_table,
-        warehouse_jobs_table,
-        warehouse_pareto_table,
-        warehouse_spans_table,
-        warehouse_summary_table,
-    )
+    from repro.reporting import render_query
     from repro.warehouse import (
         DEFAULT_WAREHOUSE_NAME,
         Warehouse,
         WarehouseError,
-        best_points,
-        pareto_frontier,
-        regression_diff,
-        span_breakdown,
+        run_query,
     )
 
     cache_dir = args.cache_dir if args.cache_dir is not None else DEFAULT_CACHE_DIR
@@ -1175,133 +1158,29 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.db is not None
         else f"{cache_dir}/{DEFAULT_WAREHOUSE_NAME}"
     )
-    selectors = list(args.selectors)
-
-    def _emit(document, table: str) -> None:
-        if args.output == "json":
-            print(json.dumps(document, indent=2, sort_keys=True))
-        else:
-            print(table)
-
     with Warehouse(db_path) as warehouse:
+        if args.op == "ingest":
+            for source in args.selectors or [cache_dir]:
+                report = warehouse.ingest_store(source, campaign=args.label)
+                print(report.describe(), file=sys.stderr)
+            print(render_query("summary", run_query(warehouse, "summary")))
+            return 0
         try:
-            if args.op == "ingest":
-                sources = selectors or [cache_dir]
-                for source in sources:
-                    report = warehouse.ingest_store(source, campaign=args.label)
-                    print(report.describe(), file=sys.stderr)
-                print(warehouse_summary_table(warehouse))
-                return 0
-            selector = selectors[0] if selectors else None
-            if args.op not in ("diff",) and len(selectors) > 1:
-                print(
-                    f"query {args.op} takes at most one selector, "
-                    f"got {len(selectors)}",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.op == "summary" or args.op == "campaigns":
-                _emit(
-                    {
-                        "summary": warehouse.summary(),
-                        "campaigns": warehouse.campaigns(),
-                    },
-                    warehouse_summary_table(warehouse),
-                )
-                return 0
-            if args.op == "jobs":
-                rows = warehouse.job_rows(selector, benchmark=args.benchmark)
-                _emit(
-                    {"jobs": [vars(row) for row in rows]},
-                    warehouse_jobs_table(rows),
-                )
-                return 0
-            if args.op == "best":
-                rows = best_points(
-                    warehouse,
-                    selector,
-                    benchmark=args.benchmark,
-                    metric=args.metric,
-                )
-                _emit(
-                    {"best": [vars(row) for row in rows]},
-                    warehouse_best_table(
-                        warehouse, selector, metric=args.metric, rows=rows
-                    ),
-                )
-                return 0
-            if args.op == "timeline":
-                from repro.reporting import render_timeline
-
-                if selector is None:
-                    print(
-                        "query timeline takes a job id or trace id",
-                        file=sys.stderr,
-                    )
-                    return 2
-                document = warehouse.trace(selector)
-                if document is None:
-                    print(f"no trace for {selector!r}", file=sys.stderr)
-                    return 2
-                _emit(document, render_timeline(document))
-                return 0
-            if args.op == "spans":
-                rows = span_breakdown(warehouse, selector)
-                _emit(
-                    {"spans": [vars(row) for row in rows]},
-                    warehouse_spans_table(rows, selector=selector),
-                )
-                return 0
-            if args.op == "cache":
-                rows = warehouse.cache_rows(selector)
-                _emit(
-                    {
-                        "cache": [
-                            {"counter": counter, "total": total, "jobs": jobs}
-                            for counter, total, jobs in rows
-                        ]
-                    },
-                    warehouse_cache_table(rows, selector=selector),
-                )
-                return 0
-            if args.op == "pareto":
-                points = pareto_frontier(warehouse, selector)
-                _emit(
-                    {"pareto": [vars(point) for point in points]},
-                    warehouse_pareto_table(warehouse, selector, points=points),
-                )
-                return 0
-            if args.op == "diff":
-                if len(selectors) != 2:
-                    print(
-                        "query diff takes exactly two selectors "
-                        "(campaign labels or machine:NAME), "
-                        f"got {len(selectors)}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                a, b = selectors
-                diffs = regression_diff(warehouse, a, b, metric=args.metric)
-                _emit(
-                    {
-                        "metric": args.metric,
-                        "regressed": sum(1 for d in diffs if d.regressed),
-                        "diff": [
-                            dict(
-                                vars(diff),
-                                delta=diff.delta,
-                                regressed=diff.regressed,
-                            )
-                            for diff in diffs
-                        ],
-                    },
-                    warehouse_diff_table(diffs, a, b, metric=args.metric),
-                )
-                return 1 if any(d.regressed for d in diffs) else 0
-        except WarehouseError as error:
+            document = run_query(
+                warehouse,
+                args.op,
+                args.selectors,
+                benchmark=args.benchmark,
+                metric=args.metric,
+            )
+        except (ValueError, WarehouseError) as error:
             print(f"query failed: {error}", file=sys.stderr)
             return 2
-    return 2
+    if args.output == "json":
+        print(json.dumps(document, indent=2, sort_keys=True))
+    else:
+        print(render_query(args.op, document, args.selectors, args.metric))
+    return 1 if args.op == "diff" and document["regressed"] else 0
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:

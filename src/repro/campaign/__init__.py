@@ -18,10 +18,12 @@ from repro.campaign.executor import (
     run_campaign,
 )
 from repro.campaign.aggregate import (
+    METRICS,
+    ParetoPoint,
     RatioRow,
-    best_configurations,
+    best_rows,
+    check_metric,
     config_means,
-    filter_results,
     load_results,
     pareto_frontier,
     ratio_rows,
@@ -37,10 +39,12 @@ __all__ = [
     "JobResult",
     "execute_job_payload",
     "run_campaign",
+    "METRICS",
+    "ParetoPoint",
     "RatioRow",
-    "best_configurations",
+    "best_rows",
+    "check_metric",
     "config_means",
-    "filter_results",
     "load_results",
     "pareto_frontier",
     "ratio_rows",

@@ -1,25 +1,36 @@
-"""Aggregation and querying of campaign results.
+"""Aggregation of campaign results: the one definition of each aggregate.
 
-Turns a pile of per-job results into the quantities the paper reports:
-per-benchmark ratio rows, per-configuration suite means (the "mean" bar
-of Figure 6), the best configuration per benchmark, and the Pareto
-frontier of the energy/time trade-off over the explored option grid.
+Turns rows of per-job ratios into the quantities the paper reports:
+per-configuration suite means (the "mean" bar of Figure 6), the best
+row per benchmark, and the Pareto frontier of the energy/time trade-off
+over the explored option grid.
 
-Everything here consumes :class:`~repro.campaign.executor.JobResult`
-objects — whether they were computed this run or loaded from the store
-is irrelevant — so ad-hoc queries over an existing cache directory work
-the same way as the report of a live campaign.
+The aggregates take *rows*: any objects with ``.benchmark``,
+``.config`` and the three :data:`METRICS` attributes.  A live campaign
+report passes :class:`RatioRow` objects from :func:`ratio_rows`; the
+warehouse queries pass its :class:`~repro.warehouse.db.JobRow` objects —
+so a query over a freshly ingested store matches what the campaign
+reported, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.campaign.executor import JobResult
 from repro.campaign.job import ExperimentJob
 from repro.campaign.store import ResultStore
 from repro.pipeline.experiment import BenchmarkEvaluation
+
+#: The per-job ratios a query may rank, average or diff on.
+METRICS = ("ed2_ratio", "energy_ratio", "time_ratio")
+
+
+def check_metric(metric: str) -> None:
+    """Raise :class:`ValueError` unless ``metric`` is one of :data:`METRICS`."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; pick one of {METRICS}")
 
 
 @dataclass(frozen=True)
@@ -49,71 +60,89 @@ class RatioRow:
         )
 
 
+@dataclass(frozen=True)
+class ParetoPoint:
+    """One non-dominated configuration (means over its benchmarks)."""
+
+    config: str
+    a: float
+    b: float
+    n_benchmarks: int
+
+
 def ratio_rows(results: Sequence[JobResult]) -> List[RatioRow]:
     """One row per successful job, in (benchmark, config) order."""
     rows = [RatioRow.from_result(r) for r in results if r.ok]
     return sorted(rows, key=lambda row: (row.benchmark, row.config))
 
 
-def config_means(results: Sequence[JobResult]) -> Dict[str, Dict[str, float]]:
+def config_means(rows: Sequence[Any]) -> Dict[str, Dict[str, float]]:
     """Suite means per configuration label.
 
     The arithmetic mean over benchmarks of each ratio — the quantity the
     paper's "mean" bars report — plus the benchmark count backing it.
+    Rows are summed in the order given.
     """
-    groups: Dict[str, List[RatioRow]] = {}
-    for row in ratio_rows(results):
+    groups: Dict[str, List[Any]] = {}
+    for row in rows:
         groups.setdefault(row.config, []).append(row)
     means: Dict[str, Dict[str, float]] = {}
-    for config, rows in sorted(groups.items()):
-        count = len(rows)
-        means[config] = {
-            "n_benchmarks": count,
-            "mean_ed2_ratio": sum(r.ed2_ratio for r in rows) / count,
-            "mean_energy_ratio": sum(r.energy_ratio for r in rows) / count,
-            "mean_time_ratio": sum(r.time_ratio for r in rows) / count,
-        }
+    for config, group in sorted(groups.items()):
+        count = len(group)
+        means[config] = {"n_benchmarks": count}
+        for metric in METRICS:
+            means[config][f"mean_{metric}"] = (
+                sum(getattr(row, metric) for row in group) / count
+            )
     return means
 
 
-def best_configurations(
-    results: Sequence[JobResult], metric: str = "ed2_ratio"
-) -> Dict[str, RatioRow]:
-    """Per benchmark, the configuration minimising ``metric``."""
-    best: Dict[str, RatioRow] = {}
-    for row in ratio_rows(results):
-        value = getattr(row, metric)
+def best_rows(rows: Sequence[Any], metric: str = "ed2_ratio") -> List[Any]:
+    """Per benchmark, the first row minimising ``metric``; by benchmark."""
+    check_metric(metric)
+    best: Dict[str, Any] = {}
+    for row in rows:
         incumbent = best.get(row.benchmark)
-        if incumbent is None or value < getattr(incumbent, metric):
+        if incumbent is None or getattr(row, metric) < getattr(
+            incumbent, metric
+        ):
             best[row.benchmark] = row
-    return dict(sorted(best.items()))
+    return [best[name] for name in sorted(best)]
 
 
 def pareto_frontier(
-    results: Sequence[JobResult],
+    rows: Sequence[Any],
     objectives: Tuple[str, str] = ("energy_ratio", "time_ratio"),
-) -> List[Tuple[str, float, float]]:
-    """Non-dominated (config, objective values) over the config means.
+) -> List[ParetoPoint]:
+    """Non-dominated configurations over the rows' config means.
 
     Both objectives are minimised.  A configuration is on the frontier
     when no other configuration is at least as good on both objectives
     and strictly better on one.  Returned sorted by the first objective.
     """
-    key_a = "mean_" + objectives[0]
-    key_b = "mean_" + objectives[1]
+    for objective in objectives:
+        check_metric(objective)
+    key_a, key_b = (f"mean_{objective}" for objective in objectives)
     points = [
-        (config, stats[key_a], stats[key_b])
-        for config, stats in config_means(results).items()
+        ParetoPoint(
+            config=config,
+            a=stats[key_a],
+            b=stats[key_b],
+            n_benchmarks=int(stats["n_benchmarks"]),
+        )
+        for config, stats in config_means(rows).items()
     ]
     frontier = [
-        (config, a, b)
-        for config, a, b in points
+        point
+        for point in points
         if not any(
-            (oa <= a and ob <= b) and (oa < a or ob < b)
-            for _, oa, ob in points
+            other.a <= point.a
+            and other.b <= point.b
+            and (other.a < point.a or other.b < point.b)
+            for other in points
         )
     ]
-    return sorted(frontier, key=lambda point: (point[1], point[2]))
+    return sorted(frontier, key=lambda point: (point.a, point.b))
 
 
 # ----------------------------------------------------------------------
@@ -147,17 +176,3 @@ def load_results(store: ResultStore) -> List[JobResult]:
             )
         )
     return results
-
-
-def filter_results(
-    results: Sequence[JobResult],
-    benchmark: Optional[str] = None,
-    config: Optional[str] = None,
-) -> List[JobResult]:
-    """Successful results narrowed by benchmark and/or config label."""
-    selected = [r for r in results if r.ok]
-    if benchmark is not None:
-        selected = [r for r in selected if r.job.benchmark == benchmark]
-    if config is not None:
-        selected = [r for r in selected if r.job.config_label() == config]
-    return selected

@@ -25,7 +25,7 @@ The stages that run this flow, in this fixed order, are in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.pipeline.serialization import (
     from_data,
@@ -88,25 +88,24 @@ class BenchmarkEvaluation:
     heterogeneous_measured: MeasuredExecution
 
     @property
+    def ratios(self) -> Tuple[float, float, float]:
+        """(ED^2, energy, time), heterogeneous over optimum homogeneous."""
+        return self.heterogeneous_measured.ratios_to(self.baseline_measured)
+
+    @property
     def ed2_ratio(self) -> float:
         """Heterogeneous ED^2 over optimum-homogeneous ED^2 (Figure 6)."""
-        return self.heterogeneous_measured.ed2 / self.baseline_measured.ed2
+        return self.ratios[0]
 
     @property
     def energy_ratio(self) -> float:
         """Heterogeneous energy over baseline energy."""
-        return (
-            self.heterogeneous_measured.energy.total
-            / self.baseline_measured.energy.total
-        )
+        return self.ratios[1]
 
     @property
     def time_ratio(self) -> float:
         """Heterogeneous execution time over baseline execution time."""
-        return (
-            self.heterogeneous_measured.exec_time_ns
-            / self.baseline_measured.exec_time_ns
-        )
+        return self.ratios[2]
 
     def to_dict(self) -> dict:
         """Canonical JSON-safe dict form (see pipeline.serialization)."""

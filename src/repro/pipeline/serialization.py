@@ -76,22 +76,20 @@ def content_key(data: Any, length: int = 16) -> str:
 def evaluation_ratios(evaluation: Dict[str, Any]) -> tuple:
     """(ed2, energy, time) ratios straight from an evaluation dict.
 
-    Mirrors :class:`~repro.pipeline.experiment.BenchmarkEvaluation`'s
-    properties without rebuilding the full object graph — the warehouse
-    ingests thousands of payloads and the service summarises every
-    completion, and each needs only these three numbers.
+    Decodes only the two measured executions, not the full object
+    graph, and returns :attr:`BenchmarkEvaluation.ratios
+    <repro.pipeline.experiment.BenchmarkEvaluation.ratios>` of them —
+    the warehouse ingests thousands of payloads and the service
+    summarises every completion, and each needs only these three
+    numbers.
     """
-    het = evaluation["heterogeneous_measured"]
-    base = evaluation["baseline_measured"]
-    het_energy = float(sum(het["energy"].values()))
-    base_energy = float(sum(base["energy"].values()))
-    het_time = float(het["exec_time_ns"])
-    base_time = float(base["exec_time_ns"])
-    return (
-        (het_energy * het_time**2) / (base_energy * base_time**2),
-        het_energy / base_energy,
-        het_time / base_time,
+    from repro.sim.power_meter import MeasuredExecution
+
+    het, base = (
+        from_data(MeasuredExecution, evaluation[name])
+        for name in ("heterogeneous_measured", "baseline_measured")
     )
+    return het.ratios_to(base)
 
 
 # ----------------------------------------------------------------------

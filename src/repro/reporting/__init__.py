@@ -14,6 +14,7 @@ from repro.reporting.scenarios import scenario_detail, scenario_list_table
 from repro.reporting.telemetry import render_trace, warehouse_spans_table
 from repro.reporting.timeline import render_timeline, timeline_attribution
 from repro.reporting.warehouse import (
+    render_query,
     warehouse_best_table,
     warehouse_cache_table,
     warehouse_diff_table,
@@ -37,6 +38,7 @@ __all__ = [
     "campaign_pareto_table",
     "campaign_results_table",
     "campaign_summary",
+    "render_query",
     "render_trace",
     "render_timeline",
     "timeline_attribution",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.campaign.aggregate import (
-    best_configurations,
+    best_rows,
     config_means,
     pareto_frontier,
     ratio_rows,
@@ -44,7 +44,7 @@ def campaign_means_table(results: Sequence[JobResult]) -> str:
             f"{stats['mean_energy_ratio']:.3f}",
             f"{stats['mean_time_ratio']:.3f}",
         )
-        for config, stats in config_means(results).items()
+        for config, stats in config_means(ratio_rows(results)).items()
     ]
     return render_table(
         ["config", "benchmarks", "mean ED^2", "mean energy", "mean time"],
@@ -56,8 +56,8 @@ def campaign_means_table(results: Sequence[JobResult]) -> str:
 def campaign_best_table(results: Sequence[JobResult]) -> str:
     """Best configuration per benchmark by ED^2 ratio."""
     rows = [
-        (benchmark, row.config, f"{row.ed2_ratio:.3f}")
-        for benchmark, row in best_configurations(results).items()
+        (row.benchmark, row.config, f"{row.ed2_ratio:.3f}")
+        for row in best_rows(ratio_rows(results))
     ]
     return render_table(
         ["benchmark", "best config", "ED^2"],
@@ -69,8 +69,8 @@ def campaign_best_table(results: Sequence[JobResult]) -> str:
 def campaign_pareto_table(results: Sequence[JobResult]) -> str:
     """Energy/time Pareto frontier over the configuration means."""
     rows = [
-        (config, f"{energy:.3f}", f"{time:.3f}")
-        for config, energy, time in pareto_frontier(results)
+        (point.config, f"{point.a:.3f}", f"{point.b:.3f}")
+        for point in pareto_frontier(ratio_rows(results))
     ]
     return render_table(
         ["config", "mean energy", "mean time"],

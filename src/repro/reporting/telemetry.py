@@ -86,18 +86,19 @@ def render_trace(root: Span) -> str:
     return "\n".join(lines)
 
 
-def warehouse_spans_table(rows: Sequence[Any], selector=None) -> str:
-    """Per-span time totals over a warehouse selection."""
+def warehouse_spans_table(document: Dict[str, Any], selector=None) -> str:
+    """Per-span time totals over a warehouse selection (``spans``)."""
     from repro.reporting.tables import render_table
 
-    total = sum(row.total_s for row in rows)
+    rows = document["spans"]
+    total = sum(row["total_s"] for row in rows)
     body = [
         (
-            row.span,
-            row.n,
-            f"{row.total_s:.3f}s",
-            f"{row.total_s / total:.1%}" if total > 0 else "-",
-            row.jobs,
+            row["span"],
+            row["n"],
+            f"{row['total_s']:.3f}s",
+            f"{row['total_s'] / total:.1%}" if total > 0 else "-",
+            row["jobs"],
         )
         for row in rows
     ]

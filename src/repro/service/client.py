@@ -377,22 +377,10 @@ class ServiceClient:
         return self._ok("POST", "/v1/fleet/drain")
 
     # ------------------------------------------------------------------
-    def query_best(self, **query: Any) -> Any:
-        """``GET /v1/query/best``."""
-        return self._ok("GET", "/v1/query/best", query=query)["best"]
+    def query(self, op: str, **params: Any) -> Dict[str, Any]:
+        """``GET /v1/query/<op>``: the op's ``run_query`` document.
 
-    def query_pareto(self, **query: Any) -> Any:
-        """``GET /v1/query/pareto``."""
-        return self._ok("GET", "/v1/query/pareto", query=query)["pareto"]
-
-    def query_diff(self, a: str, b: str, **query: Any) -> Dict[str, Any]:
-        """``GET /v1/query/diff``."""
-        return self._ok("GET", "/v1/query/diff", query={"a": a, "b": b, **query})
-
-    def query_campaigns(self) -> Any:
-        """``GET /v1/query/campaigns``."""
-        return self._ok("GET", "/v1/query/campaigns")["campaigns"]
-
-    def query_spans(self, **query: Any) -> Any:
-        """``GET /v1/query/spans``."""
-        return self._ok("GET", "/v1/query/spans", query=query)["spans"]
+        ``params`` are the query parameters: ``selector`` (``a`` and
+        ``b`` for ``diff``), ``benchmark`` and ``metric``.
+        """
+        return self._ok("GET", f"/v1/query/{op}", query=params)

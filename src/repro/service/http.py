@@ -19,8 +19,10 @@ Endpoints (see ``docs/service.md`` for the full contract):
 * ``GET  /v1/jobs/<id>/result`` — the result document,
 * ``GET  /v1/jobs/<id>/events`` — ndjson event stream until terminal,
 * ``GET  /v1/jobs/<id>/timeline`` — the job's live distributed trace,
-* ``GET  /v1/query/pareto | best | diff | campaigns | spans`` —
-  warehouse queries,
+* ``GET  /v1/query/<op>[?selector=<sel>]`` (``?a=<sel>&b=<sel>`` for
+  ``diff``) — one warehouse query per op of
+  :data:`~repro.warehouse.queries.QUERY_OPS`, answered by
+  :func:`~repro.warehouse.queries.run_query`,
 * ``POST /v1/fleet/lease | complete | renew | release | drain`` — the
   worker-pull fleet protocol (see ``docs/fleet.md``),
 * ``GET  /v1/debug/events[?trace=<id>&kind=<k>&limit=<n>]`` — the
@@ -52,12 +54,8 @@ from repro.telemetry import (
     record_event,
     render_prometheus,
 )
-from repro.warehouse.queries import (
-    best_points,
-    pareto_frontier,
-    regression_diff,
-    span_breakdown,
-)
+from repro.warehouse.db import WarehouseError
+from repro.warehouse.queries import QUERY_OPS, run_query
 
 #: Per-request accounting, labelled by the *normalized* endpoint (job
 #: ids and query ops collapse to templates, so label cardinality stays
@@ -96,7 +94,7 @@ def _endpoint_label(path: str) -> str:
         return "/v1/jobs/{id}"
     if path.startswith("/v1/query/"):
         op = path[len("/v1/query/"):]
-        if op in ("pareto", "best", "diff", "campaigns", "spans"):
+        if op in QUERY_OPS:
             return f"/v1/query/{op}"
     if path.startswith("/v1/fleet/"):
         op = path[len("/v1/fleet/"):]
@@ -723,65 +721,23 @@ class ServiceServer:
         if warehouse is None:
             raise _HttpError(404, "service is running without a warehouse")
         op = path[len("/v1/query/"):]
-        selector = _single(query, "selector")
-        metric = _single(query, "metric") or "ed2_ratio"
+        if op not in QUERY_OPS:
+            raise _HttpError(404, f"no such query: {op}")
+        names = ("a", "b") if op == "diff" else ("selector",)
+        selectors = [_single(query, name) for name in names]
         try:
-            if op == "campaigns":
-                writer.write(
-                    _json_response(200, {"campaigns": warehouse.campaigns()})
-                )
-                return
-            if op == "best":
-                rows = best_points(
-                    warehouse,
-                    selector,
-                    benchmark=_single(query, "benchmark"),
-                    metric=metric,
-                )
-                writer.write(
-                    _json_response(200, {"best": [vars(row) for row in rows]})
-                )
-                return
-            if op == "spans":
-                rows = span_breakdown(warehouse, selector)
-                writer.write(
-                    _json_response(200, {"spans": [vars(row) for row in rows]})
-                )
-                return
-            if op == "pareto":
-                points = pareto_frontier(warehouse, selector)
-                writer.write(
-                    _json_response(
-                        200, {"pareto": [vars(point) for point in points]}
-                    )
-                )
-                return
-            if op == "diff":
-                a, b = _single(query, "a"), _single(query, "b")
-                if not a or not b:
-                    raise _HttpError(400, "diff needs ?a=<sel>&b=<sel>")
-                diffs = regression_diff(warehouse, a, b, metric=metric)
-                writer.write(
-                    _json_response(
-                        200,
-                        {
-                            "metric": metric,
-                            "regressed": sum(1 for d in diffs if d.regressed),
-                            "diff": [
-                                dict(
-                                    vars(diff),
-                                    delta=diff.delta,
-                                    regressed=diff.regressed,
-                                )
-                                for diff in diffs
-                            ],
-                        },
-                    )
-                )
-                return
+            document = run_query(
+                warehouse,
+                op,
+                [selector for selector in selectors if selector],
+                benchmark=_single(query, "benchmark"),
+                metric=_single(query, "metric") or "ed2_ratio",
+            )
+        except WarehouseError as error:
+            raise _HttpError(404, str(error)) from error
         except ValueError as error:
             raise _HttpError(400, str(error)) from error
-        raise _HttpError(404, f"no such query: {op}")
+        writer.write(_json_response(200, document))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ the oracle for this meter over every bundled machine pack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.machine.operating_point import OperatingPoint
@@ -38,6 +38,20 @@ class MeasuredExecution:
     def edp(self) -> float:
         """Energy-delay product."""
         return self.energy.total * self.exec_time_ns
+
+    def ratios_to(
+        self, baseline: "MeasuredExecution"
+    ) -> Tuple[float, float, float]:
+        """(ED^2, energy, time) of this execution over ``baseline``.
+
+        The one definition of the Figure 6 ratios: every report, query
+        and service summary reads them through here.
+        """
+        return (
+            self.ed2 / baseline.ed2,
+            self.energy.total / baseline.energy.total,
+            self.exec_time_ns / baseline.exec_time_ns,
+        )
 
 
 class PowerMeter:

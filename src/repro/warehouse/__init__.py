@@ -6,14 +6,15 @@ but answering any cross-campaign question against it means re-reading
 every file.  This package layers a SQLite *index* over one or many
 stores: :class:`Warehouse` ingests existing cache directories (and stays
 incrementally in sync as the evaluation service or a CLI campaign
-completes jobs), and :mod:`repro.warehouse.queries` answers the
-questions the paper's evaluation keeps asking — best points, the Pareto
-frontier over *all* recorded history, regression diffs between two
-campaigns or two machines — from the index alone, without touching the
-per-job JSON again.
+completes jobs), and :func:`~repro.warehouse.queries.run_query`
+answers the questions the paper's evaluation keeps asking — best
+points, the Pareto frontier over *all* recorded history, regression
+diffs between two campaigns or two machines — from the index alone,
+without touching the per-job JSON again.
 
-Front-ends: ``python -m repro query`` and the service's ``/v1/query/*``
-endpoints.
+Front-ends, all answering with :func:`run_query`'s documents:
+``python -m repro query``, the service's ``/v1/query/*`` endpoints and
+``ServiceClient.query``.
 """
 
 from repro.warehouse.db import (
@@ -24,14 +25,10 @@ from repro.warehouse.db import (
     WarehouseError,
 )
 from repro.warehouse.queries import (
+    QUERY_OPS,
     DiffRow,
-    ParetoPoint,
-    SpanRow,
-    best_points,
-    config_means,
-    pareto_frontier,
     regression_diff,
-    span_breakdown,
+    run_query,
 )
 
 __all__ = [
@@ -40,12 +37,8 @@ __all__ = [
     "JobRow",
     "Warehouse",
     "WarehouseError",
+    "QUERY_OPS",
     "DiffRow",
-    "ParetoPoint",
-    "SpanRow",
-    "best_points",
-    "config_means",
-    "pareto_frontier",
     "regression_diff",
-    "span_breakdown",
+    "run_query",
 ]

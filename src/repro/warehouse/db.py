@@ -6,12 +6,13 @@ One :class:`Warehouse` wraps one SQLite database (by convention
 payloads, so the database is a disposable index: deleting it and
 re-ingesting the store rebuilds it exactly.
 
-Schema (version 4):
+Schema (version 5):
 
 * ``jobs`` — one row per content-addressed job key: identity columns
   (benchmark, scale, config label, machine, machine/workload
   fingerprints), outcome columns (status, elapsed, the three headline
-  ratios) and sync bookkeeping (source mtime).
+  ratios, as :func:`~repro.pipeline.serialization.evaluation_ratios`
+  defines them) and sync bookkeeping (source mtime).
 * ``campaigns`` — one row per named campaign (a service submission, a
   labelled CLI run, or a labelled ingest of a cache directory).
 * ``campaign_jobs`` — the many-to-many link: cached jobs shared by
@@ -51,7 +52,9 @@ DEFAULT_WAREHOUSE_NAME = "warehouse.sqlite"
 
 #: Bumped on incompatible schema changes; a mismatching database is
 #: rebuilt from scratch (it is only an index over the JSON store).
-SCHEMA_VERSION = 4
+#: Version 5: the ratio columns use the evaluation's own ratio
+#: definition (version 4 summed energies in another order).
+SCHEMA_VERSION = 5
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS warehouse_meta (

@@ -1,51 +1,43 @@
-"""Cross-campaign queries over the warehouse index.
+"""Cross-campaign queries over the warehouse index, behind one dispatcher.
 
-Every function here consumes :class:`~repro.warehouse.db.Warehouse`
-rows only — no result-store JSON is opened — so queries over years of
+Every query here consumes :class:`~repro.warehouse.db.Warehouse` rows
+only — no result-store JSON is opened — so queries over years of
 accumulated campaigns cost what a SQLite scan costs.  Selectors name
 the population: ``None`` (all history), a campaign label, or
 ``machine:NAME``.
 
-The aggregate semantics intentionally mirror
-:mod:`repro.campaign.aggregate` (config means, best points, Pareto
-dominance), so a query over a freshly ingested store matches what the
-live campaign reported.
+:func:`run_query` answers every op in :data:`QUERY_OPS` with one JSON
+document; ``repro query``, the service's ``/v1/query/*`` endpoints and
+``ServiceClient.query`` all return (or render) that document.  Means,
+best points and Pareto dominance are :mod:`repro.campaign.aggregate`'s,
+applied to the warehouse's job rows, so a query over a freshly ingested
+store matches what the live campaign reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.warehouse.db import JobRow, Warehouse
+from repro.campaign.aggregate import (
+    best_rows,
+    check_metric,
+    pareto_frontier,
+)
+from repro.warehouse.db import JobRow, Warehouse, WarehouseError
 
-#: Job metrics a query may rank or diff on.
-METRICS = ("ed2_ratio", "energy_ratio", "time_ratio")
-
-
-def _check_metric(metric: str) -> None:
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; pick one of {METRICS}")
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    """One non-dominated configuration (means over its benchmarks)."""
-
-    config: str
-    a: float
-    b: float
-    n_benchmarks: int
-
-
-@dataclass(frozen=True)
-class SpanRow:
-    """One span name's aggregate over a selection of jobs."""
-
-    span: str
-    n: int
-    total_s: float
-    jobs: int
+#: Every query op, with the (least, most) number of selectors it takes.
+QUERY_OPS: Dict[str, Tuple[int, int]] = {
+    "summary": (0, 0),
+    "campaigns": (0, 0),
+    "jobs": (0, 1),
+    "best": (0, 1),
+    "pareto": (0, 1),
+    "spans": (0, 1),
+    "cache": (0, 1),
+    "diff": (2, 2),
+    "timeline": (1, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -69,88 +61,6 @@ class DiffRow:
 
 
 # ----------------------------------------------------------------------
-def config_means(
-    warehouse: Warehouse, selector: Optional[str] = None
-) -> Dict[str, Dict[str, float]]:
-    """Suite means per configuration label (cf. ``campaign.aggregate``)."""
-    means: Dict[str, Dict[str, float]] = {}
-    groups: Dict[str, List[JobRow]] = {}
-    for row in warehouse.job_rows(selector):
-        groups.setdefault(row.config, []).append(row)
-    for config, rows in sorted(groups.items()):
-        count = len(rows)
-        means[config] = {
-            "n_benchmarks": count,
-            "mean_ed2_ratio": sum(r.ed2_ratio for r in rows) / count,
-            "mean_energy_ratio": sum(r.energy_ratio for r in rows) / count,
-            "mean_time_ratio": sum(r.time_ratio for r in rows) / count,
-        }
-    return means
-
-
-def best_points(
-    warehouse: Warehouse,
-    selector: Optional[str] = None,
-    benchmark: Optional[str] = None,
-    metric: str = "ed2_ratio",
-) -> List[JobRow]:
-    """Per benchmark, the job minimising ``metric`` over the selection."""
-    _check_metric(metric)
-    best: Dict[str, JobRow] = {}
-    for row in warehouse.job_rows(selector, benchmark=benchmark):
-        value = getattr(row, metric)
-        incumbent = best.get(row.benchmark)
-        if incumbent is None or value < getattr(incumbent, metric):
-            best[row.benchmark] = row
-    return [best[name] for name in sorted(best)]
-
-
-def pareto_frontier(
-    warehouse: Warehouse,
-    selector: Optional[str] = None,
-    objectives: Tuple[str, str] = ("energy_ratio", "time_ratio"),
-) -> List[ParetoPoint]:
-    """Non-dominated configurations over the selection's config means.
-
-    Both objectives are minimised; dominance matches
-    :func:`repro.campaign.aggregate.pareto_frontier`.  With the default
-    ``selector=None`` this is the frontier over *all* recorded history —
-    every campaign ever ingested competes.
-    """
-    for objective in objectives:
-        _check_metric(objective)
-    key_a, key_b = (f"mean_{objective}" for objective in objectives)
-    means = config_means(warehouse, selector)
-    points = [
-        (config, stats[key_a], stats[key_b], int(stats["n_benchmarks"]))
-        for config, stats in means.items()
-    ]
-    frontier = [
-        ParetoPoint(config=config, a=a, b=b, n_benchmarks=count)
-        for config, a, b, count in points
-        if not any(
-            (oa <= a and ob <= b) and (oa < a or ob < b)
-            for _, oa, ob, _ in points
-        )
-    ]
-    return sorted(frontier, key=lambda point: (point.a, point.b))
-
-
-def span_breakdown(
-    warehouse: Warehouse, selector: Optional[str] = None
-) -> List[SpanRow]:
-    """Where the selection's compute time went, by span name.
-
-    Rows come from the ``span_stats`` table — populated only for jobs
-    executed with tracing enabled (``REPRO_TRACE=1`` or ``repro trace``)
-    — ordered by total seconds descending.
-    """
-    return [
-        SpanRow(span=span, n=n, total_s=total_s, jobs=jobs)
-        for span, n, total_s, jobs in warehouse.span_rows(selector)
-    ]
-
-
 def regression_diff(
     warehouse: Warehouse,
     selector_a: str,
@@ -167,7 +77,7 @@ def regression_diff(
     pair; unmatched jobs are dropped (they have nothing to regress
     against).
     """
-    _check_metric(metric)
+    check_metric(metric)
     rows_a = warehouse.job_rows(selector_a)
     rows_b = warehouse.job_rows(selector_b)
     machines = {row.machine for row in rows_a} | {row.machine for row in rows_b}
@@ -205,3 +115,70 @@ def regression_diff(
         for key in sorted(indexed_a.keys() & indexed_b.keys())
     ]
     return diffs
+
+
+# ----------------------------------------------------------------------
+def run_query(
+    warehouse: Warehouse,
+    op: str,
+    selectors: Sequence[str] = (),
+    benchmark: Optional[str] = None,
+    metric: str = "ed2_ratio",
+) -> Dict[str, Any]:
+    """Answer one query op with its JSON document.
+
+    ``benchmark`` narrows ``jobs`` and ``best``; ``metric`` ranks
+    ``best`` and ``diff``.  Raises :class:`ValueError` for an unknown op
+    or metric or a wrong number of selectors, and
+    :class:`~repro.warehouse.db.WarehouseError` for a selector that
+    names nothing.
+    """
+    if op not in QUERY_OPS:
+        raise ValueError(f"unknown query {op!r}; pick one of {tuple(QUERY_OPS)}")
+    least, most = QUERY_OPS[op]
+    if not least <= len(selectors) <= most:
+        wanted = f"{least}" if least == most else f"{least} to {most}"
+        raise ValueError(
+            f"query {op} takes {wanted} selector(s), got {len(selectors)}"
+        )
+    check_metric(metric)
+    selector = selectors[0] if selectors else None
+    if op in ("summary", "campaigns"):
+        return {"summary": warehouse.summary(), "campaigns": warehouse.campaigns()}
+    if op == "jobs":
+        rows = warehouse.job_rows(selector, benchmark=benchmark)
+        return {"jobs": [vars(row) for row in rows]}
+    if op == "best":
+        rows = warehouse.job_rows(selector, benchmark=benchmark)
+        return {"best": [vars(row) for row in best_rows(rows, metric)]}
+    if op == "pareto":
+        points = pareto_frontier(warehouse.job_rows(selector))
+        return {"pareto": [vars(point) for point in points]}
+    if op == "spans":
+        return {
+            "spans": [
+                {"span": span, "n": n, "total_s": total_s, "jobs": jobs}
+                for span, n, total_s, jobs in warehouse.span_rows(selector)
+            ]
+        }
+    if op == "cache":
+        return {
+            "cache": [
+                {"counter": counter, "total": total, "jobs": jobs}
+                for counter, total, jobs in warehouse.cache_rows(selector)
+            ]
+        }
+    if op == "timeline":
+        document = warehouse.trace(selector)
+        if document is None:
+            raise WarehouseError(f"no trace for {selector!r}")
+        return document
+    diffs = regression_diff(warehouse, *selectors, metric=metric)
+    return {
+        "metric": metric,
+        "regressed": sum(1 for diff in diffs if diff.regressed),
+        "diff": [
+            dict(vars(diff), delta=diff.delta, regressed=diff.regressed)
+            for diff in diffs
+        ],
+    }

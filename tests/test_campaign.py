@@ -13,12 +13,12 @@ from repro.campaign import (
     ExperimentJob,
     ResultStore,
     StoreError,
-    best_configurations,
+    best_rows,
     config_means,
     execute_job_payload,
-    filter_results,
     load_results,
     pareto_frontier,
+    ratio_rows,
     run_campaign,
 )
 from repro.campaign.executor import JobResult
@@ -515,19 +515,23 @@ class TestAggregation:
             _fake_result("171.swim", 1, 0.9, 0.8, 1.1),
             _fake_result("172.mgrid", 1, 0.7, 0.6, 0.9),
         ]
-        means = config_means(results)
+        means = config_means(ratio_rows(results))
         stats = means["buses=1"]
         assert stats["n_benchmarks"] == 2
         assert stats["mean_ed2_ratio"] == pytest.approx(0.8)
         assert stats["mean_energy_ratio"] == pytest.approx(0.7)
 
-    def test_best_configurations(self):
+    def test_best_rows(self):
         results = [
             _fake_result("171.swim", 1, 0.9, 0.8, 1.1),
             _fake_result("171.swim", 2, 0.8, 0.9, 1.0),
         ]
-        best = best_configurations(results)
-        assert best["171.swim"].config == "buses=2"
+        (best,) = best_rows(ratio_rows(results))
+        assert (best.benchmark, best.config) == ("171.swim", "buses=2")
+        (best,) = best_rows(ratio_rows(results), metric="energy_ratio")
+        assert best.config == "buses=1"
+        with pytest.raises(ValueError):
+            best_rows(ratio_rows(results), metric="speed")
 
     def test_pareto_frontier_drops_dominated(self):
         results = [
@@ -536,19 +540,21 @@ class TestAggregation:
             _fake_result("171.swim", 1, 0.9, 0.8, 1.1),
             _fake_result("171.swim", 2, 0.8, 0.9, 1.0),
         ]
-        frontier = pareto_frontier(results)
-        assert [config for config, _, _ in frontier] == ["buses=1", "buses=2"]
+        frontier = pareto_frontier(ratio_rows(results))
+        assert [point.config for point in frontier] == ["buses=1", "buses=2"]
         # A strictly worse config disappears.
         results.append(_fake_result("171.swim", 4, 0.95, 0.95, 1.2))
-        frontier = pareto_frontier(results)
-        assert all("buses=4" not in config for config, _, _ in frontier)
+        frontier = pareto_frontier(ratio_rows(results))
+        assert all("buses=4" not in point.config for point in frontier)
 
     def test_load_results_round_trips_store(self, campaign_store):
         store, spec, outcome = campaign_store
         loaded = load_results(store)
         assert len(loaded) == 4
         assert {r.key for r in loaded} == {r.key for r in outcome}
-        assert config_means(loaded) == config_means(list(outcome))
+        assert config_means(ratio_rows(loaded)) == config_means(
+            ratio_rows(list(outcome))
+        )
 
     def test_load_results_skips_stale_entries(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -557,13 +563,27 @@ class TestAggregation:
                                         "evaluation": {"benchmark": "171.swim"}})
         assert load_results(store) == []
 
-    def test_filter_results(self, campaign_store):
-        _, _, outcome = campaign_store
-        swim = filter_results(list(outcome), benchmark="171.swim")
-        assert len(swim) == 2
-        assert all(r.job.benchmark == "171.swim" for r in swim)
-        one_bus = filter_results(list(outcome), config="buses=1")
-        assert len(one_bus) == 2
+    def test_warehouse_rows_aggregate_like_the_campaign(self, campaign_store):
+        # The same store, reported live and queried from the warehouse
+        # index, gives bit-identical aggregates.
+        from repro.warehouse import Warehouse
+
+        store, _, outcome = campaign_store
+        live = ratio_rows(list(outcome))
+        with Warehouse() as warehouse:
+            warehouse.ingest_store(store)
+            indexed = warehouse.job_rows()
+        assert len(indexed) == len(live) == 4
+        assert config_means(indexed) == config_means(live)
+        for metric in ("ed2_ratio", "energy_ratio", "time_ratio"):
+            assert [
+                (row.benchmark, row.config, getattr(row, metric))
+                for row in best_rows(indexed, metric)
+            ] == [
+                (row.benchmark, row.config, getattr(row, metric))
+                for row in best_rows(live, metric)
+            ]
+        assert pareto_frontier(indexed) == pareto_frontier(live)
 
 
 class TestCampaignCLI:

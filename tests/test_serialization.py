@@ -12,7 +12,7 @@ from repro.machine.clocking import FrequencyPalette
 from repro.pipeline import BenchmarkEvaluation, ExperimentOptions, evaluate_corpus
 from repro.errors import PipelineError
 from repro.machine.operating_point import DomainSetting
-from repro.pipeline.serialization import from_data, to_data
+from repro.pipeline.serialization import evaluation_ratios, from_data, to_data
 from repro.pipeline.stages import ScheduleSummary
 from repro.scheduler.options import SchedulerOptions
 from repro.vfs.candidates import DesignSpaceSpec
@@ -144,6 +144,21 @@ CODEC_VALUES = {
     ),
     "evaluation": lambda e: e,
 }
+
+
+@pytest.mark.parametrize("name", ["171.swim", "189.lucas", "301.apsi"])
+def test_evaluation_ratios_are_the_evaluation_properties(name):
+    # Points where summing the energy dict in field order used to land
+    # an ulp or two away from ``EnergyEstimate.total``: the warehouse and
+    # the service must report exactly what the evaluation reports.
+    evaluation = evaluate_corpus(
+        build_corpus(spec_profile(name), scale=0.02), ExperimentOptions()
+    )
+    assert evaluation_ratios(evaluation.to_dict()) == (
+        evaluation.ed2_ratio,
+        evaluation.energy_ratio,
+        evaluation.time_ratio,
+    )
 
 
 class TestCodec:

@@ -1,6 +1,7 @@
 """Tests for the async evaluation service (repro.service)."""
 
 import asyncio
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -417,10 +418,49 @@ class TestHttpService:
         client, _ = service
         job = client.submit_evaluate(benchmark="171.swim", scale=0.023)
         client.wait(job["id"], timeout=30)
-        best = client.query_best()
+        best = client.query("best")["best"]
         assert any(row["benchmark"] == "171.swim" for row in best)
-        assert client.query_pareto()
-        assert client.query_campaigns() == []
+        assert client.query("pareto")["pareto"]
+        assert client.query("campaigns")["campaigns"] == []
+        jobs = client.query("jobs", benchmark="171.swim")["jobs"]
+        assert {row["benchmark"] for row in jobs} == {"171.swim"}
+        assert client.query("summary")["summary"]["jobs"] >= 1
+        assert client.query("cache") == {"cache": []}
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/v1/query/best?selector=nosuch",
+            "/v1/query/pareto?selector=nosuch",
+            "/v1/query/spans?selector=nosuch",
+            "/v1/query/jobs?selector=nosuch",
+            "/v1/query/cache?selector=nosuch",
+            "/v1/query/timeline?selector=nosuch",
+            "/v1/query/diff?a=x&b=y",
+            "/v1/query/nosuch",
+        ],
+    )
+    def test_query_unknown_selector_is_404(self, service, path):
+        client, _ = service
+        status, document = client.request("GET", path)
+        assert status == 404
+        assert document["error"]["code"] == "not_found"
+        internal = client.debug_events(kind="http.internal_error")["events"]
+        assert not any("/v1/query" in json.dumps(event) for event in internal)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/v1/query/best?metric=speed",
+            "/v1/query/diff?a=x",
+            "/v1/query/campaigns?selector=x",
+        ],
+    )
+    def test_query_bad_metric_or_selector_count_is_400(self, service, path):
+        client, _ = service
+        status, document = client.request("GET", path)
+        assert status == 400
+        assert document["error"]["code"] == "bad_request"
 
     def test_metrics_scrape(self, service):
         client, _ = service
@@ -459,7 +499,7 @@ class TestHttpService:
         client, _ = service
         # The counting runner returns no trace, so the span table is
         # empty — but the endpoint must round-trip cleanly.
-        assert client.query_spans() == []
+        assert client.query("spans") == {"spans": []}
 
     def test_http_errors(self, service):
         client, _ = service
@@ -563,7 +603,7 @@ class TestRealPipelineOverHttp:
             assert finished["status"] == "done"
             summary = client.result(job["id"])["result"]["summary"]
             assert 0 < summary["ed2_ratio"] < 2
-            (best,) = client.query_best()
+            (best,) = client.query("best")["best"]
             assert best["key"] == job["id"]
         # The store entry and warehouse row both survive the service.
         store = ResultStore(tmp_path / "cache")

@@ -400,11 +400,33 @@ class TestRenderTrace:
         assert "100.0% of 2.000s" in text
 
     def test_exports(self):
+        from repro.campaign import ExperimentJob
         from repro.reporting import warehouse_spans_table
-        from repro.warehouse import SpanRow
+        from repro.warehouse import Warehouse, run_query
 
-        table = warehouse_spans_table(
-            [SpanRow(span="profile", n=4, total_s=1.25, jobs=2)],
-            selector="nightly",
-        )
+        job = ExperimentJob(benchmark="171.swim", scale=0.01)
+        measured = {
+            "energy": {
+                f"{part}_{kind}": 0.5
+                for part in ("cluster", "icn", "cache")
+                for kind in ("dynamic", "static")
+            },
+            "exec_time_ns": 1.0,
+        }
+        payload = {
+            "job": job.to_dict(),
+            "key": job.key(),
+            "status": "ok",
+            "elapsed_s": 1.25,
+            "evaluation": {
+                "heterogeneous_measured": measured,
+                "baseline_measured": measured,
+            },
+            "trace": {"name": "profile", "elapsed_s": 1.25},
+        }
+        with Warehouse() as warehouse:
+            warehouse.record_payload(payload, campaign="nightly")
+            document = run_query(warehouse, "spans", ["nightly"])
+        assert [row["span"] for row in document["spans"]] == ["profile"]
+        table = warehouse_spans_table(document, selector="nightly")
         assert "profile" in table and "nightly" in table

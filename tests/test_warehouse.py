@@ -4,15 +4,20 @@ import json
 
 import pytest
 
-from repro.campaign import ExperimentJob, ResultStore
-from repro.pipeline import ExperimentOptions
-from repro.warehouse import (
-    Warehouse,
-    WarehouseError,
-    best_points,
+from repro.campaign import (
+    ExperimentJob,
+    ResultStore,
+    best_rows,
     config_means,
     pareto_frontier,
+)
+from repro.pipeline import ExperimentOptions
+from repro.warehouse import (
+    QUERY_OPS,
+    Warehouse,
+    WarehouseError,
     regression_diff,
+    run_query,
 )
 
 
@@ -147,8 +152,6 @@ class TestRecordPayload:
             }
 
     def test_span_stats_recorded_and_aggregated(self):
-        from repro.warehouse import span_breakdown
-
         trace = {
             "name": "job",
             "elapsed_s": 1.0,
@@ -167,18 +170,20 @@ class TestRecordPayload:
             warehouse.record_payload(other)
             stats = warehouse.span_stats(job.key())
             assert stats["profile"] == {"n": 2, "total_s": pytest.approx(0.5)}
-            rows = span_breakdown(warehouse)
-            by_name = {row.span: row for row in rows}
+            rows = run_query(warehouse, "spans")["spans"]
+            by_name = {row["span"]: row for row in rows}
             # Root + both children, aggregated across the two jobs.
-            assert by_name["job"].jobs == 2
-            assert by_name["profile"].n == 4
-            assert by_name["profile"].total_s == pytest.approx(1.0)
-            assert rows[0].total_s == max(r.total_s for r in rows)
+            assert by_name["job"]["jobs"] == 2
+            assert by_name["profile"]["n"] == 4
+            assert by_name["profile"]["total_s"] == pytest.approx(1.0)
+            assert rows[0]["total_s"] == max(r["total_s"] for r in rows)
             # The machine selector scopes the aggregation like any
             # other warehouse query.
-            machine_rows = span_breakdown(warehouse, "machine:paper")
-            assert {r.span for r in machine_rows} == set(by_name)
-            assert span_breakdown(warehouse, "machine:nope") == []
+            machine_rows = run_query(warehouse, "spans", ["machine:paper"])
+            assert {r["span"] for r in machine_rows["spans"]} == set(by_name)
+            assert run_query(warehouse, "spans", ["machine:nope"]) == {
+                "spans": []
+            }
 
     def test_span_stats_replaced_on_reingest(self):
         job, payload = make_payload()
@@ -196,16 +201,14 @@ class TestRecordPayload:
             assert stats["job"]["total_s"] == pytest.approx(2.0)
 
     def test_traceless_payloads_leave_no_span_rows(self):
-        from repro.warehouse import span_breakdown
-
         _job, payload = make_payload()
         with Warehouse() as warehouse:
             warehouse.record_payload(payload)
-            assert span_breakdown(warehouse) == []
+            assert run_query(warehouse, "spans") == {"spans": []}
 
 
 class TestSchemaUpgrade:
-    def test_v3_warehouse_rebuilds_as_v4_without_stage_stats(self, tmp_path):
+    def test_v3_warehouse_rebuilds_without_stage_stats(self, tmp_path):
         import sqlite3
 
         from repro.warehouse.db import SCHEMA_VERSION
@@ -240,7 +243,7 @@ class TestSchemaUpgrade:
             version = warehouse._conn.execute(
                 "SELECT value FROM warehouse_meta WHERE key = 'schema_version'"
             ).fetchone()[0]
-            assert SCHEMA_VERSION == 4 and version == "4"
+            assert version == str(SCHEMA_VERSION)
             assert "stage_stats" not in tables and "cache_stats" in tables
             assert warehouse.job_count() == 0  # rebuilt, not migrated
             warehouse.ingest_store(store)
@@ -248,6 +251,34 @@ class TestSchemaUpgrade:
                 ("loop_hits", 2, 1),
                 ("loop_misses", 5, 1),
             ]
+
+
+    def test_v4_warehouse_rebuilds_with_evaluation_ratios(self, tmp_path):
+        import sqlite3
+
+        from repro.pipeline.serialization import evaluation_ratios
+
+        job, payload = make_payload(energy_ratio=0.7, time_ratio=1.3)
+        store = ResultStore(tmp_path / "cache")
+        store.save(job.key(), payload)
+        with Warehouse.for_store(store) as warehouse:
+            warehouse.ingest_store(store)
+        # A version-4 index: ratio columns from the older summation.
+        conn = sqlite3.connect(store.root / "warehouse.sqlite")
+        conn.execute("UPDATE jobs SET ed2_ratio = 0.5")
+        conn.execute(
+            "UPDATE warehouse_meta SET value = '4' WHERE key = 'schema_version'"
+        )
+        conn.commit()
+        conn.close()
+
+        with Warehouse.for_store(store) as warehouse:
+            assert warehouse.job_count() == 0
+            warehouse.ingest_store(store)
+            (row,) = warehouse.job_rows()
+            assert (row.ed2_ratio, row.energy_ratio, row.time_ratio) == (
+                evaluation_ratios(payload["evaluation"])
+            )
 
 
 class TestIngest:
@@ -299,8 +330,8 @@ class TestIngest:
             for key in list(store.keys()):
                 store.delete(key)
             assert len(store) == 0
-            assert len(best_points(warehouse)) == 2
-            assert len(pareto_frontier(warehouse)) >= 1
+            assert len(run_query(warehouse, "best")["best"]) == 2
+            assert len(run_query(warehouse, "pareto")["pareto"]) >= 1
 
 
 class TestQueries:
@@ -313,8 +344,10 @@ class TestQueries:
                     scale=0.01 if energy == 0.8 else 0.02,
                 )
                 warehouse.record_payload(payload)
-            (best,) = best_points(warehouse, metric="energy_ratio")
+            (best,) = best_rows(warehouse.job_rows(), metric="energy_ratio")
             assert best.energy_ratio == pytest.approx(0.6)
+            document = run_query(warehouse, "best", metric="energy_ratio")
+            assert document == {"best": [vars(best)]}
 
     def test_unknown_campaign_raises(self):
         with Warehouse() as warehouse:
@@ -324,7 +357,41 @@ class TestQueries:
     def test_unknown_metric_raises(self):
         with Warehouse() as warehouse:
             with pytest.raises(ValueError):
-                best_points(warehouse, metric="speed")
+                best_rows(warehouse.job_rows(), metric="speed")
+            with pytest.raises(ValueError):
+                run_query(warehouse, "best", metric="speed")
+
+    @pytest.mark.parametrize("op", sorted(QUERY_OPS))
+    def test_selector_count_checked(self, op):
+        least, most = QUERY_OPS[op]
+        with Warehouse() as warehouse:
+            with pytest.raises(ValueError, match="selector"):
+                run_query(warehouse, op, ["machine:paper"] * (most + 1))
+            if least:
+                with pytest.raises(ValueError, match="selector"):
+                    run_query(warehouse, op, [])
+
+    @pytest.mark.parametrize(
+        "op, selectors",
+        [
+            ("jobs", ["nope"]),
+            ("best", ["nope"]),
+            ("pareto", ["nope"]),
+            ("spans", ["nope"]),
+            ("cache", ["nope"]),
+            ("diff", ["nope", "machine:paper"]),
+            ("timeline", ["nope"]),
+        ],
+    )
+    def test_selector_naming_nothing_raises(self, op, selectors):
+        with Warehouse() as warehouse:
+            with pytest.raises(WarehouseError):
+                run_query(warehouse, op, selectors)
+
+    def test_unknown_op_raises(self):
+        with Warehouse() as warehouse:
+            with pytest.raises(ValueError, match="unknown query"):
+                run_query(warehouse, "ingest")
 
     def test_pareto_across_all_history(self, tmp_path):
         with Warehouse() as warehouse:
@@ -336,8 +403,11 @@ class TestQueries:
                     time_ratio=time,
                 )
                 warehouse.record_payload(payload)
-            frontier = pareto_frontier(warehouse)
+            frontier = pareto_frontier(warehouse.job_rows())
             assert [point.config for point in frontier] == ["buses=1"]
+            assert run_query(warehouse, "pareto") == {
+                "pareto": [vars(point) for point in frontier]
+            }
 
     def test_config_means_average_over_benchmarks(self, tmp_path):
         with Warehouse() as warehouse:
@@ -346,7 +416,7 @@ class TestQueries:
                     benchmark=benchmark, energy_ratio=energy
                 )
                 warehouse.record_payload(payload)
-            means = config_means(warehouse)
+            means = config_means(warehouse.job_rows())
             (stats,) = means.values()
             assert stats["n_benchmarks"] == 2
             assert stats["mean_energy_ratio"] == pytest.approx(0.7)
@@ -475,7 +545,7 @@ class TestConcurrentAccess:
                 with Warehouse(path) as warehouse:
                     while not writer_done.is_set():
                         warehouse.job_count()
-                        best_points(warehouse)
+                        run_query(warehouse, "best")
                     # One final read sees the writer's full output.
                     assert warehouse.job_count() == n_payloads
             except Exception as error:  # pragma: no cover - fail below
@@ -535,6 +605,7 @@ class TestConcurrentAccess:
 class TestReporting:
     def test_tables_render(self, tmp_path):
         from repro.reporting import (
+            render_query,
             warehouse_best_table,
             warehouse_diff_table,
             warehouse_jobs_table,
@@ -547,14 +618,21 @@ class TestReporting:
         )
         with Warehouse() as warehouse:
             warehouse.ingest_store(store, campaign="a")
-            summary = warehouse_summary_table(warehouse)
+            summary = warehouse_summary_table(run_query(warehouse, "summary"))
             assert "2 job(s)" in summary and "a" in summary
-            assert "171.swim" in warehouse_jobs_table(warehouse.job_rows())
-            assert "171.swim" in warehouse_best_table(warehouse)
-            assert "Pareto" in warehouse_pareto_table(warehouse)
-            diffs = regression_diff(warehouse, "a", "a")
-            table = warehouse_diff_table(diffs, "a", "a")
+            jobs = run_query(warehouse, "jobs")
+            assert "171.swim" in warehouse_jobs_table(jobs)
+            best = run_query(warehouse, "best")
+            assert "171.swim" in warehouse_best_table(best)
+            pareto = run_query(warehouse, "pareto")
+            assert "Pareto" in warehouse_pareto_table(pareto)
+            diff = run_query(warehouse, "diff", ["a", "a"])
+            table = warehouse_diff_table(diff, "a", "a")
             assert "0/2 regressed" in table
+            assert render_query("diff", diff, ["a", "a"]) == table
+            assert render_query("best", best) == warehouse_best_table(best)
+            cache = render_query("cache", run_query(warehouse, "cache", ["a"]), ["a"])
+            assert "Cache counters (a)" in cache
 
 
 class TestCLI:
@@ -612,6 +690,16 @@ class TestCLI:
 
         monkeypatch.chdir(tmp_path)
         assert main(["query", "best", "nope"]) == 2
+
+    def test_query_wrong_selector_count_fails_cleanly(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["query", "best", "a", "b"]) == 2
+        assert main(["query", "diff", "a"]) == 2
+        assert "takes 2 selector(s), got 1" in capsys.readouterr().err
 
     def test_query_best_benchmark_filters_table_output(
         self, tmp_path, capsys, monkeypatch

@@ -6,11 +6,12 @@ subprocess, submits a scale-0.05 evaluate over HTTP, polls it to
 completion, checks the dedup counters, submits an evaluate and an
 overlapping campaign at once and checks their shared point computed
 once, scrapes ``/metrics`` and asserts the dedup (job and in-flight),
-latency (and, in-process, loop-cache) series are live, shuts
-the server down, and finally asks ``python -m repro query`` for the
-warehouse's view of the freshly computed job — exercising exactly the
-path an operator would: server process, HTTP client, Prometheus scrape,
-SQLite index.
+latency (and, in-process, loop-cache) series are live, fetches
+``GET /v1/query/best`` (and checks an unknown selector answers 404),
+shuts the server down, and finally asks ``python -m repro query best``
+for the warehouse's view of the freshly computed job, which must equal
+the live answer — exercising exactly the path an operator would: server
+process, HTTP client, Prometheus scrape, SQLite index.
 
 Usage: ``python tools/service_smoke.py [--runner process|inline]``
 (default ``inline``; CI runs both).
@@ -174,6 +175,15 @@ def main() -> int:
             print(f"in-flight dedup ok: {overlap}")
 
             check_metrics(client.metrics(), runner)
+            live_best = client.query("best")
+            status, missing = client.request(
+                "GET", "/v1/query/best", query={"selector": "nosuch"}
+            )
+            if status != 404:
+                raise RuntimeError(
+                    f"unknown selector answered {status}, not 404: {missing}"
+                )
+            print("unknown selector ok: 404")
         except Exception:
             server.terminate()
             output, _ = server.communicate(timeout=30)
@@ -203,7 +213,13 @@ def main() -> int:
         if query.returncode != 0:
             print(query.stderr, file=sys.stderr)
             raise RuntimeError("repro query best failed")
-        best = json.loads(query.stdout)["best"]
+        offline_best = json.loads(query.stdout)
+        if offline_best != live_best:
+            raise RuntimeError(
+                "GET /v1/query/best and `repro query best` disagree: "
+                f"{live_best} != {offline_best}"
+            )
+        best = offline_best["best"]
         if not any(row["benchmark"] == "171.swim" for row in best):
             raise RuntimeError(f"warehouse missing the computed job: {best}")
         print("warehouse query ok:")
