@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 
 from repro.campaign.aggregate import METRICS
 from repro.pipeline import Experiment, ExperimentOptions
-from repro.reporting import PAPER_FIGURE6_ED2, bar_chart, render_table
+from repro.reporting import bar_chart, render_table
 from repro.warehouse.queries import QUERY_OPS
 from repro.workloads import SPEC2000_PROFILES, build_corpus, spec_profile
 

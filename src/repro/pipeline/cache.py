@@ -77,6 +77,24 @@ def stage_key(stage: str, *parts: Any) -> str:
     return f"{stage}-{digest}"
 
 
+def loop_keys(stage: str, *shared: Any) -> Callable[[str], str]:
+    """``fingerprint -> stage_key(stage, fingerprint, *shared)``.
+
+    A stage keys every loop of a corpus by the loop's fingerprint plus
+    parts shared by all of them (machine facets, point or technology,
+    options, weights); their ``repr`` is most of a key's cost, so it is
+    computed once here.  The hashed text is exactly
+    ``repr((fingerprint, *shared))``, so keys equal :func:`stage_key`'s.
+    """
+    tail = "".join(f", {part!r}" for part in shared) + (")" if shared else ",)")
+
+    def key(fingerprint: str) -> str:
+        text = f"({fingerprint!r}{tail}"
+        return f"{stage}-{hashlib.sha256(text.encode()).hexdigest()[:24]}"
+
+    return key
+
+
 class StageCache:
     """LRU artifact memo with an optional JSON-per-artifact disk layer."""
 

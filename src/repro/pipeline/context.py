@@ -62,7 +62,11 @@ class ExperimentContext:
     reference_measured: Optional[MeasuredExecution] = None
     baseline_measured: Optional[MeasuredExecution] = None
     heterogeneous_selection: Optional[SelectionResult] = None
+    #: Live heterogeneous schedules by loop name (the oracles execute
+    #: and inspect them) ...
     heterogeneous_schedules: Optional[Dict[str, Schedule]] = None
+    #: ... and their summaries, which the measure stage meters.
+    heterogeneous_summaries: Optional[Dict[str, ScheduleSummary]] = None
     heterogeneous_measured: Optional[MeasuredExecution] = None
     evaluation: Optional[BenchmarkEvaluation] = None
 

@@ -33,7 +33,7 @@ from typing import Any, ClassVar, Dict, Optional, Tuple
 from repro.errors import PipelineError
 from repro.machine.fingerprint import machine_facets
 from repro.machine.machine import MachineDescription, paper_machine
-from repro.pipeline.cache import LOOP_CACHE, StageCache, stage_key
+from repro.pipeline.cache import LOOP_CACHE, StageCache, loop_keys
 from repro.pipeline.context import ExperimentContext
 from repro.pipeline.serialization import (
     from_data,
@@ -42,7 +42,7 @@ from repro.pipeline.serialization import (
     to_data,
 )
 from repro.power.calibration import calibrate
-from repro.power.energy import EnergyModel, EventCounts
+from repro.power.energy import EnergyModel
 from repro.power.profile import LoopProfile, ProgramProfile
 from repro.scheduler.context import PartitionEnergyWeights
 from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
@@ -65,13 +65,16 @@ _STAGE_SECONDS = histogram(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ScheduleSummary:
-    """The timing/event-count protocol of a reference schedule.
+    """The timing/event-count protocol of a schedule.
 
-    Homogeneous measurement only reads four quantities off a schedule;
-    this summary carries exactly those, so profiling artifacts restored
-    from the loop cache re-measure *bit-identically* without
-    reconstructing live :class:`~repro.scheduler.schedule.Schedule`
-    objects.
+    :meth:`PowerMeter.measure_loop` only reads four quantities off a
+    schedule; this summary carries exactly those, computed once when the
+    schedule is built or restored.  The loop cache keeps one beside
+    every profile (the reference schedule itself is not kept) and beside
+    every live heterogeneous schedule, so each of an evaluation's three
+    meterings — reference, optimum-homogeneous baseline, heterogeneous
+    point — reads numbers instead of re-walking a schedule, and warm
+    runs meter *bit-identically* to cold ones.
     """
 
     it: float
@@ -113,26 +116,23 @@ def measure_homogeneous(
 
     Homogeneous executions are cycle-identical across speeds: only the
     cycle time changes, so every reference schedule re-times by the ratio
-    of periods — exactly, not approximately.
+    of periods — exactly, not approximately.  Each loop is metered by
+    :meth:`PowerMeter.measure_loop` with that ratio as its
+    ``time_scale``.
     """
     scale = float(point.clusters[0].cycle_time / reference_ct)
-    measurements = []
-    for loop in corpus.loops:
-        schedule = schedules[loop.name]
-        counts = EventCounts(
-            cluster_energy_units=tuple(
-                u * loop.trip_count * loop.weight
-                for u in schedule.cluster_energy_units()
-            ),
-            n_comms=schedule.comms_per_iteration * loop.trip_count * loop.weight,
-            n_mem_accesses=(
-                schedule.mem_accesses_per_iteration * loop.trip_count * loop.weight
-            ),
-        )
-        time_ns = schedule.execution_time(loop.trip_count) * loop.weight * scale
-        energy = meter.model.estimate(point, counts, time_ns)
-        measurements.append(MeasuredExecution(energy=energy, exec_time_ns=time_ns))
-    return meter.measure_program(measurements)
+    return meter.measure_program(
+        [
+            meter.measure_loop(
+                schedules[loop.name],
+                point,
+                iterations=loop.trip_count,
+                invocations=loop.weight,
+                time_scale=scale,
+            )
+            for loop in corpus.loops
+        ]
+    )
 
 
 def _weights_key(weights: Optional[PartitionEnergyWeights]) -> Optional[tuple]:
@@ -199,22 +199,17 @@ class ProfileStage(Stage):
 
         scheduler = context.reference_scheduler
         reference = scheduler.reference_point()
-        isa_fp, shape_fp = machine_facets(scheduler.machine)
-        technology_key = repr(scheduler.technology)
-        options_key = repr(scheduler.options)
-        weights_key = _weights_key(context.weights)
+        key_of = loop_keys(
+            "profile_loop",
+            *machine_facets(scheduler.machine),
+            repr(scheduler.technology),
+            repr(scheduler.options),
+            _weights_key(context.weights),
+        )
         profiles = []
         schedules: Dict[str, ScheduleSummary] = {}
         for loop in context.corpus.loops:
-            key = stage_key(
-                "profile_loop",
-                loop.fingerprint(),
-                isa_fp,
-                shape_fp,
-                technology_key,
-                options_key,
-                weights_key,
-            )
+            key = key_of(loop.fingerprint())
             cached = LOOP_CACHE.lookup(key, decode=self._decode_loop)
             if not StageCache.is_miss(cached):
                 profile, summary = cached
@@ -227,10 +222,11 @@ class ProfileStage(Stage):
             LOOP_CACHE.store(
                 key,
                 (profile, summary),
-                payload={
-                    "profile": to_data(profile),
-                    "schedule": to_data(summary),
-                },
+                payload=(
+                    {"profile": to_data(profile), "schedule": to_data(summary)}
+                    if LOOP_CACHE.store_dir is not None
+                    else None
+                ),
             )
             profiles.append(profile)
             schedules[loop.name] = summary
@@ -319,51 +315,60 @@ class ScheduleStage(Stage):
     def compute(self, context: ExperimentContext) -> None:
         """Schedule loop by loop through :data:`LOOP_CACHE`.
 
-        Hits restore *live* :class:`~repro.scheduler.schedule.Schedule`
-        objects, reconstructed against this run's DDG/machine;
-        placement/copy insertion order round-trips exactly, so energy
-        sums — float addition is order-sensitive — stay bit-identical to
-        the cold compute.  A schedule decoded from the disk layer is
-        re-validated before it is used: one that is well-formed but
-        illegal does not decode, so the cache counts it corrupt, evicts
-        it and it is rescheduled.
+        The cache holds ``(Schedule, ScheduleSummary)`` per loop, as
+        profiling holds ``(LoopProfile, ScheduleSummary)``; the disk
+        payload is the schedule alone.  Hits restore *live*
+        :class:`~repro.scheduler.schedule.Schedule` objects,
+        reconstructed against this run's DDG/machine; placement/copy
+        insertion order round-trips exactly, so energy sums — float
+        addition is order-sensitive — stay bit-identical to the cold
+        compute.  A schedule decoded from the disk layer is re-validated
+        before it is summarized: one that is well-formed but illegal
+        does not decode, so the cache counts it corrupt, evicts it and
+        it is rescheduled.
         """
         scheduler = HeterogeneousModuloScheduler(
             context.machine, context.options.scheduler
         )
         selection = context.heterogeneous_selection
         weights = context.weights
-        isa_fp, shape_fp = machine_facets(scheduler.machine)
-        point_key = repr(selection.point)
-        options_key = repr(scheduler.options)
-        weights_key = _weights_key(weights)
+        key_of = loop_keys(
+            "schedule_loop",
+            *machine_facets(scheduler.machine),
+            repr(selection.point),
+            repr(scheduler.options),
+            _weights_key(weights),
+        )
         schedules = {}
+        summaries: Dict[str, ScheduleSummary] = {}
         for loop in context.corpus.loops:
-            key = stage_key(
-                "schedule_loop",
-                loop.fingerprint(),
-                isa_fp,
-                shape_fp,
-                point_key,
-                options_key,
-                weights_key,
-            )
+            key = key_of(loop.fingerprint())
 
             def decode(payload, loop=loop):
                 schedule = schedule_from_dict(
                     payload, loop.ddg, scheduler.machine
                 )
                 schedule.validate()
-                return schedule
+                return schedule, ScheduleSummary.from_schedule(schedule)
 
             cached = LOOP_CACHE.lookup(key, decode=decode)
-            if not StageCache.is_miss(cached):
-                schedules[loop.name] = cached
-                continue
-            schedule = scheduler.schedule(loop, selection.point, weights=weights)
-            LOOP_CACHE.store(key, schedule, payload=schedule_to_dict(schedule))
-            schedules[loop.name] = schedule
+            if StageCache.is_miss(cached):
+                schedule = scheduler.schedule(
+                    loop, selection.point, weights=weights
+                )
+                cached = (schedule, ScheduleSummary.from_schedule(schedule))
+                LOOP_CACHE.store(
+                    key,
+                    cached,
+                    payload=(
+                        schedule_to_dict(schedule)
+                        if LOOP_CACHE.store_dir is not None
+                        else None
+                    ),
+                )
+            schedules[loop.name], summaries[loop.name] = cached
         context.heterogeneous_schedules = schedules
+        context.heterogeneous_summaries = summaries
 
 
 class MeasureStage(Stage):
@@ -375,10 +380,10 @@ class MeasureStage(Stage):
         from repro.pipeline.experiment import BenchmarkEvaluation
 
         selection = context.heterogeneous_selection
-        schedules = context.heterogeneous_schedules
+        summaries = context.heterogeneous_summaries
         measurements = [
             context.meter.measure_loop(
-                schedules[loop.name],
+                summaries[loop.name],
                 selection.point,
                 iterations=loop.trip_count,
                 invocations=loop.weight,

@@ -12,7 +12,7 @@ Two entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import CalibrationError
 from repro.machine.operating_point import OperatingPoint
@@ -85,12 +85,20 @@ class EnergyEstimate:
         return self.dynamic + self.static
 
 
+#: One point's ``(per-cluster, icn, cache)`` delta or sigma scalings.
+Scalings = Tuple[Tuple[float, ...], float, float]
+
+
 class EnergyModel:
     """Applies the delta/sigma scaling to calibrated unit energies."""
 
     def __init__(self, units: CalibratedUnits, technology: TechnologyModel):
         self._units = units
         self._technology = technology
+        # The last point :meth:`estimate` priced, with its scalings, as
+        # one tuple so a concurrent caller never pairs a point with
+        # another point's scalings.
+        self._scaled: Optional[Tuple[OperatingPoint, Scalings, Scalings]] = None
 
     @property
     def units(self) -> CalibratedUnits:
@@ -98,12 +106,12 @@ class EnergyModel:
         return self._units
 
     # ------------------------------------------------------------------
-    def _deltas(self, point: OperatingPoint) -> Tuple[Tuple[float, ...], float, float]:
+    def _deltas(self, point: OperatingPoint) -> Scalings:
         ref = self._units.reference
         cluster_deltas = tuple(dynamic_scale(s, ref) for s in point.clusters)
         return cluster_deltas, dynamic_scale(point.icn, ref), dynamic_scale(point.cache, ref)
 
-    def _sigmas(self, point: OperatingPoint) -> Tuple[Tuple[float, ...], float, float]:
+    def _sigmas(self, point: OperatingPoint) -> Scalings:
         ref = self._units.reference
         slope = self._technology.subthreshold_slope
         cluster_sigmas = tuple(static_scale(s, ref, slope) for s in point.clusters)
@@ -120,19 +128,26 @@ class EnergyModel:
         counts: EventCounts,
         exec_time_ns: float,
     ) -> EnergyEstimate:
-        """Energy with known per-cluster event counts (measurement path)."""
+        """Energy with known per-cluster event counts (measurement path).
+
+        A point's scalings are derived when it differs (by identity)
+        from the last point priced, so metering every loop of a program
+        at one point derives them once.
+        """
         if len(counts.cluster_energy_units) != point.n_clusters:
             raise CalibrationError(
                 "event counts and operating point disagree on cluster count"
             )
-        return self.scaled_estimate(
-            self._deltas(point), self._sigmas(point), counts, exec_time_ns
-        )
+        scaled = self._scaled
+        if scaled is None or scaled[0] is not point:
+            scaled = self._scaled = (point, self._deltas(point), self._sigmas(point))
+        _, deltas, sigmas = scaled
+        return self.scaled_estimate(deltas, sigmas, counts, exec_time_ns)
 
     def scaled_estimate(
         self,
-        deltas: Tuple[Tuple[float, ...], float, float],
-        sigmas: Tuple[Tuple[float, ...], float, float],
+        deltas: Scalings,
+        sigmas: Scalings,
         counts: EventCounts,
         exec_time_ns: float,
     ) -> EnergyEstimate:

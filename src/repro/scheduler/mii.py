@@ -59,15 +59,14 @@ _REGS = N_FU_KINDS
 _BUS = N_FU_KINDS + 1
 
 
-def _grid_multiples(periods: Iterable[int], start: int) -> Iterator[int]:
+def _grid_multiples(periods: Sequence[int], start: int) -> Iterator[int]:
     """:func:`period_multiples` on one integer time grid.
 
-    A heap holds each period's next multiple; popping a value re-arms
-    every period dividing it, and the other periods' copies of the same
-    value are dropped, so the heap never holds more than one entry per
-    period.
+    ``periods`` must be sorted and distinct.  A heap holds each period's
+    next multiple; popping a value re-arms every period dividing it, and
+    the other periods' copies of the same value are dropped, so the heap
+    never holds more than one entry per period.
     """
-    periods = sorted(set(periods))
     heap = [max(-(-start // period), 1) * period for period in periods]
     heapq.heapify(heap)
     previous: Optional[int] = None
@@ -92,7 +91,7 @@ def period_multiples(
     start = as_fraction(start)
     quantum = common_quantum([abs(start), *periods])
     for value in _grid_multiples(
-        [grid_steps(period, quantum) for period in periods],
+        sorted({grid_steps(period, quantum) for period in periods}),
         grid_steps(start, quantum),
     ):
         yield quantum * value

@@ -4,7 +4,10 @@
 counts: per-iteration energy units, bus copies and memory accesses times
 the trip count, and ``(N - 1) * IT + it_length`` for time.  The schedule
 was legality-checked when it was built (or restored from the loop
-cache's disk layer), so this is the one measurement path.  The
+cache's disk layer), so this is the one measurement path: the pipeline
+meters the reference point, the optimum-homogeneous baseline (re-timed
+by ``time_scale``) and the heterogeneous point through it, each from
+the loops' schedule summaries.  The
 discrete-event simulator (:class:`~repro.sim.executor.LoopExecutor`)
 derives the same numbers by executing the schedule; the tests use it as
 the oracle for this meter over every bundled machine pack.
@@ -13,13 +16,16 @@ the oracle for this meter over every bundled machine pack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.machine.operating_point import OperatingPoint
 from repro.power.energy import EnergyEstimate, EnergyModel, EventCounts
 from repro.power.metrics import ed2
 from repro.scheduler.schedule import Schedule
+
+if TYPE_CHECKING:
+    from repro.pipeline.stages import ScheduleSummary
 
 
 @dataclass(frozen=True)
@@ -68,34 +74,34 @@ class PowerMeter:
     # ------------------------------------------------------------------
     def measure_loop(
         self,
-        schedule: Schedule,
+        schedule: Union[Schedule, "ScheduleSummary"],
         point: OperatingPoint,
         iterations: float,
         invocations: float = 1.0,
+        time_scale: float = 1.0,
     ) -> MeasuredExecution:
         """Meter one (validated) scheduled loop with its analytic counts.
 
-        ``invocations`` scales the result by the number of times the loop
-        is entered (each entry runs ``iterations`` iterations).
+        ``schedule`` is a live schedule or its
+        :class:`~repro.pipeline.stages.ScheduleSummary` (the same
+        numbers).  ``invocations`` scales the result by the number of
+        times the loop is entered (each entry runs ``iterations``
+        iterations).  ``time_scale`` re-times a homogeneous schedule to
+        another cycle time; it multiplies last, so ``1.0`` leaves the
+        time exactly as metered.
         """
         counts = EventCounts(
             cluster_energy_units=tuple(
-                u * iterations for u in schedule.cluster_energy_units()
+                u * iterations * invocations
+                for u in schedule.cluster_energy_units()
             ),
-            n_comms=schedule.comms_per_iteration * iterations,
-            n_mem_accesses=schedule.mem_accesses_per_iteration * iterations,
-        )
-        time_per_entry = schedule.execution_time(iterations)
-
-        scaled = EventCounts(
-            cluster_energy_units=tuple(
-                u * invocations for u in counts.cluster_energy_units
+            n_comms=schedule.comms_per_iteration * iterations * invocations,
+            n_mem_accesses=(
+                schedule.mem_accesses_per_iteration * iterations * invocations
             ),
-            n_comms=counts.n_comms * invocations,
-            n_mem_accesses=counts.n_mem_accesses * invocations,
         )
-        total_time = time_per_entry * invocations
-        energy = self._model.estimate(point, scaled, total_time)
+        total_time = schedule.execution_time(iterations) * invocations * time_scale
+        energy = self._model.estimate(point, counts, total_time)
         return MeasuredExecution(energy=energy, exec_time_ns=total_time)
 
     def measure_program(

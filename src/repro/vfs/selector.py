@@ -16,15 +16,18 @@ One ``select``/``enumerate`` call reads the profile once — the time
 model's loop rows, the whole-program totals and the fast-cluster share —
 and prices every voltage of a (cycle time, Vdd grid) pair once, as a
 float row of a :class:`VoltageTable`; each structure then builds one
-speeds context for the time model, and a :class:`DomainSetting` only
-for the rows it chooses.  All of it is dropped when the call returns.
+speeds context for the time model and is priced as plain numbers.
+``select`` builds the :class:`DomainSetting`, :class:`OperatingPoint`
+and :class:`SelectionResult` of the winning structure only
+(``enumerate`` builds them for every structure).  All of it is dropped
+when the call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.machine.machine import MachineDescription
@@ -148,6 +151,24 @@ class _Walk:
     voltages: VoltageTable
 
 
+class _Priced(NamedTuple):
+    """One feasible structure's estimates and chosen voltage rows."""
+
+    ed2: float
+    exec_time: float
+    energy: float
+    n_fast: int
+    fast_factor: Fraction
+    slow_ratio: Fraction
+    fast_ct: Fraction
+    slow_ct: Fraction
+    fast_row: VoltageRow
+    #: None when every cluster is fast.
+    slow_row: Optional[VoltageRow]
+    icn_row: VoltageRow
+    cache_row: VoltageRow
+
+
 class ConfigurationSelector:
     """Implements the section 3.3 selection heuristics.
 
@@ -201,13 +222,14 @@ class ConfigurationSelector:
                 best = (row, energy)
         return best
 
-    def _evaluate_structure(
+    def _price_structure(
         self,
         walk: _Walk,
         n_fast: int,
         fast_factor: Fraction,
         slow_ratio: Fraction,
-    ) -> Optional[SelectionResult]:
+    ) -> Optional[_Priced]:
+        """One structure's estimates as plain numbers (None: infeasible)."""
         machine = self._machine
         n_clusters = machine.n_clusters
         if n_fast > n_clusters:
@@ -250,6 +272,7 @@ class ConfigurationSelector:
             return None
         energy = n_fast * fast_choice[1]
 
+        slow_row = None
         if n_slow > 0:
             slow_choice = self._best_component_voltage(
                 walk.voltages(slow_ct, spec.cluster_vdd_grid),
@@ -260,6 +283,7 @@ class ConfigurationSelector:
             if slow_choice is None:
                 return None
             energy += n_slow * slow_choice[1]
+            slow_row = slow_choice[0]
 
         # A heterogeneous partition communicates more than the homogeneous
         # schedule: splitting critical recurrences from the rest turns the
@@ -283,27 +307,51 @@ class ConfigurationSelector:
         if icn_choice is None or cache_choice is None:
             return None
         energy += icn_choice[1] + cache_choice[1]
+        return _Priced(
+            ed2(energy, exec_time),
+            exec_time,
+            energy,
+            n_fast,
+            fast_factor,
+            slow_ratio,
+            fast_ct,
+            slow_ct,
+            fast_choice[0],
+            slow_row,
+            icn_choice[0],
+            cache_choice[0],
+        )
 
-        fast = _setting(fast_ct, fast_choice[0])
-        slow = _setting(slow_ct, slow_choice[0]) if n_slow > 0 else fast
+    def _result(self, priced: _Priced) -> SelectionResult:
+        """The :class:`SelectionResult` of one priced structure."""
+        fast_ct = priced.fast_ct
+        fast = _setting(fast_ct, priced.fast_row)
+        slow = (
+            _setting(priced.slow_ct, priced.slow_row)
+            if priced.slow_row is not None
+            else fast
+        )
         point = OperatingPoint(
-            clusters=tuple(fast if i < n_fast else slow for i in range(n_clusters)),
-            icn=_setting(fast_ct, icn_choice[0]),
-            cache=_setting(fast_ct, cache_choice[0]),
+            clusters=tuple(
+                fast if i < priced.n_fast else slow
+                for i in range(self._machine.n_clusters)
+            ),
+            icn=_setting(fast_ct, priced.icn_row),
+            cache=_setting(fast_ct, priced.cache_row),
         )
         return SelectionResult(
             point=point,
-            estimated_time_ns=exec_time,
-            estimated_energy=energy,
-            estimated_ed2=ed2(energy, exec_time),
-            n_fast=n_fast,
-            fast_factor=fast_factor,
-            slow_ratio=slow_ratio,
+            estimated_time_ns=priced.exec_time,
+            estimated_energy=priced.energy,
+            estimated_ed2=priced.ed2,
+            n_fast=priced.n_fast,
+            fast_factor=priced.fast_factor,
+            slow_ratio=priced.slow_ratio,
         )
 
     def _candidates(
         self, profile: ProgramProfile, units: CalibratedUnits
-    ) -> Iterator[SelectionResult]:
+    ) -> Iterator[_Priced]:
         """Every feasible structure's estimates, in design-space order."""
         walk = _Walk(
             rows=self._time_model.loop_rows(profile),
@@ -320,29 +368,38 @@ class ConfigurationSelector:
             voltages=VoltageTable(self._technology, units.reference),
         )
         for n_fast, fast_factor, slow_ratio in self._spec.structures():
-            candidate = self._evaluate_structure(walk, n_fast, fast_factor, slow_ratio)
-            if candidate is not None:
-                yield candidate
+            priced = self._price_structure(walk, n_fast, fast_factor, slow_ratio)
+            if priced is not None:
+                yield priced
 
     # ------------------------------------------------------------------
     def select(
         self, profile: ProgramProfile, units: CalibratedUnits
     ) -> SelectionResult:
-        """The operating point with the lowest *estimated* ED^2."""
-        best: Optional[SelectionResult] = None
-        for candidate in self._candidates(profile, units):
-            if best is None or candidate.estimated_ed2 < best.estimated_ed2:
-                best = candidate
+        """The operating point with the lowest *estimated* ED^2.
+
+        Structures are compared as plain numbers; only the winner (the
+        first in design-space order on a tie) becomes a
+        :class:`SelectionResult`, so ``select`` equals
+        ``enumerate(...)[0]``.
+        """
+        best: Optional[_Priced] = None
+        for priced in self._candidates(profile, units):
+            if best is None or priced.ed2 < best.ed2:
+                best = priced
         if best is None:
             raise ConfigurationError(
                 "no feasible heterogeneous configuration in the design space"
             )
-        return best
+        return self._result(best)
 
     def enumerate(
         self, profile: ProgramProfile, units: CalibratedUnits
     ) -> Tuple[SelectionResult, ...]:
         """Every feasible structure with its estimates (for exploration)."""
         return tuple(
-            sorted(self._candidates(profile, units), key=lambda r: r.estimated_ed2)
+            self._result(priced)
+            for priced in sorted(
+                self._candidates(profile, units), key=lambda p: p.ed2
+            )
         )

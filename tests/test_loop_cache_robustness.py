@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.pipeline.cache import (
     PAYLOAD_SCHEMA,
     StageCache,
     clear_loop_cache,
+    loop_keys,
     stage_key,
 )
 from repro.pipeline.experiment import ExperimentOptions
@@ -119,6 +121,22 @@ class TestLRU:
         assert key != stage_key("profile_loop", "a", 2)
         assert key != stage_key("schedule_loop", "a", 1)
         assert key.startswith("profile_loop-")
+
+    @pytest.mark.parametrize(
+        "shared",
+        [
+            (),
+            ("isa",),
+            ("isa", "shape", "Tech(x='y')", None),
+            ("isa", (0.1, 1 / 3, 2.5e-17), Fraction(9, 10), ("nested", 1)),
+        ],
+    )
+    def test_loop_keys_equal_stage_key(self, shared):
+        key_of = loop_keys("schedule_loop", *shared)
+        for fingerprint in ("0" * 64, "it's", 'say "hi"'):
+            assert key_of(fingerprint) == stage_key(
+                "schedule_loop", fingerprint, *shared
+            )
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
     HistogramData,
     MetricsError,
     MetricsRegistry,
