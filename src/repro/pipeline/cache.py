@@ -38,7 +38,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.telemetry import counter, record_event
 
@@ -49,6 +49,24 @@ _CACHE_EVENTS = counter(
     "repro_stage_cache_events_total",
     "Loop-cache lookups and evictions, by stage and event",
 )
+
+#: Events counted per stage in ``info()["by_stage"]``, in report order.
+_STAGE_EVENTS = ("hits", "misses", "disk_hits", "corrupt")
+
+#: ``_CACHE_EVENTS.series`` per ``(stage, event)``: the label key of a
+#: series is built on its first event, not on every lookup.
+_EVENT_SERIES: Dict[Tuple[str, str], Callable[..., None]] = {}
+
+
+def _count_event(stage: str, event: str) -> None:
+    """Add one to ``repro_stage_cache_events_total{stage, event}``."""
+    series = _EVENT_SERIES.get((stage, event))
+    if series is None:
+        series = _EVENT_SERIES[stage, event] = _CACHE_EVENTS.series(
+            stage=stage, event=event
+        )
+    series()
+
 
 #: The loop cache holds one profile + one schedule artifact per
 #: (loop x machine facets x point); a ten-benchmark sweep at full scale
@@ -142,12 +160,11 @@ class StageCache:
 
     def _count(self, key: str, event: str) -> None:
         stage = self._stage_of(key)
-        bucket = self._by_stage.setdefault(
-            stage,
-            {"hits": 0, "misses": 0, "disk_hits": 0, "corrupt": 0},
-        )
+        bucket = self._by_stage.get(stage)
+        if bucket is None:
+            bucket = self._by_stage[stage] = dict.fromkeys(_STAGE_EVENTS, 0)
         bucket[event] += 1
-        _CACHE_EVENTS.inc(stage=stage, event=event)
+        _count_event(stage, event)
 
     def lookup(
         self,
@@ -206,7 +223,7 @@ class StageCache:
         elif len(self._entries) >= self._capacity:
             evicted, _value = self._entries.popitem(last=False)
             self.evictions += 1
-            _CACHE_EVENTS.inc(stage=self._stage_of(evicted), event="evictions")
+            _count_event(self._stage_of(evicted), "evictions")
         self._entries[key] = value
 
     @staticmethod

@@ -25,13 +25,18 @@ with the capacity test and the scan ``resMIT`` uses.  This module only
 supplies the start, the demand, the communications and the lifetimes
 from the loop's profile, as plain ints (:meth:`TimeModel.loop_it`).
 
-:meth:`TimeModel.program_time` builds the speeds context once per speed
-assignment and walks the loops as :class:`LoopRow` s (what the estimate
-reads of a profile, read once), on ints of the context's quantum.
-Callers that price one profile at many speed assignments (the section
-3.3 selector) build the rows once with :meth:`TimeModel.loop_rows` and
-call :meth:`TimeModel.rows_time` per assignment.  Nothing is kept
-across calls: there is no memo between evaluations.
+Every estimate walks the loops as :class:`LoopRow` s (what the estimate
+reads of a profile, read once) against one speeds context, on ints of
+the context's quantum: :meth:`TimeModel.context_time` is the one sum.
+:meth:`TimeModel.program_time` and :meth:`TimeModel.rows_time` build a
+context for their speed assignment and keep nothing.  The section 3.3
+selector builds the rows once per call with :meth:`TimeModel.loop_rows`
+and prices them against the contexts of its design-space plan
+(:func:`~repro.vfs.selector.design_space_plan`), which are kept with
+the plan, keyed on the machine's cluster shape, technology, reference
+setting and design space, and bounded by
+:data:`~repro.vfs.selector.PLAN_CACHE_SIZE` plans; no profile data is
+kept with them.
 """
 
 from __future__ import annotations
@@ -152,17 +157,16 @@ class TimeModel:
         return tuple(LoopRow.of(loop) for loop in profile.loops)
 
     def rows_time(self, rows: Sequence[LoopRow], speeds: MachineSpeeds) -> float:
-        """:meth:`program_time` of a profile's :meth:`loop_rows`.
+        """:meth:`program_time` of a profile's :meth:`loop_rows`."""
+        return self.context_time(rows, self.speeds_context(speeds))
+
+    def context_time(self, rows: Sequence[LoopRow], context: SpeedsContext) -> float:
+        """Estimated execution time (ns) of ``rows`` against ``context``.
 
         Each loop's total is :meth:`loop_estimate`'s ``total_ns``, in the
         same float operations; the IT stays an int ratio until its float.
         """
-        context = self.speeds_context(speeds)
-        q_num, q_den = context.quantum_ratio
-        periods = context.cluster_periods
-        # float(speeds.mean_cluster_cycle_time) on ints: int true division
-        # rounds correctly, as Fraction.__float__ does.
-        mean_cycle_time = q_num * sum(periods) / (q_den * len(periods))
+        mean_cycle_time = context.mean_cycle_time
         loop_it = self.loop_it
         return sum(
             (

@@ -21,8 +21,13 @@ the bus and register slots of the section 3.2 estimate) and its
 demand as plain ints (:func:`demand_codes` pairs, communications,
 lifetimes) and build nothing per demand.  :func:`capacity_ok`,
 :func:`min_feasible_it` and ``resMIT`` are thin callers that build a
-context per call; the section 3.2 time model builds one per speed
-assignment and scans every loop against it.  The
+context per call and keep nothing.  The section 3.2 time model scans
+every loop against one context per speed assignment; the section 3.3
+selector's contexts, one per structure, are kept in its design-space
+plan (:func:`~repro.vfs.selector.design_space_plan`), keyed on the
+machine's cluster shape, technology, reference setting and design
+space and bounded by :data:`~repro.vfs.selector.PLAN_CACHE_SIZE`
+plans, so the slots they count serve every later evaluation.  The
 scheduler's candidate stream
 (:func:`~repro.scheduler.ii_selection.iter_it_candidates`) merges period
 multiples on the same kind of grid (:func:`~repro.units.common_quantum`
@@ -37,7 +42,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -123,8 +130,12 @@ class SpeedsContext:
     :attr:`quantum`; a demand is :func:`demand_codes` pairs plus the
     communications and register lifetimes of one iteration.  The slots
     an IT buys are counted once per context, on the first test at that
-    IT, so the loops scanned at one speed assignment share them; they
-    die with the context.
+    IT, so the loops scanned at one speed assignment share them.  They
+    are kept as long as the context, one entry per IT tested, as is the
+    ascending list of period multiples :meth:`scan` walks (as far as
+    scans reached); a context of a design-space plan keeps both as long
+    as the plan.  Threads counting the same IT, or growing the list,
+    store equal values.
     """
 
     def __init__(self, machine: MachineDescription, speeds: MachineSpeeds):
@@ -151,6 +162,21 @@ class SpeedsContext:
             self._regs[slot[period]] += cluster.n_regs
         self._bus_slots = machine.interconnect.n_buses
         self._slots: Dict[int, List[int]] = {}
+        #: Ascending multiples of the FU (``False``) and the bus
+        #: (``True``) period lists, from the first one up, as far as
+        #: scans have reached.
+        self._multiples: Dict[bool, List[int]] = {False: [], True: []}
+
+    @cached_property
+    def mean_cycle_time(self) -> float:
+        """``float(speeds.mean_cluster_cycle_time)``, from the period ints.
+
+        Int true division rounds correctly, as ``Fraction.__float__``
+        does.
+        """
+        q_num, q_den = self.quantum_ratio
+        periods = self.cluster_periods
+        return q_num * sum(periods) / (q_den * len(periods))
 
     def fits(
         self,
@@ -197,23 +223,50 @@ class SpeedsContext:
         Capacity only jumps at multiples of a cluster period (and, when
         ``comms`` need bus slots, of the interconnect period), so the
         answer is ``below`` itself or the first fitting multiple above
-        it.  Raises :class:`InfeasibleITError` after
+        it.  The multiples are walked from the context's ascending list,
+        found by bisection, so the loops scanned against one context
+        share it.  Raises :class:`InfeasibleITError` after
         :data:`MAX_CANDIDATES` candidates (``loop`` names the loop in the
         message).
         """
         fits = self.fits
         if fits(below, needs, comms, lifetimes):
             return below
-        periods = self._bus_periods if comms > 0 else self._fu_periods
-        for steps, it in enumerate(_grid_multiples(periods, below + 1)):
-            if steps >= MAX_CANDIDATES:  # pragma: no cover - safety net
-                break
+        bus = comms > 0
+        multiples = self._multiples[bus]
+        if not multiples or multiples[-1] <= below:
+            multiples = self._grow_multiples(bus, below)
+        index = bisect_right(multiples, below)
+        for _ in range(MAX_CANDIDATES):
+            if index == len(multiples):
+                multiples = self._grow_multiples(bus, multiples[-1])
+            it = multiples[index]
             if fits(it, needs, comms, lifetimes):
                 return it
+            index += 1
         raise InfeasibleITError(
             f"no feasible IT found for loop {loop!r} within "
             f"{MAX_CANDIDATES} candidates"
         )
+
+    def _grow_multiples(self, bus: bool, past: int) -> List[int]:
+        """The FU or bus multiples list, grown beyond ``past``.
+
+        At least doubled, so a long scan grows it a logarithmic number
+        of times.  The grown list is a new one: a thread walking the old
+        list is undisturbed, and two threads growing it store equal
+        lists.
+        """
+        multiples = self._multiples[bus]
+        periods = self._bus_periods if bus else self._fu_periods
+        grown = list(multiples)
+        least = 2 * len(multiples) + 16
+        for value in _grid_multiples(periods, multiples[-1] + 1 if multiples else 1):
+            grown.append(value)
+            if value > past and len(grown) >= least:
+                break
+        self._multiples[bus] = grown
+        return grown
 
     def min_feasible_it(
         self,

@@ -6,6 +6,13 @@ minimising estimated ED^2.  For homogeneous designs the model is exact up
 to the profile: every homogeneous design executes the same schedule, so
 cycle counts come straight from the profile and only the cycle time and
 the delta/sigma scalings vary.
+
+The cycle times and their voltage rows do not depend on the profile:
+they come from the selector's shared design-space plan
+(:func:`~repro.vfs.selector.design_space_plan`), kept per machine
+cluster shape, technology, reference setting and design space, and
+bounded by :data:`~repro.vfs.selector.PLAN_CACHE_SIZE` plans.  Only the
+profile totals are read per call.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from repro.power.metrics import ed2
 from repro.power.profile import ProgramProfile
 from repro.power.technology import TechnologyModel
 from repro.vfs.candidates import DesignSpaceSpec
-from repro.vfs.selector import SelectionResult, VoltageTable
+from repro.vfs.selector import SelectionResult, design_space_plan
 
 
 def optimum_homogeneous(
@@ -37,14 +44,13 @@ def optimum_homogeneous(
     Explores all cycle-time factors reachable by the heterogeneous design
     space and the voltages legal for *every* component simultaneously
     (``spec.homogeneous_vdd_grid``).  Each candidate is priced with
-    :meth:`EnergyModel.scaled_estimate` from the scalings of its
-    :class:`VoltageTable` row (plain floats) and the profile totals, both
-    computed once per call; only the winner becomes an
+    :meth:`EnergyModel.scaled_estimate` from the scalings of its voltage
+    row (plain floats, from the shared design-space plan) and the profile
+    totals, read once per call; only the winner becomes an
     :class:`OperatingPoint`, with its one :class:`DomainSetting`.
     """
     spec = spec if spec is not None else DesignSpaceSpec.paper()
     model = EnergyModel(units, technology)
-    reference_ct = units.reference.cycle_time
     total_cycles = profile.total_cycles
     n_clusters = machine.n_clusters
     # A point without slow clusters spreads instructions uniformly.
@@ -55,13 +61,12 @@ def optimum_homogeneous(
         n_comms=profile.total_comms,
         n_mem_accesses=profile.total_mem_accesses,
     )
-    voltages = VoltageTable(technology, units.reference)
+    plan = design_space_plan(machine, technology, units.reference, spec)
 
     best = None
-    for factor in spec.homogeneous_factors():
-        cycle_time = factor * reference_ct
-        exec_time = total_cycles * float(cycle_time)
-        for vdd, vth, delta, sigma in voltages(cycle_time, spec.homogeneous_vdd_grid):
+    for factor, cycle_time, cycle_time_ns, rows in plan.homogeneous:
+        exec_time = total_cycles * cycle_time_ns
+        for vdd, vth, delta, sigma in rows:
             energy = model.scaled_estimate(
                 ((delta,) * n_clusters, delta, delta),
                 ((sigma,) * n_clusters, sigma, sigma),

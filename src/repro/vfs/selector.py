@@ -12,24 +12,36 @@ voltage grid therefore yields exactly the global optimum over the full
 cross-product grid, at a fraction of the cost.  (A brute-force mode used
 in tests verifies the equivalence.)
 
+What the walk reads that no profile changes is a
+:class:`DesignSpacePlan`, kept process-wide by :func:`design_space_plan`:
+per feasible structure its cycle times, one speeds context for the time
+model (whose slot counts live as long as the plan) and its fast, slow,
+interconnect and cache :class:`VoltageTable` rows, plus the rows of each
+homogeneous cycle time the section 5.1 baseline prices.  A plan is keyed
+on the machine's cluster-shape facet
+(:func:`~repro.machine.fingerprint.machine_facets`), the technology, the
+reference setting and the :class:`DesignSpaceSpec`; the
+:data:`PLAN_CACHE_SIZE` most recently used plans are kept.  It holds no
+profile data.
+
 One ``select``/``enumerate`` call reads the profile once — the time
 model's loop rows, the whole-program totals and the fast-cluster share —
-and prices every voltage of a (cycle time, Vdd grid) pair once, as a
-float row of a :class:`VoltageTable`; each structure then builds one
-speeds context for the time model and is priced as plain numbers.
-``select`` builds the :class:`DomainSetting`, :class:`OperatingPoint`
-and :class:`SelectionResult` of the winning structure only
-(``enumerate`` builds them for every structure).  All of it is dropped
-when the call returns.
+and prices each structure of the plan as plain numbers.  ``select``
+builds the :class:`DomainSetting`, :class:`OperatingPoint` and
+:class:`SelectionResult` of the winning structure only (``enumerate``
+builds them for every structure).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Hashable, Iterator, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.machine.fingerprint import machine_facets
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import DomainSetting, MachineSpeeds, OperatingPoint
 from repro.power.calibration import CalibratedUnits
@@ -38,6 +50,7 @@ from repro.power.profile import ProgramProfile
 from repro.power.scaling import dynamic_ratio, static_ratio
 from repro.power.technology import TechnologyModel
 from repro.power.time_model import LoopRow, TimeModel
+from repro.scheduler.mii import SpeedsContext
 from repro.vfs.candidates import DesignSpaceSpec
 
 
@@ -87,7 +100,7 @@ VoltageRow = Tuple[float, float, float, float]
 
 
 class VoltageTable:
-    """Feasible supply voltages per (cycle time, Vdd grid), for one call.
+    """Feasible supply voltages per (cycle time, Vdd grid).
 
     For one speed and one grid, :meth:`__call__` lists a
     :data:`VoltageRow` per grid voltage at which
@@ -97,8 +110,10 @@ class VoltageTable:
     scalings (section 3.1, :func:`dynamic_ratio` and
     :func:`static_ratio`), computed on first use.  The rows are plain
     floats; callers build a :class:`DomainSetting` only for the rows
-    they choose.  A selector call builds one table and drops it on
-    return, so no row outlives the evaluation that priced it.
+    they choose.  A table serves one technology and reference setting
+    and keeps every row set it solved, keyed on (cycle time, grid).
+    Each :class:`DesignSpacePlan` builds one, so its rows are bounded by
+    the plan's cycle times and grids and live as long as the plan.
     """
 
     def __init__(self, technology: TechnologyModel, reference: DomainSetting):
@@ -130,6 +145,150 @@ class VoltageTable:
         return rows
 
 
+class StructurePlan(NamedTuple):
+    """One structure of a design space, as far as no profile changes it."""
+
+    n_fast: int
+    n_slow: int
+    fast_factor: Fraction
+    slow_ratio: Fraction
+    fast_ct: Fraction
+    slow_ct: Fraction
+    #: Slow clusters run slower than fast ones: instructions split by the
+    #: fast share and communications follow the heterogeneous estimate.
+    split: bool
+    #: The time model's capacity test and IT scan at these speeds.
+    context: SpeedsContext
+    fast_rows: Tuple[VoltageRow, ...]
+    #: Empty when every cluster is fast.
+    slow_rows: Tuple[VoltageRow, ...]
+    icn_rows: Tuple[VoltageRow, ...]
+    cache_rows: Tuple[VoltageRow, ...]
+
+
+class HomogeneousPlan(NamedTuple):
+    """One cycle time of the section 5.1 homogeneous baseline."""
+
+    factor: Fraction
+    cycle_time: Fraction
+    #: ``float(cycle_time)``.
+    cycle_time_ns: float
+    rows: Tuple[VoltageRow, ...]
+
+
+class DesignSpacePlan:
+    """What the selector and the baseline read that no profile changes.
+
+    Built for one machine's cluster shape, one technology, one reference
+    setting and one :class:`DesignSpaceSpec`: :attr:`structures` lists
+    every structure with ``n_fast`` at most the machine's cluster count,
+    in design-space order, and :attr:`homogeneous` every homogeneous
+    cycle-time factor, in ascending order.  Both read their voltage rows
+    from one :class:`VoltageTable`.  :func:`design_space_plan` shares
+    plans across calls.
+    """
+
+    def __init__(
+        self,
+        machine: MachineDescription,
+        technology: TechnologyModel,
+        reference: DomainSetting,
+        spec: DesignSpaceSpec,
+    ):
+        voltages = VoltageTable(technology, reference)
+        time_model = TimeModel(machine)
+        n_clusters = machine.n_clusters
+        reference_ct = reference.cycle_time
+        structures = []
+        for n_fast, fast_factor, slow_ratio in spec.structures():
+            if n_fast > n_clusters:
+                continue
+            fast_ct = fast_factor * reference_ct
+            slow_ct = slow_ratio * fast_ct
+            n_slow = n_clusters - n_fast
+            speeds = MachineSpeeds(
+                cluster_cycle_times=tuple(
+                    fast_ct if i < n_fast else slow_ct for i in range(n_clusters)
+                ),
+                icn_cycle_time=fast_ct,  # ICN tracks the fastest cluster (section 5)
+                cache_cycle_time=fast_ct,  # so does the cache
+            )
+            structures.append(
+                StructurePlan(
+                    n_fast=n_fast,
+                    n_slow=n_slow,
+                    fast_factor=fast_factor,
+                    slow_ratio=slow_ratio,
+                    fast_ct=fast_ct,
+                    slow_ct=slow_ct,
+                    split=n_slow > 0 and slow_ratio != 1,
+                    context=time_model.speeds_context(speeds),
+                    fast_rows=voltages(fast_ct, spec.cluster_vdd_grid),
+                    slow_rows=(
+                        voltages(slow_ct, spec.cluster_vdd_grid) if n_slow else ()
+                    ),
+                    icn_rows=voltages(fast_ct, spec.icn_vdd_grid),
+                    cache_rows=voltages(fast_ct, spec.cache_vdd_grid),
+                )
+            )
+        self.structures: Tuple[StructurePlan, ...] = tuple(structures)
+        self.homogeneous: Tuple[HomogeneousPlan, ...] = tuple(
+            HomogeneousPlan(
+                factor,
+                cycle_time,
+                float(cycle_time),
+                voltages(cycle_time, spec.homogeneous_vdd_grid),
+            )
+            for factor in spec.homogeneous_factors()
+            for cycle_time in (factor * reference_ct,)
+        )
+
+
+#: Design-space plans kept per process, least recently used dropped
+#: first.  A sweep prices a handful of (machine shape, technology,
+#: design space) combinations; a plan of the paper's design space holds
+#: 20 structures and their slot counts.
+PLAN_CACHE_SIZE = 32
+
+_PLANS: "OrderedDict[Hashable, DesignSpacePlan]" = OrderedDict()
+_PLANS_LOCK = threading.Lock()
+
+
+def design_space_plan(
+    machine: MachineDescription,
+    technology: TechnologyModel,
+    reference: DomainSetting,
+    spec: DesignSpaceSpec,
+) -> DesignSpacePlan:
+    """The shared :class:`DesignSpacePlan` of these inputs.
+
+    Keyed on ``machine``'s cluster-shape facet — everything a speeds
+    context reads of a machine (FU mixes, register files, bus count) —
+    so machines differing elsewhere share a plan.  Threads racing on a
+    new key may each build it; the first one stored is kept and the
+    others are equal.
+    """
+    key = (machine_facets(machine)[1], technology, reference, spec)
+    with _PLANS_LOCK:
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _PLANS.move_to_end(key)
+            return plan
+    built = DesignSpacePlan(machine, technology, reference, spec)
+    with _PLANS_LOCK:
+        plan = _PLANS.setdefault(key, built)
+        _PLANS.move_to_end(key)
+        while len(_PLANS) > PLAN_CACHE_SIZE:
+            _PLANS.popitem(last=False)
+    return plan
+
+
+def clear_plan_cache() -> None:
+    """Drop every kept design-space plan."""
+    with _PLANS_LOCK:
+        _PLANS.clear()
+
+
 def _setting(cycle_time: Fraction, row: VoltageRow) -> DomainSetting:
     """The :class:`DomainSetting` of one chosen voltage row."""
     vdd, vth, _, _ = row
@@ -138,7 +297,7 @@ def _setting(cycle_time: Fraction, row: VoltageRow) -> DomainSetting:
 
 @dataclass(frozen=True)
 class _Walk:
-    """What one selector call reads for every structure, read once."""
+    """What one selector call reads of the profile, read once."""
 
     rows: Tuple[LoopRow, ...]
     units: CalibratedUnits
@@ -148,7 +307,6 @@ class _Walk:
     total_mem_accesses: float
     #: Fast-cluster instruction share of a heterogeneous structure.
     fast_share: float
-    voltages: VoltageTable
 
 
 class _Priced(NamedTuple):
@@ -157,11 +315,7 @@ class _Priced(NamedTuple):
     ed2: float
     exec_time: float
     energy: float
-    n_fast: int
-    fast_factor: Fraction
-    slow_ratio: Fraction
-    fast_ct: Fraction
-    slow_ct: Fraction
+    structure: StructurePlan
     fast_row: VoltageRow
     #: None when every cluster is fast.
     slow_row: Optional[VoltageRow]
@@ -223,47 +377,31 @@ class ConfigurationSelector:
         return best
 
     def _price_structure(
-        self,
-        walk: _Walk,
-        n_fast: int,
-        fast_factor: Fraction,
-        slow_ratio: Fraction,
+        self, walk: _Walk, structure: StructurePlan
     ) -> Optional[_Priced]:
         """One structure's estimates as plain numbers (None: infeasible)."""
-        machine = self._machine
-        n_clusters = machine.n_clusters
-        if n_fast > n_clusters:
-            return None
-        units = walk.units
-        reference_ct = units.reference.cycle_time
-        fast_ct = fast_factor * reference_ct
-        slow_ct = slow_ratio * fast_ct
-        n_slow = n_clusters - n_fast
+        exec_time = self._time_model.context_time(walk.rows, structure.context)
 
-        speeds = MachineSpeeds(
-            cluster_cycle_times=tuple(
-                fast_ct if i < n_fast else slow_ct for i in range(n_clusters)
-            ),
-            icn_cycle_time=fast_ct,  # ICN tracks the fastest cluster (section 5)
-            cache_cycle_time=fast_ct,  # so does the cache
-        )
-        exec_time = self._time_model.rows_time(walk.rows, speeds)
-
-        # Instruction distribution across fast/slow cluster groups.
+        # Instruction distribution across fast/slow cluster groups.  A
+        # heterogeneous partition communicates more than the homogeneous
+        # schedule: splitting critical recurrences from the rest turns
+        # the boundary edges into bus traffic.
         total_units = walk.total_energy_units
-        if n_slow == 0 or slow_ratio == 1:
-            per_cluster_units = total_units / n_clusters
-            fast_units, slow_units = per_cluster_units, per_cluster_units
-        else:
+        n_fast, n_slow = structure.n_fast, structure.n_slow
+        if structure.split:
             fast_share = walk.fast_share
             fast_units = fast_share * total_units / n_fast
             slow_units = (1.0 - fast_share) * total_units / n_slow
+            comm_estimate = walk.total_comms_heterogeneous
+        else:
+            fast_units = slow_units = total_units / (n_fast + n_slow)
+            comm_estimate = walk.total_comms
 
+        units = walk.units
         per_cluster_static = units.static_rate_per_cluster
-        spec = self._spec
-
-        fast_choice = self._best_component_voltage(
-            walk.voltages(fast_ct, spec.cluster_vdd_grid),
+        best_voltage = self._best_component_voltage
+        fast_choice = best_voltage(
+            structure.fast_rows,
             units.e_ins_unit * fast_units,
             per_cluster_static,
             exec_time,
@@ -274,8 +412,8 @@ class ConfigurationSelector:
 
         slow_row = None
         if n_slow > 0:
-            slow_choice = self._best_component_voltage(
-                walk.voltages(slow_ct, spec.cluster_vdd_grid),
+            slow_choice = best_voltage(
+                structure.slow_rows,
                 units.e_ins_unit * slow_units,
                 per_cluster_static,
                 exec_time,
@@ -285,21 +423,14 @@ class ConfigurationSelector:
             energy += n_slow * slow_choice[1]
             slow_row = slow_choice[0]
 
-        # A heterogeneous partition communicates more than the homogeneous
-        # schedule: splitting critical recurrences from the rest turns the
-        # boundary edges into bus traffic.
-        if n_slow > 0 and slow_ratio != 1:
-            comm_estimate = walk.total_comms_heterogeneous
-        else:
-            comm_estimate = walk.total_comms
-        icn_choice = self._best_component_voltage(
-            walk.voltages(fast_ct, spec.icn_vdd_grid),
+        icn_choice = best_voltage(
+            structure.icn_rows,
             units.e_comm * comm_estimate,
             units.static_rate_icn,
             exec_time,
         )
-        cache_choice = self._best_component_voltage(
-            walk.voltages(fast_ct, spec.cache_vdd_grid),
+        cache_choice = best_voltage(
+            structure.cache_rows,
             units.e_access * walk.total_mem_accesses,
             units.static_rate_cache,
             exec_time,
@@ -311,11 +442,7 @@ class ConfigurationSelector:
             ed2(energy, exec_time),
             exec_time,
             energy,
-            n_fast,
-            fast_factor,
-            slow_ratio,
-            fast_ct,
-            slow_ct,
+            structure,
             fast_choice[0],
             slow_row,
             icn_choice[0],
@@ -324,17 +451,18 @@ class ConfigurationSelector:
 
     def _result(self, priced: _Priced) -> SelectionResult:
         """The :class:`SelectionResult` of one priced structure."""
-        fast_ct = priced.fast_ct
+        structure = priced.structure
+        fast_ct = structure.fast_ct
         fast = _setting(fast_ct, priced.fast_row)
         slow = (
-            _setting(priced.slow_ct, priced.slow_row)
+            _setting(structure.slow_ct, priced.slow_row)
             if priced.slow_row is not None
             else fast
         )
         point = OperatingPoint(
             clusters=tuple(
-                fast if i < priced.n_fast else slow
-                for i in range(self._machine.n_clusters)
+                fast if i < structure.n_fast else slow
+                for i in range(structure.n_fast + structure.n_slow)
             ),
             icn=_setting(fast_ct, priced.icn_row),
             cache=_setting(fast_ct, priced.cache_row),
@@ -344,9 +472,9 @@ class ConfigurationSelector:
             estimated_time_ns=priced.exec_time,
             estimated_energy=priced.energy,
             estimated_ed2=priced.ed2,
-            n_fast=priced.n_fast,
-            fast_factor=priced.fast_factor,
-            slow_ratio=priced.slow_ratio,
+            n_fast=structure.n_fast,
+            fast_factor=structure.fast_factor,
+            slow_ratio=structure.slow_ratio,
         )
 
     def _candidates(
@@ -365,10 +493,12 @@ class ConfigurationSelector:
                 if self._distribution == "critical"
                 else 0.5
             ),
-            voltages=VoltageTable(self._technology, units.reference),
         )
-        for n_fast, fast_factor, slow_ratio in self._spec.structures():
-            priced = self._price_structure(walk, n_fast, fast_factor, slow_ratio)
+        plan = design_space_plan(
+            self._machine, self._technology, units.reference, self._spec
+        )
+        for structure in plan.structures:
+            priced = self._price_structure(walk, structure)
             if priced is not None:
                 yield priced
 

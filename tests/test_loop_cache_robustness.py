@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 from fractions import Fraction
 
 import pytest
@@ -196,6 +195,65 @@ class TestExperimentCaching:
         info = LOOP_CACHE.info()
         assert info["hits"] == 0
         assert info["misses"] == info["entries"]
+
+    def test_event_counters_match_a_recount(self, tmp_path, monkeypatch):
+        """``stats()``, ``by_stage`` and the events series, lookup by lookup.
+
+        Each lookup is recounted from what it returned: a miss, a hit
+        from memory (no new entry) or a disk hit (one new entry), over a
+        cold, a memory-warm and a disk-warm evaluation.
+        """
+        from repro.pipeline.cache import _CACHE_EVENTS
+
+        events = ("hits", "misses", "disk_hits", "corrupt")
+        LOOP_CACHE.attach_store(tmp_path)
+        recount = {}
+        lookup = LOOP_CACHE.lookup
+
+        def counted(key, decode=None):
+            size = len(LOOP_CACHE)
+            value = lookup(key, decode)
+            if LOOP_CACHE.is_miss(value):
+                event = "misses"
+            elif len(LOOP_CACHE) > size:
+                event = "disk_hits"
+            else:
+                event = "hits"
+            stage = key.rsplit("-", 1)[0]
+            recount.setdefault(stage, dict.fromkeys(events, 0))[event] += 1
+            return value
+
+        def series():
+            return {
+                (stage, event): _CACHE_EVENTS.value(stage=stage, event=event)
+                for stage in ("profile_loop", "schedule_loop")
+                for event in events
+            }
+
+        monkeypatch.setattr(LOOP_CACHE, "lookup", counted)
+        corpus = _corpus()
+        before = series()
+        for clear in (False, False, True):
+            if clear:
+                clear_loop_cache()
+            Experiment.paper().run(corpus)
+        info = LOOP_CACHE.info()
+        assert info["by_stage"] == recount
+        assert sorted(recount) == ["profile_loop", "schedule_loop"]
+        for counts in info["by_stage"].values():
+            assert list(counts) == list(events)
+        assert LOOP_CACHE.stats() == {
+            event: sum(counts[event] for counts in recount.values())
+            for event in events
+        }
+        assert all(LOOP_CACHE.stats()[event] > 0 for event in events[:3])
+        after = series()
+        assert {
+            key: after[key] - before[key] for key in after
+        } == {
+            (stage, event): recount[stage][event]
+            for stage, event in after
+        }
 
     def test_detach_stops_persistence(self, tmp_path):
         LOOP_CACHE.attach_store(tmp_path)
