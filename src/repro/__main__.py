@@ -211,9 +211,9 @@ def _parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--label",
         default=None,
-        help="record this run as a named campaign in the cache's SQLite "
-        "warehouse (enables `repro query diff <label> ...` later); "
-        "without it, jobs are indexed but not grouped",
+        help="file this run's jobs under a named campaign in the cache "
+        "(enables `repro query diff <label> ...` later); without it, "
+        "jobs are indexed but not grouped",
     )
     add_machine_flags(campaign, campaign_files=True)
 
@@ -568,7 +568,8 @@ def _parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--label",
         default=None,
-        help="for ingest: campaign label to file the entries under",
+        help="for ingest: file every entry of each ingested store under "
+        "this campaign label, in that store",
     )
     query.add_argument(
         "--benchmark",
@@ -832,16 +833,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    warehouse = None
-    sink = None
-    if store is not None:
-        from repro.warehouse import Warehouse
-
-        warehouse = Warehouse.for_store(store)
-
-        def sink(key, payload, cached) -> None:
-            warehouse.record_payload(payload, campaign=args.label)
-
+    if store is not None and args.label is not None:
+        store.add_label(args.label, (job.key() for job in jobs))
     try:
         outcome = run_campaign(
             jobs,
@@ -849,11 +842,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             n_jobs=args.jobs,
             progress=_progress,
             recompute=args.recompute,
-            sink=sink,
         )
     finally:
-        if warehouse is not None:
-            warehouse.close()
+        if store is not None:
+            from repro.warehouse import Warehouse
+
+            with Warehouse.for_store(store) as warehouse:
+                warehouse.ingest_store(store)
     print(campaign_summary(outcome), file=sys.stderr)
     for failure in outcome.failed:
         print(
@@ -1143,7 +1138,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.campaign import DEFAULT_CACHE_DIR
+    from repro.campaign import DEFAULT_CACHE_DIR, ResultStore
     from repro.reporting import render_query
     from repro.warehouse import (
         DEFAULT_WAREHOUSE_NAME,
@@ -1161,7 +1156,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     with Warehouse(db_path) as warehouse:
         if args.op == "ingest":
             for source in args.selectors or [cache_dir]:
-                report = warehouse.ingest_store(source, campaign=args.label)
+                store = ResultStore(source)
+                if args.label is not None:
+                    store.add_label(args.label, store.keys())
+                report = warehouse.ingest_store(store)
                 print(report.describe(), file=sys.stderr)
             print(render_query("summary", run_query(warehouse, "summary")))
             return 0

@@ -303,7 +303,6 @@ def run_campaign(
     n_jobs: int = 1,
     progress: Optional[Callable[[JobResult], None]] = None,
     recompute: bool = False,
-    sink: Optional[Callable[[str, Dict[str, Any], bool], None]] = None,
 ) -> CampaignResult:
     """Execute ``jobs``, reusing cached results and sharding the rest.
 
@@ -312,11 +311,6 @@ def run_campaign(
     forces fresh runs even for cached keys.  Successful results are
     persisted to ``store`` before the call returns; failures are
     reported but never cached, so a fixed configuration re-runs.
-
-    ``sink`` is the raw-payload hook: called once per finished job with
-    ``(key, payload, cached)`` — the exact dict that lands in (or came
-    from) the store.  The warehouse uses it to index results as they
-    complete; ``progress`` stays the human-facing, deserialized view.
 
     Caching is two-granular: whole jobs are answered from ``store``
     without executing, and executed jobs reuse the per-loop profile and
@@ -350,8 +344,6 @@ def run_campaign(
             pending[key] = job
             continue
         results[key] = cached_result
-        if sink is not None:
-            sink(key, dict(payload, key=key), True)
         if progress is not None:
             progress(cached_result)
 
@@ -380,8 +372,6 @@ def run_campaign(
                 )
                 for future in done:
                     key, payload = futures[future], future.result()
-                    if sink is not None:
-                        sink(key, dict(payload, key=key), False)
                     result = _result_from_payload(
                         pending[key], key, payload, cached=False
                     )

@@ -5,19 +5,24 @@ directory.  A campaign consults the store before scheduling work
 (skip-if-cached resumability: killing a campaign loses at most the jobs
 in flight) and later campaigns or ad-hoc queries read the same files.
 
-Writes are atomic (temp file + rename) so a killed process never leaves
-a truncated entry that would poison resumption.
+The store is the only record: beside the job entries it holds
+``loops/`` (per-loop artifacts), ``campaigns/`` (the jobs each campaign
+label names) and ``traces/`` (settled distributed traces); the
+warehouse is an index rebuilt from these files.  Writes are atomic
+(temp file + rename) so a killed process never leaves a truncated file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import re
+import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.pipeline.serialization import content_key, write_json_atomic
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -25,6 +30,13 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Subdirectory holding *per-loop* artifacts (loop profiles, schedules)
 #: written by the pipeline's loop cache.
 LOOP_SUBDIR = "loops"
+
+#: Subdirectories holding campaign memberships and settled traces.
+CAMPAIGN_SUBDIR = "campaigns"
+TRACE_SUBDIR = "traces"
+
+#: Trace ids that name their own file; others are named by content key.
+_PLAIN_ID = re.compile(r"[0-9A-Za-z_-]{1,64}")
 
 
 class StoreError(ReproError):
@@ -68,20 +80,32 @@ class ResultStore:
         """File backing the entry for ``key``."""
         return self._root / f"{key}.json"
 
-    def _entry_names(self) -> List[str]:
-        """Entry file names (one scandir pass, no JSON parsing).
+    def _entry_names(self, directory: Optional[Path] = None) -> List[str]:
+        """Sorted ``*.json`` file names of the store or of ``directory``
+        (one scandir pass, no JSON parsing), excluding subdirectories and
+        the hidden ``.*.tmp`` files a concurrent writer may have in
+        flight, so listings only ever name complete files."""
+        try:
+            with os.scandir(directory or self._root) as entries:
+                return sorted(
+                    entry.name
+                    for entry in entries
+                    if entry.name.endswith(".json")
+                    and not entry.name.startswith(".")
+                    and entry.is_file()
+                )
+        except FileNotFoundError:
+            return []
 
-        Excludes subdirectories (``loops/``) and the hidden ``.*.tmp``
-        files a concurrent :meth:`save` may have in flight, so listings
-        only ever name complete entries.
-        """
-        return [
-            entry.name
-            for entry in os.scandir(self._root)
-            if entry.name.endswith(".json")
-            and not entry.name.startswith(".")
-            and entry.is_file()
-        ]
+    def _stat(self, directory: Path) -> Iterator[Tuple[Path, float]]:
+        """``(path, mtime)`` per ``*.json`` file of ``directory``, bodies unread."""
+        for name in self._entry_names(directory):
+            path = directory / name
+            try:
+                mtime = path.stat().st_mtime
+            except FileNotFoundError:  # deleted between scan and stat
+                continue
+            yield path, mtime
 
     # ------------------------------------------------------------------
     def __contains__(self, key: str) -> bool:
@@ -93,21 +117,7 @@ class ResultStore:
 
     def save(self, key: str, payload: Dict[str, Any]) -> Path:
         """Atomically persist ``payload`` under ``key``."""
-        target = self.path(key)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=self._root, prefix=f".{key}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(temp_name, target)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return target
+        return write_json_atomic(self.path(key), payload)
 
     def load(self, key: str) -> Dict[str, Any]:
         """Read the entry for ``key``; raises :class:`StoreError`."""
@@ -142,7 +152,7 @@ class ResultStore:
         directory scan, cheap enough for a resuming campaign or the
         warehouse ingester to call on every pass.
         """
-        for name in sorted(self._entry_names()):
+        for name in self._entry_names():
             yield name[: -len(".json")]
 
     def stat_entries(self) -> Iterator[Tuple[str, float]]:
@@ -153,12 +163,50 @@ class ResultStore:
         re-read, so re-ingesting a large cache directory costs one
         directory scan plus one stat per entry.
         """
-        for name in sorted(self._entry_names()):
-            try:
-                mtime = os.stat(self._root / name).st_mtime
-            except FileNotFoundError:  # deleted between scan and stat
-                continue
-            yield name[: -len(".json")], mtime
+        for path, mtime in self._stat(self._root):
+            yield path.stem, mtime
+
+    def stat_records(self) -> Iterator[Tuple[Path, float]]:
+        """``(path, mtime)`` per membership, then per trace, bodies unread."""
+        for subdir in (CAMPAIGN_SUBDIR, TRACE_SUBDIR):
+            yield from self._stat(self._root / subdir)
+
+    def add_label(self, label: str, keys: Iterable[str]) -> Path:
+        """File ``keys`` under campaign ``label``; returns the membership.
+
+        A membership ``{label, created_at, keys}`` is immutable and named
+        by the content key of its label and key set, so labelling the
+        same keys again writes nothing.  A label named by several
+        memberships holds their union and dates from the earliest.
+        """
+        keys = sorted(set(keys))
+        name = content_key({"label": label, "keys": keys})
+        path = self._record_path(CAMPAIGN_SUBDIR, name)
+        if not path.exists():
+            record = {"label": label, "created_at": time.time(), "keys": keys}
+            write_json_atomic(path, record)
+        return path
+
+    def save_trace(
+        self,
+        trace_id: str,
+        job_id: str,
+        kind: str,
+        created_at: float,
+        tree: Dict[str, Any],
+    ) -> Path:
+        """Persist a settled distributed trace, replacing any earlier one
+        under its id; ``tree`` (:meth:`Span.to_dict` shape) is kept
+        verbatim so ``repro query timeline`` re-renders it exactly."""
+        name = trace_id if _PLAIN_ID.fullmatch(trace_id) else content_key(trace_id)
+        record = dict(trace=trace_id, job=job_id, kind=kind, created_at=created_at)
+        path = self._record_path(TRACE_SUBDIR, name)
+        return write_json_atomic(path, dict(record, tree=tree))
+
+    def _record_path(self, subdir: str, name: str) -> Path:
+        directory = self._root / subdir
+        directory.mkdir(exist_ok=True)
+        return directory / f"{name}.json"
 
     def entries(self) -> Iterator[Dict[str, Any]]:
         """All readable cached payloads, in key order."""

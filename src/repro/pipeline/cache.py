@@ -35,11 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.pipeline.serialization import write_json_atomic
 from repro.telemetry import counter, record_event
 
 #: Cache events by stage: ``event`` is ``hits`` (memory LRU), ``misses``,
@@ -273,25 +273,11 @@ class StageCache:
             pass  # already gone, or read-only store: the miss still recomputes
 
     def _write_payload(self, key: str, payload: Dict[str, Any]) -> None:
-        # Atomic (temp file + rename): a killed process must never leave
-        # a truncated artifact that would poison a later resume.
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=self._store_dir, prefix=f".{key}.", suffix=".tmp"
+        # Atomic: a killed process must never leave a truncated artifact
+        # that would poison a later resume.
+        write_json_atomic(
+            self._payload_path(key), {"schema": PAYLOAD_SCHEMA, "data": payload}
         )
-        try:
-            with os.fdopen(descriptor, "w") as handle:
-                json.dump(
-                    {"schema": PAYLOAD_SCHEMA, "data": payload},
-                    handle,
-                    sort_keys=True,
-                )
-            os.replace(temp_name, self._payload_path(key))
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
 
     # ------------------------------------------------------------------
     # observability

@@ -32,11 +32,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import tempfile
 import typing
 from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import PipelineError
@@ -71,6 +74,26 @@ def content_key(data: Any, length: int = 16) -> str:
     """Hex content address of a JSON-safe value (sha256 prefix)."""
     digest = hashlib.sha256(canonical_json(data).encode()).hexdigest()
     return digest[:length]
+
+
+def write_json_atomic(path: Path, data: Any) -> Path:
+    """Write ``data`` as sorted-key JSON to ``path`` via a hidden
+    ``.<stem>.*.tmp`` file renamed over it, so a killed process never
+    leaves a truncated file; every result-store file is written here."""
+    descriptor, temp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(descriptor, "w") as handle:
+            json.dump(data, handle, sort_keys=True)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 def evaluation_ratios(evaluation: Dict[str, Any]) -> tuple:

@@ -400,6 +400,9 @@ class JobManager:
     a ``run_payload(job_data, loop_dir)`` callable runs on threads of
     this process instead (the inline runner, counting stubs in tests).
 
+    The ``store`` records completed points, campaign labels and settled
+    traces; the ``warehouse`` indexes each file as it is written.
+
     All public methods must be called from the manager's event loop.
     """
 
@@ -689,11 +692,11 @@ class JobManager:
             _JOBS.inc(kind=job.kind, status=job.status)
             if job.trace is not None:
                 job.trace.finish(job.status)
-                if self._warehouse is not None:
+                if self._store is not None:
                     # Fire-and-forget: the live timeline serves from
-                    # memory, the warehouse copy is for post-hoc
+                    # memory, the stored copy is for post-hoc
                     # ``repro query timeline`` — not worth blocking
-                    # (or failing) the settle path on a busy SQLite.
+                    # (or failing) the settle path on disk or SQLite.
                     asyncio.get_running_loop().run_in_executor(
                         None, self._record_trace, job
                     )
@@ -745,11 +748,11 @@ class JobManager:
     def submit_campaign(self, request: Dict[str, Any]) -> ServiceJob:
         """Submit a campaign grid; points dedupe against everything.
 
-        The warehouse label is part of the job identity: resubmitting
-        the same grid under a *new* label is a fresh (cheap — every
-        point answers from the store or a live queue entry) job that
-        records the new campaign, rather than deduping onto the old one
-        and silently dropping the label.
+        The label is part of the job identity: resubmitting the same
+        grid under a *new* label is a fresh (cheap — every point answers
+        from the store or a live queue entry) job that records the new
+        campaign, rather than deduping onto the old one and silently
+        dropping the label.
         """
         request = dict(request)
         spec = _campaign_spec(request)
@@ -778,7 +781,6 @@ class JobManager:
         self,
         experiment: ExperimentJob,
         source_job: Optional[ServiceJob] = None,
-        campaign: Optional[str] = None,
         job_class: str = BATCH,
         deadline: Optional[float] = None,
     ) -> Dict[str, Any]:
@@ -817,9 +819,7 @@ class JobManager:
                     _DEDUP_HITS.inc(level="store")
                     if exp_span is not None:
                         exp_span.annotate(source="store")
-                    await self._record_traced(
-                        key, payload, campaign, trace, exp_span
-                    )
+                    await self._record(key, payload, trace, exp_span)
                     return payload
             self.fleet.ensure_sweeper()
             if self._local is not None:
@@ -845,7 +845,7 @@ class JobManager:
                 # The lease log belongs to the caller that created the entry.
                 exp_span.annotate(source="fleet")
                 self._attach_lease_spans(trace, exp_span, key, payload)
-            await self._record_traced(key, payload, campaign, trace, exp_span)
+            await self._record(key, payload, trace, exp_span)
             return payload
         finally:
             if exp_span is not None:
@@ -909,66 +909,61 @@ class JobManager:
             ):
                 lease_span.children.append(Span.from_dict(worker_tree))
 
-    async def _record_traced(
+    async def _record(
         self,
         key: str,
         payload: Dict[str, Any],
-        campaign: Optional[str],
         trace: Optional[JobTrace],
         exp_span: Optional[Span],
     ) -> None:
-        """``_record_async`` wrapped in a ``warehouse_record`` span."""
-        if (
-            trace is None
-            or exp_span is None
-            or self._warehouse is None
-            or payload.get("status") != STATUS_OK
-        ):
-            await self._record_async(key, payload, campaign)
-            return
-        record_span, mark = trace.begin(
-            "warehouse_record", parent=exp_span, key=key
-        )
-        try:
-            await self._record_async(key, payload, campaign)
-        finally:
-            JobTrace.end(record_span, mark)
-
-    async def _record_async(
-        self,
-        key: str,
-        payload: Dict[str, Any],
-        campaign: Optional[str],
-    ) -> None:
-        """Warehouse write-through, off the event loop.
-
-        SQLite writes retry with backoff sleeps under contention (or an
-        injected busy storm); running them on a worker thread keeps
-        /healthz and every other handler responsive while they ride it
-        out.
-        """
+        """Index a completed experiment (in a ``warehouse_record`` span
+        when traced) off the event loop: SQLite writes retry with backoff
+        sleeps under contention (or an injected busy storm), and a worker
+        thread keeps /healthz and every other handler responsive."""
         if self._warehouse is None or payload.get("status") != STATUS_OK:
             return
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._record, key, payload, campaign
-        )
+        record_span = None
+        if trace is not None and exp_span is not None:
+            record_span, mark = trace.begin(
+                "warehouse_record", parent=exp_span, key=key
+            )
+        try:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._index_entry, key, payload
+            )
+        finally:
+            if record_span is not None:
+                JobTrace.end(record_span, mark)
+
+    def _index_entry(self, key: str, payload: Dict[str, Any]) -> None:
+        path = None if self._store is None else self._store.path(key)
+        try:
+            mtime = None if path is None else path.stat().st_mtime
+        except OSError:
+            mtime = None
+        self._warehouse.record_payload(dict(payload, key=key), source_mtime=mtime)
+
+    def _keep(self, write: Callable[..., Any], *args: Any) -> None:
+        """Write a store file with ``write(*args)``, then index it."""
+        path = write(*args)
+        if self._warehouse is not None:
+            self._warehouse.index_file(path)
 
     def _record_trace(self, job: ServiceJob) -> None:
-        """Persist a settled job's trace tree (worker thread).
+        """Save and index a settled job's trace tree (worker thread).
 
         Best-effort by design: the in-memory timeline already answered
-        any live consumer, and a trace lost to a closing warehouse is
-        not worth failing the job over.
+        any live consumer, and a trace lost to a full disk or a closing
+        warehouse is not worth failing the job over.
         """
-        if self._warehouse is None or job.trace is None:
-            return
         try:
-            self._warehouse.record_trace(
-                trace_id=job.trace_id or job.trace.trace_id,
-                job_id=job.id,
-                kind=job.kind,
-                created_at=job.created_at,
-                tree=job.trace.snapshot(),
+            self._keep(
+                self._store.save_trace,
+                job.trace_id or job.trace.trace_id,
+                job.id,
+                job.kind,
+                job.created_at,
+                job.trace.snapshot(),
             )
         except Exception:
             _log.warning("trace record failed", extra={"job": job.id})
@@ -991,25 +986,6 @@ class JobManager:
             "tree": job.trace.snapshot(),
         }
 
-    def _record(
-        self,
-        key: str,
-        payload: Dict[str, Any],
-        campaign: Optional[str],
-    ) -> None:
-        """Keep the warehouse in sync with a completed experiment."""
-        if self._warehouse is None or payload.get("status") != STATUS_OK:
-            return
-        mtime = None
-        if self._store is not None:
-            try:
-                mtime = self._store.path(key).stat().st_mtime
-            except OSError:
-                mtime = None
-        self._warehouse.record_payload(
-            dict(payload, key=key), campaign=campaign, source_mtime=mtime
-        )
-
     async def _run_points(
         self,
         job: ServiceJob,
@@ -1017,13 +993,21 @@ class JobManager:
         experiments: List[ExperimentJob],
         campaign: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Fan a suite/campaign over its points, with progress events."""
+        """Fan a suite/campaign over its points, with progress events;
+        a ``campaign`` label is filed in the store before any point runs."""
+        if campaign is not None and self._store is not None:
+            await asyncio.get_running_loop().run_in_executor(
+                None,
+                self._keep,
+                self._store.add_label,
+                campaign,
+                [experiment.key() for experiment in experiments],
+            )
 
         async def one_point(experiment: ExperimentJob):
             payload = await self._run_experiment(
                 experiment,
                 source_job=job,
-                campaign=campaign,
                 job_class=BATCH,
                 deadline=job.deadline_at,
             )

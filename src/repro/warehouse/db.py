@@ -2,35 +2,26 @@
 
 One :class:`Warehouse` wraps one SQLite database (by convention
 ``warehouse.sqlite`` inside a result-store directory, but any path — or
-``":memory:"`` — works).  Rows are derived entirely from result-store
-payloads, so the database is a disposable index: deleting it and
-re-ingesting the store rebuilds it exactly.
+``":memory:"`` — works).  Every row comes from a result-store file, so
+the database is a disposable index: deleting it, or opening it under
+another schema version (which drops it whole), and re-ingesting the
+store rebuilds it exactly.  Schema (version 5), by source file:
 
-Schema (version 5):
+* ``<key>.json`` entries: ``jobs`` (identity, outcome — the three
+  ratios as :func:`~repro.pipeline.serialization.evaluation_ratios`
+  defines them — and source mtime), ``cache_stats`` (the ``loop_*``
+  loop-cache counters) and ``span_stats`` (per span name of a traced
+  job: count, total seconds, distributed ``trace_id``/``worker``/
+  ``attempt``; "where did campaign X spend its time");
+* ``campaigns/*.json`` memberships: ``campaigns`` (one row per label,
+  dated by its earliest membership) and ``campaign_jobs`` (the union of
+  the label's keys; a key not yet indexed is linked but not counted);
+* ``traces/*.json``: ``traces`` (one merged span tree per settled
+  distributed trace, looked up by trace or job id for ``repro query
+  timeline``).
 
-* ``jobs`` — one row per content-addressed job key: identity columns
-  (benchmark, scale, config label, machine, machine/workload
-  fingerprints), outcome columns (status, elapsed, the three headline
-  ratios, as :func:`~repro.pipeline.serialization.evaluation_ratios`
-  defines them) and sync bookkeeping (source mtime).
-* ``campaigns`` — one row per named campaign (a service submission, a
-  labelled CLI run, or a labelled ingest of a cache directory).
-* ``campaign_jobs`` — the many-to-many link: cached jobs shared by
-  several campaigns link to each of them.
-* ``cache_stats`` — per-job loop-cache counters (``loop_hits``,
-  ``loop_misses``, ``loop_disk_hits``, ``loop_corrupt``) for jobs that
-  recorded them.
-* ``span_stats`` — per-job span summaries (count and total seconds per
-  span name, flattened from the payload's serialized trace) for jobs
-  executed with tracing enabled; answers "where did campaign X spend
-  its time".  Distributed-trace columns (``trace_id``, ``worker``,
-  ``attempt``) are filled when the payload was executed under a
-  service-minted trace.
-* ``traces`` — one row per finished distributed trace: the full merged
-  span tree (service lifecycle + worker pipeline spans) as JSON,
-  keyed by trace id and looked up by trace id or job id for
-  ``repro query timeline``.
-* ``warehouse_meta`` — schema version.
+``store_files`` keeps each indexed membership and trace file's mtime
+(an unchanged re-ingest reads none), ``warehouse_meta`` the version.
 """
 
 from __future__ import annotations
@@ -39,11 +30,11 @@ import json
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.store import ResultStore
+from repro.campaign.store import CAMPAIGN_SUBDIR, ResultStore
 from repro.errors import ReproError
 from repro.pipeline.serialization import content_key, evaluation_ratios
 
@@ -51,7 +42,8 @@ from repro.pipeline.serialization import content_key, evaluation_ratios
 DEFAULT_WAREHOUSE_NAME = "warehouse.sqlite"
 
 #: Bumped on incompatible schema changes; a mismatching database is
-#: rebuilt from scratch (it is only an index over the JSON store).
+#: dropped whole and rebuilt by the next ingest (it is only an index
+#: over the store's files).
 #: Version 5: the ratio columns use the evaluation's own ratio
 #: definition (version 4 summed energies in another order).
 SCHEMA_VERSION = 5
@@ -89,7 +81,7 @@ CREATE TABLE IF NOT EXISTS campaigns (
 );
 CREATE TABLE IF NOT EXISTS campaign_jobs (
     campaign_id INTEGER NOT NULL REFERENCES campaigns(campaign_id),
-    job_key     TEXT NOT NULL REFERENCES jobs(key),
+    job_key     TEXT NOT NULL,
     PRIMARY KEY (campaign_id, job_key)
 );
 CREATE TABLE IF NOT EXISTS cache_stats (
@@ -116,6 +108,10 @@ CREATE TABLE IF NOT EXISTS traces (
     tree       TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS traces_by_job ON traces (job_id);
+CREATE TABLE IF NOT EXISTS store_files (
+    name  TEXT PRIMARY KEY,
+    mtime REAL NOT NULL
+);
 """
 
 
@@ -142,24 +138,9 @@ class JobRow:
     energy_ratio: Optional[float]
     time_ratio: Optional[float]
 
-    @classmethod
-    def _from_sql(cls, row: sqlite3.Row) -> "JobRow":
-        return cls(
-            key=row["key"],
-            benchmark=row["benchmark"],
-            scale=row["scale"],
-            config=row["config"],
-            config_rest=row["config_rest"],
-            machine=row["machine"],
-            machine_fingerprint=row["machine_fingerprint"],
-            workload_fingerprint=row["workload_fingerprint"],
-            n_buses=row["n_buses"],
-            status=row["status"],
-            elapsed_s=row["elapsed_s"],
-            ed2_ratio=row["ed2_ratio"],
-            energy_ratio=row["energy_ratio"],
-            time_ratio=row["time_ratio"],
-        )
+
+#: The ``jobs`` columns a :class:`JobRow` carries, in field order.
+_JOB_ROW_COLUMNS = ", ".join(field.name for field in fields(JobRow))
 
 
 @dataclass
@@ -171,20 +152,13 @@ class IngestReport:
     updated: int = 0
     unchanged: int = 0
     skipped: int = 0
-    campaign: Optional[str] = None
-
-    @property
-    def total(self) -> int:
-        """Entries examined."""
-        return self.added + self.updated + self.unchanged + self.skipped
 
     def describe(self) -> str:
         """One-line summary for logs and the CLI."""
-        label = "" if self.campaign is None else f" -> campaign {self.campaign!r}"
         return (
             f"ingested {self.source}: {self.added} added, "
             f"{self.updated} updated, {self.unchanged} unchanged, "
-            f"{self.skipped} skipped{label}"
+            f"{self.skipped} skipped"
         )
 
 
@@ -221,6 +195,11 @@ def _fingerprints(job_data: Dict[str, Any]) -> Tuple[str, str, str]:
     else:
         workload_fp = f"builtin:{job_data['benchmark']}"
     return machine, machine_fp, workload_fp
+
+
+def _file_name(path: Path) -> str:
+    """A membership or trace file's ``store_files`` name: ``<subdir>/<file>``."""
+    return f"{path.parent.name}/{path.name}"
 
 
 # ----------------------------------------------------------------------
@@ -333,42 +312,35 @@ class Warehouse:
         self.close()
 
     def _ensure_schema(self) -> None:
+        try:
+            row = self._conn.execute(
+                "SELECT value FROM warehouse_meta WHERE key = 'schema_version'"
+            ).fetchone()
+        except sqlite3.OperationalError:  # a new database
+            row = None
+        if row is not None and int(row["value"]) == SCHEMA_VERSION:
+            self._conn.executescript(_SCHEMA)
+            return
+        # The warehouse is only an index: a mismatched one is dropped
+        # whole instead of migrated, and the next ingest rebuilds it.
+        for (table,) in self._conn.execute(
+            "SELECT name FROM sqlite_master"
+            " WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+        ).fetchall():
+            self._conn.execute(f'DROP TABLE "{table}"')
         self._conn.executescript(_SCHEMA)
-        row = self._conn.execute(
-            "SELECT value FROM warehouse_meta WHERE key = 'schema_version'"
-        ).fetchone()
-        if row is None:
-            self._conn.execute(
-                "INSERT INTO warehouse_meta (key, value) VALUES (?, ?)",
-                ("schema_version", str(SCHEMA_VERSION)),
-            )
-            self._conn.commit()
-        elif int(row["value"]) != SCHEMA_VERSION:
-            # The warehouse is only an index — rebuild instead of migrating.
-            # Schema 3 kept cache counters in ``stage_stats``.
-            self._conn.execute("DROP TABLE IF EXISTS stage_stats")
-            for table in (
-                "traces",
-                "span_stats",
-                "cache_stats",
-                "campaign_jobs",
-                "campaigns",
-                "jobs",
-            ):
-                self._conn.execute(f"DELETE FROM {table}")
-            self._conn.execute(
-                "UPDATE warehouse_meta SET value = ? WHERE key = 'schema_version'",
-                (str(SCHEMA_VERSION),),
-            )
-            self._conn.commit()
+        self._conn.execute(
+            "INSERT OR REPLACE INTO warehouse_meta (key, value) VALUES (?, ?)",
+            ("schema_version", str(SCHEMA_VERSION)),
+        )
+        self._conn.commit()
 
     # ------------------------------------------------------------------
-    # recording
+    # indexing
     # ------------------------------------------------------------------
     def record_payload(
         self,
         payload: Dict[str, Any],
-        campaign: Optional[str] = None,
         source_mtime: Optional[float] = None,
     ) -> Optional[str]:
         """Index one result-store payload; returns the job key.
@@ -377,18 +349,16 @@ class Warehouse:
         cannot describe — no job, no evaluation, unparseable options —
         so callers can sweep a store without pre-validating it.  Safe to
         call repeatedly with the same payload: rows are upserted by job
-        key, and ``campaign`` (when given) links the job to that
-        campaign, creating the campaign row on first use.  Retries on
-        cross-process lock contention (concurrent fleet ingest).
+        key.  Retries on cross-process lock contention (concurrent fleet
+        ingest).
         """
         return self._with_retry(
-            lambda: self._record_payload(payload, campaign, source_mtime)
+            lambda: self._record_payload(payload, source_mtime)
         )
 
     def _record_payload(
         self,
         payload: Dict[str, Any],
-        campaign: Optional[str],
         source_mtime: Optional[float],
     ) -> Optional[str]:
         from repro.campaign.job import ExperimentJob
@@ -493,43 +463,65 @@ class Warehouse:
                         for name, stats in sorted(summary.items())
                     ],
                 )
-        if campaign is not None:
-            campaign_id = self._campaign_id(campaign, create=True)
-            self._conn.execute(
-                "INSERT OR IGNORE INTO campaign_jobs (campaign_id, job_key)"
-                " VALUES (?, ?)",
-                (campaign_id, key),
-            )
         self._conn.commit()
         return key
 
-    def record_trace(
-        self,
-        trace_id: str,
-        job_id: str,
-        kind: str,
-        created_at: float,
-        tree: Dict[str, Any],
-    ) -> None:
-        """Persist one finished distributed trace (upsert by trace id).
+    def index_file(self, path: Union[str, Path]) -> bool:
+        """Index one membership or trace file of a result store; returns
+        ``False``, indexing nothing, for a file that is gone or unreadable.
 
-        ``tree`` is a serialized span tree (:meth:`Span.to_dict`
-        shape); it is stored verbatim as JSON so ``repro query
-        timeline`` can re-render it byte-identically later.  Retries on
-        cross-process lock contention like every other write.
+        A membership links its keys to its label, which dates from its
+        earliest membership; a trace is upserted by trace id.
         """
-        encoded = json.dumps(tree, sort_keys=True)
+        path = Path(path)
+        membership = path.parent.name == CAMPAIGN_SUBDIR
+        try:
+            # Stat before reading: a file replaced in between is re-read
+            # by the next ingest, never skipped as unchanged.
+            mtime = path.stat().st_mtime
+            with open(path) as handle:
+                record = json.load(handle)
+            if membership:
+                label, created_at = str(record["label"]), float(record["created_at"])
+                keys = [str(key) for key in record["keys"]]
+            else:
+                trace_row = (
+                    *(str(record[field]) for field in ("trace", "job", "kind")),
+                    float(record["created_at"]),
+                    json.dumps(record["tree"], sort_keys=True),
+                )
+        except (OSError, ValueError, KeyError, TypeError):
+            return False
 
         def write() -> None:
+            if membership:
+                self._conn.execute(
+                    "INSERT INTO campaigns (label, created_at) VALUES (?, ?)"
+                    " ON CONFLICT(label) DO UPDATE"
+                    " SET created_at = min(created_at, excluded.created_at)",
+                    (label, created_at),
+                )
+                campaign_id = self._campaign_id(label)
+                self._conn.executemany(
+                    "INSERT OR IGNORE INTO campaign_jobs (campaign_id, job_key)"
+                    " VALUES (?, ?)",
+                    [(campaign_id, key) for key in keys],
+                )
+            else:
+                self._conn.execute(
+                    "INSERT OR REPLACE INTO traces"
+                    " (trace_id, job_id, kind, created_at, tree)"
+                    " VALUES (?, ?, ?, ?, ?)",
+                    trace_row,
+                )
             self._conn.execute(
-                "INSERT OR REPLACE INTO traces"
-                " (trace_id, job_id, kind, created_at, tree)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (trace_id, job_id, kind, float(created_at), encoded),
+                "INSERT OR REPLACE INTO store_files (name, mtime) VALUES (?, ?)",
+                (_file_name(path), mtime),
             )
             self._conn.commit()
 
         self._with_retry(write)
+        return True
 
     def trace(self, selector: str) -> Optional[Dict[str, Any]]:
         """One stored trace by trace id or job id, or ``None``.
@@ -554,79 +546,66 @@ class Warehouse:
             "tree": json.loads(row["tree"]),
         }
 
-    def ingest_store(
-        self,
-        store: Union[ResultStore, str, Path],
-        campaign: Optional[str] = None,
-    ) -> IngestReport:
-        """Index every entry of a result store, incrementally.
+    def ingest_store(self, store: Union[ResultStore, str, Path]) -> IngestReport:
+        """Index every file of a result store, incrementally.
 
-        Entries already indexed with an unchanged mtime are not re-read
-        (their JSON bodies stay closed); ``campaign`` additionally links
-        every entry — new or known — to that campaign label.
+        Files already indexed with an unchanged mtime are not re-read, so
+        one ingest restores a dropped or deleted index, and an unchanged
+        re-ingest costs a directory scan plus one stat per file.  The
+        report counts job entries.
         """
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
-        report = IngestReport(source=str(store.root), campaign=campaign)
+        report = IngestReport(source=str(store.root))
         known = {
             row["key"]: row["source_mtime"]
             for row in self._conn.execute(
                 "SELECT key, source_mtime FROM jobs"
             )
         }
-        campaign_id = (
-            None if campaign is None else self._campaign_id(campaign, create=True)
-        )
         for key, mtime in store.stat_entries():
             if key in known and known[key] == mtime:
                 report.unchanged += 1
-                recorded: Optional[str] = key
+                continue
+            payload = store.get(key)
+            recorded = (
+                None
+                if payload is None
+                else self.record_payload(payload, source_mtime=mtime)
+            )
+            if recorded is None:
+                report.skipped += 1
+            elif key in known:
+                report.updated += 1
             else:
-                payload = store.get(key)
-                recorded = (
-                    None
-                    if payload is None
-                    else self.record_payload(payload, source_mtime=mtime)
-                )
-                if recorded is None:
-                    report.skipped += 1
-                elif key in known:
-                    report.updated += 1
-                else:
-                    report.added += 1
-            if campaign_id is not None and recorded is not None:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO campaign_jobs (campaign_id, job_key)"
-                    " VALUES (?, ?)",
-                    (campaign_id, recorded),
-                )
-        self._conn.commit()
+                report.added += 1
+        indexed = dict(
+            self._conn.execute("SELECT name, mtime FROM store_files").fetchall()
+        )
+        for path, mtime in store.stat_records():
+            if indexed.get(_file_name(path)) != mtime:
+                self.index_file(path)
         return report
 
     # ------------------------------------------------------------------
     # campaigns
     # ------------------------------------------------------------------
-    def _campaign_id(self, label: str, create: bool = False) -> int:
+    def _campaign_id(self, label: str) -> int:
         row = self._conn.execute(
             "SELECT campaign_id FROM campaigns WHERE label = ?", (label,)
         ).fetchone()
-        if row is not None:
-            return row["campaign_id"]
-        if not create:
+        if row is None:
             raise WarehouseError(f"unknown campaign {label!r}")
-        cursor = self._conn.execute(
-            "INSERT INTO campaigns (label, source, created_at) VALUES (?, ?, ?)",
-            (label, None, time.time()),
-        )
-        return cursor.lastrowid
+        return row["campaign_id"]
 
     def campaigns(self) -> List[Dict[str, Any]]:
-        """All campaigns with their job counts, oldest first."""
+        """All campaigns with their indexed job counts, oldest first."""
         rows = self._conn.execute(
             """
-            SELECT c.label, c.created_at, COUNT(cj.job_key) AS n_jobs
+            SELECT c.label, c.created_at, COUNT(jobs.key) AS n_jobs
             FROM campaigns c
             LEFT JOIN campaign_jobs cj ON cj.campaign_id = c.campaign_id
+            LEFT JOIN jobs ON jobs.key = cj.job_key
             GROUP BY c.campaign_id
             ORDER BY c.created_at, c.label
             """
@@ -671,17 +650,14 @@ class Warehouse:
         """Successful jobs matching a selector, ordered for determinism."""
         where, params = self._selector_sql(selector)
         sql = (
-            "SELECT * FROM jobs WHERE status = 'ok' AND "
+            f"SELECT {_JOB_ROW_COLUMNS} FROM jobs WHERE status = 'ok' AND "
             + where
             + ("" if benchmark is None else " AND benchmark = ?")
             + " ORDER BY benchmark, config, key"
         )
         if benchmark is not None:
             params = (*params, benchmark)
-        return [
-            JobRow._from_sql(row)
-            for row in self._conn.execute(sql, params).fetchall()
-        ]
+        return [JobRow(*row) for row in self._conn.execute(sql, params)]
 
     def job_count(self) -> int:
         """Total indexed jobs (any status)."""
@@ -754,18 +730,13 @@ class Warehouse:
 
     def summary(self) -> Dict[str, Any]:
         """Headline counts for health endpoints and the CLI."""
-        benchmarks = self._conn.execute(
-            "SELECT COUNT(DISTINCT benchmark) FROM jobs"
-        ).fetchone()[0]
-        configs = self._conn.execute(
-            "SELECT COUNT(DISTINCT config) FROM jobs"
-        ).fetchone()[0]
-        machines = self._conn.execute(
-            "SELECT COUNT(DISTINCT machine) FROM jobs"
-        ).fetchone()[0]
+        jobs, benchmarks, configs, machines = self._conn.execute(
+            "SELECT COUNT(*), COUNT(DISTINCT benchmark),"
+            " COUNT(DISTINCT config), COUNT(DISTINCT machine) FROM jobs"
+        ).fetchone()
         return {
             "path": self._path,
-            "jobs": self.job_count(),
+            "jobs": jobs,
             "benchmarks": benchmarks,
             "configs": configs,
             "machines": machines,

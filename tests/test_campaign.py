@@ -610,6 +610,38 @@ class TestCampaignCLI:
         assert "1 cache hit(s)" in second.err
         assert "Campaign results" in second.out
 
+    def test_label_is_filed_in_the_store_and_indexed(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        cache = tmp_path / "cache"
+        argv = [
+            "campaign",
+            "--benchmarks",
+            "swim",
+            "--scale",
+            "0.02",
+            "--cache-dir",
+            str(cache),
+            "--label",
+            "nightly",
+        ]
+        assert main(argv) == 0
+        (membership,) = (cache / "campaigns").glob("*.json")
+        record = json.loads(membership.read_text())
+        assert record["label"] == "nightly"
+        assert record["keys"] == list(ResultStore(cache).keys())
+        query = ["query", "campaigns", "--cache-dir", str(cache), "--output", "json"]
+        capsys.readouterr()
+        assert main(query) == 0
+        (campaign,) = json.loads(capsys.readouterr().out)["campaigns"]
+        assert (campaign["label"], campaign["n_jobs"]) == ("nightly", 1)
+        # Deleting the index loses nothing: one ingest restores it.
+        (cache / "warehouse.sqlite").unlink()
+        assert main(["query", "ingest", "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        assert main(query) == 0
+        assert json.loads(capsys.readouterr().out)["campaigns"] == [campaign]
+
     def test_report_only_reads_cache(self, tmp_path, capsys):
         from repro.__main__ import main
 

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.campaign import ResultStore
 from repro.fleet import FleetWorker, LeaseQueue
 from repro.pipeline.serialization import canonical_json
 from repro.reporting import render_timeline, timeline_attribution
@@ -250,13 +251,15 @@ class TestTimelineRenderer:
 
 # ----------------------------------------------------------------------
 class TestWarehouseTraces:
-    def test_record_trace_round_trips_by_both_ids(self):
+    def test_saved_trace_round_trips_by_both_ids(self, tmp_path):
         tree = {"name": "submit", "elapsed_s": 1.0, "start_s": 123.0}
+        store = ResultStore(tmp_path)
+        store.save_trace(
+            trace_id="t1", job_id="j1", kind="evaluate",
+            created_at=42.0, tree=tree,
+        )
         with Warehouse() as warehouse:
-            warehouse.record_trace(
-                trace_id="t1", job_id="j1", kind="evaluate",
-                created_at=42.0, tree=tree,
-            )
+            warehouse.ingest_store(store)
             by_trace = warehouse.trace("t1")
             by_job = warehouse.trace("j1")
             assert by_trace == by_job
@@ -264,15 +267,29 @@ class TestWarehouseTraces:
             assert by_trace["kind"] == "evaluate"
             assert warehouse.trace("nope") is None
 
-    def test_record_trace_upserts_by_trace_id(self):
+    def test_saved_trace_replaces_by_trace_id(self, tmp_path):
+        store = ResultStore(tmp_path)
         with Warehouse() as warehouse:
             for elapsed in (1.0, 2.0):
-                warehouse.record_trace(
+                path = store.save_trace(
                     trace_id="t1", job_id="j1", kind="evaluate",
                     created_at=42.0,
                     tree={"name": "submit", "elapsed_s": elapsed},
                 )
+                assert warehouse.index_file(path)
             assert warehouse.trace("t1")["tree"]["elapsed_s"] == 2.0
+        assert [p.name for p in path.parent.iterdir()] == ["t1.json"]
+
+    def test_client_trace_ids_never_leave_the_traces_dir(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        path = store.save_trace(
+            trace_id="../../escape", job_id="j1", kind="evaluate",
+            created_at=42.0, tree={"name": "submit", "elapsed_s": 1.0},
+        )
+        assert path.parent == store.root / "traces"
+        with Warehouse() as warehouse:
+            warehouse.ingest_store(store)
+            assert warehouse.trace("../../escape")["job"] == "j1"
 
     def test_span_stats_carry_distributed_provenance(self):
         _job, payload = make_payload()
@@ -430,7 +447,7 @@ class TestDistributedTraceEndToEnd:
             warehouse.close()
 
     def test_settled_trace_lands_in_the_warehouse(self, tmp_path):
-        service, _store, warehouse = fleet_service(tmp_path)
+        service, store, warehouse = fleet_service(tmp_path)
         try:
             client = ServiceClient(host=service.host, port=service.port)
             job = client.submit_evaluate(
@@ -460,6 +477,12 @@ class TestDistributedTraceEndToEnd:
             assert stored["job"] == job["id"]
             assert stored["tree"]["attributes"]["status"] == "done"
             assert warehouse.trace(job["id"])["trace"] == "aaaa1111bbbb2222"
+            # The store holds the trace: an index rebuilt from it alone
+            # answers the same document.
+            assert (store.root / "traces" / "aaaa1111bbbb2222.json").exists()
+            with Warehouse() as rebuilt:
+                rebuilt.ingest_store(store)
+                assert rebuilt.trace("aaaa1111bbbb2222") == stored
         finally:
             service.stop()
             warehouse.close()

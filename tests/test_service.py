@@ -278,6 +278,42 @@ class TestJobManagerEvents:
         assert campaign["label"] == "my-campaign"
         assert campaign["n_jobs"] == 1
         warehouse.close()
+        # The label lives in the store: an index rebuilt from it alone
+        # lists the same campaign.
+        with Warehouse() as rebuilt:
+            rebuilt.ingest_store(store)
+            assert rebuilt.campaigns() == [campaign]
+
+    def test_campaign_label_is_filed_before_any_point_runs(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        inner = CountingRunner()
+        memberships_seen = []
+
+        def runner(job_data, loop_dir=None):
+            memberships_seen.append(
+                len(list((store.root / "campaigns").glob("*.json")))
+            )
+            return inner(job_data, loop_dir)
+
+        async def body():
+            manager = make_manager(runner, store=store)
+            job = manager.submit_campaign(
+                {
+                    "benchmarks": ["171.swim", "172.mgrid"],
+                    "scale": 0.01,
+                    "label": "early",
+                }
+            )
+            finished = await manager.wait(job.id, timeout=30)
+            assert finished.status == "done"
+            await manager.close()
+
+        run_async(body)
+        assert memberships_seen == [1, 1]
+        with Warehouse() as warehouse:
+            warehouse.ingest_store(store)
+            (campaign,) = warehouse.campaigns()
+            assert (campaign["label"], campaign["n_jobs"]) == ("early", 2)
 
 
 class TestRequestValidation:

@@ -396,8 +396,8 @@ class TestRenderTrace:
         assert "measure" in text
         assert "100.0% of 2.000s" in text
 
-    def test_exports(self):
-        from repro.campaign import ExperimentJob
+    def test_exports(self, tmp_path):
+        from repro.campaign import ExperimentJob, ResultStore
         from repro.reporting import warehouse_spans_table
         from repro.warehouse import Warehouse, run_query
 
@@ -421,8 +421,11 @@ class TestRenderTrace:
             },
             "trace": {"name": "profile", "elapsed_s": 1.25},
         }
+        store = ResultStore(tmp_path)
+        store.save(job.key(), payload)
+        store.add_label("nightly", [job.key()])
         with Warehouse() as warehouse:
-            warehouse.record_payload(payload, campaign="nightly")
+            warehouse.ingest_store(store)
             document = run_query(warehouse, "spans", ["nightly"])
         assert [row["span"] for row in document["spans"]] == ["profile"]
         table = warehouse_spans_table(document, selector="nightly")

@@ -76,12 +76,18 @@ def _alt_machine():
     )
 
 
-def fill_store(root, specs):
-    """Write one payload per (benchmark, kwargs) spec; returns the store."""
+def fill_store(root, specs, label=None):
+    """Write one payload per (benchmark, kwargs) spec; returns the store.
+
+    ``label`` files every entry under that campaign, as ``repro query
+    ingest --label`` does.
+    """
     store = ResultStore(root)
     for benchmark, kwargs in specs:
         job, payload = make_payload(benchmark=benchmark, **kwargs)
         store.save(job.key(), payload)
+    if label is not None:
+        store.add_label(label, store.keys())
     return store
 
 
@@ -286,9 +292,10 @@ class TestIngest:
         store = fill_store(
             tmp_path / "cache",
             [("171.swim", {}), ("172.mgrid", {"energy_ratio": 0.7})],
+            label="run-a",
         )
         with Warehouse(tmp_path / "wh.sqlite") as warehouse:
-            report = warehouse.ingest_store(store, campaign="run-a")
+            report = warehouse.ingest_store(store)
             assert report.added == 2
             assert report.unchanged == 0
             assert warehouse.job_count() == 2
@@ -305,10 +312,11 @@ class TestIngest:
             assert report.unchanged == 1
 
     def test_reingest_under_second_label_links_existing_jobs(self, tmp_path):
-        store = fill_store(tmp_path / "cache", [("171.swim", {})])
+        store = fill_store(tmp_path / "cache", [("171.swim", {})], label="a")
         with Warehouse(tmp_path / "wh.sqlite") as warehouse:
-            warehouse.ingest_store(store, campaign="a")
-            warehouse.ingest_store(store, campaign="b")
+            warehouse.ingest_store(store)
+            store.add_label("b", store.keys())
+            warehouse.ingest_store(store)
             assert warehouse.job_count() == 1
             assert [c["n_jobs"] for c in warehouse.campaigns()] == [1, 1]
 
@@ -323,15 +331,293 @@ class TestIngest:
     def test_queries_survive_json_deletion(self, tmp_path):
         # The acceptance bar: the index answers without the JSON bodies.
         store = fill_store(
-            tmp_path / "cache", [("171.swim", {}), ("172.mgrid", {})]
+            tmp_path / "cache",
+            [("171.swim", {}), ("172.mgrid", {})],
+            label="only",
         )
         with Warehouse(tmp_path / "wh.sqlite") as warehouse:
-            warehouse.ingest_store(store, campaign="only")
+            warehouse.ingest_store(store)
             for key in list(store.keys()):
                 store.delete(key)
             assert len(store) == 0
             assert len(run_query(warehouse, "best")["best"]) == 2
             assert len(run_query(warehouse, "pareto")["pareto"]) >= 1
+
+
+def labelled_traced_store(root):
+    """A store with two labels, one diff-able pair, span and cache
+    counters, and one saved trace ``t1``.
+
+    ``old`` holds two paper-machine points; ``new`` the same two points
+    on another machine, filed by two memberships.
+    """
+    trace = {
+        "name": "job",
+        "elapsed_s": 1.0,
+        "children": [{"name": "schedule", "elapsed_s": 0.4}],
+    }
+    store = ResultStore(root)
+    keys = {"old": [], "new": []}
+    for label, options, energies in (
+        ("old", None, (0.8, 0.9)),
+        ("new", _alt_machine(), (0.9, 0.7)),
+    ):
+        for benchmark, energy in zip(("171.swim", "172.mgrid"), energies):
+            job, payload = make_payload(
+                benchmark=benchmark,
+                options=options,
+                energy_ratio=energy,
+                loop_cache={"hits": 3, "misses": 1},
+            )
+            payload["trace"] = trace
+            store.save(job.key(), payload)
+            keys[label].append(job.key())
+    store.add_label("old", keys["old"])
+    for key in keys["new"]:
+        store.add_label("new", [key])
+    store.save_trace(
+        trace_id="t1",
+        job_id=keys["old"][0],
+        kind="evaluate",
+        created_at=42.0,
+        tree={"name": "submit", "elapsed_s": 2.0, "start_s": 40.0},
+    )
+    return store
+
+
+#: One selector list per query op, each naming something in
+#: :func:`labelled_traced_store`.
+ALL_QUERIES = {
+    "summary": [],
+    "campaigns": [],
+    "jobs": ["old"],
+    "best": [],
+    "pareto": ["new"],
+    "spans": ["old"],
+    "cache": ["new"],
+    "timeline": ["t1"],
+    "diff": ["old", "new"],
+}
+
+
+def all_documents(warehouse):
+    assert set(ALL_QUERIES) == set(QUERY_OPS)
+    return {
+        op: run_query(warehouse, op, selectors, metric="energy_ratio")
+        for op, selectors in ALL_QUERIES.items()
+    }
+
+
+class TestRebuildFromStore:
+    """The store is the only record: the index rebuilds from it alone."""
+
+    def test_schema_rebuild_keeps_labels_and_traces(self, tmp_path, monkeypatch):
+        import sqlite3
+
+        from repro.__main__ import main
+
+        store = fill_store(tmp_path / "cache", [("171.swim", {})])
+        monkeypatch.chdir(tmp_path)
+        assert main(["query", "ingest", "--label", "july", "--cache-dir", "cache"]) == 0
+        store.save_trace(
+            trace_id="t1", job_id="j1", kind="evaluate",
+            created_at=42.0, tree={"name": "submit", "elapsed_s": 1.0},
+        )
+        with Warehouse.for_store(store) as warehouse:
+            warehouse.ingest_store(store)
+        conn = sqlite3.connect(store.root / "warehouse.sqlite")
+        conn.execute(
+            "UPDATE warehouse_meta SET value = '4' WHERE key = 'schema_version'"
+        )
+        conn.commit()
+        conn.close()
+
+        with Warehouse.for_store(store) as warehouse:
+            assert warehouse.campaigns() == []  # dropped whole
+            assert warehouse.ingest_store(store).added == 1
+            (campaign,) = warehouse.campaigns()
+            assert (campaign["label"], campaign["n_jobs"]) == ("july", 1)
+            (best,) = run_query(warehouse, "best", ["july"])["best"]
+            assert best["benchmark"] == "171.swim"
+            assert run_query(warehouse, "timeline", ["t1"])["job"] == "j1"
+
+    def test_every_query_survives_a_deleted_index(self, tmp_path):
+        store = labelled_traced_store(tmp_path / "cache")
+        with Warehouse.for_store(store) as warehouse:
+            warehouse.ingest_store(store)
+            before = all_documents(warehouse)
+        assert [c["label"] for c in before["campaigns"]["campaigns"]] == [
+            "old",
+            "new",
+        ]
+        assert [c["n_jobs"] for c in before["campaigns"]["campaigns"]] == [2, 2]
+        assert before["diff"]["regressed"] == 1
+        assert before["spans"]["spans"] and before["cache"]["cache"]
+        for suffix in ("", "-wal", "-shm"):
+            (store.root / f"warehouse.sqlite{suffix}").unlink(missing_ok=True)
+        with Warehouse.for_store(store) as warehouse:
+            assert warehouse.job_count() == 0
+            warehouse.ingest_store(store)
+            assert all_documents(warehouse) == before
+
+    def test_every_query_survives_a_schema_bump(self, tmp_path, monkeypatch):
+        from repro.warehouse import db
+
+        store = labelled_traced_store(tmp_path / "cache")
+        with Warehouse.for_store(store) as warehouse:
+            warehouse.ingest_store(store)
+            before = all_documents(warehouse)
+        monkeypatch.setattr(db, "SCHEMA_VERSION", db.SCHEMA_VERSION + 1)
+        with Warehouse.for_store(store) as warehouse:
+            assert warehouse.job_count() == 0
+            assert warehouse.campaigns() == []
+            warehouse.ingest_store(store)
+            assert all_documents(warehouse) == before
+
+    def test_concurrent_labels_of_one_label_lose_no_key(self, tmp_path):
+        # Writers (say the service and CLI ingests) file disjoint key
+        # sets under one label at once, each indexing its memberships on
+        # its own connection to one database.  More writers than cores,
+        # and a short switch interval, to interleave them.
+        import sys
+        import threading
+
+        store = fill_store(
+            tmp_path / "cache",
+            [("171.swim", {"scale": 0.01 + index * 0.001}) for index in range(16)],
+        )
+        keys = list(store.keys())
+        path = tmp_path / "wh.sqlite"
+        with Warehouse(path) as warehouse:
+            warehouse.ingest_store(store)
+        n_writers = 4
+        errors = []
+        barrier = threading.Barrier(n_writers)
+
+        def label(share):
+            try:
+                writer_store = ResultStore(store.root)
+                with Warehouse(path) as warehouse:
+                    barrier.wait(10)
+                    for key in share:
+                        warehouse.index_file(writer_store.add_label("shared", [key]))
+            except Exception as error:  # pragma: no cover - fail below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=label, args=(keys[index::n_writers],))
+            for index in range(n_writers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        with Warehouse(path) as warehouse:
+            (campaign,) = warehouse.campaigns()
+            assert campaign["n_jobs"] == len(keys)
+            assert sorted(row.key for row in warehouse.job_rows("shared")) == keys
+        with Warehouse() as rebuilt:
+            rebuilt.ingest_store(store)
+            assert rebuilt.campaigns()[0]["n_jobs"] == len(keys)
+
+    def test_label_dates_from_its_earliest_membership(self, tmp_path):
+        store = fill_store(
+            tmp_path / "cache", [("171.swim", {}), ("172.mgrid", {})]
+        )
+        first, second = store.keys()
+
+        def dated(label, keys, created_at):
+            path = store.add_label(label, keys)
+            record = json.loads(path.read_text())
+            path.write_text(json.dumps(dict(record, created_at=created_at)))
+            return path
+
+        dated("run", [first], 10.0)
+        late = dated("run", [second], 20.0)
+        dated("between", [first], 15.0)
+        with Warehouse() as warehouse:
+            # Index the late membership first: the label still dates
+            # from the early one.
+            assert warehouse.index_file(late)
+            warehouse.ingest_store(store)
+            assert [
+                (c["label"], c["created_at"], c["n_jobs"])
+                for c in warehouse.campaigns()
+            ] == [("run", 10.0, 2), ("between", 15.0, 1)]
+
+    def test_unchanged_reingest_parses_no_file(self, tmp_path, monkeypatch):
+        store = labelled_traced_store(tmp_path / "cache")
+        with Warehouse(tmp_path / "wh.sqlite") as warehouse:
+            warehouse.ingest_store(store)
+            before = all_documents(warehouse)
+
+            def no_parse(*args, **kwargs):
+                raise AssertionError("an unchanged re-ingest parsed a file")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(json, "load", no_parse)
+                patch.setattr(json, "loads", no_parse)
+                report = warehouse.ingest_store(store)
+            assert (
+                report.added, report.updated, report.unchanged, report.skipped
+            ) == (0, 0, 4, 0)
+            assert all_documents(warehouse) == before
+
+    def test_changed_files_are_read_again(self, tmp_path):
+        import os
+
+        store = labelled_traced_store(tmp_path / "cache")
+        with Warehouse(tmp_path / "wh.sqlite") as warehouse:
+            warehouse.ingest_store(store)
+            path = store.save_trace(
+                trace_id="t1", job_id="j9", kind="suite",
+                created_at=43.0, tree={"name": "submit", "elapsed_s": 3.0},
+            )
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+            warehouse.ingest_store(store)
+            assert warehouse.trace("t1")["job"] == "j9"
+
+    def test_unreadable_records_are_skipped(self, tmp_path):
+        store = labelled_traced_store(tmp_path / "cache")
+        (store.root / "campaigns" / "bad.json").write_text("{not json")
+        (store.root / "traces" / "bad.json").write_text('{"trace": "x"}')
+        with Warehouse() as warehouse:
+            warehouse.ingest_store(store)
+            assert [c["label"] for c in warehouse.campaigns()] == ["old", "new"]
+            assert warehouse.trace("x") is None
+            assert not warehouse.index_file(store.root / "traces" / "gone.json")
+
+
+class TestStoreRecords:
+    def test_labels_and_traces_stay_out_of_job_listings(self, tmp_path):
+        store = labelled_traced_store(tmp_path / "cache")
+        assert len(store) == 4
+        assert len(list(store.keys())) == 4
+        assert [key for key, _mtime in store.stat_entries()] == list(store.keys())
+        assert [
+            (path.parent.name, path.name == "t1.json")
+            for path, _mtime in store.stat_records()
+        ] == [("campaigns", False)] * 3 + [("traces", True)]
+
+    def test_relabelling_the_same_keys_writes_nothing(self, tmp_path):
+        store = fill_store(tmp_path / "cache", [("171.swim", {})])
+        path = store.add_label("a", store.keys())
+        body = path.read_bytes()
+        mtime = path.stat().st_mtime_ns
+        assert store.add_label("a", reversed(list(store.keys()))) == path
+        assert path.read_bytes() == body
+        assert path.stat().st_mtime_ns == mtime
+        record = json.loads(body)
+        assert (record["label"], record["keys"]) == ("a", list(store.keys()))
+        assert store.add_label("b", store.keys()) != path
 
 
 class TestQueries:
@@ -434,6 +720,7 @@ class TestQueries:
                 ("171.swim", {"scale": 0.01, "energy_ratio": 0.8}),
                 ("172.mgrid", {"scale": 0.01, "energy_ratio": 0.9}),
             ],
+            label="old",
         )
         new = fill_store(
             tmp_path / "new",
@@ -441,9 +728,10 @@ class TestQueries:
                 ("171.swim", {"scale": 0.02, "energy_ratio": 0.9}),
                 ("172.mgrid", {"scale": 0.02, "energy_ratio": 0.7}),
             ],
+            label="new",
         )
-        warehouse.ingest_store(old, campaign="old")
-        warehouse.ingest_store(new, campaign="new")
+        warehouse.ingest_store(old)
+        warehouse.ingest_store(new)
         # Scales differ, so campaign-vs-campaign join keys (benchmark,
         # scale, config) never match: diff on the machine axis is empty
         # and this documents that scale changes don't silently compare.
@@ -466,6 +754,7 @@ class TestQueries:
                     },
                 ),
             ],
+            label="old",
         )
         new = fill_store(
             tmp_path / "new",
@@ -485,9 +774,10 @@ class TestQueries:
                     },
                 ),
             ],
+            label="new",
         )
-        warehouse.ingest_store(old, campaign="old")
-        warehouse.ingest_store(new, campaign="new")
+        warehouse.ingest_store(old)
+        warehouse.ingest_store(new)
         diffs = regression_diff(
             warehouse, "old", "new", metric="energy_ratio"
         )
@@ -525,16 +815,20 @@ class TestConcurrentAccess:
         n_payloads = 30
         errors = []
         writer_done = threading.Event()
+        payloads = [
+            make_payload(benchmark="171.swim", scale=0.01 + index * 0.001)[1]
+            for index in range(n_payloads)
+        ]
+        membership = ResultStore(tmp_path / "cache").add_label(
+            "fleet", [payload["key"] for payload in payloads]
+        )
 
         def writer():
             try:
                 with Warehouse(path) as warehouse:
-                    for index in range(n_payloads):
-                        _job, payload = make_payload(
-                            benchmark="171.swim",
-                            scale=0.01 + index * 0.001,
-                        )
-                        warehouse.record_payload(payload, campaign="fleet")
+                    assert warehouse.index_file(membership)
+                    for payload in payloads:
+                        warehouse.record_payload(payload)
             except Exception as error:  # pragma: no cover - fail below
                 errors.append(error)
             finally:
@@ -614,10 +908,10 @@ class TestReporting:
         )
 
         store = fill_store(
-            tmp_path / "cache", [("171.swim", {}), ("172.mgrid", {})]
+            tmp_path / "cache", [("171.swim", {}), ("172.mgrid", {})], label="a"
         )
         with Warehouse() as warehouse:
-            warehouse.ingest_store(store, campaign="a")
+            warehouse.ingest_store(store)
             summary = warehouse_summary_table(run_query(warehouse, "summary"))
             assert "2 job(s)" in summary and "a" in summary
             jobs = run_query(warehouse, "jobs")

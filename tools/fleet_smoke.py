@@ -19,18 +19,23 @@ recorder correlates the lease story by trace id.
 
 Then it kills the coordinator: a second campaign (the first one's 8
 points plus 8 new ones) starts on the surviving worker, ``serve`` is
-SIGKILLed once at least one new point has settled, and a fresh ``serve
---jobs 2`` on the same cache directory takes the resubmitted campaign on
-its own local worker slots.  Every point must come back exactly once
-with no failures; every point settled before the kill must be answered
-from the result store (``repro_service_dedup_hits_total{level="store"}``)
-and none recomputed — the crash-only guarantee of content-addressed
-keys plus store write-through.
+SIGKILLed once at least one new point has settled, the warehouse
+database is deleted, and a fresh ``serve --jobs 2`` on the same cache
+directory takes the resubmitted campaign on its own local worker slots.
+Every point must come back exactly once with no failures; every point
+settled before the kill must be answered from the result store
+(``repro_service_dedup_hits_total{level="store"}``) and none recomputed
+— the crash-only guarantee of content-addressed keys plus store
+write-through.  The rebuilt index must still list both campaigns with
+every point and answer ``repro query timeline`` for the first
+campaign's job, killed worker's expired attempt included: labels and
+traces live in the store, the warehouse only indexes them.
 
 Exits non-zero (with the server log and the flight recorder's event
 ring on stderr) on any failure.
 """
 
+import json
 import os
 import signal
 import socket
@@ -206,10 +211,56 @@ def check_points(client, job, total):
     return set(keys)
 
 
-def check_coordinator_kill(env, cache_dir, port, server, survivor, processes):
-    """SIGKILL ``serve`` mid-campaign, restart it, resubmit: nothing lost,
-    duplicated or recomputed.  ``processes`` collects the restarted
-    server for the caller's cleanup."""
+def repro_query(env, cache_dir, *args):
+    """One ``repro query ... --output json`` run's document."""
+    output = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "query", *args,
+            "--cache-dir", cache_dir, "--output", "json",
+        ],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    ).stdout
+    return json.loads(output)
+
+
+def check_rebuilt_index(env, cache_dir, first_job, counts):
+    """The index rebuilt from the store alone lists every campaign with
+    all its points, and still holds the first campaign's trace."""
+    campaigns = {
+        campaign["label"]: campaign["n_jobs"]
+        for campaign in repro_query(env, cache_dir, "campaigns")["campaigns"]
+    }
+    if campaigns != counts:
+        raise RuntimeError(f"rebuilt index lists {campaigns}, expected {counts}")
+    timeline = repro_query(env, cache_dir, "timeline", first_job["id"])
+    expired = [
+        lease
+        for experiment in timeline["tree"].get("children", ())
+        for lease in experiment.get("children", ())
+        if lease["name"] == "lease"
+        and lease["attributes"].get("outcome") == "expired"
+    ]
+    if timeline["trace"] != first_job["trace"] or not expired:
+        raise RuntimeError(
+            f"rebuilt index lost the first campaign's trace: trace "
+            f"{timeline['trace']!r}, {len(expired)} expired attempt(s)"
+        )
+    print(
+        f"rebuilt index ok: campaigns {campaigns}, first trace with "
+        f"{len(expired)} expired attempt(s)"
+    )
+
+
+def check_coordinator_kill(
+    env, cache_dir, port, server, survivor, processes, first_job
+):
+    """SIGKILL ``serve`` mid-campaign, delete the warehouse, restart,
+    resubmit: nothing lost, duplicated or recomputed.  ``processes``
+    collects the restarted server for the caller's cleanup."""
     from repro.campaign import ResultStore
     from repro.service import ServiceClient
 
@@ -240,6 +291,10 @@ def check_coordinator_kill(env, cache_dir, port, server, survivor, processes):
             f"kill was not mid-campaign: {len(settled)}/{total} settled"
         )
     print(f"killed serve mid-campaign: {len(settled)}/{total} points settled")
+    # The index is disposable: the restarted server rebuilds it from
+    # the store's job entries, memberships and traces.
+    for suffix in ("", "-wal", "-shm"):
+        Path(cache_dir, f"warehouse.sqlite{suffix}").unlink(missing_ok=True)
 
     port = free_port()
     restarted = start_server(env, port, cache_dir, jobs=2)
@@ -277,6 +332,9 @@ def check_coordinator_kill(env, cache_dir, port, server, survivor, processes):
         f"coordinator kill ok: {total} points once each, "
         f"{len(settled)} answered from the store, "
         f"{computed} computed on local slots"
+    )
+    check_rebuilt_index(
+        env, cache_dir, first_job, {"fleet-smoke": 8, "fleet-smoke-resume": total}
     )
 
 
@@ -405,7 +463,7 @@ def main() -> int:
                 raise RuntimeError(f"{survivor} missing from registry: {ids}")
 
             check_coordinator_kill(
-                env, cache_dir, port, server, workers[survivor], processes
+                env, cache_dir, port, server, workers[survivor], processes, job
             )
         except Exception:
             dump_flight_recorder(client)
