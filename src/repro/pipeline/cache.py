@@ -20,6 +20,20 @@ fingerprints x operating point x scheduler options x weights) — see
 files stay attributable.  A sweep that changes a knob only some loops
 can observe re-schedules only those loops; everything else is a hit.
 
+Beside the LRU sits a **path memo**, memory-only: the profile and
+schedule stages record every artifact they compute a second time under
+a *palette-free* key (the same key parts with the scheduler's frequency
+palette set to None), with the MIT its IT search started from, the
+number of candidates it tried and the palette it ran under.  When a
+palette-keyed lookup misses, the stage consults that entry and reuses
+its artifact if both palettes' candidate streams agree on every IT and
+per-domain assignment up to the one that succeeded — the palette enters
+only the IT search, so the schedule is the same (see
+:func:`~repro.scheduler.ii_selection.same_search_path`).  A frequency
+palette sweep therefore schedules a loop once per IT path, not once per
+palette.  A reuse counts as a memory hit, so ``misses`` still counts
+the loops actually scheduled.
+
 On-disk artifacts are wrapped in a versioned envelope
 (:data:`PAYLOAD_SCHEMA`); truncated, garbage or wrong-version files are
 treated as *corrupt* — evicted, counted under
@@ -121,6 +135,9 @@ class StageCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        #: The path memo: palette-free key -> (mit, attempts, palette,
+        #: artifact), an LRU of the same capacity.
+        self._paths: "OrderedDict[str, tuple]" = OrderedDict()
         self._store_dir: Optional[Path] = None
         self.hits = 0
         self.misses = 0
@@ -170,12 +187,15 @@ class StageCache:
         self,
         key: str,
         decode: Optional[Callable[[Dict[str, Any]], Any]] = None,
+        reuse: Optional[Callable[[], Optional[Any]]] = None,
     ):
         """The cached value for ``key``, or :data:`MISS`.
 
         Memory is consulted first (a hit refreshes recency); when the
         disk layer is attached and ``decode`` is given, a miss falls
-        through to ``<store_dir>/<key>.json``.
+        through to ``<store_dir>/<key>.json``.  Only then is ``reuse``
+        called: a value it returns (it files that value itself) counts
+        as a memory hit, and None leaves the lookup a miss.
         """
         value = self._entries.get(key, _MISS)
         if value is not _MISS:
@@ -202,6 +222,12 @@ class StageCache:
                     self.disk_hits += 1
                     self._count(key, "disk_hits")
                     return value
+        if reuse is not None:
+            value = reuse()
+            if value is not None:
+                self.hits += 1
+                self._count(key, "hits")
+                return value
         self.misses += 1
         self._count(key, "misses")
         return _MISS
@@ -225,6 +251,25 @@ class StageCache:
             self.evictions += 1
             _count_event(self._stage_of(evicted), "evictions")
         self._entries[key] = value
+
+    def recall_path(self, key: str) -> Optional[tuple]:
+        """The path-memo entry under palette-free ``key``, or None."""
+        entry = self._paths.get(key)
+        if entry is not None:
+            self._paths.move_to_end(key)
+        return entry
+
+    def record_path(self, key: str, entry: tuple) -> None:
+        """File ``(mit, attempts, palette, artifact)`` under ``key``.
+
+        The first writer keeps the key: a later artifact of the same
+        loop under another palette is not filed over it.
+        """
+        if key in self._paths:
+            return
+        if len(self._paths) >= self._capacity:
+            self._paths.popitem(last=False)
+        self._paths[key] = entry
 
     @staticmethod
     def is_miss(value: Any) -> bool:
@@ -310,8 +355,10 @@ class StageCache:
         }
 
     def clear(self) -> None:
-        """Drop every in-memory entry (the disk layer is untouched)."""
+        """Drop every in-memory entry and the path memo (the disk layer
+        is untouched)."""
         self._entries.clear()
+        self._paths.clear()
 
     def reset_stats(self) -> None:
         """Zero the hit/miss/eviction counters."""
@@ -321,7 +368,10 @@ class StageCache:
 
 
 #: The process-wide per-loop artifact cache: Profile and Schedule
-#: consult it per loop.  Its disk layer attaches to ``<cache-dir>/loops/``.
+#: consult it per loop, and on a miss its path memo for an artifact
+#: another frequency palette computed along the same IT path.  Its disk
+#: layer attaches to ``<cache-dir>/loops/``; the path memo stays in
+#: memory.
 LOOP_CACHE = StageCache(capacity=LOOP_CACHE_CAPACITY)
 
 

@@ -9,7 +9,9 @@ step's span and its ``repro_stage_seconds`` samples.  The two scheduling
 stages (profile and schedule) work loop by loop through the process-wide
 :data:`~repro.pipeline.cache.LOOP_CACHE`, so repeated work is answered
 per loop — and, when a campaign attaches its store, from disk across
-processes.
+processes.  A loop a new frequency palette would schedule along the
+same IT path as an earlier palette is answered from that palette's
+artifact (see :func:`_reuse_loop`).
 
 :class:`Experiment` runs the sequence on one machine::
 
@@ -33,7 +35,7 @@ from typing import Any, ClassVar, Dict, Optional, Tuple
 from repro.errors import PipelineError
 from repro.machine.fingerprint import machine_facets
 from repro.machine.machine import MachineDescription, paper_machine
-from repro.pipeline.cache import LOOP_CACHE, StageCache, loop_keys
+from repro.pipeline.cache import LOOP_CACHE, StageCache, loop_keys, stage_key
 from repro.pipeline.context import ExperimentContext
 from repro.pipeline.serialization import (
     from_data,
@@ -47,6 +49,7 @@ from repro.power.profile import LoopProfile, ProgramProfile
 from repro.scheduler.context import PartitionEnergyWeights
 from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
 from repro.scheduler.homogeneous import HomogeneousModuloScheduler
+from repro.scheduler.ii_selection import same_search_path
 from repro.sim.power_meter import MeasuredExecution, PowerMeter
 from repro.telemetry import histogram, span
 from repro.vfs.homogeneous import optimum_homogeneous
@@ -147,6 +150,51 @@ def _weights_key(weights: Optional[PartitionEnergyWeights]) -> Optional[tuple]:
 
 
 # ----------------------------------------------------------------------
+# filing loop artifacts, and reusing them across frequency palettes
+# ----------------------------------------------------------------------
+def _store_loop(key: str, artifact, encode) -> None:
+    """Memoize ``artifact`` under ``key``; also on disk when attached."""
+    LOOP_CACHE.store(
+        key,
+        artifact,
+        payload=encode(artifact) if LOOP_CACHE.store_dir is not None else None,
+    )
+
+
+def _path_key(stage: str, fingerprint: str, head: tuple, options, weights_key) -> str:
+    """A loop's palette-free key: its stage key with the palette None.
+
+    Built only on a miss, so the warm path never pays for it.
+    """
+    free = repr(replace(options, palette=None))
+    return stage_key(stage, fingerprint, *head, free, weights_key)
+
+
+def _record_path(path_key: str, search, palette, artifact) -> None:
+    """Record a computed artifact in the path memo (first writer keeps)."""
+    LOOP_CACHE.record_path(path_key, (search.mit, search.attempts, palette, artifact))
+
+
+def _reuse_loop(key: str, path_key: str, point, palette, encode):
+    """The artifact another palette computed along this IT path, or None.
+
+    The recorded search started at its MIT and succeeded at its
+    ``attempts``-th candidate; when ``palette``'s candidate stream from
+    that MIT has the same ITs and per-domain assignments for as many
+    steps, the search would build the same artifact.  A reused artifact
+    is filed under ``key`` exactly as a computed one is.
+    """
+    entry = LOOP_CACHE.recall_path(path_key)
+    if entry is None:
+        return None
+    mit, attempts, source, artifact = entry
+    if not same_search_path(point, mit, attempts, source, palette):
+        return None
+    _store_loop(key, artifact, encode)
+    return artifact
+
+
+# ----------------------------------------------------------------------
 # the stage protocol
 # ----------------------------------------------------------------------
 class Stage:
@@ -190,50 +238,65 @@ class ProfileStage(Stage):
     def compute(self, context: ExperimentContext) -> None:
         """Profile loop by loop through :data:`LOOP_CACHE`.
 
-        A hit restores ``(LoopProfile, ScheduleSummary)``; a miss
-        schedules the loop and memoizes that pair.  Either way the run
-        keeps the summary, which carries exactly what homogeneous
-        measurement reads, so warm runs are bit-identical to cold.
+        A hit restores ``(LoopProfile, ScheduleSummary)``.  On a miss
+        the pair another frequency palette computed for the loop is
+        reused when both palettes' IT searches walk the same path (see
+        :func:`_reuse_loop`); otherwise the loop is scheduled, and the
+        pair is memoized under its key and recorded in the path memo.
+        Either way the run keeps the summary, which carries exactly what
+        homogeneous measurement reads, so warm runs are bit-identical to
+        cold.
         """
         from repro.pipeline.profiling import profile_loop
 
         scheduler = context.reference_scheduler
         reference = scheduler.reference_point()
-        key_of = loop_keys(
-            "profile_loop",
-            *machine_facets(scheduler.machine),
-            repr(scheduler.technology),
-            repr(scheduler.options),
-            _weights_key(context.weights),
-        )
+        options = scheduler.options
+        head = (*machine_facets(scheduler.machine), repr(scheduler.technology))
+        weights_key = _weights_key(context.weights)
+        key_of = loop_keys("profile_loop", *head, repr(options), weights_key)
         profiles = []
         schedules: Dict[str, ScheduleSummary] = {}
         for loop in context.corpus.loops:
-            key = key_of(loop.fingerprint())
-            cached = LOOP_CACHE.lookup(key, decode=self._decode_loop)
-            if not StageCache.is_miss(cached):
-                profile, summary = cached
-                profiles.append(profile)
-                schedules[loop.name] = summary
-                continue
-            schedule = scheduler.schedule(loop, reference, weights=context.weights)
-            profile = profile_loop(loop, schedule, scheduler.machine)
-            summary = ScheduleSummary.from_schedule(schedule)
-            LOOP_CACHE.store(
-                key,
-                (profile, summary),
-                payload=(
-                    {"profile": to_data(profile), "schedule": to_data(summary)}
-                    if LOOP_CACHE.store_dir is not None
-                    else None
-                ),
-            )
+            fingerprint = loop.fingerprint()
+            key = key_of(fingerprint)
+
+            def reuse(key=key, fingerprint=fingerprint):
+                path_key = _path_key(
+                    "profile_loop", fingerprint, head, options, weights_key
+                )
+                return _reuse_loop(
+                    key, path_key, reference, options.palette, self._encode
+                )
+
+            cached = LOOP_CACHE.lookup(key, decode=self._decode_loop, reuse=reuse)
+            if StageCache.is_miss(cached):
+                schedule = scheduler.schedule(
+                    loop, reference, weights=context.weights
+                )
+                cached = (
+                    profile_loop(loop, schedule, scheduler.machine),
+                    ScheduleSummary.from_schedule(schedule),
+                )
+                _store_loop(key, cached, self._encode)
+                _record_path(
+                    _path_key("profile_loop", fingerprint, head, options, weights_key),
+                    schedule.search,
+                    options.palette,
+                    cached,
+                )
+            profile, summary = cached
             profiles.append(profile)
             schedules[loop.name] = summary
         context.profile = ProgramProfile(
             name=context.corpus.benchmark, loops=profiles
         )
         context.reference_schedules = schedules
+
+    @staticmethod
+    def _encode(artifact) -> Dict[str, Any]:
+        profile, summary = artifact
+        return {"profile": to_data(profile), "schedule": to_data(summary)}
 
     @staticmethod
     def _decode_loop(payload: Dict[str, Any]):
@@ -325,24 +388,25 @@ class ScheduleStage(Stage):
         compute.  A schedule decoded from the disk layer is re-validated
         before it is summarized: one that is well-formed but illegal
         does not decode, so the cache counts it corrupt, evicts it and
-        it is rescheduled.
+        it is rescheduled.  As in :class:`ProfileStage`, a miss first
+        tries the pair another frequency palette computed along the
+        same IT path, and a computed pair is recorded in the path memo.
         """
         scheduler = HeterogeneousModuloScheduler(
             context.machine, context.options.scheduler
         )
         selection = context.heterogeneous_selection
+        point = selection.point
+        options = scheduler.options
         weights = context.weights
-        key_of = loop_keys(
-            "schedule_loop",
-            *machine_facets(scheduler.machine),
-            repr(selection.point),
-            repr(scheduler.options),
-            _weights_key(weights),
-        )
+        head = (*machine_facets(scheduler.machine), repr(point))
+        weights_key = _weights_key(weights)
+        key_of = loop_keys("schedule_loop", *head, repr(options), weights_key)
         schedules = {}
         summaries: Dict[str, ScheduleSummary] = {}
         for loop in context.corpus.loops:
-            key = key_of(loop.fingerprint())
+            fingerprint = loop.fingerprint()
+            key = key_of(fingerprint)
 
             def decode(payload, loop=loop):
                 schedule = schedule_from_dict(
@@ -351,24 +415,32 @@ class ScheduleStage(Stage):
                 schedule.validate()
                 return schedule, ScheduleSummary.from_schedule(schedule)
 
-            cached = LOOP_CACHE.lookup(key, decode=decode)
-            if StageCache.is_miss(cached):
-                schedule = scheduler.schedule(
-                    loop, selection.point, weights=weights
+            def reuse(key=key, fingerprint=fingerprint):
+                path_key = _path_key(
+                    "schedule_loop", fingerprint, head, options, weights_key
                 )
+                return _reuse_loop(
+                    key, path_key, point, options.palette, self._encode
+                )
+
+            cached = LOOP_CACHE.lookup(key, decode=decode, reuse=reuse)
+            if StageCache.is_miss(cached):
+                schedule = scheduler.schedule(loop, point, weights=weights)
                 cached = (schedule, ScheduleSummary.from_schedule(schedule))
-                LOOP_CACHE.store(
-                    key,
+                _store_loop(key, cached, self._encode)
+                _record_path(
+                    _path_key("schedule_loop", fingerprint, head, options, weights_key),
+                    schedule.search,
+                    options.palette,
                     cached,
-                    payload=(
-                        schedule_to_dict(schedule)
-                        if LOOP_CACHE.store_dir is not None
-                        else None
-                    ),
                 )
             schedules[loop.name], summaries[loop.name] = cached
         context.heterogeneous_schedules = schedules
         context.heterogeneous_summaries = summaries
+
+    @staticmethod
+    def _encode(artifact) -> Dict[str, Any]:
+        return schedule_to_dict(artifact[0])
 
 
 class MeasureStage(Stage):

@@ -81,7 +81,8 @@ def render_timeline(document: Dict[str, Any]) -> str:
     ``document`` needs a ``tree`` (a :meth:`Span.to_dict` dump); any of
     ``trace``, ``job``, ``kind`` and ``status`` it carries land in the
     header line.  The footer reports attribution — the fraction of the
-    root's wall time its direct children explain — and, when any span's
+    root's wall time its direct children cover
+    (:func:`timeline_attribution`) — and, when any span's
     wall stamp predated the root's, how many offsets were clamped.
     """
     tree = document.get("tree")
@@ -112,11 +113,7 @@ def render_timeline(document: Dict[str, Any]) -> str:
             f"+{offset:9.3f}s  {label:<34} {elapsed:9.3f}s{share}"
             + (f"  {attrs}" if attrs else "")
         )
-    attributed = sum(
-        float(child.get("elapsed_s", 0.0))
-        for child in tree.get("children", ())
-    )
-    coverage = attributed / root_elapsed if root_elapsed > 0 else 0.0
+    coverage = timeline_attribution(tree)
     lines.append(
         f"attributed to lifecycle spans: {coverage:.1%} of "
         f"{root_elapsed:.3f}s submit->settle"
@@ -130,12 +127,33 @@ def render_timeline(document: Dict[str, Any]) -> str:
 
 
 def timeline_attribution(tree: Dict[str, Any]) -> float:
-    """Fraction of the root's wall time its direct children explain."""
+    """Fraction of the root's wall time its direct children cover.
+
+    Each child spans ``[offset, offset + elapsed_s)`` from the root's
+    start, its offset placed as :func:`render_timeline` places it
+    (clamped to zero; a child without a wall stamp at the root's
+    start), and cut off at the root's end.  The union of those spans is
+    measured, so children that ran in parallel — a campaign's
+    experiment spans — count once and the fraction never exceeds 1;
+    for children that ran one after another it is the sum of their
+    durations.
+    """
     root_elapsed = float(tree.get("elapsed_s", 0.0))
     if root_elapsed <= 0:
         return 0.0
-    attributed = sum(
-        float(child.get("elapsed_s", 0.0))
-        for child in tree.get("children", ())
-    )
-    return attributed / root_elapsed
+    raw_start = tree.get("start_s")
+    spans = []
+    for child in tree.get("children", ()):
+        start = child.get("start_s")
+        offset = 0.0
+        if isinstance(raw_start, (int, float)) and isinstance(start, (int, float)):
+            offset = max(0.0, float(start) - float(raw_start))
+        end = min(offset + float(child.get("elapsed_s", 0.0)), root_elapsed)
+        if end > offset:
+            spans.append((offset, end))
+    covered = reach = 0.0
+    for begin, end in sorted(spans):
+        if end > reach:
+            covered += end - max(begin, reach)
+            reach = end
+    return covered / root_elapsed

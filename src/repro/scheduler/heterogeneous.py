@@ -28,7 +28,7 @@ from repro.scheduler.kernel import KernelScheduler
 from repro.scheduler.mii import minimum_initiation_time
 from repro.scheduler.options import SchedulerOptions
 from repro.scheduler.partition import build_partition
-from repro.scheduler.schedule import Schedule
+from repro.scheduler.schedule import ITSearch, Schedule
 from repro.telemetry import counter, span
 
 #: IT-search effort: candidates are (IT, assignment) attempts, retries
@@ -83,8 +83,10 @@ class HeterogeneousModuloScheduler:
     ) -> Schedule:
         """Produce a validated schedule, or raise.
 
-        Raises :class:`InfeasibleITError` when no IT within the search
-        budget admits a legal schedule.
+        The schedule's :attr:`~Schedule.search` reports the MIT the IT
+        search started from and how many candidates it tried.  Raises
+        :class:`InfeasibleITError` when no IT within the search budget
+        admits a legal schedule.
         """
         with span("schedule_loop", loop=loop.ddg.name) as sp:
             return self._schedule(loop, point, weights, sp)
@@ -150,6 +152,7 @@ class HeterogeneousModuloScheduler:
                 placements=placements,
                 copies=copies,
                 sync_penalties=options.sync_penalties,
+                search=ITSearch(mit, attempts),
             )
             # A schedule the kernel emits must always be legal; validating
             # here turns any engine bug into a loud failure.

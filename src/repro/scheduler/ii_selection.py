@@ -11,6 +11,7 @@ leaves the machine unable to schedule, the driver increases the IT
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, Iterator, Optional
 
 from repro.machine.clocking import (
@@ -99,3 +100,30 @@ def iter_it_candidates(
     else:
         periods = {Fraction(1) / f for f in palette.frequencies}
     yield from period_multiples(periods, start)
+
+
+def same_search_path(
+    point: OperatingPoint,
+    mit: Time,
+    attempts: int,
+    first: FrequencyPalette,
+    second: FrequencyPalette,
+) -> bool:
+    """True when both palettes' IT searches try the same first candidates.
+
+    Replays both (unbounded) candidate streams from ``mit`` for
+    ``attempts`` steps and compares each step's IT and per-domain
+    assignments.  Nothing past the IT search reads the palette, so a
+    search that succeeded at its ``attempts``-th candidate under
+    ``first`` builds the same schedule under ``second`` when this holds.
+    """
+    steps = zip(
+        iter_it_candidates(point, first, start=mit),
+        iter_it_candidates(point, second, start=mit),
+    )
+    return all(
+        it == other
+        and select_assignments(it, point, first)
+        == select_assignments(other, point, second)
+        for it, other in islice(steps, attempts)
+    )

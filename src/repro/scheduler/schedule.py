@@ -157,6 +157,21 @@ class ValueLifetime:
         return max(self.end - self.start, 1)
 
 
+@dataclass(frozen=True)
+class ITSearch:
+    """How the IT search that built a schedule went.
+
+    The search starts at ``mit`` and tries ``attempts`` (IT, per-domain
+    assignment) candidates; the last one is the schedule's own.  Two
+    frequency palettes whose candidate streams agree on those first
+    ``attempts`` candidates build the same schedule, since nothing past
+    the IT search reads the palette.
+    """
+
+    mit: Fraction
+    attempts: int
+
+
 class Schedule:
     """A complete modulo schedule plus its derived measurements."""
 
@@ -169,6 +184,7 @@ class Schedule:
         placements: Mapping[Operation, PlacedOp],
         copies: Mapping[Dependence, PlacedCopy],
         sync_penalties: bool = True,
+        search: Optional[ITSearch] = None,
     ):
         self.ddg = ddg
         self.machine = machine
@@ -177,6 +193,9 @@ class Schedule:
         self.placements = dict(placements)
         self.copies = dict(copies)
         self.sync_penalties = sync_penalties
+        #: The IT search that built this schedule; None when it was
+        #: restored from a payload, which does not carry it.
+        self.search = search
         #: ``((it, assignments), grid)`` of the last :meth:`time_grid`.
         self._time_grid: Optional[Tuple[tuple, TimeGrid]] = None
 

@@ -244,6 +244,44 @@ class TestTimelineRenderer:
             1.95 / 2.0
         )
 
+    @staticmethod
+    def _root(children):
+        return {
+            "name": "submit",
+            "elapsed_s": 4.0,
+            "start_s": 100.0,
+            "children": [
+                {"name": name, "elapsed_s": elapsed, "start_s": start}
+                for name, start, elapsed in children
+            ],
+        }
+
+    def test_parallel_children_count_once(self):
+        # Three experiment spans of one campaign, run side by side: a
+        # sum of their durations would read 225%.
+        tree = self._root(
+            [
+                ("experiment", 100.0, 3.5),
+                ("experiment", 100.5, 3.0),
+                ("experiment", 101.0, 2.5),
+            ]
+        )
+        assert timeline_attribution(tree) == pytest.approx(3.5 / 4.0)
+        assert "attributed to lifecycle spans: 87.5%" in render_timeline(
+            {"tree": tree}
+        )
+
+    def test_children_are_clamped_to_the_root(self):
+        tree = self._root([("a", 99.0, 2.0), ("b", 102.0, 5.0)])
+        assert timeline_attribution(tree) == pytest.approx(4.0 / 4.0)
+
+    def test_sequential_children_read_their_summed_durations(self):
+        children = [("admission", 100.0, 0.5), ("queue", 100.5, 1.0),
+                    ("lease", 102.0, 1.5)]
+        assert timeline_attribution(self._root(children)) == pytest.approx(
+            sum(elapsed for _name, _start, elapsed in children) / 4.0
+        )
+
     def test_document_without_a_tree_raises(self):
         with pytest.raises(ValueError):
             render_timeline({"trace": "t1"})

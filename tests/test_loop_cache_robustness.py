@@ -200,21 +200,36 @@ class TestExperimentCaching:
         """``stats()``, ``by_stage`` and the events series, lookup by lookup.
 
         Each lookup is recounted from what it returned: a miss, a hit
-        from memory (no new entry) or a disk hit (one new entry), over a
-        cold, a memory-warm and a disk-warm evaluation.
+        from memory (no new entry), a disk hit (one new entry) or a
+        reuse of another palette's artifact (one new entry, counted as a
+        memory hit), over a cold, a memory-warm, a palette-sweep and a
+        disk-warm evaluation.
         """
+        from repro.machine.clocking import FrequencyPalette
         from repro.pipeline.cache import _CACHE_EVENTS
+        from repro.scheduler import SchedulerOptions
 
         events = ("hits", "misses", "disk_hits", "corrupt")
         LOOP_CACHE.attach_store(tmp_path)
         recount = {}
+        reuses = []
         lookup = LOOP_CACHE.lookup
 
-        def counted(key, decode=None):
+        def counted(key, decode=None, reuse=None):
             size = len(LOOP_CACHE)
-            value = lookup(key, decode)
+            reused = []
+
+            def recorded_reuse():
+                value = reuse()
+                reused.append(value is not None)
+                return value
+
+            value = lookup(key, decode, recorded_reuse if reuse else None)
             if LOOP_CACHE.is_miss(value):
                 event = "misses"
+            elif any(reused):
+                reuses.append(key)
+                event = "hits"
             elif len(LOOP_CACHE) > size:
                 event = "disk_hits"
             else:
@@ -232,11 +247,20 @@ class TestExperimentCaching:
 
         monkeypatch.setattr(LOOP_CACHE, "lookup", counted)
         corpus = _corpus()
+        sweep = ExperimentOptions(
+            scheduler=SchedulerOptions(palette=FrequencyPalette.per_domain_uniform(2))
+        )
         before = series()
-        for clear in (False, False, True):
+        for clear, options in (
+            (False, None),
+            (False, None),
+            (False, sweep),
+            (True, None),
+        ):
             if clear:
                 clear_loop_cache()
-            Experiment.paper().run(corpus)
+            Experiment.paper(options).run(corpus)
+        assert reuses
         info = LOOP_CACHE.info()
         assert info["by_stage"] == recount
         assert sorted(recount) == ["profile_loop", "schedule_loop"]

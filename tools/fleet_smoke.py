@@ -179,7 +179,22 @@ def start_server(env, port, cache_dir, jobs):
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
+
+
+def kill_group(process) -> None:
+    """SIGKILL ``process`` and everything in its session.
+
+    Each process starts in a session of its own, so its process group
+    holds its local-slot children (a forkserver and its workers) too.
+    They inherit the stdout pipe, and ``communicate`` waits until every
+    holder has closed it.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the whole group has exited
 
 
 def wait_healthy(client, server):
@@ -359,6 +374,7 @@ def start_worker(env, port, worker_id):
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
 
 
@@ -465,11 +481,11 @@ def main() -> int:
             check_coordinator_kill(
                 env, cache_dir, port, server, workers[survivor], processes, job
             )
-        except Exception:
+        except BaseException:
             dump_flight_recorder(client)
             for name, process in processes.items():
-                if process.poll() is None:
-                    process.kill()
+                # Also when the leader has exited: its children may not.
+                kill_group(process)
                 output, _ = process.communicate(timeout=30)
                 print(f"--- {name} log ---\n" + (output or ""), file=sys.stderr)
             raise
