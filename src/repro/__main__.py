@@ -76,6 +76,28 @@ def _package_version() -> str:
         return __version__
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: print ``repro <version>`` and exit.
+
+    argparse's own ``version`` action needs the text when the parser is
+    built; this one looks the version up only when the flag is given, so
+    every other command skips the metadata lookup.
+    """
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, help=None):
+        super().__init__(
+            option_strings,
+            dest=dest,
+            default=argparse.SUPPRESS,
+            nargs=0,
+            help=help,
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(f"repro {_package_version()}\n")
+        parser.exit()
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -84,8 +106,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--version",
-        action="version",
-        version=f"repro {_package_version()}",
+        action=_VersionAction,
+        help="show program's version number and exit",
     )
     parser.add_argument(
         "-v",

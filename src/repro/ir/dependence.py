@@ -48,6 +48,26 @@ class Dependence:
             raise ValueError(f"iteration distance must be >= 0, got {self.distance}")
         if self.latency_override is not None and self.latency_override < 0:
             raise ValueError("latency override must be >= 0")
+        # The hash the dataclass would compute on every lookup, computed
+        # once: the same value, so set and dict orders are unchanged.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash(
+                (self.src, self.dst, self.distance, self.kind, self.latency_override)
+            ),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through ``__init__``, so the hash is recomputed in the
+        # receiving process (an Enum's hash depends on PYTHONHASHSEED).
+        return (
+            type(self),
+            (self.src, self.dst, self.distance, self.kind, self.latency_override),
+        )
 
     @property
     def is_loop_carried(self) -> bool:

@@ -9,6 +9,7 @@ them by the per-cluster dynamic factor delta.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -70,21 +71,12 @@ class InstructionTable:
 
     @classmethod
     def paper_defaults(cls, uniform_energy: bool = False) -> "InstructionTable":
-        """Table 1 defaults; optionally with class energies collapsed to 1."""
-        entries: Dict[OpClass, ClassEntry] = {}
-        for opclass in OpClass:
-            if opclass is OpClass.COPY:
-                entries[opclass] = ClassEntry(1, 0.0)
-            elif opclass is OpClass.BRANCH:
-                entries[opclass] = ClassEntry(1, 1.0)
-            else:
-                entries[opclass] = PAPER_TABLE_1[(opclass.category, opclass.domain)]
-        if uniform_energy:
-            entries = {
-                oc: ClassEntry(entry.latency, 1.0 if entry.energy > 0 else 0.0)
-                for oc, entry in entries.items()
-            }
-        return cls(entries)
+        """Table 1 defaults; optionally with class energies collapsed to 1.
+
+        A table is immutable, so each of the two is built once per
+        process and shared by every machine built from it.
+        """
+        return _paper_table(cls, bool(uniform_energy))
 
     def __repr__(self) -> str:
         entries = ", ".join(
@@ -132,3 +124,22 @@ class InstructionTable:
         return sum(
             self._entries[oc].energy * count for oc, count in class_counts.items()
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_table(cls, uniform_energy: bool) -> InstructionTable:
+    """:meth:`InstructionTable.paper_defaults`, built."""
+    entries: Dict[OpClass, ClassEntry] = {}
+    for opclass in OpClass:
+        if opclass is OpClass.COPY:
+            entries[opclass] = ClassEntry(1, 0.0)
+        elif opclass is OpClass.BRANCH:
+            entries[opclass] = ClassEntry(1, 1.0)
+        else:
+            entries[opclass] = PAPER_TABLE_1[(opclass.category, opclass.domain)]
+    if uniform_energy:
+        entries = {
+            oc: ClassEntry(entry.latency, 1.0 if entry.energy > 0 else 0.0)
+            for oc, entry in entries.items()
+        }
+    return cls(entries)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
@@ -59,6 +60,7 @@ class MachineDescription:
         return sum(cluster.n_regs for cluster in self.clusters)
 
 
+@lru_cache(maxsize=32)
 def paper_machine(
     n_buses: int = 1,
     n_clusters: int = 4,
@@ -68,7 +70,9 @@ def paper_machine(
 
     Four identical clusters of 1 INT FU + 1 FP FU + 1 memory port + 16
     registers, single-cycle register buses (1 or 2), shared always-hit
-    memory, Table 1 latencies/energies.
+    memory, Table 1 latencies/energies.  A description is immutable, so
+    each variant is built once per process and shared (the 32 most
+    recently used variants are kept).
     """
     return MachineDescription(
         clusters=tuple(ClusterConfig() for _ in range(n_clusters)),

@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -109,6 +110,15 @@ def stage_key(stage: str, *parts: Any) -> str:
     return f"{stage}-{digest}"
 
 
+#: Loop keys :func:`loop_keys` keeps, the oldest dropped first: one per
+#: artifact the loop cache can hold.
+LOOP_KEY_MEMO_SIZE = LOOP_CACHE_CAPACITY
+
+#: ``(stage, shared parts' text, fingerprint) -> key``, in insertion order.
+_LOOP_KEYS: Dict[Tuple[str, str, str], str] = {}
+_LOOP_KEYS_LOCK = threading.Lock()
+
+
 def loop_keys(stage: str, *shared: Any) -> Callable[[str], str]:
     """``fingerprint -> stage_key(stage, fingerprint, *shared)``.
 
@@ -117,12 +127,23 @@ def loop_keys(stage: str, *shared: Any) -> Callable[[str], str]:
     options, weights); their ``repr`` is most of a key's cost, so it is
     computed once here.  The hashed text is exactly
     ``repr((fingerprint, *shared))``, so keys equal :func:`stage_key`'s.
+    A key is a function of that text alone, so the last
+    :data:`LOOP_KEY_MEMO_SIZE` keys are kept, by stage, shared text and
+    fingerprint: a warm evaluation hashes no loop it keyed before.
     """
     tail = "".join(f", {part!r}" for part in shared) + (")" if shared else ",)")
 
     def key(fingerprint: str) -> str:
-        text = f"({fingerprint!r}{tail}"
-        return f"{stage}-{hashlib.sha256(text.encode()).hexdigest()[:24]}"
+        known = (stage, tail, fingerprint)
+        digest = _LOOP_KEYS.get(known)
+        if digest is None:
+            text = f"({fingerprint!r}{tail}"
+            digest = f"{stage}-{hashlib.sha256(text.encode()).hexdigest()[:24]}"
+            with _LOOP_KEYS_LOCK:
+                if len(_LOOP_KEYS) >= LOOP_KEY_MEMO_SIZE:
+                    del _LOOP_KEYS[next(iter(_LOOP_KEYS))]
+                _LOOP_KEYS[known] = digest
+        return digest
 
     return key
 

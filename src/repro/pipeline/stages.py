@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, ClassVar, Dict, Optional, Tuple
+from fractions import Fraction
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import PipelineError
 from repro.machine.fingerprint import machine_facets
 from repro.machine.machine import MachineDescription, paper_machine
+from repro.machine.operating_point import OperatingPoint
 from repro.pipeline.cache import LOOP_CACHE, StageCache, loop_keys, stage_key
 from repro.pipeline.context import ExperimentContext
 from repro.pipeline.serialization import (
@@ -50,7 +52,7 @@ from repro.scheduler.context import PartitionEnergyWeights
 from repro.scheduler.heterogeneous import HeterogeneousModuloScheduler
 from repro.scheduler.homogeneous import HomogeneousModuloScheduler
 from repro.scheduler.ii_selection import same_search_path
-from repro.sim.power_meter import MeasuredExecution, PowerMeter
+from repro.sim.power_meter import LoopRun, PowerMeter
 from repro.telemetry import histogram, span
 from repro.vfs.homogeneous import optimum_homogeneous
 from repro.vfs.selector import ConfigurationSelector
@@ -70,14 +72,14 @@ _STAGE_SECONDS = histogram(
 class ScheduleSummary:
     """The timing/event-count protocol of a schedule.
 
-    :meth:`PowerMeter.measure_loop` only reads four quantities off a
-    schedule; this summary carries exactly those, computed once when the
-    schedule is built or restored.  The loop cache keeps one beside
-    every profile (the reference schedule itself is not kept) and beside
-    every live heterogeneous schedule, so each of an evaluation's three
-    meterings — reference, optimum-homogeneous baseline, heterogeneous
-    point — reads numbers instead of re-walking a schedule, and warm
-    runs meter *bit-identically* to cold ones.
+    :func:`~repro.sim.power_meter.loop_events` only reads four
+    quantities off a schedule; this summary carries exactly those,
+    computed once when the schedule is built or restored.  The loop
+    cache keeps one beside every profile (the reference schedule itself
+    is not kept) and beside every live heterogeneous schedule, so each
+    of an evaluation's three meterings — reference, optimum-homogeneous
+    baseline, heterogeneous point — reads numbers instead of re-walking
+    a schedule, and warm runs meter *bit-identically* to cold ones.
     """
 
     it: float
@@ -108,34 +110,28 @@ class ScheduleSummary:
         return (iterations - 1) * self.it + self.it_length
 
 
-def measure_homogeneous(
-    corpus: Corpus,
-    schedules: Dict[str, ScheduleSummary],
-    meter: PowerMeter,
-    point,
-    reference_ct,
-) -> MeasuredExecution:
-    """Measure a homogeneous point from the reference schedules.
+def loop_runs(corpus: Corpus, schedules: Dict[str, ScheduleSummary]) -> List[LoopRun]:
+    """What :meth:`PowerMeter.measure_loops` meters of a corpus.
+
+    Each loop's schedule summary, trip count and weight, in corpus order.
+    """
+    return [
+        (schedules[loop.name], loop.trip_count, loop.weight) for loop in corpus.loops
+    ]
+
+
+def retimed(
+    point: OperatingPoint, reference_ct: Fraction
+) -> Tuple[OperatingPoint, float]:
+    """A homogeneous ``point`` with the ratio re-timing the reference to it.
 
     Homogeneous executions are cycle-identical across speeds: only the
-    cycle time changes, so every reference schedule re-times by the ratio
-    of periods — exactly, not approximately.  Each loop is metered by
-    :meth:`PowerMeter.measure_loop` with that ratio as its
+    cycle time changes, so every reference schedule re-times by the
+    ratio of periods — exactly, not approximately — which
+    :meth:`PowerMeter.measure_loops` applies as the point's
     ``time_scale``.
     """
-    scale = float(point.clusters[0].cycle_time / reference_ct)
-    return meter.measure_program(
-        [
-            meter.measure_loop(
-                schedules[loop.name],
-                point,
-                iterations=loop.trip_count,
-                invocations=loop.weight,
-                time_scale=scale,
-            )
-            for loop in corpus.loops
-        ]
-    )
+    return point, float(point.clusters[0].cycle_time / reference_ct)
 
 
 def _weights_key(weights: Optional[PartitionEnergyWeights]) -> Optional[tuple]:
@@ -341,18 +337,15 @@ class BaselineStage(Stage):
             context.units,
             context.options.design_space,
         )
-        schedules = context.reference_schedules
         reference_ct = context.technology.reference_setting.cycle_time
         context.baseline_selection = baseline
-        context.reference_measured = measure_homogeneous(
-            context.corpus,
-            schedules,
-            context.meter,
-            context.reference_scheduler.reference_point(),
-            reference_ct,
-        )
-        context.baseline_measured = measure_homogeneous(
-            context.corpus, schedules, context.meter, baseline.point, reference_ct
+        # Both homogeneous points in one walk over the reference summaries.
+        context.reference_measured, context.baseline_measured = (
+            context.meter.measure_loops(
+                loop_runs(context.corpus, context.reference_schedules),
+                retimed(context.reference_scheduler.reference_point(), reference_ct),
+                retimed(baseline.point, reference_ct),
+            )
         )
 
 
@@ -452,18 +445,9 @@ class MeasureStage(Stage):
         from repro.pipeline.experiment import BenchmarkEvaluation
 
         selection = context.heterogeneous_selection
-        summaries = context.heterogeneous_summaries
-        measurements = [
-            context.meter.measure_loop(
-                summaries[loop.name],
-                selection.point,
-                iterations=loop.trip_count,
-                invocations=loop.weight,
-            )
-            for loop in context.corpus.loops
-        ]
-        context.heterogeneous_measured = context.meter.measure_program(
-            measurements
+        (context.heterogeneous_measured,) = context.meter.measure_loops(
+            loop_runs(context.corpus, context.heterogeneous_summaries),
+            (selection.point, 1.0),
         )
         context.evaluation = BenchmarkEvaluation(
             benchmark=context.corpus.benchmark,

@@ -95,19 +95,18 @@ def calibrate(
     e_ins_unit, static_clusters = split(
         cluster_energy, breakdown.cluster_leakage, profile.total_energy_units
     )
-    e_comm, static_icn = split(
-        icn_energy, breakdown.icn_leakage, profile.total_comms
-    )
+    total_comms = profile.total_comms
+    e_comm, static_icn = split(icn_energy, breakdown.icn_leakage, total_comms)
     e_access, static_cache = split(
         cache_energy, breakdown.cache_leakage, profile.total_mem_accesses
     )
 
     cap = comm_energy_cap_units * e_ins_unit
     if e_comm > cap > 0:
-        surplus = (e_comm - cap) * profile.total_comms
+        surplus = (e_comm - cap) * total_comms
         e_comm = cap
         static_icn += surplus / exec_time_ns
-    elif profile.total_comms <= 0 < cap:
+    elif total_comms <= 0 < cap:
         # The profiled corpus never communicated, so the budget split put
         # the whole ICN share into static.  A communication still costs
         # energy when one happens (heterogeneous partitions communicate);

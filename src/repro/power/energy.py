@@ -1,17 +1,29 @@
 """The section 3.1.3 energy estimate for arbitrary operating points.
 
-Two entry points:
+One formula, :func:`energy_terms`, prices a point on plain numbers: the
+point's scalings (:data:`PointScalings`), the event counts and the
+execution time give the six components in :class:`EnergyEstimate`'s
+field order, and :func:`total_energy` adds them as
+:attr:`EnergyEstimate.total` does.  Every estimate in the package is
+that formula:
 
 * :meth:`EnergyModel.estimate` — *measurement path*: per-cluster event
   counts are known (from a real schedule or the simulator),
 * :meth:`EnergyModel.estimate_with_distribution` — *model path*: only the
   total instruction count is known and a per-cluster probability vector
-  ``p_Ci`` distributes it (this is the formula as printed in the paper).
+  ``p_Ci`` distributes it (this is the formula as printed in the paper),
+* :meth:`EnergyModel.scaled_estimate` — from scalings a caller derived,
+* the optimum-homogeneous baseline's candidates
+  (:func:`~repro.vfs.homogeneous.optimum_homogeneous`) and the power
+  meter's walk (:meth:`~repro.sim.power_meter.PowerMeter.measure_loops`),
+  which call it directly and build an :class:`EnergyEstimate` only for
+  a result they keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import CalibrationError
@@ -88,6 +100,69 @@ class EnergyEstimate:
 #: One point's ``(per-cluster, icn, cache)`` delta or sigma scalings.
 Scalings = Tuple[Tuple[float, ...], float, float]
 
+#: One point's scalings as :func:`energy_terms` reads them: the
+#: per-cluster deltas, the interconnect and cache deltas, the sum of the
+#: per-cluster sigmas, and the interconnect and cache sigmas.
+PointScalings = Tuple[Tuple[float, ...], float, float, float, float, float]
+
+#: The six components of one estimate, in :class:`EnergyEstimate`'s
+#: field order.
+EnergyTerms = Tuple[float, float, float, float, float, float]
+
+
+def point_scalings(deltas: Scalings, sigmas: Scalings) -> PointScalings:
+    """``deltas`` and ``sigmas`` as :func:`energy_terms` reads them."""
+    cluster_deltas, icn_delta, cache_delta = deltas
+    cluster_sigmas, icn_sigma, cache_sigma = sigmas
+    return (
+        cluster_deltas,
+        icn_delta,
+        cache_delta,
+        sum(cluster_sigmas),
+        icn_sigma,
+        cache_sigma,
+    )
+
+
+def energy_terms(
+    units: CalibratedUnits,
+    scalings: PointScalings,
+    cluster_energy_units: Sequence[float],
+    n_comms: float,
+    n_mem_accesses: float,
+    exec_time_ns: float,
+) -> EnergyTerms:
+    """The section 3.1.3 estimate's six components, on plain numbers.
+
+    Dynamic energy is each component's events at the reference energy
+    times its ``delta``; static energy is each component's reference
+    rate times the execution time times its ``sigma`` (the clusters'
+    rate is per cluster, times their summed sigmas).
+    """
+    cluster_deltas, icn_delta, cache_delta, sigma_sum, icn_sigma, cache_sigma = (
+        scalings
+    )
+    return (
+        units.e_ins_unit * sum(map(mul, cluster_deltas, cluster_energy_units)),
+        icn_delta * units.e_comm * n_comms,
+        cache_delta * units.e_access * n_mem_accesses,
+        exec_time_ns * units.static_rate_per_cluster * sigma_sum,
+        exec_time_ns * units.static_rate_icn * icn_sigma,
+        exec_time_ns * units.static_rate_cache * cache_sigma,
+    )
+
+
+def total_energy(terms: EnergyTerms) -> float:
+    """:attr:`EnergyEstimate.total` of :func:`energy_terms`' components.
+
+    The dynamic components, then the static ones, then their sum: the
+    order :attr:`EnergyEstimate.dynamic`, :attr:`~EnergyEstimate.static`
+    and :attr:`~EnergyEstimate.total` add in.
+    """
+    dynamic = terms[0] + terms[1] + terms[2]
+    static = terms[3] + terms[4] + terms[5]
+    return dynamic + static
+
 
 class EnergyModel:
     """Applies the delta/sigma scaling to calibrated unit energies."""
@@ -95,10 +170,10 @@ class EnergyModel:
     def __init__(self, units: CalibratedUnits, technology: TechnologyModel):
         self._units = units
         self._technology = technology
-        # The last point :meth:`estimate` priced, with its scalings, as
+        # The last point :meth:`scalings` derived, with its scalings, as
         # one tuple so a concurrent caller never pairs a point with
         # another point's scalings.
-        self._scaled: Optional[Tuple[OperatingPoint, Scalings, Scalings]] = None
+        self._scaled: Optional[Tuple[OperatingPoint, PointScalings]] = None
 
     @property
     def units(self) -> CalibratedUnits:
@@ -121,6 +196,21 @@ class EnergyModel:
             static_scale(point.cache, ref, slope),
         )
 
+    def scalings(self, point: OperatingPoint) -> PointScalings:
+        """``point``'s scalings, as :func:`energy_terms` reads them.
+
+        Derived when ``point`` differs (by identity) from the last point
+        asked for, so metering every loop of a program at one point
+        derives them once.
+        """
+        scaled = self._scaled
+        if scaled is None or scaled[0] is not point:
+            scaled = self._scaled = (
+                point,
+                point_scalings(self._deltas(point), self._sigmas(point)),
+            )
+        return scaled[1]
+
     # ------------------------------------------------------------------
     def estimate(
         self,
@@ -128,21 +218,12 @@ class EnergyModel:
         counts: EventCounts,
         exec_time_ns: float,
     ) -> EnergyEstimate:
-        """Energy with known per-cluster event counts (measurement path).
-
-        A point's scalings are derived when it differs (by identity)
-        from the last point priced, so metering every loop of a program
-        at one point derives them once.
-        """
+        """Energy with known per-cluster event counts (measurement path)."""
         if len(counts.cluster_energy_units) != point.n_clusters:
             raise CalibrationError(
                 "event counts and operating point disagree on cluster count"
             )
-        scaled = self._scaled
-        if scaled is None or scaled[0] is not point:
-            scaled = self._scaled = (point, self._deltas(point), self._sigmas(point))
-        _, deltas, sigmas = scaled
-        return self.scaled_estimate(deltas, sigmas, counts, exec_time_ns)
+        return self._estimate(self.scalings(point), counts, exec_time_ns)
 
     def scaled_estimate(
         self,
@@ -154,35 +235,25 @@ class EnergyModel:
         """:meth:`estimate` from a point's scalings instead of the point.
 
         ``deltas`` and ``sigmas`` are ``(per-cluster, icn, cache)`` as
-        :func:`dynamic_scale` and :func:`static_scale` give them, so a
-        caller pricing many points from a few settings scales each
-        setting once.
+        :func:`dynamic_scale` and :func:`static_scale` give them.
         """
+        return self._estimate(point_scalings(deltas, sigmas), counts, exec_time_ns)
+
+    def _estimate(
+        self, scalings: PointScalings, counts: EventCounts, exec_time_ns: float
+    ) -> EnergyEstimate:
+        """:func:`energy_terms` of ``counts`` as an :class:`EnergyEstimate`."""
         if exec_time_ns < 0:
             raise ValueError("execution time must be non-negative")
-        units = self._units
-        cluster_deltas, icn_delta, cache_delta = deltas
-        cluster_sigmas, icn_sigma, cache_sigma = sigmas
-
-        cluster_dynamic = units.e_ins_unit * sum(
-            delta * events
-            for delta, events in zip(cluster_deltas, counts.cluster_energy_units)
-        )
-        icn_dynamic = icn_delta * units.e_comm * counts.n_comms
-        cache_dynamic = cache_delta * units.e_access * counts.n_mem_accesses
-
-        per_cluster_rate = units.static_rate_per_cluster
-        cluster_static = exec_time_ns * per_cluster_rate * sum(cluster_sigmas)
-        icn_static = exec_time_ns * units.static_rate_icn * icn_sigma
-        cache_static = exec_time_ns * units.static_rate_cache * cache_sigma
-
         return EnergyEstimate(
-            cluster_dynamic=cluster_dynamic,
-            icn_dynamic=icn_dynamic,
-            cache_dynamic=cache_dynamic,
-            cluster_static=cluster_static,
-            icn_static=icn_static,
-            cache_static=cache_static,
+            *energy_terms(
+                self._units,
+                scalings,
+                counts.cluster_energy_units,
+                counts.n_comms,
+                counts.n_mem_accesses,
+                exec_time_ns,
+            )
         )
 
     def estimate_with_distribution(

@@ -11,11 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping
 
 from repro.ir.opcodes import OpClass
 from repro.machine.fu import FUType, fu_demand
 from repro.units import Time
+
+if TYPE_CHECKING:
+    from repro.power.time_model import LoopRow
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,18 @@ class LoopProfile:
     def fu_demand(self) -> Dict[FUType, int]:
         """Per-FU-type instruction counts (cached outside the fields)."""
         return fu_demand(self.class_counts)
+
+    @cached_property
+    def time_row(self) -> "LoopRow":
+        """What the section 3.2 time model reads of this loop, read once.
+
+        Cached outside the fields, like :attr:`fu_demand`: the loop
+        cache hands the same profile to every warm evaluation, so the
+        row and its demand are built once per profile.
+        """
+        from repro.power.time_model import LoopRow
+
+        return LoopRow.of(self)
 
     @property
     def ops_per_iteration(self) -> int:

@@ -125,9 +125,12 @@ class TechnologyModel:
             return DomainSetting(cycle_time=period, vdd=vdd, vth=vth)
         return None
 
-    @property
+    @cached_property
     def reference_setting(self) -> DomainSetting:
-        """The reference homogeneous point (1 ns, 1 V, 0.25 V by default)."""
+        """The reference homogeneous point (1 ns, 1 V, 0.25 V by default).
+
+        Built once per model and cached like :attr:`k`.
+        """
         return DomainSetting(
             cycle_time=cycle_time_of(as_fraction(repr(self.reference_frequency))),
             vdd=self.reference_vdd,

@@ -21,22 +21,28 @@ assumption), and
 Constraints 2-4 and the search for the smallest IT are the scheduler's
 own: a :class:`~repro.scheduler.mii.SpeedsContext` scans ``recMIT`` and
 then the multiples of the cluster (and interconnect) periods above it,
-with the capacity test and the scan ``resMIT`` uses.  This module only
-supplies the start, the demand, the communications and the lifetimes
-from the loop's profile, as plain ints (:meth:`TimeModel.loop_it`).
+with the capacity test and the scan ``resMIT`` uses
+(:meth:`~repro.scheduler.mii.SpeedsContext.loop_it`).  This module only
+supplies the loop's demand from its profile, as plain ints.
 
 Every estimate walks the loops as :class:`LoopRow` s (what the estimate
-reads of a profile, read once) against one speeds context, on ints of
-the context's quantum: :meth:`TimeModel.context_time` is the one sum.
-:meth:`TimeModel.program_time` and :meth:`TimeModel.rows_time` build a
-context for their speed assignment and keep nothing.  The section 3.3
-selector builds the rows once per call with :meth:`TimeModel.loop_rows`
-and prices them against the contexts of its design-space plan
+reads of a profile) against one speeds context, on ints of the
+context's quantum: :meth:`TimeModel.context_time` is the one sum.  A
+loop profile builds its row once (:attr:`LoopProfile.time_row`), so the
+loop cache, which hands the same profile to every warm evaluation,
+keeps it too.  :meth:`TimeModel.program_time` and
+:meth:`TimeModel.rows_time` build a context for their speed assignment
+and keep nothing.  The section 3.3 selector prices the rows against the
+contexts of its design-space plan
 (:func:`~repro.vfs.selector.design_space_plan`), which are kept with
 the plan, keyed on the machine's cluster shape, technology, reference
 setting and design space, and bounded by
-:data:`~repro.vfs.selector.PLAN_CACHE_SIZE` plans; no profile data is
-kept with them.
+:data:`~repro.vfs.selector.PLAN_CACHE_SIZE` plans.  Each of those
+contexts keeps the IT of every loop demand it priced: keyed on the
+demand (:data:`~repro.scheduler.mii.LoopDemand`: recMII, FU needs,
+communications and lifetimes), the one profile datum a plan keeps, and
+bounded by :data:`~repro.scheduler.mii.IT_MEMO_SIZE` demands per
+context.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from typing import NamedTuple, Sequence, Tuple
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import MachineSpeeds
 from repro.power.profile import LoopProfile, ProgramProfile
-from repro.scheduler.mii import SpeedsContext, demand_codes
+from repro.scheduler.mii import LoopDemand, SpeedsContext, demand_codes, demand_key
 
 
 @dataclass(frozen=True)
@@ -64,13 +70,13 @@ class LoopTimeEstimate:
 class LoopRow(NamedTuple):
     """What the section 3.2 estimate reads of one loop profile."""
 
-    profile: LoopProfile
-    #: ``recMII`` as an exact ``(numerator, denominator)`` pair of ints.
-    rec_mii: Tuple[int, int]
-    #: FU demand as :func:`~repro.scheduler.mii.demand_codes` pairs.
-    needs: Tuple[Tuple[int, int], ...]
-    comms: int
-    lifetimes: int
+    #: The loop's name, for an infeasible IT's message.
+    name: str
+    #: recMII, FU demand, communications and lifetimes, as
+    #: :meth:`~repro.scheduler.mii.SpeedsContext.loop_it` reads them.
+    demand: LoopDemand
+    #: :func:`~repro.scheduler.mii.demand_key` of :attr:`demand`.
+    key: str
     cycles_per_iteration: int
     #: ``trip_count - 1``: iterations issued after the first, per entry.
     later_iterations: float
@@ -79,12 +85,16 @@ class LoopRow(NamedTuple):
     @classmethod
     def of(cls, profile: LoopProfile) -> "LoopRow":
         """The row of one loop profile."""
+        demand = (
+            profile.rec_mii.as_integer_ratio(),
+            demand_codes(profile.fu_demand),
+            profile.comms_per_iteration,
+            profile.lifetime_cycles_per_iteration,
+        )
         return cls(
-            profile=profile,
-            rec_mii=profile.rec_mii.as_integer_ratio(),
-            needs=demand_codes(profile.fu_demand),
-            comms=profile.comms_per_iteration,
-            lifetimes=profile.lifetime_cycles_per_iteration,
+            name=profile.name,
+            demand=demand,
+            key=demand_key(demand),
             cycles_per_iteration=profile.cycles_per_iteration,
             later_iterations=profile.trip_count - 1,
             weight=profile.weight,
@@ -103,36 +113,16 @@ class TimeModel:
             raise ValueError("speed assignment and machine disagree on clusters")
         return SpeedsContext(self._machine, speeds)
 
-    def loop_it(self, context: SpeedsContext, row: LoopRow) -> Tuple[int, int]:
-        """Smallest IT satisfying the four section 3.2 constraints.
-
-        Returned as an exact ``(numerator, denominator)`` pair of ns, so
-        callers that only need its float skip building a Fraction.
-        """
-        # recMIT: recMII cycles of the fastest cluster (section 2.2), as
-        # ``start / den`` quanta.
-        num, den = row.rec_mii
-        if num > 0:
-            start = num * context.fastest_period
-        else:
-            # No recurrences: the scan starts at the smallest IT giving the
-            # fastest cluster a single slot.
-            start, den = context.fastest_period, 1
-        below = start // den
-        it = context.scan(
-            below, row.needs, row.comms, row.lifetimes, row.profile.name
-        )
-        q_num, q_den = context.quantum_ratio
-        if it == below:
-            # The same IIs as at ``below``: recMIT itself is feasible.
-            return start * q_num, den * q_den
-        return it * q_num, q_den
-
     def minimum_initiation_time(
         self, profile: LoopProfile, speeds: MachineSpeeds
     ) -> Fraction:
         """Smallest IT satisfying the four section 3.2 constraints."""
-        return Fraction(*self.loop_it(self.speeds_context(speeds), LoopRow.of(profile)))
+        row = profile.time_row
+        return Fraction(
+            *self.speeds_context(speeds).loop_it(
+                row.demand, row.name, row.key
+            )
+        )
 
     # ------------------------------------------------------------------
     def loop_estimate(
@@ -154,20 +144,21 @@ class TimeModel:
     @staticmethod
     def loop_rows(profile: ProgramProfile) -> Tuple[LoopRow, ...]:
         """The rows :meth:`rows_time` walks, one per loop of ``profile``."""
-        return tuple(LoopRow.of(loop) for loop in profile.loops)
+        return tuple(loop.time_row for loop in profile.loops)
 
     def rows_time(self, rows: Sequence[LoopRow], speeds: MachineSpeeds) -> float:
         """:meth:`program_time` of a profile's :meth:`loop_rows`."""
         return self.context_time(rows, self.speeds_context(speeds))
 
-    def context_time(self, rows: Sequence[LoopRow], context: SpeedsContext) -> float:
+    @staticmethod
+    def context_time(rows: Sequence[LoopRow], context: SpeedsContext) -> float:
         """Estimated execution time (ns) of ``rows`` against ``context``.
 
         Each loop's total is :meth:`loop_estimate`'s ``total_ns``, in the
         same float operations; the IT stays an int ratio until its float.
         """
         mean_cycle_time = context.mean_cycle_time
-        loop_it = self.loop_it
+        loop_it = context.loop_it
         return sum(
             (
                 row.later_iterations * (num / den)
@@ -175,7 +166,7 @@ class TimeModel:
             )
             * row.weight
             for row in rows
-            for num, den in (loop_it(context, row),)
+            for num, den in (loop_it(row.demand, row.name, row.key),)
         )
 
     def program_time(

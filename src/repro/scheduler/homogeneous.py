@@ -31,6 +31,7 @@ class HomogeneousModuloScheduler:
         self._machine = machine
         self._technology = technology if technology is not None else TechnologyModel()
         self._inner = HeterogeneousModuloScheduler(machine, options)
+        self._reference_point: Optional[OperatingPoint] = None
 
     @property
     def machine(self) -> MachineDescription:
@@ -48,14 +49,20 @@ class HomogeneousModuloScheduler:
         return self._inner.options
 
     def reference_point(self) -> OperatingPoint:
-        """The reference homogeneous operating point (1 GHz, 1 V, 0.25 V)."""
-        reference = self._technology.reference_setting
-        return OperatingPoint.homogeneous(
-            self._machine.n_clusters,
-            reference.cycle_time,
-            reference.vdd,
-            reference.vth,
-        )
+        """The reference homogeneous operating point (1 GHz, 1 V, 0.25 V).
+
+        Built on first use and kept: the same point every call.
+        """
+        point = self._reference_point
+        if point is None:
+            reference = self._technology.reference_setting
+            point = self._reference_point = OperatingPoint.homogeneous(
+                self._machine.n_clusters,
+                reference.cycle_time,
+                reference.vdd,
+                reference.vth,
+            )
+        return point
 
     def point_at(self, cycle_time: Rational, vdd: float) -> OperatingPoint:
         """A homogeneous point at the given speed, Vth from the alpha-power

@@ -21,14 +21,17 @@ the bus and register slots of the section 3.2 estimate) and its
 demand as plain ints (:func:`demand_codes` pairs, communications,
 lifetimes) and build nothing per demand.  :func:`capacity_ok`,
 :func:`min_feasible_it` and ``resMIT`` are thin callers that build a
-context per call and keep nothing.  The section 3.2 time model scans
-every loop against one context per speed assignment; the section 3.3
-selector's contexts, one per structure, are kept in its design-space
-plan (:func:`~repro.vfs.selector.design_space_plan`), keyed on the
-machine's cluster shape, technology, reference setting and design
-space and bounded by :data:`~repro.vfs.selector.PLAN_CACHE_SIZE`
-plans, so the slots they count serve every later evaluation.  The
-scheduler's candidate stream
+context per call and keep nothing; the scheduler's searches scan
+afresh.  The section 3.2 time model asks a context for each loop's IT
+(:meth:`~SpeedsContext.loop_it`: recMIT, then the scan), which the
+context keeps per :data:`LoopDemand` for up to :data:`IT_MEMO_SIZE`
+demands.  The section 3.3 selector's contexts, one per structure, are
+kept in its design-space plan
+(:func:`~repro.vfs.selector.design_space_plan`), keyed on the machine's
+cluster shape, technology, reference setting and design space and
+bounded by :data:`~repro.vfs.selector.PLAN_CACHE_SIZE` plans, so the
+slots they count and the loop ITs they found serve every later
+evaluation.  The scheduler's candidate stream
 (:func:`~repro.scheduler.ii_selection.iter_it_candidates`) merges period
 multiples on the same kind of grid (:func:`~repro.units.common_quantum`
 of its periods): the periods are converted to ints once, then multiples
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,6 +63,32 @@ from repro.units import Time, as_fraction, common_quantum, floor_div, grid_steps
 
 #: Safety bound on the candidate ITs one :func:`min_feasible_it` scan checks.
 MAX_CANDIDATES = 100_000
+
+#: Loop ITs one :class:`SpeedsContext` keeps (:meth:`SpeedsContext.loop_it`),
+#: the oldest dropped first.  A design-space plan's context is asked for
+#: every loop of every corpus the plan prices; the ten SPEC2000 corpora
+#: at the benchmark scales hold a few hundred distinct demands.
+IT_MEMO_SIZE = 4096
+
+#: Serializes writes to every context's IT memo; reads take no lock.
+_IT_MEMO_LOCK = threading.Lock()
+
+#: What :meth:`SpeedsContext.loop_it` reads of one loop: recMII as an
+#: exact ``(numerator, denominator)`` pair of cycles, the FU demand as
+#: :func:`demand_codes` pairs, the communications and the register
+#: lifetimes of one iteration.
+LoopDemand = Tuple[Tuple[int, int], Tuple[Tuple[int, int], ...], int, int]
+
+
+def demand_key(demand: LoopDemand) -> str:
+    """The key :meth:`SpeedsContext.loop_it` keeps ``demand``'s IT under.
+
+    The demand's ``repr``: exact for tuples of ints, and a str caches
+    its hash, so a caller that keeps the key (a loop profile's time row
+    does) hashes it once rather than on every lookup.
+    """
+    return repr(demand)
+
 
 #: Positions of the register and bus slots in a context's slot counts,
 #: after one entry per FU code.
@@ -135,7 +165,8 @@ class SpeedsContext:
     ascending list of period multiples :meth:`scan` walks (as far as
     scans reached); a context of a design-space plan keeps both as long
     as the plan.  Threads counting the same IT, or growing the list,
-    store equal values.
+    store equal values.  :meth:`loop_it` keeps each loop demand's IT,
+    up to :data:`IT_MEMO_SIZE` demands.
     """
 
     def __init__(self, machine: MachineDescription, speeds: MachineSpeeds):
@@ -166,6 +197,8 @@ class SpeedsContext:
         #: (``True``) period lists, from the first one up, as far as
         #: scans have reached.
         self._multiples: Dict[bool, List[int]] = {False: [], True: []}
+        #: :meth:`loop_it`'s memo: demand key -> IT, in insertion order.
+        self._its: Dict[str, Tuple[int, int]] = {}
 
     @cached_property
     def mean_cycle_time(self) -> float:
@@ -248,6 +281,51 @@ class SpeedsContext:
             f"no feasible IT found for loop {loop!r} within "
             f"{MAX_CANDIDATES} candidates"
         )
+
+    def loop_it(
+        self, demand: LoopDemand, loop: str = "", key: Optional[str] = None
+    ) -> Tuple[int, int]:
+        """Smallest IT at or above a loop's recMIT that fits its demand.
+
+        The section 3.2 estimate of one loop: recMIT is recMII cycles of
+        the fastest cluster (section 2.2), or, without recurrences, the
+        fastest cluster's period; :meth:`scan` finds the first IT from
+        there.  The IT is an exact ``(numerator, denominator)`` pair of
+        ns, so callers that only need its float skip building a
+        Fraction.  It depends on the :data:`LoopDemand` alone, so it is
+        kept per demand, under :func:`demand_key` (``key``, when the
+        caller kept it), as long as the context and for up to
+        :data:`IT_MEMO_SIZE` demands, the oldest dropped first.  Only
+        an IT found is kept: an infeasible demand raises
+        :class:`InfeasibleITError` (``loop`` names the loop) every time.
+        """
+        if key is None:
+            key = demand_key(demand)
+        it = self._its.get(key)
+        if it is None:
+            it = self._recurrence_it(demand, loop)
+            with _IT_MEMO_LOCK:
+                its = self._its
+                if len(its) >= IT_MEMO_SIZE:
+                    del its[next(iter(its))]
+                its[key] = it
+        return it
+
+    def _recurrence_it(self, demand: LoopDemand, loop: str) -> Tuple[int, int]:
+        """:meth:`loop_it` computed: recMIT, then :meth:`scan`."""
+        (num, den), needs, comms, lifetimes = demand
+        # recMIT as ``start / den`` quanta.
+        if num > 0:
+            start = num * self.fastest_period
+        else:
+            start, den = self.fastest_period, 1
+        below = start // den
+        it = self.scan(below, needs, comms, lifetimes, loop)
+        q_num, q_den = self.quantum_ratio
+        if it == below:
+            # The same IIs as at ``below``: recMIT itself is feasible.
+            return start * q_num, den * q_den
+        return it * q_num, q_den
 
     def _grow_multiples(self, bus: bool, past: int) -> List[int]:
         """The FU or bus multiples list, grown beyond ``past``.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -85,8 +86,11 @@ class DesignSpaceSpec:
 
     @classmethod
     def paper(cls) -> "DesignSpaceSpec":
-        """The section 5 design space."""
-        return cls()
+        """The section 5 design space.
+
+        A spec is immutable, so it is built once per process and shared.
+        """
+        return _paper_spec(cls)
 
     def homogeneous_factors(self) -> Tuple[Fraction, ...]:
         """Cycle-time factors explored for the homogeneous baseline.
@@ -115,3 +119,9 @@ class DesignSpaceSpec:
                             continue
                         emitted_ratio_one.add(fast)
                     yield n_fast, fast, ratio
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_spec(cls) -> DesignSpaceSpec:
+    """:meth:`DesignSpaceSpec.paper`, built."""
+    return cls()

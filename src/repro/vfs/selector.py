@@ -15,21 +15,29 @@ in tests verifies the equivalence.)
 What the walk reads that no profile changes is a
 :class:`DesignSpacePlan`, kept process-wide by :func:`design_space_plan`:
 per feasible structure its cycle times, one speeds context for the time
-model (whose slot counts live as long as the plan) and its fast, slow,
-interconnect and cache :class:`VoltageTable` rows, plus the rows of each
-homogeneous cycle time the section 5.1 baseline prices.  A plan is keyed
-on the machine's cluster-shape facet
+model and its fast, slow, interconnect and cache :class:`VoltageTable`
+rows, plus the rows (and the scalings of each row) of each homogeneous
+cycle time the section 5.1 baseline prices.  A plan is keyed on the
+machine's cluster-shape facet
 (:func:`~repro.machine.fingerprint.machine_facets`), the technology, the
 reference setting and the :class:`DesignSpaceSpec`; the
-:data:`PLAN_CACHE_SIZE` most recently used plans are kept.  It holds no
-profile data.
+:data:`PLAN_CACHE_SIZE` most recently used plans are kept.  The one
+profile datum it keeps is each context's loop ITs: a context keeps the
+slots it counted and, per loop demand
+(:data:`~repro.scheduler.mii.LoopDemand`: recMII, FU needs,
+communications and lifetimes, keyed by
+:func:`~repro.scheduler.mii.demand_key`), the section 3.2 IT it found,
+for up to :data:`~repro.scheduler.mii.IT_MEMO_SIZE` demands, as long
+as the plan.  A loop's IT at a structure depends on nothing else, so
+every palette, machine tag and pass that prices the same demand reads
+it.
 
 One ``select``/``enumerate`` call reads the profile once — the time
-model's loop rows, the whole-program totals and the fast-cluster share —
-and prices each structure of the plan as plain numbers.  ``select``
-builds the :class:`DomainSetting`, :class:`OperatingPoint` and
-:class:`SelectionResult` of the winning structure only (``enumerate``
-builds them for every structure).
+model's loop rows (built once per loop profile), the whole-program
+totals and the fast-cluster share — and prices each structure of the
+plan as plain numbers.  ``select`` builds the :class:`DomainSetting`,
+:class:`OperatingPoint` and :class:`SelectionResult` of the winning
+structure only (``enumerate`` builds them for every structure).
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from repro.machine.fingerprint import machine_facets
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import DomainSetting, MachineSpeeds, OperatingPoint
 from repro.power.calibration import CalibratedUnits
+from repro.power.energy import PointScalings, point_scalings
 from repro.power.metrics import ed2
 from repro.power.profile import ProgramProfile
 from repro.power.scaling import dynamic_ratio, static_ratio
@@ -174,6 +183,18 @@ class HomogeneousPlan(NamedTuple):
     #: ``float(cycle_time)``.
     cycle_time_ns: float
     rows: Tuple[VoltageRow, ...]
+    #: Per row, the homogeneous point's scalings as
+    #: :func:`~repro.power.energy.energy_terms` reads them: every
+    #: cluster, the interconnect and the cache at the row's voltage.
+    scalings: Tuple[PointScalings, ...]
+
+
+def _homogeneous_scalings(n_clusters: int, row: VoltageRow) -> PointScalings:
+    """The scalings of every component at one homogeneous voltage row."""
+    _, _, delta, sigma = row
+    return point_scalings(
+        ((delta,) * n_clusters, delta, delta), ((sigma,) * n_clusters, sigma, sigma)
+    )
 
 
 class DesignSpacePlan:
@@ -237,10 +258,12 @@ class DesignSpacePlan:
                 factor,
                 cycle_time,
                 float(cycle_time),
-                voltages(cycle_time, spec.homogeneous_vdd_grid),
+                rows,
+                tuple(_homogeneous_scalings(n_clusters, row) for row in rows),
             )
             for factor in spec.homogeneous_factors()
             for cycle_time in (factor * reference_ct,)
+            for rows in (voltages(cycle_time, spec.homogeneous_vdd_grid),)
         )
 
 

@@ -153,3 +153,23 @@ class TestParser:
     def test_bad_bus_count(self):
         with pytest.raises(SystemExit):
             main(["evaluate", "swim", "--buses", "3"])
+
+
+class TestVersion:
+    def test_building_the_parser_skips_the_version_lookup(self, monkeypatch):
+        import repro.__main__ as cli
+
+        def lookup():
+            raise AssertionError("version looked up without --version")
+
+        monkeypatch.setattr(cli, "_package_version", lookup)
+        cli._parser()
+        assert main(["list"]) == 0
+
+    def test_version_prints_the_looked_up_version(self, capsys):
+        import repro.__main__ as cli
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--version"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == f"repro {cli._package_version()}\n"

@@ -1,5 +1,8 @@
 """Tests for dependence edges and their delay semantics."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.ir.dependence import Dependence, DepKind
@@ -77,3 +80,27 @@ class TestValueSemantics:
         u, v = ops()
         text = repr(Dependence(u, v, distance=1, kind=DepKind.OUTPUT))
         assert "u" in text and "v" in text and "omega=1" in text
+
+
+class TestHash:
+    @pytest.mark.parametrize("kind", list(DepKind))
+    @pytest.mark.parametrize("latency_override", (None, 0, 3))
+    def test_hash_is_the_field_tuples(self, kind, latency_override):
+        u, v = ops()
+        dep = Dependence(u, v, 2, kind, latency_override)
+        assert hash(dep) == hash((u, v, 2, kind, latency_override))
+
+    def test_equal_edges_hash_alike_and_share_a_set_slot(self):
+        u, v = ops()
+        assert hash(Dependence(u, v, 1)) == hash(Dependence(u, v, 1))
+        assert len({Dependence(u, v, 1), Dependence(u, v, 1)}) == 1
+        assert len({Dependence(u, v, 1), Dependence(u, v, 2)}) == 2
+
+    def test_copies_rebuild_their_hash(self):
+        u, v = ops()
+        dep = Dependence(u, v, 1, DepKind.MEMORY, 4)
+        for clone in (copy.copy(dep), pickle.loads(pickle.dumps(dep))):
+            assert hash(clone) == hash(
+                (clone.src, clone.dst, 1, DepKind.MEMORY, 4)
+            )
+        assert copy.copy(dep) == dep

@@ -1,6 +1,6 @@
 """The event simulator is the oracle for the analytic power meter.
 
-``PowerMeter.measure_loop`` meters every schedule from its analytic
+``PowerMeter.measure_loops`` meters every schedule from its analytic
 counts; nothing in the pipeline executes schedules any more.  This
 harness executes each heterogeneous schedule the pipeline metered
 through :class:`~repro.sim.executor.LoopExecutor` — which re-checks
@@ -16,6 +16,13 @@ fresh model per estimate.  The selector prices structures as plain
 numbers and builds a result for the winner only, so ``select`` is held
 to the first entry of ``enumerate``.
 
+The pipeline meters each corpus in one walk
+(:meth:`PowerMeter.measure_loops`, the reference and baseline points
+together); the harness holds every walk to ``measure_program`` of the
+per-loop ``measure_loop`` results and of per-loop estimates built
+through :class:`EventCounts` and :meth:`EnergyModel.estimate`, field by
+field, on every bundled pack re-built with one and with two buses.
+
 The sweep covers every bundled machine pack (multi-bus and
 palette-constrained packs exercise sync-queue penalties the paper
 machine may not hit) and the paper machine at one and two buses x the
@@ -25,19 +32,20 @@ ten SPEC2000 profiles plus the two stress workloads.
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
+from repro.errors import CalibrationError, SimulationError
 from repro.pipeline import Experiment
 from repro.pipeline.cache import LOOP_CACHE, clear_loop_cache
 from repro.pipeline.experiment import ExperimentOptions
 from repro.pipeline.serialization import canonical_json, schedule_to_dict
-from repro.pipeline.stages import ScheduleSummary
-from repro.power.energy import EnergyModel
-from repro.scenarios import bundled_pack_paths, find_pack
+from repro.pipeline.stages import ScheduleSummary, loop_runs, retimed
+from repro.power.energy import EnergyModel, EventCounts
+from repro.scenarios import bundled_pack_paths, find_pack, load_machine_file
 from repro.sim.executor import LoopExecutor
-from repro.sim.power_meter import PowerMeter
+from repro.sim.power_meter import MeasuredExecution, PowerMeter, loop_events
 from repro.vfs.selector import ConfigurationSelector
 from repro.workloads import SPEC2000_PROFILES, build_corpus, spec_profile
 
@@ -52,24 +60,12 @@ MACHINES = PACKS + ("paper@1", "paper@2")
 WORKLOADS = tuple(SPEC2000_PROFILES) + ("stress.deep", "stress.wide")
 
 
-class _RecordingModel:
-    """An energy model proxy that remembers the counts it was given."""
-
-    def __init__(self, model):
-        self._model = model
-        self.calls = []
-
-    def estimate(self, point, counts, exec_time_ns):
-        self.calls.append((counts, exec_time_ns))
-        return self._model.estimate(point, counts, exec_time_ns)
-
-
-def _metered_inputs(meter, schedule, point, iterations):
-    """The (counts, time) ``measure_loop`` hands the energy model."""
-    recorder = _RecordingModel(meter.model)
-    PowerMeter(recorder).measure_loop(schedule, point, iterations)
-    (inputs,) = recorder.calls
-    return inputs
+def _metered_inputs(schedule, iterations, invocations=1.0):
+    """The (counts, time) the meter prices for ``schedule``'s entries."""
+    units, n_comms, n_mem_accesses, exec_time_ns = loop_events(
+        schedule, iterations, invocations
+    )
+    return EventCounts(units, n_comms, n_mem_accesses), exec_time_ns
 
 
 #: The stress pack's workloads, resolved from the pack itself.
@@ -114,14 +110,18 @@ def test_simulator_reproduces_metered_counts(machine, workload):
         summary = summaries[loop.name]
         assert summary == ScheduleSummary.from_schedule(schedule), loop.name
         simulated = LoopExecutor(schedule).run(loop.trip_count)
-        counts, exec_time_ns = _metered_inputs(
-            meter, summary, point, loop.trip_count
-        )
+        counts, exec_time_ns = _metered_inputs(summary, loop.trip_count)
         assert simulated.counts == counts, loop.name
         assert simulated.exec_time_ns == exec_time_ns, loop.name
-        assert _metered_inputs(meter, schedule, point, loop.trip_count) == (
+        assert _metered_inputs(schedule, loop.trip_count) == (
             counts,
             exec_time_ns,
+        ), loop.name
+        # The meter prices exactly those counts and that time.
+        assert meter.measure_loop(summary, point, loop.trip_count) == (
+            MeasuredExecution(
+                meter.model.estimate(point, counts, exec_time_ns), exec_time_ns
+            )
         ), loop.name
 
 
@@ -165,15 +165,13 @@ def test_energy_model_scalings_match_a_fresh_model(machine):
     # Each point's copy: equal in value, distinct in identity.
     copies = tuple(replace(point) for point in points)
     assert all(c == p and c is not p for c, p in zip(copies, points))
-    recorder = _RecordingModel(model)
-    for loop in corpus.loops:
-        PowerMeter(recorder).measure_loop(
-            context.heterogeneous_summaries[loop.name],
-            points[2],
-            loop.trip_count,
-            loop.weight,
+    inputs = [
+        _metered_inputs(
+            context.heterogeneous_summaries[loop.name], loop.trip_count, loop.weight
         )
-    inputs = recorder.calls
+        for loop in corpus.loops
+    ]
+    assert inputs
     sequences = {
         "alternating": [points[i % 3] for i in range(3 * len(inputs))],
         "equal-but-distinct": [
@@ -260,3 +258,107 @@ def test_schedule_stage_answers_alike_from_memory_disk_and_compute(
         clear_loop_cache(reset_stats=True)
     assert runs["memory"] == runs["compute"]
     assert runs["disk"] == runs["compute"]
+
+
+def _field_by_field(measured: MeasuredExecution):
+    return (*astuple(measured.energy), measured.exec_time_ns)
+
+
+def _rebussed(pack: str, buses: int):
+    machine = load_machine_file(bundled_pack_paths()[pack]).machine
+    return replace(
+        machine, interconnect=replace(machine.interconnect, n_buses=buses)
+    )
+
+
+@pytest.mark.parametrize("buses", (1, 2))
+@pytest.mark.parametrize("pack", PACKS)
+def test_one_walk_meters_like_loop_by_loop(pack, buses):
+    """``measure_loops`` equals ``measure_program`` of every loop's metering.
+
+    At the three points an evaluation meters, each with its re-timing,
+    the reference and baseline points in one walk as the pipeline
+    meters them; the walk must also equal the evaluation's own results.
+    """
+    corpus = _corpus("swim")
+    context = (
+        Experiment.paper(ExperimentOptions())
+        .with_machine(_rebussed(pack, buses))
+        .run_context(corpus)
+    )
+    meter = context.meter
+    reference_ct = context.technology.reference_setting.cycle_time
+    homogeneous = (
+        retimed(context.reference_scheduler.reference_point(), reference_ct),
+        retimed(context.baseline_selection.point, reference_ct),
+    )
+    heterogeneous = ((context.heterogeneous_selection.point, 1.0),)
+    walks = (
+        (context.reference_schedules, homogeneous),
+        (context.heterogeneous_summaries, heterogeneous),
+    )
+    walked = []
+    for summaries, settings in walks:
+        runs = loop_runs(corpus, summaries)
+        measured = meter.measure_loops(runs, *settings)
+        assert len(measured) == len(settings)
+        for (point, time_scale), one in zip(settings, measured):
+            loop_by_loop = meter.measure_program(
+                [
+                    meter.measure_loop(summary, point, trips, weight, time_scale)
+                    for summary, trips, weight in runs
+                ]
+            )
+            estimated = []
+            for summary, trips, weight in runs:
+                counts, exec_time_ns = _metered_inputs(summary, trips, weight)
+                exec_time_ns *= time_scale
+                fresh = EnergyModel(meter.model.units, context.technology)
+                estimated.append(
+                    MeasuredExecution(
+                        fresh.estimate(point, counts, exec_time_ns), exec_time_ns
+                    )
+                )
+            assert _field_by_field(one) == _field_by_field(loop_by_loop)
+            assert _field_by_field(one) == _field_by_field(
+                meter.measure_program(estimated)
+            )
+        walked.extend(measured)
+    assert [_field_by_field(m) for m in walked] == [
+        _field_by_field(context.reference_measured),
+        _field_by_field(context.baseline_measured),
+        _field_by_field(context.heterogeneous_measured),
+    ]
+
+
+def test_measure_loop_is_the_one_loop_walk():
+    corpus, context = _run("paper@1", WORKLOADS[0])
+    meter = context.meter
+    point = context.heterogeneous_selection.point
+    for loop in corpus.loops:
+        summary = context.heterogeneous_summaries[loop.name]
+        for time_scale in (1.0, 1.25):
+            (walked,) = meter.measure_loops(
+                [(summary, loop.trip_count, loop.weight)], (point, time_scale)
+            )
+            assert walked == meter.measure_loop(
+                summary, point, loop.trip_count, loop.weight, time_scale
+            )
+
+
+def test_one_walk_rejects_what_measure_loop_rejects():
+    corpus, context = _run("paper@1", WORKLOADS[0])
+    meter = context.meter
+    point = context.heterogeneous_selection.point
+    summary = context.heterogeneous_summaries[corpus.loops[0].name]
+    with pytest.raises(SimulationError):
+        meter.measure_loops([], (point, 1.0))
+    with pytest.raises(ValueError):
+        meter.measure_loops([(summary, 10.0, -1.0)], (point, 1.0))
+    with pytest.raises(ValueError):
+        meter.measure_loops([(summary, 10.0, 1.0)], (point, -1.0))
+    with pytest.raises(ValueError):
+        meter.measure_loops([(summary, 0.5, 1.0)], (point, 1.0))
+    other = replace(point, clusters=point.clusters[:-1])
+    with pytest.raises(CalibrationError):
+        meter.measure_loops([(summary, 10.0, 1.0)], (point, 1.0), (other, 1.0))

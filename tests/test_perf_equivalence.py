@@ -82,6 +82,7 @@ from repro.scheduler.mii import (
     SpeedsContext,
     capacity_ok,
     demand_codes,
+    demand_key,
     min_feasible_it,
     minimum_initiation_time,
     period_multiples,
@@ -1442,13 +1443,24 @@ class TestITSearchOracle:
             checked["stream"] += 1
             return iter_it_candidates(point, palette, start)
 
-        new_loop_it = TimeModel.loop_it
+        new_loop_rows = TimeModel.loop_rows
+        new_loop_it = SpeedsContext.loop_it
+        # The profile of each demand the time model was handed.
+        profiles = {}
 
-        def checked_time_model(model, context, row):
-            num, den = new_loop_it(model, context, row)
-            reference = ReferenceTimeModel(model._machine)
+        def recorded_loop_rows(profile):
+            rows = new_loop_rows(profile)
+            for row, loop in zip(rows, profile.loops):
+                profiles[row.key] = loop
+            return rows
+
+        def checked_time_model(context, demand, loop="", key=None):
+            num, den = new_loop_it(context, demand, loop, key)
+            reference = ReferenceTimeModel(machine)
             assert Fraction(num, den) == parent_value(
-                reference.minimum_initiation_time, row.profile, context.speeds
+                reference.minimum_initiation_time,
+                profiles[key or demand_key(demand)],
+                context.speeds,
             )
             checked["time_model"] += 1
             return num, den
@@ -1459,12 +1471,15 @@ class TestITSearchOracle:
         monkeypatch.setattr(
             "repro.scheduler.heterogeneous.iter_it_candidates", checked_stream
         )
-        monkeypatch.setattr(TimeModel, "loop_it", checked_time_model)
+        monkeypatch.setattr(TimeModel, "loop_rows", staticmethod(recorded_loop_rows))
+        monkeypatch.setattr(SpeedsContext, "loop_it", checked_time_model)
         LOOP_CACHE.detach_store()
         clear_loop_cache(reset_stats=True)
+        experiment = Experiment.paper(ExperimentOptions())
+        machine = experiment.resolve_machine()
         try:
             corpus = build_corpus(spec_profile(profile_name), scale=0.02)
-            Experiment.paper(ExperimentOptions()).run(corpus)
+            experiment.run(corpus)
         finally:
             clear_loop_cache(reset_stats=True)
         assert all(checked.values()), checked

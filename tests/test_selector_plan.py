@@ -310,7 +310,7 @@ class TestPlanKey:
         assert self.plan(machine, spec=last) is plans[-1]
 
     def test_loop_cache_clears_keep_plans(self):
-        """A plan holds no profile data, so loop-cache clears keep it."""
+        """A plan keeps ITs by demand, no loop artifact: clears keep it."""
         machine = paper_machine()
         plan = self.plan(machine)
         clear_loop_cache(reset_stats=True)
