@@ -24,7 +24,6 @@ from repro.machine import (
     OperatingPoint,
     paper_machine,
 )
-from repro.pipeline.experiment import evaluate_corpus
 from repro.pipeline.profiling import profile_corpus
 from repro.power import EnergyBreakdown, EnergyModel, TechnologyModel, calibrate
 from repro.reporting import render_table

@@ -12,9 +12,8 @@ paper's full population is ~400 per benchmark at 1.0).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.pipeline import BenchmarkEvaluation, ExperimentOptions, evaluate_corpus
 from repro.workloads import SPEC2000_PROFILES, build_corpus, default_scale, spec_profile

@@ -441,10 +441,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--connect",
-        default=None,
+        required=True,
         metavar="URL",
-        help="service base URL (http://host:port or host:port); omit to "
-        "self-host an in-process service with a synthetic runner",
+        help="service base URL (http://host:port or host:port)",
     )
     loadgen.add_argument(
         "--rate",
@@ -491,35 +490,10 @@ def _parser() -> argparse.ArgumentParser:
         help="post-window wait for submitted jobs to settle (default 120)",
     )
     loadgen.add_argument(
-        "--workers",
-        type=int,
-        default=8,
-        help="self-hosted mode: synthetic worker threads (default 8)",
-    )
-    loadgen.add_argument(
-        "--compute-s",
-        type=float,
-        default=0.02,
-        help="self-hosted mode: synthetic per-job compute cost "
-        "(default 0.02s)",
-    )
-    loadgen.add_argument(
-        "--self-chaos",
-        default=None,
-        metavar="SPEC",
-        help="self-hosted mode: install this chaos plan in-process",
-    )
-    loadgen.add_argument(
         "--output",
         default=None,
         metavar="PATH",
-        help="merge the report into this JSON file (e.g. "
-        "BENCH_service.json) instead of printing it",
-    )
-    loadgen.add_argument(
-        "--section",
-        default="sustained_load",
-        help="JSON key to merge the report under (default sustained_load)",
+        help="write the JSON report to this file instead of stdout",
     )
     loadgen.add_argument(
         "--check",
@@ -1011,30 +985,13 @@ def _parse_connect(url: str):
 def _cmd_worker(args: argparse.Namespace) -> int:
     import json
     import signal
-    import time
 
-    from repro.fleet import FleetWorker
+    from repro.fleet import FleetWorker, sleep_runner
     from repro.service import ServiceClient
 
     _install_chaos(args.chaos)
     host, port = _parse_connect(args.connect)
     client = ServiceClient(host=host, port=port)
-
-    execute = None
-    if args.bench_sleep is not None:
-        # Fixed-cost synthetic execution: measures the fleet protocol
-        # (lease latency, queue scaling, recovery) independently of the
-        # pipeline and of how many cores this host has.
-        def execute(job_data):
-            time.sleep(args.bench_sleep)
-            return {
-                "schema": 1,
-                "job": job_data,
-                "status": "ok",
-                "elapsed_s": args.bench_sleep,
-                "evaluation": None,
-                "error": None,
-            }
 
     worker = FleetWorker(
         client,
@@ -1042,7 +999,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         ttl=args.ttl,
         poll=args.poll,
-        execute=execute,
+        execute=(
+            None if args.bench_sleep is None else sleep_runner(args.bench_sleep)
+        ),
         exit_on_drain=not args.stay_on_drain,
         max_jobs=args.max_jobs,
     )
@@ -1076,62 +1035,37 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
-    import contextlib
     import json
     from pathlib import Path
 
-    from repro.loadgen import (
-        check_slos,
-        merge_report,
-        run_load,
-        self_hosted_service,
+    from repro.loadgen import check_slos, run_load
+
+    host, port = _parse_connect(args.connect)
+    report = asyncio.run(
+        run_load(
+            host,
+            port,
+            rate=args.rate,
+            duration=args.duration,
+            profile=args.profile,
+            seed=args.seed,
+            scale=args.scale,
+            deadline_s=args.deadline_s,
+            max_in_flight=args.max_in_flight,
+            drain_timeout=args.drain_timeout,
+        )
     )
 
-    with contextlib.ExitStack() as stack:
-        if args.connect is not None:
-            host, port = _parse_connect(args.connect)
-        else:
-            _install_chaos(args.self_chaos)
-            handle = stack.enter_context(
-                self_hosted_service(
-                    compute_s=args.compute_s,
-                    workers=args.workers,
-                    default_deadline=args.deadline_s,
-                )
-            )
-            host, port = handle.host, handle.port
-            print(
-                f"loadgen: self-hosted service on http://{host}:{port} "
-                f"({args.workers} synthetic workers, "
-                f"{args.compute_s:g}s/job)",
-                file=sys.stderr,
-                flush=True,
-            )
-        report = asyncio.run(
-            run_load(
-                host,
-                port,
-                rate=args.rate,
-                duration=args.duration,
-                profile=args.profile,
-                seed=args.seed,
-                scale=args.scale,
-                deadline_s=args.deadline_s,
-                max_in_flight=args.max_in_flight,
-                drain_timeout=args.drain_timeout,
-            )
-        )
-
+    document = json.dumps(report, indent=2, sort_keys=True)
     if args.output is not None:
-        merge_report(report, Path(args.output), section=args.section)
+        Path(args.output).write_text(document + "\n")
         print(
-            f"loadgen: report merged into {args.output} "
-            f"under {args.section!r}",
+            f"loadgen: report written to {args.output}",
             file=sys.stderr,
             flush=True,
         )
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(document)
 
     summary = (
         f"loadgen: {report['counts']['arrivals']} arrivals @ "

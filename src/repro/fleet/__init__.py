@@ -27,7 +27,7 @@ from repro.fleet.queue import (
     LeaseQueue,
     error_payload,
 )
-from repro.fleet.worker import FleetWorker, WorkerStats
+from repro.fleet.worker import FleetWorker, WorkerStats, sleep_runner
 
 __all__ = [
     "DONE",
@@ -45,4 +45,5 @@ __all__ = [
     "WorkerStats",
     "default_worker_id",
     "error_payload",
+    "sleep_runner",
 ]

@@ -40,6 +40,32 @@ _log = get_logger("fleet")
 _MAX_CONNECT_FAILURES = 30
 
 
+def sleep_runner(seconds: float) -> Callable[..., Dict[str, Any]]:
+    """A fixed-cost job runner: sleep, then return a synthetic OK payload.
+
+    ``repro worker --bench-sleep`` executes leases with it, so a run
+    measures the fleet protocol (lease latency, queue scaling,
+    recovery) independently of the pipeline and of how many cores the
+    host has.  It also fits ``JobManager(run_payload=...)``, which
+    passes a ``loop_dir`` it ignores.
+    """
+
+    def run(
+        job_data: Dict[str, Any], loop_dir: Optional[str] = None
+    ) -> Dict[str, Any]:
+        time.sleep(seconds)
+        return {
+            "schema": 1,
+            "job": job_data,
+            "status": "ok",
+            "elapsed_s": seconds,
+            "evaluation": None,
+            "error": None,
+        }
+
+    return run
+
+
 @dataclass
 class WorkerStats:
     """What one worker run did, for logs and tests."""
@@ -74,7 +100,8 @@ class FleetWorker:
     ``client`` is a :class:`~repro.service.client.ServiceClient` (or
     anything with its ``fleet_*`` methods).  ``execute`` runs one job
     dict to a payload dict and is injectable for tests and the
-    fixed-cost bench mode; the default is the real pipeline.
+    fixed-cost bench mode (:func:`sleep_runner`); the default is the
+    real pipeline.
 
     ``ttl`` is the lease TTL requested from the server; the worker
     heartbeats at ``ttl / 3``.  ``poll`` is the idle sleep between

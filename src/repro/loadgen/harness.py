@@ -17,10 +17,7 @@ import asyncio
 import contextlib
 import json
 import random
-import tempfile
-import time
-from pathlib import Path
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.telemetry import HistogramData, get_logger
@@ -462,84 +459,3 @@ def check_slos(
             "reached a terminal state within the drain timeout"
         )
     return failures
-
-
-def merge_report(
-    report: Dict[str, Any],
-    path: Path,
-    section: str = "sustained_load",
-) -> None:
-    """Merge a load report into a bench JSON file under ``section``."""
-    data: Dict[str, Any] = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            data = {}
-    if not isinstance(data, dict):
-        data = {}
-    data[section] = report
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-# ----------------------------------------------------------------------
-# self-hosted mode (no external server needed)
-# ----------------------------------------------------------------------
-def synthetic_runner(
-    compute_s: float = 0.02,
-) -> Callable[..., Dict[str, Any]]:
-    """A fixed-cost payload runner: real service, synthetic pipeline.
-
-    Load runs measure the *service's* overload behavior; burning CPU on
-    real scheduling would only cap the reachable request rate.
-    """
-
-    def run(
-        job_data: Dict[str, Any], loop_dir: Optional[str] = None
-    ) -> Dict[str, Any]:
-        time.sleep(compute_s)
-        return {
-            "schema": 1,
-            "job": job_data,
-            "status": "ok",
-            "elapsed_s": compute_s,
-            "evaluation": None,
-        }
-
-    return run
-
-
-@contextlib.contextmanager
-def self_hosted_service(
-    compute_s: float = 0.02,
-    workers: int = 8,
-    max_interactive: Optional[int] = 256,
-    max_batch: Optional[int] = 16,
-    default_deadline: Optional[float] = None,
-):
-    """An in-process service with a synthetic runner, for load runs.
-
-    Yields the :class:`~repro.service.http.ThreadedService` handle.
-    """
-    from repro.campaign.store import ResultStore
-    from repro.service import AdmissionPolicy, JobManager, start_in_thread
-
-    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as root:
-
-        def factory():
-            return JobManager(
-                store=ResultStore(root),
-                run_payload=synthetic_runner(compute_s),
-                max_workers=workers,
-                admission=AdmissionPolicy(
-                    max_interactive=max_interactive, max_batch=max_batch
-                ),
-                default_deadline=default_deadline,
-            )
-
-        with start_in_thread(factory) as handle:
-            yield handle
-
-
-#: Typing helper for callers embedding run_load.
-RunLoad = Callable[..., Awaitable[Dict[str, Any]]]

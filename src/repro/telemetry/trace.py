@@ -17,12 +17,13 @@ whose timings attribute wall time to named pipeline work::
 Tracing is **opt-in and near-free when off**: the module-level
 :func:`span` returns one shared null context manager (no allocation, no
 clock read) unless :func:`enable_tracing` ran — the hot pipeline paths
-stay unperturbed, which is what keeps the ``BENCH_pipeline.json`` gate
-honest.  Enablement also flows from the ``REPRO_TRACE`` environment
-variable (any non-empty value but ``0``), which is how spawn-platform
-pool workers — who inherit the environment but not module globals —
-and subprocesses pick it up; the campaign executor additionally passes
-an explicit flag through its worker initializer.
+stay unperturbed, which is what keeps the ``repro bench`` gate against
+``benchmarks/perf_baseline.json`` honest.  Enablement also flows from
+the ``REPRO_TRACE`` environment variable (any non-empty value but
+``0``), which is how spawn-platform pool workers — who inherit the
+environment but not module globals — and subprocesses pick it up; the
+campaign executor additionally passes an explicit flag through its
+worker initializer.
 
 Span trees serialize to JSON-safe dicts (:meth:`Span.to_dict`), so a
 worker process ships its per-job tree back inside the job payload and

@@ -10,6 +10,7 @@ import asyncio
 import random
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.fleet import (
     FleetWorker,
     LeaseQueue,
     error_payload,
+    sleep_runner,
 )
 from repro.pipeline.experiment import ExperimentOptions
 from repro.pipeline.serialization import canonical_json
@@ -644,3 +646,24 @@ class TestFleetEquivalence:
         finally:
             service.stop()
             warehouse.close()
+
+
+class TestBenchSleep:
+    def test_sleep_runner_returns_an_ok_payload(self):
+        job = {"benchmark": "171.swim"}
+        payload = sleep_runner(0.0)(job)
+        assert payload["status"] == "ok"
+        assert payload["job"] is job
+        assert payload["error"] is None
+        # JobManager's thread runner passes a loop dir it ignores.
+        assert sleep_runner(0.0)(job, "/nonexistent") == payload
+
+    def test_smoke_scaling_bar(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "tools"))
+        from fleet_smoke import check_scaling
+
+        two, four = check_scaling({1: 8.1, 2: 4.1, 4: 2.1})
+        assert two == pytest.approx(8.1 / 4.1)
+        assert four == pytest.approx(8.1 / 2.1)
+        with pytest.raises(RuntimeError, match="fleet scaling below the bar"):
+            check_scaling({1: 8.0, 2: 5.0, 4: 3.0})

@@ -1,18 +1,41 @@
 """Tests for the open-loop load generator (repro.loadgen)."""
 
 import asyncio
+import contextlib
 import json
+import tempfile
 
 import pytest
 
-from repro.loadgen import (
-    LoadgenError,
-    check_slos,
-    merge_report,
-    run_load,
-    self_hosted_service,
-)
+from repro.campaign.store import ResultStore
+from repro.fleet import sleep_runner
+from repro.loadgen import LoadgenError, check_slos, run_load
 from repro.loadgen.harness import PROFILES, _mixed_request, http_json
+from repro.service import AdmissionPolicy, JobManager, start_in_thread
+
+
+@contextlib.contextmanager
+def self_hosted_service(
+    compute_s=0.02, workers=8, max_interactive=256, max_batch=16
+):
+    """An in-process service whose jobs each sleep ``compute_s``.
+
+    Yields the :class:`~repro.service.http.ThreadedService` handle.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as root:
+
+        def factory():
+            return JobManager(
+                store=ResultStore(root),
+                run_payload=sleep_runner(compute_s),
+                max_workers=workers,
+                admission=AdmissionPolicy(
+                    max_interactive=max_interactive, max_batch=max_batch
+                ),
+            )
+
+        with start_in_thread(factory) as handle:
+            yield handle
 
 
 def run_short_load(**overrides):
@@ -145,25 +168,45 @@ class TestSloGate:
         assert "terminal state" in failure
 
 
-class TestMergeReport:
-    def test_merges_into_existing_bench_json(self, tmp_path):
-        path = tmp_path / "BENCH_service.json"
-        path.write_text(json.dumps({"submit_p50_ms": 1.5}))
-        merge_report({"offered_rps": 50}, path)
-        data = json.loads(path.read_text())
-        assert data["submit_p50_ms"] == 1.5
-        assert data["sustained_load"]["offered_rps"] == 50
+class TestLoadgenCli:
+    def test_connect_run_writes_the_whole_report(self, tmp_path, capsys):
+        from repro.__main__ import main
 
-    def test_creates_file_and_custom_section(self, tmp_path):
-        path = tmp_path / "missing.json"
-        merge_report({"a": 1}, path, section="load_smoke")
-        assert json.loads(path.read_text()) == {"load_smoke": {"a": 1}}
+        path = tmp_path / "report.json"
+        with self_hosted_service(compute_s=0.005, workers=4) as handle:
+            status = main(
+                [
+                    "loadgen",
+                    "--connect",
+                    f"{handle.host}:{handle.port}",
+                    "--rate",
+                    "40",
+                    "--duration",
+                    "0.5",
+                    "--seed",
+                    "2",
+                    "--drain-timeout",
+                    "30",
+                    "--output",
+                    str(path),
+                ]
+            )
+        assert status == 0
+        assert capsys.readouterr().out == ""
+        report = json.loads(path.read_text())
+        assert report["schema"] == 1
+        assert report["offered_rps"] == 40.0
+        assert report["counts"]["arrivals"] > 0
+        assert report["jobs"]["drained"]
+        assert {"latency", "healthz", "goodput_jobs_per_s"} <= set(report)
 
-    def test_overwrites_corrupt_file(self, tmp_path):
-        path = tmp_path / "corrupt.json"
-        path.write_text("{nope")
-        merge_report({"a": 1}, path)
-        assert json.loads(path.read_text())["sustained_load"] == {"a": 1}
+    def test_connect_is_required(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as raised:
+            main(["loadgen", "--rate", "10"])
+        assert raised.value.code == 2
+        assert "--connect" in capsys.readouterr().err
 
 
 class TestMiniHttpClient:

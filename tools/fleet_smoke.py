@@ -31,6 +31,11 @@ every point and answer ``repro query timeline`` for the first
 campaign's job, killed worker's expired attempt included: labels and
 traces live in the store, the warehouse only indexes them.
 
+Last, the scaling leg: the same batch of 20 fixed-cost jobs (``repro
+worker --bench-sleep 0.4``) on 1, 2 and 4 workers, each leg against a
+fresh ``serve --jobs 0``.  The 2- and 4-worker walls must beat the
+1-worker wall by at least 1.8x and 3.2x.
+
 Exits non-zero (with the server log and the flight recorder's event
 ring on stderr) on any failure.
 """
@@ -38,12 +43,18 @@ ring on stderr) on any failure.
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from smoke_common import (
+    dump_flight_recorder,
+    free_port,
+    metric_total,
+    wait_healthy,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,24 +62,16 @@ ROOT = Path(__file__).resolve().parent.parent
 #: test's patience; long enough that healthy scale-0.05 jobs renew.
 LEASE_TTL = 3.0
 
+#: The scaling batch: jobs of a fixed sleep (``repro worker
+#: --bench-sleep``), so compute overlaps fully across worker processes
+#: even on one core.  Enough jobs that queue effects average out, few
+#: enough that the 1-worker leg takes about 8 s.
+SCALING_JOBS = 20
+SCALING_SLEEP_S = 0.4
 
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def metric_total(text: str, name: str) -> float:
-    """Sum of every sample of one metric family in a Prometheus scrape."""
-    total = 0.0
-    for line in text.splitlines():
-        if line.startswith("#") or not line.startswith(name):
-            continue
-        rest = line[len(name):]
-        if rest[:1] not in ("{", " "):
-            continue  # a different family sharing the prefix
-        total += float(line.rsplit(" ", 1)[1])
-    return total
+#: Minimum speedup over 1 worker, by worker count: near-linear scaling
+#: means the protocol adds little serial overhead per job.
+SCALING_BARS = {2: 1.8, 4: 3.2}
 
 
 def check_distributed_trace(client, job, total):
@@ -144,21 +147,6 @@ def check_distributed_trace(client, job, total):
     )
 
 
-def dump_flight_recorder(client):
-    """Best-effort post-mortem: print the event ring to stderr."""
-    try:
-        if client is None:
-            raise RuntimeError("client never connected")
-        debug = client.debug_events(limit=200)
-    except Exception as error:  # server already gone
-        print(f"--- flight recorder unavailable: {error!r}", file=sys.stderr)
-        return
-    print("--- flight recorder (most recent last) ---", file=sys.stderr)
-    for event in debug["events"]:
-        print(event, file=sys.stderr)
-    print(f"--- recorder stats: {debug['stats']}", file=sys.stderr)
-
-
 def start_server(env, port, cache_dir, jobs):
     return subprocess.Popen(
         [
@@ -195,18 +183,6 @@ def kill_group(process) -> None:
         os.killpg(process.pid, signal.SIGKILL)
     except ProcessLookupError:
         pass  # the whole group has exited
-
-
-def wait_healthy(client, server):
-    for _attempt in range(50):
-        if server.poll() is not None:
-            raise RuntimeError("server exited before accepting")
-        try:
-            client.health()
-            return
-        except OSError:
-            time.sleep(0.2)
-    raise RuntimeError("server never became healthy")
 
 
 def check_points(client, job, total):
@@ -353,7 +329,9 @@ def check_coordinator_kill(
     )
 
 
-def start_worker(env, port, worker_id):
+def start_worker(env, port, worker_id, sleep_s=None):
+    """A ``repro worker``; with ``sleep_s``, each job is a fixed sleep."""
+    bench = [] if sleep_s is None else ["--bench-sleep", str(sleep_s)]
     return subprocess.Popen(
         [
             sys.executable,
@@ -369,6 +347,7 @@ def start_worker(env, port, worker_id):
             "--poll",
             "0.2",
             "--stay-on-drain",
+            *bench,
         ],
         env=env,
         stdout=subprocess.PIPE,
@@ -378,11 +357,91 @@ def start_worker(env, port, worker_id):
     )
 
 
+def check_scaling(walls):
+    """Speedups at 2 and 4 workers from ``walls`` (worker count -> s).
+
+    Raises unless both clear :data:`SCALING_BARS`.
+    """
+    two, four = walls[1] / walls[2], walls[1] / walls[4]
+    if two < SCALING_BARS[2] or four < SCALING_BARS[4]:
+        raise RuntimeError(
+            f"fleet scaling below the bar: 2 workers {two:.2f}x (need "
+            f">= {SCALING_BARS[2]}), 4 workers {four:.2f}x (need >= "
+            f"{SCALING_BARS[4]})"
+        )
+    return two, four
+
+
+def scaling_wall(env, root, n_workers, processes):
+    """Seconds for the scaling batch on ``n_workers`` sleeping workers.
+
+    Each leg has a ``serve --jobs 0`` and a store of its own.  The clock
+    starts once every worker has registered: interpreter start-up is no
+    part of the fleet protocol.  ``processes`` holds the leg's processes
+    while it runs, for the caller's cleanup on failure.
+    """
+    from repro.service import ServiceClient
+
+    port = free_port()
+    server = start_server(
+        env, port, os.path.join(root, str(n_workers)), jobs=0
+    )
+    leg = {f"serve ({n_workers}-worker leg)": server}
+    processes.update(leg)
+    client = ServiceClient(port=port, timeout=30)
+    wait_healthy(client, server)
+    for index in range(n_workers):
+        leg[f"scale-w{index} ({n_workers}-worker leg)"] = start_worker(
+            env, port, f"scale-w{index}", sleep_s=SCALING_SLEEP_S
+        )
+    processes.update(leg)
+    deadline = time.monotonic() + 120
+    while len(client.stats()["fleet"]["workers"]) < n_workers:
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"fleet never reached {n_workers} workers")
+        time.sleep(0.05)
+    started = time.perf_counter()
+    job = client.submit_campaign(
+        spec={
+            "benchmarks": ["171.swim"],
+            "scale": 0.01,
+            "buses_grid": list(range(1, SCALING_JOBS + 1)),
+        },
+        label="fleet-smoke-scaling",
+    )
+    check_points(client, job, SCALING_JOBS)
+    wall = time.perf_counter() - started
+    for name, process in leg.items():
+        process.terminate()
+        process.communicate(timeout=30)
+        del processes[name]
+    print(
+        f"  {n_workers} worker(s): {wall:.2f}s "
+        f"({SCALING_JOBS / wall:.1f} jobs/s)"
+    )
+    return wall
+
+
+def check_fleet_scaling(env, root, processes):
+    """The same fixed-cost batch on 1, 2 and 4 workers scales near-linearly."""
+    print(
+        f"fleet scaling ({SCALING_JOBS} x {SCALING_SLEEP_S}s jobs, "
+        "worker --bench-sleep):"
+    )
+    walls = {
+        n_workers: scaling_wall(env, root, n_workers, processes)
+        for n_workers in (1, 2, 4)
+    }
+    two, four = check_scaling(walls)
+    print(f"fleet scaling ok: 2 workers {two:.2f}x, 4 workers {four:.2f}x")
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{ROOT / 'src'}{os.pathsep}" + env.get("PYTHONPATH", "")
     port = free_port()
-    with tempfile.TemporaryDirectory() as cache_dir:
+    with tempfile.TemporaryDirectory() as cache_dir, \
+            tempfile.TemporaryDirectory() as scaling_root:
         server = start_server(env, port, cache_dir, jobs=0)
         processes = {"serve": server}
         workers = {}
@@ -481,6 +540,8 @@ def main() -> int:
             check_coordinator_kill(
                 env, cache_dir, port, server, workers[survivor], processes, job
             )
+
+            check_fleet_scaling(env, scaling_root, processes)
         except BaseException:
             dump_flight_recorder(client)
             for name, process in processes.items():

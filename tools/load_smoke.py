@@ -7,8 +7,9 @@ HTTP 503s and SQLite busy retries), then drives it with
 ``python -m repro loadgen --check``: open-loop Poisson arrivals, mixed
 traffic, SLO gate on latency/healthz/error-rate.  The run asserts the
 service stays responsive and completes every admitted job even while
-faults fire — and leaves ``BENCH_service.json``-shaped output at the
-path given by ``--output`` (CI uploads it as an artifact).
+faults fire — and leaves loadgen's JSON report at the path given as the
+first argument (default ``BENCH_load_smoke.json``; CI uploads it as an
+artifact).
 
 Exits non-zero on any failure, dumping the server log and the flight
 recorder's event ring (chaos injections, shed requests, internal
@@ -16,12 +17,12 @@ errors, all trace-correlated) to stderr for post-hoc debugging.
 """
 
 import os
-import socket
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+from smoke_common import dump_flight_recorder, free_port, wait_healthy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,29 +35,8 @@ RATE = 40.0
 DURATION = 8.0
 
 
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def dump_flight_recorder(client):
-    """Best-effort post-mortem: print the event ring to stderr."""
-    try:
-        if client is None:
-            raise RuntimeError("client never connected")
-        debug = client.debug_events(limit=200)
-    except Exception as error:  # server already gone
-        print(f"--- flight recorder unavailable: {error!r}", file=sys.stderr)
-        return
-    print("--- flight recorder (most recent last) ---", file=sys.stderr)
-    for event in debug["events"]:
-        print(event, file=sys.stderr)
-    print(f"--- recorder stats: {debug['stats']}", file=sys.stderr)
-
-
 def main() -> int:
-    output = sys.argv[1] if len(sys.argv) > 1 else "BENCH_service.json"
+    output = sys.argv[1] if len(sys.argv) > 1 else "BENCH_load_smoke.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{ROOT / 'src'}{os.pathsep}" + env.get(
         "PYTHONPATH", ""
@@ -92,16 +72,7 @@ def main() -> int:
             from repro.service import ServiceClient
 
             client = ServiceClient(port=port, timeout=30)
-            for _attempt in range(50):
-                if server.poll() is not None:
-                    raise RuntimeError("server exited before accepting")
-                try:
-                    client.health()
-                    break
-                except OSError:
-                    time.sleep(0.2)
-            else:
-                raise RuntimeError("server never became healthy")
+            wait_healthy(client, server)
 
             # The generator runs without chaos in its own env: faults
             # belong to the server process, the harness must see them

@@ -22,33 +22,14 @@ Exits non-zero (with the server log on stderr) on any failure.
 import argparse
 import json
 import os
-import socket
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
+from smoke_common import free_port, metric_total, wait_healthy
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def metric_total(text: str, name: str) -> float:
-    """Sum of every sample of one metric family in a Prometheus scrape."""
-    total = 0.0
-    for line in text.splitlines():
-        if line.startswith("#") or not line.startswith(name):
-            continue
-        rest = line[len(name):]
-        if rest[:1] not in ("{", " "):
-            continue  # a different family sharing the prefix
-        total += float(line.rsplit(" ", 1)[1])
-    return total
 
 
 def metric_sample(text: str, series: str) -> float:
@@ -127,16 +108,7 @@ def main() -> int:
             from repro.service import ServiceClient
 
             client = ServiceClient(port=port, timeout=30)
-            for _attempt in range(50):
-                if server.poll() is not None:
-                    raise RuntimeError("server exited before accepting")
-                try:
-                    client.health()
-                    break
-                except OSError:
-                    time.sleep(0.2)
-            else:
-                raise RuntimeError("server never became healthy")
+            wait_healthy(client, server)
 
             job = client.submit_evaluate(benchmark="171.swim", scale=0.05)
             print(f"submitted job {job['id']} ({job['status']})")
